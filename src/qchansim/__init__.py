@@ -3,7 +3,7 @@
 The package splits into the layers
 
 * :mod:`qchansim.matops` -- small dense complex linear algebra,
-* :mod:`qchansim.channels` -- Kraus channels, CPTP validation, affine/Choi forms,
+* :mod:`qchansim.channels` -- Kraus channels, transfer matrix, CPTP validation, affine/Choi forms,
 * :mod:`qchansim.decompose` -- two-branch quasiextreme plans (closed form and fitted),
 * :mod:`qchansim.optics` -- Jones matrices and waveplate/Dove-prism synthesis,
 * :mod:`qchansim.circuit` -- exact simulation of the two-qubit optical circuit,
@@ -22,6 +22,7 @@ from .channels import (
     channel_to_json,
     to_affine,
     to_choi,
+    transfer,
     validate_channel,
 )
 from .circuit import (

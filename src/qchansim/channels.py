@@ -2,8 +2,9 @@
 
 Conventions: |H> = |0> = (1, 0)^T, |V> = |1> = (0, 1)^T, and the Pauli basis
 is sigma_x = [[0,1],[1,0]], sigma_y = [[0,-i],[i,0]], sigma_z = [[1,0],[0,-1]].
-A channel acts as ``rho -> sum_i K_i rho K_i^dag`` and on Bloch vectors as
-``r -> T r + t``.
+A channel acts as ``rho -> sum_i K_i rho K_i^dag``, which is the 4x4 transfer
+matrix ``S`` of :func:`transfer` on row-major ``vec(rho)``, and on Bloch
+vectors as ``r -> T r + t``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .matops import (
 TRACE_TOL = 1e-8
 CHOI_EIG_TOL = 1e-8
 ZERO_OP_TOL = 1e-12
+
+# Columns are the row-major vecs of I, sigma_x, sigma_y, sigma_z.
+_PAULI_VECS = np.stack([m.reshape(4) for m in (ID2, *PAULIS)], axis=1)
 
 
 class ChannelKind(str, Enum):
@@ -115,58 +119,46 @@ def builtin_channel(kind: ChannelKind | str, lam: float, label: str = "") -> Kra
     return KrausChannel(tuple(ops), label or f"{kind.value}(lambda={lam:g})")
 
 
+def transfer(ch: KrausChannel) -> np.ndarray:
+    """Superoperator S = sum_i K_i (x) conj(K_i), so vec(E(rho)) = S vec(rho)
+    for row-major vec.  Every other form of the channel derives from S."""
+    ops = np.asarray(ch.ops)
+    return np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
+
+
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
     """sum_i K_i rho K_i^dag for a valid density matrix ``rho``."""
     rho = assert_density_matrix(rho)
-    out = np.zeros((2, 2), dtype=complex)
-    for k in ch.ops:
-        out += k @ rho @ dagger(k)
-    return out
+    return (transfer(ch) @ rho.reshape(4)).reshape(2, 2)
 
 
 def to_choi(ch: KrausChannel) -> np.ndarray:
-    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|); Tr J = 2 when E is TP."""
-    j = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for jdx in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, jdx] = 1.0
-            img = np.zeros((2, 2), dtype=complex)
-            for k in ch.ops:
-                img += k @ e @ dagger(k)
-            j += np.kron(e, img)
-    return j
+    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|); Tr J = 2 when E is TP.
+
+    J is the reshuffle J[(i,a),(j,b)] = S[(a,b),(i,j)] of the transfer matrix.
+    """
+    return transfer(ch).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def validate_channel(ch: KrausChannel) -> CPTPReport:
-    """CPTP diagnostics: never raises, returns residuals and a verdict."""
-    acc = np.zeros((2, 2), dtype=complex)
-    for k in ch.ops:
-        acc += dagger(k) @ k
-    trace_residual = frob_dist(acc, ID2)
+    """CPTP diagnostics: never raises, returns residuals and a verdict.
+
+    The output partial trace of J is (sum_i K_i^dag K_i)^T, so TP means it is I.
+    """
     j = to_choi(ch)
+    trace_residual = frob_dist(np.trace(j.reshape(2, 2, 2, 2), axis1=1, axis2=3), ID2)
     min_eig = float(np.linalg.eigvalsh((j + dagger(j)) / 2.0).min())
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL
     return CPTPReport(trace_residual=trace_residual, min_choi_eig=min_eig, ok=ok)
 
 
 def to_affine(ch: KrausChannel) -> AffineRep:
-    """Distortion matrix and displacement: T_ij = Tr[s_i E(s_j)]/2, t_i = Tr[s_i E(I)]/2."""
+    """Distortion matrix and displacement: T_ij = Tr[s_i E(s_j)]/2, t_i = Tr[s_i E(I)]/2.
 
-    def image(op):
-        out = np.zeros((2, 2), dtype=complex)
-        for k in ch.ops:
-            out += k @ op @ dagger(k)
-        return out
-
-    T = np.empty((3, 3))
-    for jdx, sj in enumerate(PAULIS):
-        img = image(sj)
-        for idx, si in enumerate(PAULIS):
-            T[idx, jdx] = 0.5 * np.trace(si @ img).real
-    img_id = image(ID2)
-    t = np.array([0.5 * np.trace(si @ img_id).real for si in PAULIS])
-    return AffineRep(T=T, t=t)
+    Both are blocks of (1/2) P^dag S P, the transfer matrix in the Pauli basis.
+    """
+    m = 0.5 * (dagger(_PAULI_VECS) @ transfer(ch) @ _PAULI_VECS).real
+    return AffineRep(T=m[1:, 1:], t=m[1:, 0])
 
 
 def _complex_to_pairs(m) -> list:

@@ -79,13 +79,8 @@ class BranchConfig:
     """Everything needed to run one branch through the circuit."""
 
     branch: QuasiExtremeBranch
-    conditional_x: bool
     noise: NoiseParams | None = None
     tbs_delta: float = 0.0
-
-    @classmethod
-    def from_branch(cls, branch: QuasiExtremeBranch, noise=None, tbs_delta: float = 0.0) -> "BranchConfig":
-        return cls(branch=branch, conditional_x=branch.conditional_x, noise=noise, tbs_delta=tbs_delta)
 
 
 def prepare_initial(phi: float) -> SpinOrbitState:
@@ -132,26 +127,21 @@ def apply_noise(state: SpinOrbitState, visibility: float, arms: str = "pol") -> 
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
-    mask = _POL_DIAG_MASK if arms == "pol" else _MODE_DIAG_MASK
     if arms not in ("pol", "mode"):
         raise ValueError("arms must be 'pol' or 'mode'")
-    rho = state.rho.copy()
-    rho[~mask] *= visibility
-    return SpinOrbitState(rho=rho)
+    mask = _POL_DIAG_MASK if arms == "pol" else _MODE_DIAG_MASK
+    return SpinOrbitState(rho=_scale_coherences(state.rho, mask, visibility))
 
 
-def _mode_dephased(rho4: np.ndarray) -> np.ndarray:
+def _scale_coherences(rho4: np.ndarray, mask: np.ndarray, factor: float) -> np.ndarray:
+    """Copy of ``rho4`` with every entry outside ``mask`` scaled by ``factor``."""
     out = rho4.copy()
-    out[~_MODE_DIAG_MASK] = 0.0
+    out[~mask] *= factor
     return out
 
 
 def _trace_out_mode(rho4: np.ndarray) -> np.ndarray:
-    out = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = rho4[2 * i, 2 * j] + rho4[2 * i + 1, 2 * j + 1]
-    return out
+    return np.trace(rho4.reshape(2, 2, 2, 2), axis1=1, axis2=3)
 
 
 def _branch_stages(rho_in, cfg: BranchConfig):
@@ -176,7 +166,7 @@ def _branch_stages(rho_in, cfg: BranchConfig):
     cx = cnot_pol_controls_mode()
     rho = cx @ rho @ dagger(cx)
     if visibility < 1.0:
-        rho = apply_noise(SpinOrbitState(rho=rho), visibility, arms="pol").rho
+        rho = _scale_coherences(rho, _POL_DIAG_MASK, visibility)
     yield "cnot", rho
 
     g2 = np.kron(ID2, ry_rotation(branch.gamma2))
@@ -189,10 +179,10 @@ def _branch_stages(rho_in, cfg: BranchConfig):
     if visibility < 1.0:
         # Failed interference spills the mode-dephased state evenly into
         # both ports; the coherent part keeps weight = visibility.
-        spill = 0.5 * (1.0 - visibility) * _mode_dephased(rho)
+        spill = 0.5 * (1.0 - visibility) * _scale_coherences(rho, _MODE_DIAG_MASK, 0.0)
         rho_k = visibility * rho_k + spill
         rho_l = visibility * rho_l + spill
-    if cfg.conditional_x:
+    if branch.conditional_x:
         feed_forward = np.kron(PAULI_X, ID2)
         rho_l = feed_forward @ rho_l @ dagger(feed_forward)
     rho = rho_k + rho_l
@@ -219,20 +209,18 @@ def simulate_channel(rho_in, plan: DecompositionPlan, noise: NoiseParams | None 
     for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)):
         if branch is None or weight == 0.0:
             continue
-        cfg = BranchConfig.from_branch(branch, noise=noise, tbs_delta=tbs_delta)
+        cfg = BranchConfig(branch, noise=noise, tbs_delta=tbs_delta)
         out += weight * run_branch(rho_in, cfg)
     return out
 
 
-def gates_for_branch(branch: QuasiExtremeBranch, conditional_x: bool | None = None) -> list[GateElement]:
+def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
     """Compile one branch into the ordered optical element list.
 
     Dove-prism pairs realize the ancilla rotations, waveplate triples the
     dressing unitaries (skipped when they equal the identity up to phase);
     elements appear in beam order.
     """
-    if conditional_x is None:
-        conditional_x = branch.conditional_x
     gates: list[GateElement] = []
 
     def add_dove_pair(gamma):
@@ -253,7 +241,7 @@ def gates_for_branch(branch: QuasiExtremeBranch, conditional_x: bool | None = No
     gates.append(GateElement("CNOT", None, "both"))
     add_dove_pair(branch.gamma2)
     gates.append(GateElement("TBS", None, "mode"))
-    if conditional_x:
+    if branch.conditional_x:
         gates.append(GateElement("CONDX", None, "both"))
     add_triple(branch.U)
     return gates

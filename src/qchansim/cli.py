@@ -2,8 +2,10 @@
 
 Angles cross this boundary in degrees; everything inside is radians.
 Options resolve as CLI flag > QCHANSIM_* environment variable > config
-file (plain key=value lines) > built-in default.  Exit codes: 0 ok,
-1 validation failure, 2 parse error, 3 fit non-convergence.
+file (plain key=value lines) > built-in default.  A channel comes either
+from --channel (with --lambda) or from --kraus-file; both set, from any
+of those sources, is a parse error.  Exit codes: 0 ok, 1 validation
+failure, 2 parse error, 3 fit non-convergence.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .channels import (
     ChannelKind,
+    KrausChannel,
     apply_channel,
     builtin_channel,
     channel_from_json,
@@ -92,9 +95,12 @@ def _resolve(args, key: str, config: dict, default=None):
 
 def _as_float(value, name: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"{name} must be a number, got {value!r}") from exc
+    if not np.isfinite(number):
+        raise CliError(EXIT_PARSE, f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _as_int(value, name: str) -> int:
@@ -149,15 +155,23 @@ def _noise_from(args, config) -> NoiseParams | None:
         raise CliError(EXIT_PARSE, str(exc)) from exc
 
 
+def _load_kraus_file(args, config) -> KrausChannel | None:
+    """The channel in the resolved --kraus-file, or None when none is set."""
+    kraus_file = _resolve(args, "kraus_file", config)
+    if kraus_file is None:
+        return None
+    if _resolve(args, "channel", config) is not None:
+        raise CliError(EXIT_PARSE, "--kraus-file and --channel are mutually exclusive")
+    try:
+        return channel_from_json(Path(kraus_file).read_text())
+    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        raise CliError(EXIT_PARSE, f"cannot load Kraus file: {exc}") from exc
+
+
 def _channel_source(args, config) -> tuple:
     """Resolve (channel, plan, fitted) from --channel/--lambda or --kraus-file."""
-    kraus_file = _resolve(args, "kraus_file", config)
-    kind = _resolve(args, "channel", config)
-    if kraus_file is not None:
-        try:
-            ch = channel_from_json(Path(kraus_file).read_text())
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_PARSE, f"cannot load Kraus file: {exc}") from exc
+    ch = _load_kraus_file(args, config)
+    if ch is not None:
         report = validate_channel(ch)
         if not report.ok:
             raise CliError(
@@ -169,17 +183,14 @@ def _channel_source(args, config) -> tuple:
         if not result.converged:
             raise CliError(EXIT_FIT, f"decomposition fit did not converge (residual {result.residual:.3g})")
         return ch, result.plan, result.residual
+    kind = _resolve(args, "channel", config)
     if kind is None:
         raise CliError(EXIT_PARSE, "either --channel or --kraus-file is required")
     try:
         kind = ChannelKind(kind.upper() if isinstance(kind, str) else kind)
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"unknown channel kind {kind!r}") from exc
-    lam = getattr(args, "lam", None)
-    if lam is None:
-        lam = os.environ.get(ENV_PREFIX + "LAMBDA")
-    if lam is None:
-        lam = config.get("lambda")
+    lam = _resolve(args, "lambda", config)
     if lam is None:
         raise CliError(EXIT_PARSE, "--lambda is required with --channel")
     lam = _as_float(lam, "lambda")
@@ -315,6 +326,8 @@ def _sweep_csv(rows) -> str:
 
 def cmd_sweep(args) -> int:
     config = _read_config(args.config) if args.config else {}
+    if _load_kraus_file(args, config) is not None:
+        raise CliError(EXIT_PARSE, "sweep takes --channel, not --kraus-file")
     kind_raw = _resolve(args, "channel", config)
     if kind_raw is None:
         raise CliError(EXIT_PARSE, "--channel is required for sweep")
@@ -347,13 +360,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _read_config(args.config) if args.config else {}
-    kraus_file = _resolve(args, "kraus_file", config)
-    if kraus_file is not None:
-        try:
-            ch = channel_from_json(Path(kraus_file).read_text())
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_PARSE, f"cannot load Kraus file: {exc}") from exc
-    else:
+    ch = _load_kraus_file(args, config)
+    if ch is None:
         ch, _, _ = _channel_source(args, config)
     report = validate_channel(ch)
     print(f"trace_residual: {report.trace_residual:.6g}")
@@ -368,7 +376,7 @@ def _add_common(parser: argparse.ArgumentParser, *, lam: bool) -> None:
     parser.add_argument("--kraus-file", dest="kraus_file", help="channel JSON {label, kraus}")
     parser.add_argument("--outdir", help="output directory")
     if lam:
-        parser.add_argument("--lambda", dest="lam", help="decoherence parameter in [0, 1]")
+        parser.add_argument("--lambda", dest="lambda", help="decoherence parameter in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:

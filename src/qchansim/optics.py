@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import KrausChannel, to_affine
 from .matops import (
     H0,
     ID2,
@@ -27,7 +28,6 @@ from .matops import (
     PAULI_Z,
     Q0,
     as_cmat,
-    dagger,
     is_unitary,
     unitarity_residual,
 )
@@ -179,13 +179,7 @@ def bloch_rotation(u) -> np.ndarray:
     u = as_cmat(u, 2)
     if not is_unitary(u):
         raise ValueError("bloch_rotation requires a unitary input")
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    r = np.empty((3, 3))
-    for j, sj in enumerate(paulis):
-        img = u @ sj @ dagger(u)
-        for i, si in enumerate(paulis):
-            r[i, j] = 0.5 * np.trace(si @ img).real
-    return r
+    return to_affine(KrausChannel((u,))).T
 
 
 def su2_from_rotation(r) -> np.ndarray:

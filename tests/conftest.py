@@ -22,7 +22,12 @@ def random_pure(rng):
 
 
 def random_kraus_pair_channel(rng, label="random"):
-    # A 4x2 isometry sliced into two blocks is exactly trace preserving.
-    z = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    return random_channel(rng, 2, label)
+
+
+def random_channel(rng, rank, label="random"):
+    # A (2 rank) x 2 isometry cut into `rank` 2x2 blocks is trace preserving
+    # and, generically, has Choi rank `rank`.
+    z = rng.standard_normal((2 * rank, 2)) + 1j * rng.standard_normal((2 * rank, 2))
     q, _ = np.linalg.qr(z)
-    return KrausChannel((q[0:2, :], q[2:4, :]), label)
+    return KrausChannel(tuple(q[2 * i : 2 * i + 2] for i in range(rank)), label)

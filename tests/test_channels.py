@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_kraus_pair_channel
+from conftest import random_channel, random_density, random_kraus_pair_channel
 from qchansim.channels import (
     AffineRep,
     ChannelKind,
@@ -12,9 +12,10 @@ from qchansim.channels import (
     channel_to_json,
     to_affine,
     to_choi,
+    transfer,
     validate_channel,
 )
-from qchansim.matops import ID2, bloch_vector, dagger, density_from_bloch
+from qchansim.matops import ID2, PAULIS, bloch_vector, dagger, density_from_bloch
 
 H = np.array([1.0, 0.0], dtype=complex)
 V = np.array([0.0, 1.0], dtype=complex)
@@ -206,3 +207,68 @@ def test_channel_json_round_trip():
     assert len(back.ops) == len(ch.ops)
     for a, b in zip(back.ops, ch.ops):
         assert np.allclose(a, b)
+
+
+# Kraus-sum definitions, kept here as the reference for the transfer-matrix forms.
+
+
+def _kraus_image(ch, op):
+    return sum(k @ op @ dagger(k) for k in ch.ops)
+
+
+def _kraus_choi(ch):
+    units = [np.outer(np.eye(2)[i], np.eye(2)[j]) for i in range(2) for j in range(2)]
+    return sum(np.kron(e, _kraus_image(ch, e)) for e in units)
+
+
+def _kraus_affine(ch):
+    T = np.array([[0.5 * np.trace(si @ _kraus_image(ch, sj)).real for sj in PAULIS] for si in PAULIS])
+    t = np.array([0.5 * np.trace(si @ _kraus_image(ch, ID2)).real for si in PAULIS])
+    return T, t
+
+
+def _kraus_trace_residual(ch):
+    return np.linalg.norm(sum(dagger(k) @ k for k in ch.ops) - ID2)
+
+
+def _reference_channels():
+    rng = np.random.default_rng(12)
+    named = [builtin_channel(kind, lam) for kind in ChannelKind for lam in (0.0, 0.3, 0.5, 1.0)]
+    return named + [random_channel(rng, rank) for rank in (1, 2, 3, 4) for _ in range(5)]
+
+
+@pytest.mark.parametrize("ch", _reference_channels(), ids=lambda ch: ch.label)
+def test_transfer_forms_match_kraus_sums(ch):
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        rho = random_density(rng)
+        assert np.abs(apply_channel(ch, rho) - _kraus_image(ch, rho)).max() <= 1e-12
+    assert np.abs(to_choi(ch) - _kraus_choi(ch)).max() <= 1e-12
+    T, t = _kraus_affine(ch)
+    aff = to_affine(ch)
+    assert np.abs(aff.T - T).max() <= 1e-12
+    assert np.abs(aff.t - t).max() <= 1e-12
+    report = validate_channel(ch)
+    assert report.ok
+    assert abs(report.trace_residual - _kraus_trace_residual(ch)) <= 1e-12
+    assert abs(report.min_choi_eig - np.linalg.eigvalsh(_kraus_choi(ch)).min()) <= 1e-12
+
+
+def test_transfer_acts_on_row_major_vec():
+    rng = np.random.default_rng(14)
+    for rank in (1, 2, 3, 4):
+        ch = random_channel(rng, rank)
+        S = transfer(ch)
+        assert S.shape == (4, 4)
+        # Any operator, not only a state: S is the linear map itself.
+        op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert np.abs(S @ op.reshape(4) - _kraus_image(ch, op).reshape(4)).max() <= 1e-12
+
+
+def test_validate_trace_residual_matches_kraus_sum_off_tp():
+    for ch in (KrausChannel((np.diag([1.0, 1.1]),), "stretch"),
+               KrausChannel((builtin_channel("AD", 0.5).ops[0],), "half"),
+               KrausChannel((np.array([[0.0, 1.0], [0.3, 0.0]]), 0.5j * ID2), "skew")):
+        report = validate_channel(ch)
+        assert not report.ok
+        assert abs(report.trace_residual - _kraus_trace_residual(ch)) <= 1e-12

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_density, random_pure
-from qchansim.channels import ChannelKind, apply_channel, builtin_channel
+from conftest import haar_unitary, random_density, random_pure
+from qchansim.channels import ChannelKind, apply_channel, builtin_channel, to_choi
 from qchansim.circuit import (
     BranchConfig,
     NoiseParams,
@@ -16,7 +16,7 @@ from qchansim.circuit import (
     simulate_channel,
     tbs_transfer,
 )
-from qchansim.decompose import QuasiExtremeBranch, U_BPF, closed_form_plan
+from qchansim.decompose import DecompositionPlan, QuasiExtremeBranch, U_BPF, closed_form_plan, plan_to_channel
 from qchansim.matops import dagger
 from qchansim.optics import gate_list_from_json, gate_list_to_json
 from qchansim.tomography import fidelity
@@ -96,7 +96,7 @@ def test_tbs_port_completeness():
 
 
 def test_run_branch_full_damping():
-    cfg = BranchConfig.from_branch(closed_form_plan("AD", 1.0).branch_a)
+    cfg = BranchConfig(closed_form_plan("AD", 1.0).branch_a)
     out = run_branch(KET_V, cfg)
     assert np.allclose(out, apply_channel(builtin_channel("AD", 1.0), KET_V), atol=1e-12)
     assert np.allclose(out, KET_H, atol=1e-12)
@@ -104,14 +104,14 @@ def test_run_branch_full_damping():
 
 def test_run_branch_identity():
     rng = np.random.default_rng(41)
-    cfg = BranchConfig.from_branch(QuasiExtremeBranch.from_alpha_beta(0.0, 0.0))
+    cfg = BranchConfig(QuasiExtremeBranch.from_alpha_beta(0.0, 0.0))
     for _ in range(20):
         rho = random_density(rng)
         assert np.allclose(run_branch(rho, cfg), rho, atol=1e-12)
 
 
 def test_run_branch_phase_damping():
-    cfg = BranchConfig.from_branch(closed_form_plan("PD", 0.5).branch_a)
+    cfg = BranchConfig(closed_form_plan("PD", 0.5).branch_a)
     out = run_branch(PLUS, cfg)
     root = np.sqrt(0.5)
     assert np.allclose(out, 0.5 * np.array([[1.0, root], [root, 1.0]]), atol=1e-12)
@@ -126,7 +126,7 @@ def test_simulate_single_branch_equals_run_branch():
     rng = np.random.default_rng(42)
     plan = closed_form_plan("BF", 0.3)
     rho = random_density(rng)
-    direct = run_branch(rho, BranchConfig.from_branch(plan.branch_a))
+    direct = run_branch(rho, BranchConfig(plan.branch_a))
     assert np.allclose(simulate_channel(rho, plan), direct, atol=1e-14)
 
 
@@ -152,7 +152,7 @@ def test_intermediate_states_stay_physical():
     rng = np.random.default_rng(44)
     for kind in ChannelKind:
         plan = closed_form_plan(kind, 0.6)
-        cfg = BranchConfig.from_branch(plan.branch_a)
+        cfg = BranchConfig(plan.branch_a)
         for _, rho4 in _branch_stages(random_density(rng), cfg):
             assert abs(np.trace(rho4) - 1.0) <= 1e-9
             assert np.linalg.norm(rho4 - dagger(rho4)) <= 1e-9
@@ -164,10 +164,10 @@ def test_bpf_unitary_placement_is_equivalent():
     # Diagonal dressing commutes through, so applying U_BPF before the CNOT
     # or after the feed-forward gives the same branch channel.
     rng = np.random.default_rng(45)
-    after = BranchConfig.from_branch(
+    after = BranchConfig(
         QuasiExtremeBranch.from_alpha_beta(np.pi / 2, np.pi / 2, U=U_BPF)
     )
-    before = BranchConfig.from_branch(
+    before = BranchConfig(
         QuasiExtremeBranch.from_alpha_beta(np.pi / 2, np.pi / 2, Uprime=U_BPF)
     )
     for _ in range(20):
@@ -245,3 +245,77 @@ def test_run_branch_oracle_on_pure_states():
         rho = random_pure(rng)
         d = np.linalg.norm(simulate_channel(rho, plan) - apply_channel(oracle, rho))
         assert d <= 1e-12
+
+
+def _random_plan(rng):
+    def branch():
+        return QuasiExtremeBranch.from_alpha_beta(
+            *rng.uniform(-np.pi, np.pi, 2), U=haar_unitary(rng), Uprime=haar_unitary(rng),
+            conditional_x=bool(rng.integers(2)),
+        )
+
+    return DecompositionPlan(branch(), branch(), rng.uniform(0.0, 1.0))
+
+
+def _assert_unit_trace_psd(rho, tol=1e-10):
+    assert abs(np.trace(rho) - 1.0) <= tol
+    assert np.linalg.norm(rho - dagger(rho)) <= tol
+    assert np.linalg.eigvalsh((rho + dagger(rho)) / 2.0).min() >= -tol
+
+
+def _circuit_choi(plan, noise):
+    """Choi matrix of the simulated map, rebuilt from four state inputs by linearity."""
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    plus_i = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    e00, e11 = (simulate_channel(r, plan, noise=noise) for r in (KET_H, KET_V))
+    e01 = (simulate_channel(plus, plan, noise=noise) + 1j * simulate_channel(plus_i, plan, noise=noise)
+           - 0.5 * (1.0 + 1.0j) * (e00 + e11))
+    # Block (i, j) of J is the image of |i><j|.
+    return np.block([[e00, e01], [dagger(e01), e11]])
+
+
+def test_tbs_full_phase_turn_is_identity():
+    rng = np.random.default_rng(48)
+    noise = NoiseParams(visibility=0.9)
+    for kind in ChannelKind:
+        plan = closed_form_plan(kind, 0.4)
+        for _ in range(5):
+            rho = random_density(rng)
+            for n in (None, noise):
+                a = simulate_channel(rho, plan, noise=n, tbs_delta=2.0 * np.pi)
+                b = simulate_channel(rho, plan, noise=n, tbs_delta=0.0)
+                assert np.abs(a - b).max() <= 1e-12
+
+
+def test_tbs_phase_grid_gives_physical_outputs():
+    rng = np.random.default_rng(49)
+    for delta in np.linspace(-np.pi, 3.0 * np.pi, 17):
+        plan = _random_plan(rng)
+        for noise in (None, NoiseParams(visibility=rng.uniform(0.0, 1.0))):
+            _assert_unit_trace_psd(simulate_channel(random_density(rng), plan, noise=noise, tbs_delta=delta))
+
+
+def test_noisy_circuit_stays_cptp():
+    rng = np.random.default_rng(50)
+    for visibility in np.linspace(0.0, 1.0, 11):
+        noise = NoiseParams(visibility=visibility)
+        for _ in range(4):
+            choi = _circuit_choi(_random_plan(rng), noise)
+            partial = np.trace(choi.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+            assert np.abs(partial - np.eye(2)).max() <= 1e-10
+            _assert_unit_trace_psd(choi / 2.0)
+
+
+def test_circuit_choi_at_unit_visibility_matches_plan_channel():
+    rng = np.random.default_rng(51)
+    for _ in range(5):
+        plan = _random_plan(rng)
+        assert np.abs(_circuit_choi(plan, None) - to_choi(plan_to_channel(plan))).max() <= 1e-10
+
+
+def test_apply_noise_rejects_unknown_arms_and_dephases_mode():
+    state = prepare_initial(np.pi / 8.0)
+    with pytest.raises(ValueError, match="arms"):
+        apply_noise(state, 0.5, arms="both")
+    mode = apply_noise(SpinOrbitState(rho=np.full((4, 4), 0.25, dtype=complex)), 0.5, arms="mode").rho
+    assert np.allclose(mode, 0.25 * np.where(np.kron(np.ones((2, 2)), np.eye(2)) > 0, 1.0, 0.5))

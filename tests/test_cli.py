@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,3 +260,44 @@ def test_fit_nonconvergence_maps_to_exit_three(tmp_path, monkeypatch):
 
 def test_help_exits_cleanly():
     assert run(["--help"]) == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_simulate_rejects_non_finite_angle_cleanly(value, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["simulate", "--channel", "AD", "--lambda", "0.5", f"--phi-deg={value}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: phi_deg must be finite")
+
+
+def test_kraus_file_and_channel_conflict(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ch.json"
+    path.write_text(channel_to_json(random_kraus_pair_channel(np.random.default_rng(63))))
+    for command in ("decompose", "simulate", "validate"):
+        assert run([command, "--kraus-file", str(path), "--channel", "AD", "--lambda", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mutually exclusive" in err
+    assert run(["sweep", "--kraus-file", str(path), "--channel", "AD", "--lambda-grid", "0,1"]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+    assert run(["sweep", "--kraus-file", str(path)]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("channel=AD\nlambda=0.5\n")
+    assert run(["decompose", "--config", str(cfg), "--kraus-file", str(path)]) == 2
+    monkeypatch.setenv("QCHANSIM_CHANNEL", "PD")
+    assert run(["validate", "--kraus-file", str(path)]) == 2
+
+
+def test_lambda_resolves_from_env_and_config(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=1\n")
+    assert run(["simulate", "--channel", "PF", "--phi-deg", "22.5", "--config", str(cfg)]) == 0
+    assert "[-1.0," in capsys.readouterr().out
+    monkeypatch.setenv("QCHANSIM_LAMBDA", "0")
+    assert run(["simulate", "--channel", "PF", "--phi-deg", "22.5", "--config", str(cfg)]) == 0
+    assert "[1.0," in capsys.readouterr().out
+    assert run(["simulate", "--channel", "PF", "--phi-deg", "22.5", "--lambda", "1"]) == 0
+    assert "[-1.0," in capsys.readouterr().out
+    monkeypatch.delenv("QCHANSIM_LAMBDA")
+    assert run(["simulate", "--channel", "PF", "--phi-deg", "22.5"]) == 2
