@@ -6,7 +6,7 @@ The package splits into the layers
 * :mod:`qchansim.channels` -- Kraus channels, transfer matrix, CPTP validation, affine/Choi forms,
 * :mod:`qchansim.decompose` -- two-branch quasiextreme plans (closed form and fitted),
 * :mod:`qchansim.optics` -- Jones matrices and waveplate/Dove-prism synthesis,
-* :mod:`qchansim.circuit` -- exact simulation of the two-qubit optical circuit,
+* :mod:`qchansim.circuit` -- exact simulation of the two-qubit optical circuit and its transfer matrix,
 * :mod:`qchansim.tomography` -- intensity tomography, fidelity and coherence,
 * :mod:`qchansim.cli` -- the ``qchansim`` command.
 """
@@ -26,11 +26,11 @@ from .channels import (
     validate_channel,
 )
 from .circuit import (
-    BranchConfig,
     NoiseParams,
     SpinOrbitState,
     apply_noise,
     cnot_pol_controls_mode,
+    compile_plan,
     gates_for_branch,
     prepare_initial,
     run_branch,

@@ -23,8 +23,10 @@ from .matops import (
     PAULI_Z,
     as_cmat,
     assert_density_matrix,
+    complex_to_pairs,
     dagger,
     frob_dist,
+    pairs_to_complex,
 )
 
 TRACE_TOL = 1e-8
@@ -161,21 +163,13 @@ def to_affine(ch: KrausChannel) -> AffineRep:
     return AffineRep(T=m[1:, 1:], t=m[1:, 0])
 
 
-def _complex_to_pairs(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _pairs_to_complex(rows) -> np.ndarray:
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
-
-
 def channel_to_json(ch: KrausChannel) -> str:
     """Serialize as {label, kraus: [2x2 row-major [re, im] pairs, ...]}."""
-    payload = {"label": ch.label, "kraus": [_complex_to_pairs(k) for k in ch.ops]}
+    payload = {"label": ch.label, "kraus": [complex_to_pairs(k) for k in ch.ops]}
     return json.dumps(payload, sort_keys=True)
 
 
 def channel_from_json(text: str) -> KrausChannel:
     payload = json.loads(text)
-    ops = tuple(_pairs_to_complex(k) for k in payload["kraus"])
+    ops = tuple(pairs_to_complex(k) for k in payload["kraus"])
     return KrausChannel(ops, payload.get("label", ""))

@@ -12,6 +12,11 @@ The ancilla measurement keeps both TBS ports and sums them, so outputs are
 deterministic.  An optional imperfection model scales the interferometric
 coherence between the two arms of each interferometer (the polarization
 arms of the CNOT, the geometric arms of the TBS) by a visibility factor.
+
+Every stage, noise included, is linear in the system state, so
+:func:`compile_plan` runs the stages once on the basis operators ``|i><j|``
+and returns the plan's 4x4 transfer matrix ``S`` (row-major vec, as in
+:func:`qchansim.channels.transfer`); :func:`simulate_channel` applies it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .matops import (
     as_cmat,
     assert_density_matrix,
     dagger,
-    hermiticity_residual,
     phase_invariant_distance,
 )
 from .optics import GateElement, dove_pair_for_ry, euler_from_su2, ry_rotation, waveplates_from_euler
@@ -39,6 +43,15 @@ _MODE_H = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _MODE_DIAG_MASK = np.kron(np.ones((2, 2)), np.eye(2)).astype(bool)
 _POL_DIAG_MASK = np.kron(np.eye(2), np.ones((2, 2))).astype(bool)
 
+# The CNOT and the feed-forward sigma_x are Hermitian, so each is its own dagger.
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_FEED_FORWARD = np.kron(PAULI_X, ID2)
+_MIRROR = np.kron(H0, H0)
+_TBS_TRANSMITTED = _MIRROR @ np.kron(H0, ID2)
+_TBS_REFLECTED = _MIRROR @ _MIRROR
+# The system basis operators |i><j|, stacked at index 2 i + j.
+_BASIS_OPS = np.eye(4, dtype=complex).reshape(4, 2, 2)
+
 
 @dataclass(frozen=True)
 class SpinOrbitState:
@@ -47,14 +60,7 @@ class SpinOrbitState:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = as_cmat(self.rho, 4)
-        if hermiticity_residual(rho) > 1e-9:
-            raise ValueError("spin-orbit state must be Hermitian")
-        if abs(np.trace(rho) - 1.0) > 1e-9:
-            raise ValueError("spin-orbit state must have unit trace")
-        if np.linalg.eigvalsh((rho + dagger(rho)) / 2.0).min() < -1e-9:
-            raise ValueError("spin-orbit state must be positive semidefinite")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", assert_density_matrix(as_cmat(self.rho, 4), tol=1e-9))
 
 
 @dataclass(frozen=True)
@@ -74,15 +80,6 @@ class NoiseParams:
             raise ValueError("intensity_sigma must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BranchConfig:
-    """Everything needed to run one branch through the circuit."""
-
-    branch: QuasiExtremeBranch
-    noise: NoiseParams | None = None
-    tbs_delta: float = 0.0
-
-
 def prepare_initial(phi: float) -> SpinOrbitState:
     """Pure state (cos(2 phi) |H> + sin(2 phi) |V>) (x) |h> from the
     preparation half-wave plate at angle ``phi``."""
@@ -92,10 +89,7 @@ def prepare_initial(phi: float) -> SpinOrbitState:
 
 def cnot_pol_controls_mode() -> np.ndarray:
     """CNOT with polarization as control: |V> flips |h> <-> |v>."""
-    g = np.zeros((4, 4), dtype=complex)
-    g[0, 0] = g[1, 1] = 1.0
-    g[2, 3] = g[3, 2] = 1.0
-    return g
+    return _CNOT.copy()
 
 
 def tbs_transfer(delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -108,13 +102,10 @@ def tbs_transfer(delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     Lambda; at delta = 0 they project the mode onto |h> and |v> while
     leaving polarization untouched.
     """
-    mirror = np.kron(H0, H0)
-    hwp_zero = np.kron(H0, ID2)
-    arm_transmitted = np.exp(1j * delta) * (mirror @ hwp_zero)
-    arm_reflected = mirror @ mirror
+    arm_transmitted = np.exp(1j * delta) * _TBS_TRANSMITTED
     # Each 1/2 is the product of the two 50/50 splitter amplitudes.
-    k_op = (arm_reflected + arm_transmitted) / 2.0
-    l_op = (arm_reflected - arm_transmitted) / 2.0
+    k_op = (_TBS_REFLECTED + arm_transmitted) / 2.0
+    l_op = (_TBS_REFLECTED - arm_transmitted) / 2.0
     return k_op, l_op
 
 
@@ -134,25 +125,19 @@ def apply_noise(state: SpinOrbitState, visibility: float, arms: str = "pol") -> 
 
 
 def _scale_coherences(rho4: np.ndarray, mask: np.ndarray, factor: float) -> np.ndarray:
-    """Copy of ``rho4`` with every entry outside ``mask`` scaled by ``factor``."""
-    out = rho4.copy()
-    out[~mask] *= factor
-    return out
+    """``rho4`` (a stack of 4x4 operators) with every entry outside ``mask`` scaled by ``factor``."""
+    return np.where(mask, rho4, factor * rho4)
 
 
-def _trace_out_mode(rho4: np.ndarray) -> np.ndarray:
-    return np.trace(rho4.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+def _branch_stages(rho_in, branch: QuasiExtremeBranch, visibility: float = 1.0, tbs_delta: float = 0.0):
+    """Yield (stage label, 4x4 operator) through the branch circuit.
 
-
-def _branch_stages(rho_in, cfg: BranchConfig):
-    """Yield (stage label, 4x4 state) through the branch circuit.
-
-    Both TBS ports are kept; after the feed-forward they are summed into a
-    single nonselective state.
+    ``rho_in`` is a 2x2 system operator or a stack ``(..., 2, 2)`` of them;
+    every stage acts on the whole stack.  Both TBS ports are kept; after the
+    feed-forward they are summed into a single nonselective state.
     """
-    branch = cfg.branch
-    visibility = 1.0 if cfg.noise is None else cfg.noise.visibility
-    rho = np.kron(assert_density_matrix(rho_in), _MODE_H)
+    rho_in = np.asarray(rho_in, dtype=complex)
+    rho = np.einsum("...pq,mn->...pmqn", rho_in, _MODE_H).reshape(rho_in.shape[:-2] + (4, 4))
     yield "input", rho
 
     upre = np.kron(branch.Uprime, ID2)
@@ -163,8 +148,7 @@ def _branch_stages(rho_in, cfg: BranchConfig):
     rho = g1 @ rho @ dagger(g1)
     yield "ancilla_rotation_1", rho
 
-    cx = cnot_pol_controls_mode()
-    rho = cx @ rho @ dagger(cx)
+    rho = _CNOT @ rho @ _CNOT
     if visibility < 1.0:
         rho = _scale_coherences(rho, _POL_DIAG_MASK, visibility)
     yield "cnot", rho
@@ -173,7 +157,7 @@ def _branch_stages(rho_in, cfg: BranchConfig):
     rho = g2 @ rho @ dagger(g2)
     yield "ancilla_rotation_2", rho
 
-    k_op, l_op = tbs_transfer(cfg.tbs_delta)
+    k_op, l_op = tbs_transfer(tbs_delta)
     rho_k = k_op @ rho @ dagger(k_op)
     rho_l = l_op @ rho @ dagger(l_op)
     if visibility < 1.0:
@@ -183,8 +167,7 @@ def _branch_stages(rho_in, cfg: BranchConfig):
         rho_k = visibility * rho_k + spill
         rho_l = visibility * rho_l + spill
     if branch.conditional_x:
-        feed_forward = np.kron(PAULI_X, ID2)
-        rho_l = feed_forward @ rho_l @ dagger(feed_forward)
+        rho_l = _FEED_FORWARD @ rho_l @ _FEED_FORWARD
     rho = rho_k + rho_l
     yield "tbs_and_feedforward", rho
 
@@ -193,25 +176,40 @@ def _branch_stages(rho_in, cfg: BranchConfig):
     yield "system_post_unitary", rho
 
 
-def run_branch(rho_in, cfg: BranchConfig) -> np.ndarray:
-    """Run one branch; returns the 2x2 system state after ancilla readout."""
-    final = None
-    for _, final in _branch_stages(rho_in, cfg):
+def _readout(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None, tbs_delta: float) -> np.ndarray:
+    """Run every stage of one branch and trace out the mode."""
+    visibility = 1.0 if noise is None else noise.visibility
+    for _, final in _branch_stages(rho_in, branch, visibility, tbs_delta):
         pass
-    return _trace_out_mode(final)
+    return np.trace(final.reshape(final.shape[:-2] + (2, 2, 2, 2)), axis1=-3, axis2=-1)
+
+
+def run_branch(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None = None,
+               tbs_delta: float = 0.0) -> np.ndarray:
+    """Run one branch; returns the 2x2 system state after ancilla readout."""
+    return _readout(assert_density_matrix(rho_in), branch, noise, tbs_delta)
+
+
+def compile_plan(plan: DecompositionPlan, noise: NoiseParams | None = None,
+                 tbs_delta: float = 0.0) -> np.ndarray:
+    """The 4x4 transfer matrix of the circuit: vec(rho_out) = S vec(rho_in).
+
+    Column ``2 i + j`` of ``S`` is the row-major vec of the circuit's image
+    of ``|i><j|``, mixed over the branches as p * branch_a + (1 - p) * branch_b.
+    """
+    s = np.zeros((4, 4), dtype=complex)
+    for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)):
+        if branch is None or weight == 0.0:
+            continue
+        s += weight * _readout(_BASIS_OPS, branch, noise, tbs_delta).reshape(4, 4).T
+    return s
 
 
 def simulate_channel(rho_in, plan: DecompositionPlan, noise: NoiseParams | None = None,
                      tbs_delta: float = 0.0) -> np.ndarray:
-    """Convex mix of both branch runs: p * branch_a + (1 - p) * branch_b."""
+    """Apply the plan's compiled circuit: p * branch_a + (1 - p) * branch_b."""
     rho_in = assert_density_matrix(rho_in)
-    out = np.zeros((2, 2), dtype=complex)
-    for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)):
-        if branch is None or weight == 0.0:
-            continue
-        cfg = BranchConfig(branch, noise=noise, tbs_delta=tbs_delta)
-        out += weight * run_branch(rho_in, cfg)
-    return out
+    return (compile_plan(plan, noise, tbs_delta) @ rho_in.reshape(4)).reshape(2, 2)
 
 
 def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:

@@ -3,9 +3,10 @@
 Angles cross this boundary in degrees; everything inside is radians.
 Options resolve as CLI flag > QCHANSIM_* environment variable > config
 file (plain key=value lines) > built-in default.  A channel comes either
-from --channel (with --lambda) or from --kraus-file; both set, from any
-of those sources, is a parse error.  Exit codes: 0 ok, 1 validation
-failure, 2 parse error, 3 fit non-convergence.
+from --channel (with --lambda) or from --kraus-file; --kraus-file together
+with --channel or --lambda, from any of those sources, is a parse error.
+Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 fit
+non-convergence.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .channels import (
 )
 from .circuit import NoiseParams, gates_for_branch, simulate_channel
 from .decompose import DecompositionPlan, closed_form_plan, fit_plan, plan_to_json
-from .matops import ID2, bloch_vector, frob_dist
+from .matops import ID2, bloch_vector, complex_to_pairs, frob_dist
 from .optics import gate_list_to_json
 from .tomography import coherence, fidelity, forward_intensities, reconstruct, reconstruction_to_json
 
@@ -160,8 +162,9 @@ def _load_kraus_file(args, config) -> KrausChannel | None:
     kraus_file = _resolve(args, "kraus_file", config)
     if kraus_file is None:
         return None
-    if _resolve(args, "channel", config) is not None:
-        raise CliError(EXIT_PARSE, "--kraus-file and --channel are mutually exclusive")
+    for key in ("channel", "lambda"):
+        if _resolve(args, key, config) is not None:
+            raise CliError(EXIT_PARSE, f"--kraus-file and --{key} are mutually exclusive")
     try:
         return channel_from_json(Path(kraus_file).read_text())
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -216,7 +219,7 @@ def _write(outdir: Path, name: str, text: str) -> None:
 
 def _state_json(rho) -> str:
     payload = {
-        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
+        "rho": complex_to_pairs(rho),
         "bloch": [float(x) for x in bloch_vector(rho)],
     }
     return json.dumps(payload, sort_keys=True)
@@ -257,20 +260,26 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _prepared_state(args, config) -> np.ndarray:
+    """cos(2 phi) |H> + sin(2 phi) |V> from the preparation half-wave plate at --phi-deg."""
+    phi = np.deg2rad(_as_float(_resolve(args, "phi_deg", config, 22.5), "phi_deg"))
+    psi = np.array([np.cos(2.0 * phi), np.sin(2.0 * phi)], dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
 def cmd_simulate(args) -> int:
     config = _read_config(args.config) if args.config else {}
     ch, plan, _ = _channel_source(args, config)
-    phi = np.deg2rad(_as_float(_resolve(args, "phi_deg", config, 22.5), "phi_deg"))
+    rho_in = _prepared_state(args, config)
     noise = _noise_from(args, config)
-    psi = np.array([np.cos(2.0 * phi), np.sin(2.0 * phi)], dtype=complex)
-    rho_in = np.outer(psi, psi.conj())
     rho_sim = simulate_channel(rho_in, plan, noise=noise)
     rho_oracle = apply_channel(ch, rho_in)
     record = forward_intensities(rho_sim, noise=noise)
     recon = reconstruct(record)
     fid = fidelity(recon.rho, rho_oracle)
     coh = coherence(recon.rho)
-    print(f"bloch (reconstructed): {np.round(recon.bloch, 10).tolist()}")
+    # + 0.0 turns a round-off -0.0 into 0.0.
+    print(f"bloch (reconstructed): {(np.round(recon.bloch, 10) + 0.0).tolist()}")
     print(f"fidelity vs Kraus oracle: {fid:.10f}")
     print(f"coherence c_l1={coh.c_l1:.10f} c_max={coh.c_max:.10f} clamped={recon.clamped}")
     outdir = _outdir(args, config)
@@ -281,18 +290,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(kind: ChannelKind, grid, phi: float, noise: NoiseParams | None):
-    psi = np.array([np.cos(2.0 * phi), np.sin(2.0 * phi)], dtype=complex)
-    rho_in = np.outer(psi, psi.conj())
+def _sweep_rows(kind: ChannelKind, grid, rho_in, noise: NoiseParams | None):
     rows = []
     for index, lam in enumerate(grid):
-        row_noise = None
-        if noise is not None:
-            row_noise = NoiseParams(
-                visibility=noise.visibility,
-                intensity_sigma=noise.intensity_sigma,
-                rng_seed=noise.rng_seed + index,
-            )
+        row_noise = None if noise is None else replace(noise, rng_seed=noise.rng_seed + index)
         plan = closed_form_plan(kind, lam)
         rho_sim = simulate_channel(rho_in, plan, noise=row_noise)
         recon = reconstruct(forward_intensities(rho_sim, noise=row_noise))
@@ -337,13 +338,13 @@ def cmd_sweep(args) -> int:
         raise CliError(EXIT_PARSE, f"unknown channel kind {kind_raw!r}") from exc
     grid_raw = _resolve(args, "lambda_grid", config, "0:1:21")
     grid = _parse_lambda_grid(grid_raw)
-    phi = np.deg2rad(_as_float(_resolve(args, "phi_deg", config, 22.5), "phi_deg"))
+    rho_in = _prepared_state(args, config)
     noise = _noise_from(args, config)
     formats = [f.strip().lower() for f in str(_resolve(args, "formats", config, "csv")).split(",") if f.strip()]
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise CliError(EXIT_PARSE, f"unknown output format {fmt!r}")
-    rows = _sweep_rows(kind, grid, phi, noise)
+    rows = _sweep_rows(kind, grid, rho_in, noise)
     csv_text = _sweep_csv(rows)
     outdir = _outdir(args, config)
     if outdir is not None:

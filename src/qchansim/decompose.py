@@ -35,7 +35,7 @@ from .channels import (
     to_choi,
     validate_channel,
 )
-from .matops import ID2, as_cmat, frob_dist, svd3, unitarity_residual
+from .matops import ID2, as_cmat, complex_to_pairs, frob_dist, pairs_to_complex, svd3, unitarity_residual
 from .optics import EulerAngles, euler_from_su2, su2_from_euler, su2_from_rotation
 
 U_BPF = np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
@@ -253,10 +253,10 @@ def _single_branch_candidates(aff: AffineRep):
     Writes T = L diag(s) R^T, then scans the finite set of axis
     relabellings P, Q = P S (proper signed permutations) under which
     P^T diag(s) Q matches the quasiextreme diagonal and L^T t points
-    along z.  Every hit yields an exact plan; the caller keeps the best.
+    along z.  Every hit yields an exact plan, generated lazily so that the
+    caller can stop at the first one.
     """
     left, s, right = svd3(aff.T)
-    plans = []
     for perm in _ROT_PERMS:
         lp = left @ perm
         tk = lp.T @ aff.t
@@ -270,8 +270,7 @@ def _single_branch_candidates(aff: AffineRep):
             except NotQuasiExtremeError:
                 continue
             branch = branch_from_nu_mu(nm, U=su2_from_rotation(lp), Uprime=su2_from_rotation((right @ q).T))
-            plans.append(DecompositionPlan(branch_a=branch, branch_b=None, p=1.0))
-    return plans
+            yield DecompositionPlan(branch_a=branch, branch_b=None, p=1.0)
 
 
 def _plan_from_params(x) -> DecompositionPlan:
@@ -322,7 +321,8 @@ def fit_plan(
 
     Stage one recognizes rotated single-branch channels in closed form
     from the signed SVD of the distortion matrix; any two-Kraus channel
-    lands here with residual at the arithmetic floor.  Stage two runs
+    lands here with residual at the arithmetic floor, and the first
+    candidate within ``target_residual`` is kept.  Stage two runs
     multi-start Levenberg-Marquardt least squares over all seventeen
     parameters (branch angles, mixing weight, Euler angles of the four
     dressing unitaries) against the Choi-matrix difference, with a
@@ -345,10 +345,10 @@ def fit_plan(
     best_res = np.inf
     for cand in _single_branch_candidates(to_affine(ch)):
         r = residual_of(cand)
+        if r <= target_residual:
+            return FitResult(plan=_tidy_plan(cand), residual=float(r), converged=True, starts_used=0)
         if r < best_res:
             best_plan, best_res = cand, r
-    if best_res <= target_residual:
-        return FitResult(plan=_tidy_plan(best_plan), residual=float(best_res), converged=True, starts_used=0)
 
     def residual_vec(x):
         diff = to_choi(plan_to_channel(_plan_from_params(x))) - target
@@ -393,15 +393,11 @@ def fit_plan(
 
 
 def _unitary_to_json(u) -> list | None:
-    if frob_dist(u, ID2) <= 1e-12:
-        return None
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(u)]
+    return None if frob_dist(u, ID2) <= 1e-12 else complex_to_pairs(u)
 
 
 def _unitary_from_json(rows) -> np.ndarray:
-    if rows is None:
-        return ID2
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
+    return ID2 if rows is None else pairs_to_complex(rows)
 
 
 def plan_to_json(plan: DecompositionPlan) -> str:

@@ -123,6 +123,16 @@ def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return left, s, right
 
 
+def complex_to_pairs(m) -> list:
+    """Nested [re, im] float pairs of a complex matrix, row-major (the JSON encoding)."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def pairs_to_complex(rows) -> np.ndarray:
+    """Inverse of :func:`complex_to_pairs`."""
+    return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
+
+
 def bloch_vector(rho) -> np.ndarray:
     """Bloch vector of a 2x2 Hermitian operator: r_i = Tr(sigma_i rho)."""
     rho = as_cmat(rho, 2)

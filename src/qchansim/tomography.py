@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import NoiseParams
-from .matops import assert_density_matrix, bloch_vector, dagger, density_from_bloch, eig_hermitian
+from .matops import assert_density_matrix, bloch_vector, complex_to_pairs, dagger, density_from_bloch, eig_hermitian
 from .optics import hwp, qwp
 
 
@@ -123,8 +123,9 @@ def probabilities(rec: TomographyRecord) -> dict:
 def reconstruct(rec: TomographyRecord) -> Reconstruction:
     """Linear Stokes inversion of a tomography record.
 
-    A Bloch vector pushed outside the unit ball by noise is rescaled onto
-    the sphere and the clamp is flagged.
+    A Bloch vector outside the unit ball is rescaled onto the sphere.  The
+    clamp is flagged only for a norm above 1 + 1e-12: round-off leaves a
+    pure state a few ulp above 1, intensity noise moves it by far more.
     """
     probs = probabilities(rec)
     r = np.array(
@@ -135,14 +136,13 @@ def reconstruct(rec: TomographyRecord) -> Reconstruction:
         ]
     )
     norm = float(np.linalg.norm(r))
-    clamped = norm > 1.0
-    if clamped:
+    if norm > 1.0:
         r = r / norm
     return Reconstruction(
         rho=density_from_bloch(r),
         bloch=r,
         purity=float(np.linalg.norm(r)),
-        clamped=clamped,
+        clamped=norm > 1.0 + 1e-12,
     )
 
 
@@ -189,7 +189,7 @@ def record_from_csv(text: str) -> TomographyRecord:
 
 def reconstruction_to_json(rec: Reconstruction) -> str:
     payload = {
-        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in rec.rho],
+        "rho": complex_to_pairs(rec.rho),
         "bloch": [float(x) for x in rec.bloch],
         "purity": rec.purity,
         "clamped": rec.clamped,

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_density, random_pure
-from qchansim.channels import ChannelKind, apply_channel, builtin_channel, to_choi
+from qchansim.channels import ChannelKind, apply_channel, builtin_channel, to_choi, transfer
 from qchansim.circuit import (
-    BranchConfig,
     NoiseParams,
     SpinOrbitState,
     _branch_stages,
     apply_noise,
     cnot_pol_controls_mode,
+    compile_plan,
     gates_for_branch,
     prepare_initial,
     run_branch,
@@ -96,23 +96,23 @@ def test_tbs_port_completeness():
 
 
 def test_run_branch_full_damping():
-    cfg = BranchConfig(closed_form_plan("AD", 1.0).branch_a)
-    out = run_branch(KET_V, cfg)
+    branch = closed_form_plan("AD", 1.0).branch_a
+    out = run_branch(KET_V, branch)
     assert np.allclose(out, apply_channel(builtin_channel("AD", 1.0), KET_V), atol=1e-12)
     assert np.allclose(out, KET_H, atol=1e-12)
 
 
 def test_run_branch_identity():
     rng = np.random.default_rng(41)
-    cfg = BranchConfig(QuasiExtremeBranch.from_alpha_beta(0.0, 0.0))
+    branch = QuasiExtremeBranch.from_alpha_beta(0.0, 0.0)
     for _ in range(20):
         rho = random_density(rng)
-        assert np.allclose(run_branch(rho, cfg), rho, atol=1e-12)
+        assert np.allclose(run_branch(rho, branch), rho, atol=1e-12)
 
 
 def test_run_branch_phase_damping():
-    cfg = BranchConfig(closed_form_plan("PD", 0.5).branch_a)
-    out = run_branch(PLUS, cfg)
+    branch = closed_form_plan("PD", 0.5).branch_a
+    out = run_branch(PLUS, branch)
     root = np.sqrt(0.5)
     assert np.allclose(out, 0.5 * np.array([[1.0, root], [root, 1.0]]), atol=1e-12)
 
@@ -126,7 +126,7 @@ def test_simulate_single_branch_equals_run_branch():
     rng = np.random.default_rng(42)
     plan = closed_form_plan("BF", 0.3)
     rho = random_density(rng)
-    direct = run_branch(rho, BranchConfig(plan.branch_a))
+    direct = run_branch(rho, plan.branch_a)
     assert np.allclose(simulate_channel(rho, plan), direct, atol=1e-14)
 
 
@@ -152,8 +152,7 @@ def test_intermediate_states_stay_physical():
     rng = np.random.default_rng(44)
     for kind in ChannelKind:
         plan = closed_form_plan(kind, 0.6)
-        cfg = BranchConfig(plan.branch_a)
-        for _, rho4 in _branch_stages(random_density(rng), cfg):
+        for _, rho4 in _branch_stages(random_density(rng), plan.branch_a):
             assert abs(np.trace(rho4) - 1.0) <= 1e-9
             assert np.linalg.norm(rho4 - dagger(rho4)) <= 1e-9
             assert np.linalg.eigvalsh((rho4 + dagger(rho4)) / 2.0).min() >= -1e-9
@@ -164,12 +163,8 @@ def test_bpf_unitary_placement_is_equivalent():
     # Diagonal dressing commutes through, so applying U_BPF before the CNOT
     # or after the feed-forward gives the same branch channel.
     rng = np.random.default_rng(45)
-    after = BranchConfig(
-        QuasiExtremeBranch.from_alpha_beta(np.pi / 2, np.pi / 2, U=U_BPF)
-    )
-    before = BranchConfig(
-        QuasiExtremeBranch.from_alpha_beta(np.pi / 2, np.pi / 2, Uprime=U_BPF)
-    )
+    after = QuasiExtremeBranch.from_alpha_beta(np.pi / 2, np.pi / 2, U=U_BPF)
+    before = QuasiExtremeBranch.from_alpha_beta(np.pi / 2, np.pi / 2, Uprime=U_BPF)
     for _ in range(20):
         rho = random_density(rng)
         assert np.allclose(run_branch(rho, after), run_branch(rho, before), atol=1e-12)
@@ -319,3 +314,23 @@ def test_apply_noise_rejects_unknown_arms_and_dephases_mode():
         apply_noise(state, 0.5, arms="both")
     mode = apply_noise(SpinOrbitState(rho=np.full((4, 4), 0.25, dtype=complex)), 0.5, arms="mode").rho
     assert np.allclose(mode, 0.25 * np.where(np.kron(np.ones((2, 2)), np.eye(2)) > 0, 1.0, 0.5))
+
+
+def test_compile_plan_matches_plan_transfer_at_unit_visibility():
+    rng = np.random.default_rng(52)
+    plans = [_random_plan(rng) for _ in range(20)]
+    plans += [closed_form_plan(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 6)]
+    for plan in plans:
+        assert np.abs(compile_plan(plan) - transfer(plan_to_channel(plan))).max() <= 1e-12
+
+
+def test_simulate_channel_is_weighted_sum_of_branch_runs():
+    rng = np.random.default_rng(53)
+    for visibility in np.linspace(0.0, 1.0, 6):
+        noise = NoiseParams(visibility=visibility)
+        for delta in (0.0, 1.3, -2.2):
+            plan = _random_plan(rng)
+            rho = random_density(rng)
+            direct = (plan.p * run_branch(rho, plan.branch_a, noise, delta)
+                      + (1.0 - plan.p) * run_branch(rho, plan.branch_b, noise, delta))
+            assert np.abs(simulate_channel(rho, plan, noise=noise, tbs_delta=delta) - direct).max() <= 1e-12

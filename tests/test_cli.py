@@ -301,3 +301,34 @@ def test_lambda_resolves_from_env_and_config(tmp_path, monkeypatch, capsys):
     assert "[-1.0," in capsys.readouterr().out
     monkeypatch.delenv("QCHANSIM_LAMBDA")
     assert run(["simulate", "--channel", "PF", "--phi-deg", "22.5"]) == 2
+
+
+def test_kraus_file_and_lambda_conflict(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ch.json"
+    path.write_text(channel_to_json(random_kraus_pair_channel(np.random.default_rng(64))))
+    for command in ("decompose", "simulate", "validate"):
+        assert run([command, "--kraus-file", str(path), "--lambda", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--kraus-file and --lambda are mutually exclusive" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=0.5\n")
+    assert run(["validate", "--config", str(cfg), "--kraus-file", str(path)]) == 2
+    monkeypatch.setenv("QCHANSIM_LAMBDA", "0.5")
+    assert run(["validate", "--kraus-file", str(path)]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, lam, phi", [("PF", "0.5", "22.5"), ("BPF", "0.25", "30"), ("BPF", "0.5", "22.5")])
+def test_simulate_prints_no_negative_zero(kind, lam, phi, capsys):
+    assert run(["simulate", "--channel", kind, "--lambda", lam, "--phi-deg", phi]) == 0
+    head, _, values = capsys.readouterr().out.splitlines()[0].partition(": ")
+    assert head == "bloch (reconstructed)"
+    assert all(np.copysign(1.0, v) > 0.0 for v in json.loads(values) if v == 0.0)
+
+
+# Pure outputs whose reconstructed Bloch norm lands a few ulp above 1.
+@pytest.mark.parametrize("kind, lam, phi", [("PF", "1", "30"), ("BPF", "1", "15"), ("AD", "0", "60"),
+                                            ("BF", "1", "27.5")])
+def test_simulate_pure_output_is_not_flagged_clamped(kind, lam, phi, capsys):
+    assert run(["simulate", "--channel", kind, "--lambda", lam, "--phi-deg", phi]) == 0
+    assert "c_max=1.0000000000 clamped=False" in capsys.readouterr().out

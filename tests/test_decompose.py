@@ -270,3 +270,19 @@ def test_plan_json_round_trip():
             assert back.branch_b is None
         else:
             assert np.allclose(back.branch_b.U, plan.branch_b.U)
+
+
+def test_fit_plan_stage_one_stops_at_first_exact_candidate(monkeypatch):
+    import qchansim.decompose as decompose
+
+    calls = []
+
+    def counting_plan_to_channel(plan, label=""):
+        calls.append(plan)
+        return plan_to_channel(plan, label)
+
+    monkeypatch.setattr(decompose, "plan_to_channel", counting_plan_to_channel)
+    ch = random_kraus_pair_channel(np.random.default_rng(37))
+    result = fit_plan(ch)
+    assert result.starts_used == 0 and result.residual <= 1e-9
+    assert len(calls) == 1

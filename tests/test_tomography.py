@@ -199,3 +199,11 @@ def test_intensity_noise_is_seed_deterministic():
     assert a == b
     c = forward_intensities(PLUS, noise=NoiseParams(intensity_sigma=0.02, rng_seed=6))
     assert a != c
+
+
+def test_reconstruct_flags_clamp_only_beyond_round_off():
+    # r = (2 eps, 0, 1): eps = 5e-8 leaves the norm 5e-15 above 1, eps = 1e-5 leaves it 2e-10 above.
+    for eps, flagged in ((5e-8, False), (1e-5, True)):
+        rec = reconstruct(TomographyRecord(hv=(1.0, 0.0), da=(0.5 + eps, 0.5 - eps), lr=(0.5, 0.5)))
+        assert rec.clamped is flagged
+        assert np.linalg.norm(rec.bloch) <= 1.0
