@@ -9,9 +9,11 @@ first.  One branch of a decomposition runs through the stages
 
 which reproduces ``M0 rho M0^dag + M1 rho M1^dag`` with ``M_i = U K_i U'``.
 The ancilla measurement keeps both TBS ports and sums them, so outputs are
-deterministic.  An optional imperfection model scales the interferometric
-coherence between the two arms of each interferometer (the polarization
-arms of the CNOT, the geometric arms of the TBS) by a visibility factor.
+deterministic.  The mode sorter runs at its working point, piezo phase
+delta = 0 (:func:`tbs_transfer` models any delta).  An optional
+imperfection model scales the interferometric coherence between the two
+arms of each interferometer (the polarization arms of the CNOT, the
+geometric arms of the TBS) by a visibility factor.
 
 Every stage, noise included, is linear in the system state, so
 :func:`compile_plan` runs the stages once on the basis operators ``|i><j|``
@@ -109,6 +111,10 @@ def tbs_transfer(delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     return k_op, l_op
 
 
+# The sorter ports at delta = 0, the projectors onto |h> and |v>; each is its own dagger.
+_TBS_K, _TBS_L = tbs_transfer(0.0)
+
+
 def apply_noise(state: SpinOrbitState, visibility: float, arms: str = "pol") -> SpinOrbitState:
     """Scale interferometric coherence between the two arms by ``visibility``.
 
@@ -129,7 +135,7 @@ def _scale_coherences(rho4: np.ndarray, mask: np.ndarray, factor: float) -> np.n
     return np.where(mask, rho4, factor * rho4)
 
 
-def _branch_stages(rho_in, branch: QuasiExtremeBranch, visibility: float = 1.0, tbs_delta: float = 0.0):
+def _branch_stages(rho_in, branch: QuasiExtremeBranch, visibility: float = 1.0):
     """Yield (stage label, 4x4 operator) through the branch circuit.
 
     ``rho_in`` is a 2x2 system operator or a stack ``(..., 2, 2)`` of them;
@@ -157,9 +163,8 @@ def _branch_stages(rho_in, branch: QuasiExtremeBranch, visibility: float = 1.0, 
     rho = g2 @ rho @ dagger(g2)
     yield "ancilla_rotation_2", rho
 
-    k_op, l_op = tbs_transfer(tbs_delta)
-    rho_k = k_op @ rho @ dagger(k_op)
-    rho_l = l_op @ rho @ dagger(l_op)
+    rho_k = _TBS_K @ rho @ _TBS_K
+    rho_l = _TBS_L @ rho @ _TBS_L
     if visibility < 1.0:
         # Failed interference spills the mode-dephased state evenly into
         # both ports; the coherent part keeps weight = visibility.
@@ -176,22 +181,20 @@ def _branch_stages(rho_in, branch: QuasiExtremeBranch, visibility: float = 1.0, 
     yield "system_post_unitary", rho
 
 
-def _readout(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None, tbs_delta: float) -> np.ndarray:
+def _readout(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None) -> np.ndarray:
     """Run every stage of one branch and trace out the mode."""
     visibility = 1.0 if noise is None else noise.visibility
-    for _, final in _branch_stages(rho_in, branch, visibility, tbs_delta):
+    for _, final in _branch_stages(rho_in, branch, visibility):
         pass
     return np.trace(final.reshape(final.shape[:-2] + (2, 2, 2, 2)), axis1=-3, axis2=-1)
 
 
-def run_branch(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None = None,
-               tbs_delta: float = 0.0) -> np.ndarray:
+def run_branch(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None = None) -> np.ndarray:
     """Run one branch; returns the 2x2 system state after ancilla readout."""
-    return _readout(assert_density_matrix(rho_in), branch, noise, tbs_delta)
+    return _readout(assert_density_matrix(rho_in), branch, noise)
 
 
-def compile_plan(plan: DecompositionPlan, noise: NoiseParams | None = None,
-                 tbs_delta: float = 0.0) -> np.ndarray:
+def compile_plan(plan: DecompositionPlan, noise: NoiseParams | None = None) -> np.ndarray:
     """The 4x4 transfer matrix of the circuit: vec(rho_out) = S vec(rho_in).
 
     Column ``2 i + j`` of ``S`` is the row-major vec of the circuit's image
@@ -201,15 +204,14 @@ def compile_plan(plan: DecompositionPlan, noise: NoiseParams | None = None,
     for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)):
         if branch is None or weight == 0.0:
             continue
-        s += weight * _readout(_BASIS_OPS, branch, noise, tbs_delta).reshape(4, 4).T
+        s += weight * _readout(_BASIS_OPS, branch, noise).reshape(4, 4).T
     return s
 
 
-def simulate_channel(rho_in, plan: DecompositionPlan, noise: NoiseParams | None = None,
-                     tbs_delta: float = 0.0) -> np.ndarray:
+def simulate_channel(rho_in, plan: DecompositionPlan, noise: NoiseParams | None = None) -> np.ndarray:
     """Apply the plan's compiled circuit: p * branch_a + (1 - p) * branch_b."""
     rho_in = assert_density_matrix(rho_in)
-    return (compile_plan(plan, noise, tbs_delta) @ rho_in.reshape(4)).reshape(2, 2)
+    return (compile_plan(plan, noise) @ rho_in.reshape(4)).reshape(2, 2)
 
 
 def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
@@ -223,23 +225,23 @@ def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
 
     def add_dove_pair(gamma):
         pair = dove_pair_for_ry(gamma)
-        gates.append(GateElement("DP", 0.0, "mode"))
-        gates.append(GateElement("DP", pair.delta, "mode"))
+        gates.append(GateElement("DP", 0.0))
+        gates.append(GateElement("DP", pair.delta))
 
     def add_triple(u):
         if phase_invariant_distance(u, ID2) <= 1e-12:
             return
         triple = waveplates_from_euler(euler_from_su2(u))
-        gates.append(GateElement("QWP", triple.eta2, "pol"))
-        gates.append(GateElement("HWP", triple.tau, "pol"))
-        gates.append(GateElement("QWP", triple.eta1, "pol"))
+        gates.append(GateElement("QWP", triple.eta2))
+        gates.append(GateElement("HWP", triple.tau))
+        gates.append(GateElement("QWP", triple.eta1))
 
     add_dove_pair(branch.gamma1)
     add_triple(branch.Uprime)
-    gates.append(GateElement("CNOT", None, "both"))
+    gates.append(GateElement("CNOT", None))
     add_dove_pair(branch.gamma2)
-    gates.append(GateElement("TBS", None, "mode"))
+    gates.append(GateElement("TBS", None))
     if branch.conditional_x:
-        gates.append(GateElement("CONDX", None, "both"))
+        gates.append(GateElement("CONDX", None))
     add_triple(branch.U)
     return gates

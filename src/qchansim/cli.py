@@ -4,7 +4,8 @@ Angles cross this boundary in degrees; everything inside is radians.
 Options resolve as CLI flag > QCHANSIM_* environment variable > config
 file (plain key=value lines) > built-in default.  A channel comes either
 from --channel (with --lambda) or from --kraus-file; --kraus-file together
-with --channel or --lambda, from any of those sources, is a parse error.
+with --channel or --lambda, from any of those sources, is a parse error, and
+so is a --lambda for sweep, which takes --lambda-grid.
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 fit
 non-convergence.
 """
@@ -171,36 +172,46 @@ def _load_kraus_file(args, config) -> KrausChannel | None:
         raise CliError(EXIT_PARSE, f"cannot load Kraus file: {exc}") from exc
 
 
-def _channel_source(args, config) -> tuple:
-    """Resolve (channel, plan, fitted) from --channel/--lambda or --kraus-file."""
-    ch = _load_kraus_file(args, config)
-    if ch is not None:
-        report = validate_channel(ch)
-        if not report.ok:
-            raise CliError(
-                EXIT_VALIDATION,
-                f"channel is not CPTP (trace residual {report.trace_residual:.3g}, "
-                f"min Choi eigenvalue {report.min_choi_eig:.3g})",
-            )
-        result = fit_plan(ch)
-        if not result.converged:
-            raise CliError(EXIT_FIT, f"decomposition fit did not converge (residual {result.residual:.3g})")
-        return ch, result.plan, result.residual
+def _channel_kind(args, config, missing: str) -> ChannelKind:
     kind = _resolve(args, "channel", config)
     if kind is None:
-        raise CliError(EXIT_PARSE, "either --channel or --kraus-file is required")
+        raise CliError(EXIT_PARSE, missing)
     try:
-        kind = ChannelKind(kind.upper() if isinstance(kind, str) else kind)
+        return ChannelKind(kind.upper())
     except ValueError as exc:
         raise CliError(EXIT_PARSE, f"unknown channel kind {kind!r}") from exc
+
+
+def _named_channel(args, config) -> tuple:
+    """Resolve (channel, kind, lambda) from --channel and --lambda."""
+    kind = _channel_kind(args, config, "either --channel or --kraus-file is required")
     lam = _resolve(args, "lambda", config)
     if lam is None:
         raise CliError(EXIT_PARSE, "--lambda is required with --channel")
     lam = _as_float(lam, "lambda")
     try:
-        return builtin_channel(kind, lam), closed_form_plan(kind, lam), None
+        return builtin_channel(kind, lam), kind, lam
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from exc
+
+
+def _channel_source(args, config) -> tuple:
+    """Resolve (channel, plan, fitted) from --channel/--lambda or --kraus-file."""
+    ch = _load_kraus_file(args, config)
+    if ch is None:
+        ch, kind, lam = _named_channel(args, config)
+        return ch, closed_form_plan(kind, lam), None
+    report = validate_channel(ch)
+    if not report.ok:
+        raise CliError(
+            EXIT_VALIDATION,
+            f"channel is not CPTP (trace residual {report.trace_residual:.3g}, "
+            f"min Choi eigenvalue {report.min_choi_eig:.3g})",
+        )
+    result = fit_plan(ch)
+    if not result.converged:
+        raise CliError(EXIT_FIT, f"decomposition fit did not converge (residual {result.residual:.3g})")
+    return ch, result.plan, result.residual
 
 
 def _outdir(args, config) -> Path | None:
@@ -329,13 +340,9 @@ def cmd_sweep(args) -> int:
     config = _read_config(args.config) if args.config else {}
     if _load_kraus_file(args, config) is not None:
         raise CliError(EXIT_PARSE, "sweep takes --channel, not --kraus-file")
-    kind_raw = _resolve(args, "channel", config)
-    if kind_raw is None:
-        raise CliError(EXIT_PARSE, "--channel is required for sweep")
-    try:
-        kind = ChannelKind(kind_raw.upper())
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"unknown channel kind {kind_raw!r}") from exc
+    if _resolve(args, "lambda", config) is not None:
+        raise CliError(EXIT_PARSE, "sweep takes --lambda-grid, not --lambda")
+    kind = _channel_kind(args, config, "--channel is required for sweep")
     grid_raw = _resolve(args, "lambda_grid", config, "0:1:21")
     grid = _parse_lambda_grid(grid_raw)
     rho_in = _prepared_state(args, config)
@@ -363,7 +370,7 @@ def cmd_validate(args) -> int:
     config = _read_config(args.config) if args.config else {}
     ch = _load_kraus_file(args, config)
     if ch is None:
-        ch, _, _ = _channel_source(args, config)
+        ch, _, _ = _named_channel(args, config)
     report = validate_channel(ch)
     print(f"trace_residual: {report.trace_residual:.6g}")
     print(f"min_choi_eig: {report.min_choi_eig:.6g}")
@@ -371,13 +378,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def _add_common(parser: argparse.ArgumentParser, *, lam: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--channel", help="one of AD, PD, BF, PF, BPF")
     parser.add_argument("--kraus-file", dest="kraus_file", help="channel JSON {label, kraus}")
     parser.add_argument("--outdir", help="output directory")
-    if lam:
-        parser.add_argument("--lambda", dest="lambda", help="decoherence parameter in [0, 1]")
+    parser.add_argument("--lambda", dest="lambda", help="decoherence parameter in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="emit the two-branch plan for a channel")
-    _add_common(p, lam=True)
+    _add_common(p)
     p.add_argument("--gates", action="store_true", help="also write per-branch optical gate lists")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("simulate", help="run the circuit once and report fidelity")
-    _add_common(p, lam=True)
+    _add_common(p)
     p.add_argument("--phi-deg", dest="phi_deg", help="preparation waveplate angle in degrees")
     p.add_argument("--visibility", help="interferometer visibility in [0, 1]")
     p.add_argument("--intensity-sigma", dest="intensity_sigma", help="relative intensity noise")
@@ -402,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="coherence and fidelity versus the decoherence parameter")
-    _add_common(p, lam=False)
+    _add_common(p)
     p.add_argument("--lambda-grid", dest="lambda_grid", help="comma list or start:stop:count")
     p.add_argument("--phi-deg", dest="phi_deg", help="preparation waveplate angle in degrees")
     p.add_argument("--visibility", help="interferometer visibility in [0, 1]")
@@ -412,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("validate", help="CPTP diagnostics for a channel")
-    _add_common(p, lam=True)
+    _add_common(p)
     p.set_defaults(func=cmd_validate)
 
     return parser

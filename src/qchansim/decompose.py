@@ -42,6 +42,10 @@ U_BPF = np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
 
 ANGLE_TOL = 1e-10
 QE_TOL = 1e-8
+FIT_MAX_STARTS = 32
+FIT_SEED = 7
+FIT_TARGET_RESIDUAL = 1e-9
+CONVERGED_RESIDUAL = 1e-4
 
 
 class NotQuasiExtremeError(ValueError):
@@ -72,13 +76,12 @@ class QuasiExtremeBranch:
 
     ``conditional_x`` records whether the feed-forward sigma_x acts on the
     odd-ancilla port; disabling it turns the off-diagonal K1 into its
-    diagonal counterpart (the phase-damping behaviour).
+    diagonal counterpart (the phase-damping behaviour).  The ancilla angles
+    ``gamma1`` and ``gamma2`` follow from (alpha, beta), wrapped into (-pi, pi].
     """
 
     alpha: float
     beta: float
-    gamma1: float
-    gamma2: float
     U: np.ndarray
     Uprime: np.ndarray
     conditional_x: bool = True
@@ -90,24 +93,19 @@ class QuasiExtremeBranch:
             raise ValueError("branch unitaries must be unitary within 1e-10")
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "Uprime", up)
-        g1, g2 = gammas_from_angles(self.alpha, self.beta)
-        if abs(wrap_angle(self.gamma1 - g1)) > ANGLE_TOL or abs(wrap_angle(self.gamma2 - g2)) > ANGLE_TOL:
-            raise ValueError("gamma angles inconsistent with (alpha, beta)")
+
+    @property
+    def gamma1(self) -> float:
+        return wrap_angle(gammas_from_angles(self.alpha, self.beta)[0])
+
+    @property
+    def gamma2(self) -> float:
+        return wrap_angle(gammas_from_angles(self.alpha, self.beta)[1])
 
     @classmethod
     def from_alpha_beta(cls, alpha, beta, U=None, Uprime=None, conditional_x=True) -> "QuasiExtremeBranch":
-        alpha = wrap_angle(alpha)
-        beta = wrap_angle(beta)
-        g1, g2 = gammas_from_angles(alpha, beta)
-        return cls(
-            alpha=alpha,
-            beta=beta,
-            gamma1=wrap_angle(g1),
-            gamma2=wrap_angle(g2),
-            U=ID2 if U is None else U,
-            Uprime=ID2 if Uprime is None else Uprime,
-            conditional_x=conditional_x,
-        )
+        return cls(alpha=wrap_angle(alpha), beta=wrap_angle(beta), U=ID2 if U is None else U,
+                   Uprime=ID2 if Uprime is None else Uprime, conditional_x=conditional_x)
 
     def kraus_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Effective bare Kraus pair, honouring the conditional-x flag."""
@@ -183,7 +181,7 @@ def plan_to_channel(plan: DecompositionPlan, label: str = "") -> KrausChannel:
     return KrausChannel(tuple(ops), label)
 
 
-def extract_nu_mu(aff: AffineRep, tol: float = QE_TOL) -> AngleNuMu:
+def extract_nu_mu(aff: AffineRep) -> AngleNuMu:
     """Recover (nu, mu) from a quasiextreme affine map.
 
     Requires T diagonal with T = diag(cos nu, cos mu, cos nu cos mu) and
@@ -192,23 +190,23 @@ def extract_nu_mu(aff: AffineRep, tol: float = QE_TOL) -> AngleNuMu:
     """
     T, t = aff.T, aff.t
     off = T - np.diag(np.diag(T))
-    if np.abs(off).max() > tol:
+    if np.abs(off).max() > QE_TOL:
         raise NotQuasiExtremeError("distortion matrix is not diagonal")
-    if abs(t[0]) > tol or abs(t[1]) > tol:
+    if abs(t[0]) > QE_TOL or abs(t[1]) > QE_TOL:
         raise NotQuasiExtremeError("displacement is not along z")
     cnu, cmu, prod = T[0, 0], T[1, 1], T[2, 2]
-    if abs(cnu) > 1.0 + tol or abs(cmu) > 1.0 + tol:
+    if abs(cnu) > 1.0 + QE_TOL or abs(cmu) > 1.0 + QE_TOL:
         raise NotQuasiExtremeError("diagonal entries exceed unit magnitude")
     nu = float(np.arccos(np.clip(cnu, -1.0, 1.0)))
     snu = np.sin(nu)
-    if snu > tol:
+    if snu > QE_TOL:
         smu = t[2] / snu
         mu = float(np.arctan2(smu, cmu))
     else:
         mu = float(np.arccos(np.clip(cmu, -1.0, 1.0)))
-    if abs(np.cos(nu) * np.cos(mu) - prod) > tol or abs(np.sin(nu) * np.sin(mu) - t[2]) > tol:
+    if abs(np.cos(nu) * np.cos(mu) - prod) > QE_TOL or abs(np.sin(nu) * np.sin(mu) - t[2]) > QE_TOL:
         raise NotQuasiExtremeError("diagonal and displacement are mutually inconsistent")
-    if abs(np.cos(mu) - cmu) > tol:
+    if abs(np.cos(mu) - cmu) > QE_TOL:
         raise NotQuasiExtremeError("second diagonal entry is not a cosine consistent with t_z")
     return AngleNuMu(nu=nu, mu=float(mu))
 
@@ -221,12 +219,15 @@ def branch_from_nu_mu(nm: AngleNuMu, U=None, Uprime=None, conditional_x=True) ->
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of :func:`fit_plan`; ``converged`` is False above residual 1e-4."""
+    """Outcome of :func:`fit_plan`."""
 
     plan: DecompositionPlan
     residual: float
-    converged: bool
     starts_used: int
+
+    @property
+    def converged(self) -> bool:
+        return self.residual <= CONVERGED_RESIDUAL
 
 
 def _signed_permutation_rotations():
@@ -310,28 +311,21 @@ def _tidy_plan(plan: DecompositionPlan) -> DecompositionPlan:
     return DecompositionPlan(branch_a=a, branch_b=b, p=p)
 
 
-def fit_plan(
-    ch: KrausChannel,
-    *,
-    max_starts: int = 32,
-    seed: int = 7,
-    target_residual: float = 1e-9,
-) -> FitResult:
+def fit_plan(ch: KrausChannel) -> FitResult:
     """Fit a two-branch plan to an arbitrary CPTP channel.
 
     Stage one recognizes rotated single-branch channels in closed form
     from the signed SVD of the distortion matrix; any two-Kraus channel
     lands here with residual at the arithmetic floor, and the first
-    candidate within ``target_residual`` is kept.  Stage two runs
+    candidate within ``FIT_TARGET_RESIDUAL`` is kept.  Stage two runs
     multi-start Levenberg-Marquardt least squares over all seventeen
     parameters (branch angles, mixing weight, Euler angles of the four
     dressing unitaries) against the Choi-matrix difference, with a
     Nelder-Mead polish of the best start.  Starts are merged by lowest
-    residual with the start index as tiebreak, so results are
-    deterministic for a fixed seed.
+    residual with the start index as tiebreak, so results are deterministic.
 
-    Non-convergence (residual above 1e-4) is reported in the result, not
-    raised.
+    Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
+    the result, not raised.
     """
     report = validate_channel(ch)
     if not report.ok:
@@ -345,8 +339,8 @@ def fit_plan(
     best_res = np.inf
     for cand in _single_branch_candidates(to_affine(ch)):
         r = residual_of(cand)
-        if r <= target_residual:
-            return FitResult(plan=_tidy_plan(cand), residual=float(r), converged=True, starts_used=0)
+        if r <= FIT_TARGET_RESIDUAL:
+            return FitResult(plan=_tidy_plan(cand), residual=float(r), starts_used=0)
         if r < best_res:
             best_plan, best_res = cand, r
 
@@ -354,9 +348,9 @@ def fit_plan(
         diff = to_choi(plan_to_channel(_plan_from_params(x))) - target
         return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FIT_SEED)
     starts_used = 0
-    for idx in range(max_starts):
+    for idx in range(FIT_MAX_STARTS):
         if idx == 0 and best_plan is not None:
             x0 = _params_from_plan(best_plan)
         else:
@@ -368,10 +362,10 @@ def fit_plan(
         r = residual_of(plan)
         if r < best_res:
             best_plan, best_res = plan, r
-        if best_res <= target_residual:
+        if best_res <= FIT_TARGET_RESIDUAL:
             break
 
-    if best_res > target_residual and best_plan is not None:
+    if best_res > FIT_TARGET_RESIDUAL and best_plan is not None:
         # Derivative-free polish of the best start.
         sol = optimize.minimize(
             lambda x: float(np.linalg.norm(residual_vec(x))),
@@ -384,12 +378,7 @@ def fit_plan(
         if r < best_res:
             best_plan, best_res = plan, r
 
-    return FitResult(
-        plan=_tidy_plan(best_plan),
-        residual=float(best_res),
-        converged=bool(best_res <= 1e-4),
-        starts_used=starts_used,
-    )
+    return FitResult(plan=_tidy_plan(best_plan), residual=float(best_res), starts_used=starts_used)
 
 
 def _unitary_to_json(u) -> list | None:
@@ -420,18 +409,19 @@ def plan_to_json(plan: DecompositionPlan) -> str:
 
 
 def plan_from_json(text: str) -> DecompositionPlan:
+    """Inverse of :func:`plan_to_json`; rejects gamma angles that do not follow from (alpha, beta)."""
     payload = json.loads(text)
-    branches = [
-        QuasiExtremeBranch(
+    branches = []
+    for b in payload["branches"]:
+        branch = QuasiExtremeBranch(
             alpha=b["alpha"],
             beta=b["beta"],
-            gamma1=b["gamma1"],
-            gamma2=b["gamma2"],
             U=_unitary_from_json(b.get("U")),
             Uprime=_unitary_from_json(b.get("Uprime")),
             conditional_x=b.get("conditional_x", True),
         )
-        for b in payload["branches"]
-    ]
+        if max(abs(wrap_angle(b[key] - getattr(branch, key))) for key in ("gamma1", "gamma2")) > ANGLE_TOL:
+            raise ValueError("gamma angles inconsistent with (alpha, beta)")
+        branches.append(branch)
     branch_b = branches[1] if len(branches) > 1 else None
     return DecompositionPlan(branch_a=branches[0], branch_b=branch_b, p=payload["p"])

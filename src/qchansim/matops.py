@@ -1,17 +1,14 @@
 """Dense complex linear algebra for 2x2 / 4x4 operators and Bloch 3-vectors.
 
 Everything here is a pure function on plain numpy arrays.  Equality is
-always tolerance-based; the default tolerance is ``DEFAULT_TOL``.
+always tolerance-based.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -54,17 +51,13 @@ def frob_dist(a, b) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)))
 
 
-def mats_close(a, b, tol: float = DEFAULT_TOL) -> bool:
-    return frob_dist(a, b) <= tol
-
-
 def unitarity_residual(u) -> float:
     u = as_cmat(u)
     return frob_dist(dagger(u) @ u, np.eye(u.shape[0]))
 
 
-def is_unitary(u, tol: float = 1e-8) -> bool:
-    return unitarity_residual(u) <= tol
+def is_unitary(u) -> bool:
+    return unitarity_residual(u) <= 1e-8
 
 
 def phase_invariant_distance(u, v) -> float:
@@ -87,14 +80,15 @@ def hermiticity_residual(m) -> float:
     return frob_dist(m, dagger(m))
 
 
-def eig_hermitian(m, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvectors in the columns of ``v``.  Rejects non-Hermitian input.
+    eigenvectors in the columns of ``v``.  Rejects input more than 1e-8
+    from Hermitian.
     """
     m = as_cmat(m)
-    if hermiticity_residual(m) > tol:
+    if hermiticity_residual(m) > 1e-8:
         raise ValueError("eig_hermitian requires a Hermitian matrix")
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     return w.real, v
@@ -139,12 +133,12 @@ def bloch_vector(rho) -> np.ndarray:
     return np.array([np.trace(p @ rho).real for p in PAULIS])
 
 
-def density_from_bloch(r, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """rho = (I + r . sigma) / 2; requires ||r|| <= 1 within tolerance."""
+def density_from_bloch(r) -> np.ndarray:
+    """rho = (I + r . sigma) / 2; requires ||r|| <= 1 + 1e-10."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have 3 real components")
-    if np.linalg.norm(r) > 1.0 + tol:
+    if np.linalg.norm(r) > 1.0 + 1e-10:
         raise ValueError(f"Bloch vector length {np.linalg.norm(r):.6g} exceeds 1")
     return (ID2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2.0
 

@@ -32,8 +32,8 @@ from .matops import (
     unitarity_residual,
 )
 
-GATE_ELEMENTS = ("QWP", "HWP", "DP", "CNOT", "TBS", "CONDX")
-GATE_TARGETS = ("pol", "mode", "both")
+# The qubit each optical element acts on: polarization, transverse mode or both.
+GATE_TARGETS = {"QWP": "pol", "HWP": "pol", "DP": "mode", "TBS": "mode", "CNOT": "both", "CONDX": "both"}
 
 
 def rot2(theta: float) -> np.ndarray:
@@ -210,17 +210,18 @@ def su2_from_rotation(r) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateElement:
-    """One physical element of a compiled gate list."""
+    """One physical element of a compiled gate list; its target follows from the element."""
 
     element: str
     angle: float | None
-    target: str
 
     def __post_init__(self):
-        if self.element not in GATE_ELEMENTS:
+        if self.element not in GATE_TARGETS:
             raise ValueError(f"unknown element {self.element!r}")
-        if self.target not in GATE_TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
+
+    @property
+    def target(self) -> str:
+        return GATE_TARGETS[self.element]
 
 
 def gate_list_to_json(gates) -> str:
@@ -232,4 +233,10 @@ def gate_list_to_json(gates) -> str:
 
 
 def gate_list_from_json(text: str) -> list[GateElement]:
-    return [GateElement(r["element"], r["angle"], r["target"]) for r in json.loads(text)]
+    """Inverse of :func:`gate_list_to_json`; rejects a target that contradicts its element."""
+    rows = json.loads(text)
+    gates = [GateElement(r["element"], r["angle"]) for r in rows]
+    for gate, r in zip(gates, rows):
+        if r["target"] != gate.target:
+            raise ValueError(f"{gate.element} acts on {gate.target!r}, not {r['target']!r}")
+    return gates

@@ -40,13 +40,12 @@ class MeasurementSetting:
 
     theta_q: float
     theta_h: float
-    basis: Basis
 
 
 SETTINGS = {
-    Basis.HV: MeasurementSetting(0.0, 0.0, Basis.HV),
-    Basis.DA: MeasurementSetting(np.pi / 4.0, np.pi / 8.0, Basis.DA),
-    Basis.LR: MeasurementSetting(np.pi / 4.0, 0.0, Basis.LR),
+    Basis.HV: MeasurementSetting(0.0, 0.0),
+    Basis.DA: MeasurementSetting(np.pi / 4.0, np.pi / 8.0),
+    Basis.LR: MeasurementSetting(np.pi / 4.0, 0.0),
 }
 
 
@@ -84,23 +83,20 @@ def port_a_probability(rho, setting: MeasurementSetting) -> float:
     return float((w @ rho @ dagger(w))[0, 0].real)
 
 
-def forward_intensities(rho, total_power: float = 1.0, noise: NoiseParams | None = None,
-                        rng: np.random.Generator | None = None) -> TomographyRecord:
-    """Model the six detected intensities for a state.
+def forward_intensities(rho, noise: NoiseParams | None = None) -> TomographyRecord:
+    """Model the six detected intensities for a state at unit total power.
 
     With noise, each intensity picks up multiplicative Gaussian fluctuation
-    of relative width ``intensity_sigma`` and is clamped at zero.
+    of relative width ``intensity_sigma``, seeded by ``rng_seed``, clamped at zero.
     """
     rho = assert_density_matrix(rho)
-    if total_power <= 0.0:
-        raise ValueError("total_power must be positive")
-    if rng is None and noise is not None and noise.intensity_sigma > 0.0:
-        rng = np.random.default_rng(noise.rng_seed)
+    noisy = noise is not None and noise.intensity_sigma > 0.0
+    rng = np.random.default_rng(noise.rng_seed) if noisy else None
     pairs = {}
     for basis in Basis:
         pa = port_a_probability(rho, SETTINGS[basis])
-        ia, ib = total_power * pa, total_power * (1.0 - pa)
-        if noise is not None and noise.intensity_sigma > 0.0:
+        ia, ib = pa, 1.0 - pa
+        if noisy:
             ia = max(ia * (1.0 + noise.intensity_sigma * rng.standard_normal()), 0.0)
             ib = max(ib * (1.0 + noise.intensity_sigma * rng.standard_normal()), 0.0)
         pairs[basis] = (float(ia), float(ib))
@@ -147,13 +143,18 @@ def reconstruct(rec: TomographyRecord) -> Reconstruction:
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1]."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
+
+    F is not Lipschitz where an argument is rank deficient: the square root
+    of a round-off eigenvalue of order 1e-16 is of order 1e-8, so a 1e-16
+    change of a near-pure input can move F by about 1e-8.
+    """
     rho = assert_density_matrix(rho)
     sigma = assert_density_matrix(sigma)
-    w, v = eig_hermitian(rho, tol=1e-8)
+    w, v = eig_hermitian(rho)
     sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
     inner = sqrt_rho @ sigma @ sqrt_rho
-    w_inner, _ = eig_hermitian(inner, tol=1e-8)
+    w_inner, _ = eig_hermitian(inner)
     value = float(np.sum(np.sqrt(np.clip(w_inner, 0.0, None))) ** 2)
     return min(max(value, 0.0), 1.0)
 

@@ -269,27 +269,6 @@ def _circuit_choi(plan, noise):
     return np.block([[e00, e01], [dagger(e01), e11]])
 
 
-def test_tbs_full_phase_turn_is_identity():
-    rng = np.random.default_rng(48)
-    noise = NoiseParams(visibility=0.9)
-    for kind in ChannelKind:
-        plan = closed_form_plan(kind, 0.4)
-        for _ in range(5):
-            rho = random_density(rng)
-            for n in (None, noise):
-                a = simulate_channel(rho, plan, noise=n, tbs_delta=2.0 * np.pi)
-                b = simulate_channel(rho, plan, noise=n, tbs_delta=0.0)
-                assert np.abs(a - b).max() <= 1e-12
-
-
-def test_tbs_phase_grid_gives_physical_outputs():
-    rng = np.random.default_rng(49)
-    for delta in np.linspace(-np.pi, 3.0 * np.pi, 17):
-        plan = _random_plan(rng)
-        for noise in (None, NoiseParams(visibility=rng.uniform(0.0, 1.0))):
-            _assert_unit_trace_psd(simulate_channel(random_density(rng), plan, noise=noise, tbs_delta=delta))
-
-
 def test_noisy_circuit_stays_cptp():
     rng = np.random.default_rng(50)
     for visibility in np.linspace(0.0, 1.0, 11):
@@ -328,9 +307,7 @@ def test_simulate_channel_is_weighted_sum_of_branch_runs():
     rng = np.random.default_rng(53)
     for visibility in np.linspace(0.0, 1.0, 6):
         noise = NoiseParams(visibility=visibility)
-        for delta in (0.0, 1.3, -2.2):
-            plan = _random_plan(rng)
-            rho = random_density(rng)
-            direct = (plan.p * run_branch(rho, plan.branch_a, noise, delta)
-                      + (1.0 - plan.p) * run_branch(rho, plan.branch_b, noise, delta))
-            assert np.abs(simulate_channel(rho, plan, noise=noise, tbs_delta=delta) - direct).max() <= 1e-12
+        plan = _random_plan(rng)
+        rho = random_density(rng)
+        direct = plan.p * run_branch(rho, plan.branch_a, noise) + (1.0 - plan.p) * run_branch(rho, plan.branch_b, noise)
+        assert np.abs(simulate_channel(rho, plan, noise=noise) - direct).max() <= 1e-12

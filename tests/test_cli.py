@@ -191,7 +191,13 @@ def test_sweep_csv_uses_lf_and_header(tmp_path):
     assert raw.startswith(b"lambda,c_l1_sim,c_max_sim,c_l1_oracle,c_max_oracle,fidelity_sim_vs_oracle\n")
 
 
-def test_validate_builtin_ok(capsys):
+def test_validate_builtin_ok(monkeypatch, capsys):
+    import qchansim.cli as cli
+
+    def no_plan(*_args):
+        raise AssertionError("validate needs the channel, not its plan")
+
+    monkeypatch.setattr(cli, "closed_form_plan", no_plan)
     assert run(["validate", "--channel", "BPF", "--lambda", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "ok: true" in out
@@ -252,7 +258,7 @@ def test_fit_nonconvergence_maps_to_exit_three(tmp_path, monkeypatch):
     path.write_text(channel_to_json(ch))
 
     def fake_fit(_ch, **_kw):
-        return FitResult(plan=closed_form_plan("AD", 0.5), residual=0.5, converged=False, starts_used=32)
+        return FitResult(plan=closed_form_plan("AD", 0.5), residual=0.5, starts_used=32)
 
     monkeypatch.setattr(cli, "fit_plan", fake_fit)
     assert run(["decompose", "--kraus-file", str(path)]) == 3
@@ -316,6 +322,21 @@ def test_kraus_file_and_lambda_conflict(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QCHANSIM_LAMBDA", "0.5")
     assert run(["validate", "--kraus-file", str(path)]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_sweep_rejects_lambda_from_any_source(tmp_path, monkeypatch, capsys):
+    def rejected(*args):
+        assert run(["sweep", "--channel", "AD", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sweep takes --lambda-grid, not --lambda" in err
+
+    rejected("--lambda", "0.3")
+    rejected("--lambda-grid", "0,1", "--lambda", "0.3")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda=0.3\n")
+    rejected("--lambda-grid", "0,1", "--config", str(cfg))
+    monkeypatch.setenv("QCHANSIM_LAMBDA", "0.3")
+    rejected("--lambda-grid", "0,1")
 
 
 @pytest.mark.parametrize("kind, lam, phi", [("PF", "0.5", "22.5"), ("BPF", "0.25", "30"), ("BPF", "0.5", "22.5")])

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from conftest import random_kraus_pair_channel
-from qchansim.channels import ChannelKind, KrausChannel, builtin_channel, to_affine, to_choi, validate_channel
+from conftest import random_channel, random_kraus_pair_channel
+from qchansim.channels import ChannelKind, KrausChannel, builtin_channel, to_affine, to_choi, transfer, validate_channel
+from qchansim.circuit import compile_plan
 from qchansim.decompose import (
     AngleNuMu,
     DecompositionPlan,
@@ -154,8 +157,16 @@ def test_branch_rejects_nonunitary_dressing():
 
 
 def test_branch_rejects_inconsistent_gammas():
-    with pytest.raises(ValueError):
-        QuasiExtremeBranch(alpha=0.3, beta=0.0, gamma1=0.0, gamma2=0.0, U=ID2, Uprime=ID2)
+    # The gammas follow from (alpha, beta); only a plan read from JSON can contradict them.
+    text = plan_to_json(DecompositionPlan(QuasiExtremeBranch.from_alpha_beta(0.3, 0.0), None, 1.0))
+    payload = json.loads(text)
+    for key in ("gamma1", "gamma2"):
+        tampered = json.loads(text)
+        tampered["branches"][0][key] += 1e-6
+        with pytest.raises(ValueError, match="gamma angles inconsistent"):
+            plan_from_json(json.dumps(tampered))
+    payload["branches"][0]["gamma1"] += 2.0 * PI
+    assert plan_from_json(json.dumps(payload)).branch_a.gamma1 == pytest.approx(PI / 2.0 - 0.3)
 
 
 def test_plan_requires_second_branch_below_unit_weight():
@@ -235,14 +246,13 @@ def test_fit_plan_idempotent_on_random_plan():
     assert result.residual <= 1e-8
 
 
-def test_fit_plan_handles_rank_four_choi():
-    rng = np.random.default_rng(35)
-    z = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
-    q, _ = np.linalg.qr(z)
-    ch = KrausChannel(tuple(q[2 * i : 2 * i + 2, :] for i in range(4)), "rank4")
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_fit_plan_handles_every_choi_rank(rank):
+    ch = random_channel(np.random.default_rng(40 + rank), rank)
     result = fit_plan(ch)
     assert result.converged
-    assert result.residual <= 1e-8
+    assert result.residual <= 1e-9
+    assert np.abs(compile_plan(result.plan) - transfer(ch)).max() <= 1e-8
 
 
 def test_fit_plan_rejects_non_cptp():
@@ -258,18 +268,13 @@ def test_fit_plan_reports_choi_distance():
 
 
 def test_plan_json_round_trip():
-    for kind in ("PD", "BPF"):
-        plan = closed_form_plan(kind, 0.3)
-        back = plan_from_json(plan_to_json(plan))
-        assert back.p == pytest.approx(plan.p)
-        assert_branch_row(back.branch_a, (plan.branch_a.alpha, plan.branch_a.beta,
-                                          plan.branch_a.gamma1, plan.branch_a.gamma2))
-        assert back.branch_a.conditional_x == plan.branch_a.conditional_x
-        assert np.allclose(back.branch_a.U, plan.branch_a.U)
-        if plan.branch_b is None:
-            assert back.branch_b is None
-        else:
-            assert np.allclose(back.branch_b.U, plan.branch_b.U)
+    rng = np.random.default_rng(38)
+    plans = [closed_form_plan(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 11)]
+    plans += [DecompositionPlan(_random_branch(rng), _random_branch(rng, conditional_x=bool(rng.integers(2))),
+                                rng.uniform(0.0, 1.0)) for _ in range(20)]
+    for plan in plans:
+        text = plan_to_json(plan)
+        assert plan_to_json(plan_from_json(text)) == text
 
 
 def test_fit_plan_stage_one_stops_at_first_exact_candidate(monkeypatch):

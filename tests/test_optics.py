@@ -171,15 +171,18 @@ def test_bloch_rotation_round_trip():
 
 def test_gate_element_validation():
     with pytest.raises(ValueError):
-        GateElement("LENS", 0.0, "pol")
-    with pytest.raises(ValueError):
-        GateElement("QWP", 0.0, "beam")
+        GateElement("LENS", 0.0)
+    assert [GateElement(e, None).target for e in ("QWP", "HWP", "DP", "TBS", "CNOT", "CONDX")] == [
+        "pol", "pol", "mode", "mode", "both", "both"]
+    for target in ("beam", "mode", "both"):
+        with pytest.raises(ValueError, match="QWP acts on 'pol'"):
+            gate_list_from_json(f'[{{"element": "QWP", "angle": 0.0, "target": "{target}"}}]')
 
 
 def test_gate_list_json_round_trip():
     gates = [
-        GateElement("DP", 0.0, "mode"),
-        GateElement("CNOT", None, "both"),
-        GateElement("QWP", -np.pi / 4.0, "pol"),
+        GateElement("DP", 0.0),
+        GateElement("CNOT", None),
+        GateElement("QWP", -np.pi / 4.0),
     ]
     assert gate_list_from_json(gate_list_to_json(gates)) == gates

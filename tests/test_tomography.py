@@ -58,13 +58,6 @@ def test_forward_intensities_partial_mix():
     assert rec.hv == pytest.approx((0.8, 0.2), abs=1e-12)
 
 
-def test_forward_intensities_scales_with_power():
-    rec = forward_intensities(KET_H, total_power=3.0)
-    assert rec.hv == pytest.approx((3.0, 0.0), abs=1e-12)
-    with pytest.raises(ValueError):
-        forward_intensities(KET_H, total_power=0.0)
-
-
 def test_probabilities_ratios():
     rec = TomographyRecord(hv=(1.0, 0.0), da=(3.0, 1.0), lr=(2.0, 2.0))
     probs = probabilities(rec)
@@ -103,10 +96,10 @@ def test_reconstruct_clamps_unphysical_records():
 
 
 def test_noisy_reconstruction_never_leaves_ball():
-    noise = NoiseParams(visibility=1.0, intensity_sigma=0.05, rng_seed=9)
     rng = np.random.default_rng(52)
-    for _ in range(200):
-        rec = reconstruct(forward_intensities(random_density(rng), noise=noise, rng=rng))
+    for seed in range(200):
+        noise = NoiseParams(visibility=1.0, intensity_sigma=0.05, rng_seed=seed)
+        rec = reconstruct(forward_intensities(random_density(rng), noise=noise))
         assert np.linalg.norm(rec.bloch) <= 1.0 + 1e-12
 
 
@@ -169,7 +162,7 @@ def test_coherence_invariances():
 
 
 def test_record_csv_round_trip():
-    rec = forward_intensities(PLUS, total_power=2.5)
+    rec = forward_intensities(PLUS)
     text = record_to_csv(rec)
     assert text.splitlines()[0] == "basis,I_A,I_B"
     back = record_from_csv(text)
