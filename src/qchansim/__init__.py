@@ -27,9 +27,7 @@ from .channels import (
 )
 from .circuit import (
     NoiseParams,
-    SpinOrbitState,
     apply_noise,
-    cnot_pol_controls_mode,
     compile_plan,
     gates_for_branch,
     prepare_initial,
@@ -54,8 +52,6 @@ from .decompose import (
     plan_to_json,
 )
 from .optics import (
-    AxisAngle,
-    DovePair,
     EulerAngles,
     GateElement,
     WaveplateTriple,
@@ -65,7 +61,6 @@ from .optics import (
     hwp,
     qwp,
     ry_rotation,
-    su2_from_axis_angle,
     su2_from_euler,
     triple_to_unitary,
     waveplates_from_euler,

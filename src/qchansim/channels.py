@@ -85,15 +85,6 @@ class AffineRep:
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "t", t)
 
-    def image_in_unit_ball(self) -> bool:
-        """Check ||T r + t|| <= 1 + 1e-8 on a deterministic 200-point sphere sample."""
-        k = np.arange(200)
-        z = 1.0 - 2.0 * (k + 0.5) / 200
-        phi = np.pi * (1.0 + np.sqrt(5.0)) * k
-        pts = np.stack([np.sqrt(1 - z**2) * np.cos(phi), np.sqrt(1 - z**2) * np.sin(phi), z])
-        out = self.T @ pts + self.t[:, None]
-        return bool(np.linalg.norm(out, axis=0).max() <= 1.0 + 1e-8)
-
 
 def builtin_channel(kind: ChannelKind | str, lam: float, label: str = "") -> KrausChannel:
     """Kraus operators of a named channel at decoherence parameter ``lam``.

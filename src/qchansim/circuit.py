@@ -45,7 +45,8 @@ _MODE_H = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _MODE_DIAG_MASK = np.kron(np.ones((2, 2)), np.eye(2)).astype(bool)
 _POL_DIAG_MASK = np.kron(np.eye(2), np.ones((2, 2))).astype(bool)
 
-# The CNOT and the feed-forward sigma_x are Hermitian, so each is its own dagger.
+# The CNOT (polarization controls the mode: |V> flips |h> <-> |v>) and the
+# feed-forward sigma_x are Hermitian, so each is its own dagger.
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _FEED_FORWARD = np.kron(PAULI_X, ID2)
 _MIRROR = np.kron(H0, H0)
@@ -53,16 +54,6 @@ _TBS_TRANSMITTED = _MIRROR @ np.kron(H0, ID2)
 _TBS_REFLECTED = _MIRROR @ _MIRROR
 # The system basis operators |i><j|, stacked at index 2 i + j.
 _BASIS_OPS = np.eye(4, dtype=complex).reshape(4, 2, 2)
-
-
-@dataclass(frozen=True)
-class SpinOrbitState:
-    """Density operator on polarization (x) mode, validated on construction."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", assert_density_matrix(as_cmat(self.rho, 4), tol=1e-9))
 
 
 @dataclass(frozen=True)
@@ -80,18 +71,15 @@ class NoiseParams:
             raise ValueError("visibility must lie in [0, 1]")
         if self.intensity_sigma < 0.0:
             raise ValueError("intensity_sigma must be nonnegative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be nonnegative")
 
 
-def prepare_initial(phi: float) -> SpinOrbitState:
-    """Pure state (cos(2 phi) |H> + sin(2 phi) |V>) (x) |h> from the
-    preparation half-wave plate at angle ``phi``."""
-    psi = np.array([np.cos(2.0 * phi), 0.0, np.sin(2.0 * phi), 0.0], dtype=complex)
-    return SpinOrbitState(rho=np.outer(psi, psi.conj()))
-
-
-def cnot_pol_controls_mode() -> np.ndarray:
-    """CNOT with polarization as control: |V> flips |h> <-> |v>."""
-    return _CNOT.copy()
+def prepare_initial(phi: float) -> np.ndarray:
+    """System state cos(2 phi) |H> + sin(2 phi) |V> from the preparation
+    half-wave plate at angle ``phi``; the circuit's input stage adds the mode |h>."""
+    psi = np.array([np.cos(2.0 * phi), np.sin(2.0 * phi)], dtype=complex)
+    return np.outer(psi, psi.conj())
 
 
 def tbs_transfer(delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -115,8 +103,8 @@ def tbs_transfer(delta: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
 _TBS_K, _TBS_L = tbs_transfer(0.0)
 
 
-def apply_noise(state: SpinOrbitState, visibility: float, arms: str = "pol") -> SpinOrbitState:
-    """Scale interferometric coherence between the two arms by ``visibility``.
+def apply_noise(rho4, visibility: float, arms: str = "pol") -> np.ndarray:
+    """Scale interferometric coherence of the 4x4 state ``rho4`` between the two arms by ``visibility``.
 
     ``arms="pol"`` dephases between the polarization arms (the CNOT
     interferometer), ``arms="mode"`` between the mode components.
@@ -127,7 +115,7 @@ def apply_noise(state: SpinOrbitState, visibility: float, arms: str = "pol") -> 
     if arms not in ("pol", "mode"):
         raise ValueError("arms must be 'pol' or 'mode'")
     mask = _POL_DIAG_MASK if arms == "pol" else _MODE_DIAG_MASK
-    return SpinOrbitState(rho=_scale_coherences(state.rho, mask, visibility))
+    return _scale_coherences(assert_density_matrix(as_cmat(rho4, 4), tol=1e-9), mask, visibility)
 
 
 def _scale_coherences(rho4: np.ndarray, mask: np.ndarray, factor: float) -> np.ndarray:
@@ -224,9 +212,8 @@ def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
     gates: list[GateElement] = []
 
     def add_dove_pair(gamma):
-        pair = dove_pair_for_ry(gamma)
         gates.append(GateElement("DP", 0.0))
-        gates.append(GateElement("DP", pair.delta))
+        gates.append(GateElement("DP", dove_pair_for_ry(gamma)))
 
     def add_triple(u):
         if phase_invariant_distance(u, ID2) <= 1e-12:

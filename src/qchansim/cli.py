@@ -5,7 +5,10 @@ Options resolve as CLI flag > QCHANSIM_* environment variable > config
 file (plain key=value lines) > built-in default.  A channel comes either
 from --channel (with --lambda) or from --kraus-file; --kraus-file together
 with --channel or --lambda, from any of those sources, is a parse error, and
-so is a --lambda for sweep, which takes --lambda-grid.
+so is a --lambda for sweep, which takes --lambda-grid.  Without --outdir,
+stdout carries the plan JSON or the sweep CSV, so --gates and --formats
+(which name files in the output directory) need --outdir, and --formats
+must name at least one format.
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 fit
 non-convergence.
 """
@@ -32,7 +35,7 @@ from .channels import (
     channel_from_json,
     validate_channel,
 )
-from .circuit import NoiseParams, gates_for_branch, simulate_channel
+from .circuit import NoiseParams, gates_for_branch, prepare_initial, simulate_channel
 from .decompose import DecompositionPlan, closed_form_plan, fit_plan, plan_to_json
 from .matops import ID2, bloch_vector, complex_to_pairs, frob_dist
 from .optics import gate_list_to_json
@@ -150,12 +153,11 @@ def _noise_from(args, config) -> NoiseParams | None:
     visibility = _as_float(_resolve(args, "visibility", config, 1.0), "visibility")
     sigma = _as_float(_resolve(args, "intensity_sigma", config, 0.0), "intensity_sigma")
     seed = _as_int(_resolve(args, "seed", config, 0), "seed")
-    if visibility >= 1.0 and sigma <= 0.0:
-        return None
     try:
-        return NoiseParams(visibility=visibility, intensity_sigma=sigma, rng_seed=seed)
+        noise = NoiseParams(visibility=visibility, intensity_sigma=sigma, rng_seed=seed)
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from exc
+    return None if visibility == 1.0 and sigma == 0.0 else noise
 
 
 def _load_kraus_file(args, config) -> KrausChannel | None:
@@ -256,6 +258,8 @@ def _echo_plan(plan: DecompositionPlan, residual) -> None:
 
 def cmd_decompose(args) -> int:
     config = _read_config(args.config) if args.config else {}
+    if args.gates and _resolve(args, "outdir", config) is None:
+        raise CliError(EXIT_PARSE, "--gates needs --outdir; without it stdout carries the plan JSON")
     ch, plan, residual = _channel_source(args, config)
     _echo_plan(plan, residual)
     outdir = _outdir(args, config)
@@ -273,9 +277,7 @@ def cmd_decompose(args) -> int:
 
 def _prepared_state(args, config) -> np.ndarray:
     """cos(2 phi) |H> + sin(2 phi) |V> from the preparation half-wave plate at --phi-deg."""
-    phi = np.deg2rad(_as_float(_resolve(args, "phi_deg", config, 22.5), "phi_deg"))
-    psi = np.array([np.cos(2.0 * phi), np.sin(2.0 * phi)], dtype=complex)
-    return np.outer(psi, psi.conj())
+    return prepare_initial(np.deg2rad(_as_float(_resolve(args, "phi_deg", config, 22.5), "phi_deg")))
 
 
 def cmd_simulate(args) -> int:
@@ -347,7 +349,12 @@ def cmd_sweep(args) -> int:
     grid = _parse_lambda_grid(grid_raw)
     rho_in = _prepared_state(args, config)
     noise = _noise_from(args, config)
-    formats = [f.strip().lower() for f in str(_resolve(args, "formats", config, "csv")).split(",") if f.strip()]
+    formats_raw = _resolve(args, "formats", config)
+    if formats_raw is not None and _resolve(args, "outdir", config) is None:
+        raise CliError(EXIT_PARSE, "--formats needs --outdir; without it stdout carries the sweep CSV")
+    formats = [f.strip().lower() for f in ("csv" if formats_raw is None else formats_raw).split(",") if f.strip()]
+    if not formats:
+        raise CliError(EXIT_PARSE, "--formats names no output format")
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise CliError(EXIT_PARSE, f"unknown output format {fmt!r}")

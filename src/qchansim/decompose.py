@@ -36,7 +36,7 @@ from .channels import (
     validate_channel,
 )
 from .matops import ID2, as_cmat, complex_to_pairs, frob_dist, pairs_to_complex, svd3, unitarity_residual
-from .optics import EulerAngles, euler_from_su2, su2_from_euler, su2_from_rotation
+from .optics import EulerAngles, su2_from_euler, su2_from_rotation
 
 U_BPF = np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
 
@@ -285,21 +285,6 @@ def _plan_from_params(x) -> DecompositionPlan:
     return DecompositionPlan(branch_a=branch_a, branch_b=branch_b, p=p)
 
 
-def _params_from_plan(plan: DecompositionPlan) -> np.ndarray:
-    def euler(u):
-        e = euler_from_su2(u)
-        return [e.phi, e.xi, e.zeta]
-
-    b = plan.branch_b if plan.branch_b is not None else QuasiExtremeBranch.from_alpha_beta(0.0, 0.0)
-    return np.array(
-        [plan.branch_a.alpha, plan.branch_a.beta, b.alpha, b.beta, float(np.arcsin(np.sqrt(plan.p)))]
-        + euler(plan.branch_a.U)
-        + euler(plan.branch_a.Uprime)
-        + euler(b.U)
-        + euler(b.Uprime)
-    )
-
-
 def _tidy_plan(plan: DecompositionPlan) -> DecompositionPlan:
     """Snap the weight to the boundary and keep the heavier branch first."""
     p = plan.p
@@ -320,9 +305,10 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     candidate within ``FIT_TARGET_RESIDUAL`` is kept.  Stage two runs
     multi-start Levenberg-Marquardt least squares over all seventeen
     parameters (branch angles, mixing weight, Euler angles of the four
-    dressing unitaries) against the Choi-matrix difference, with a
-    Nelder-Mead polish of the best start.  Starts are merged by lowest
-    residual with the start index as tiebreak, so results are deterministic.
+    dressing unitaries) against the Choi-matrix difference, from seeded
+    random starts until one lands within ``FIT_TARGET_RESIDUAL`` or
+    ``FIT_MAX_STARTS`` are spent.  Starts are merged by lowest residual
+    with the start index as tiebreak, so results are deterministic.
 
     Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
     the result, not raised.
@@ -335,48 +321,28 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     def residual_of(plan):
         return frob_dist(to_choi(plan_to_channel(plan)), target)
 
-    best_plan = None
-    best_res = np.inf
     for cand in _single_branch_candidates(to_affine(ch)):
         r = residual_of(cand)
         if r <= FIT_TARGET_RESIDUAL:
             return FitResult(plan=_tidy_plan(cand), residual=float(r), starts_used=0)
-        if r < best_res:
-            best_plan, best_res = cand, r
 
     def residual_vec(x):
         diff = to_choi(plan_to_channel(_plan_from_params(x))) - target
         return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
 
     rng = np.random.default_rng(FIT_SEED)
-    starts_used = 0
-    for idx in range(FIT_MAX_STARTS):
-        if idx == 0 and best_plan is not None:
-            x0 = _params_from_plan(best_plan)
-        else:
-            x0 = rng.uniform(-np.pi, np.pi, size=17)
-            x0[4] = rng.uniform(0.0, np.pi / 2.0)
+    best_plan = None
+    best_res = np.inf
+    for starts_used in range(1, FIT_MAX_STARTS + 1):
+        x0 = rng.uniform(-np.pi, np.pi, size=17)
+        x0[4] = rng.uniform(0.0, np.pi / 2.0)
         sol = optimize.least_squares(residual_vec, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=6000)
-        starts_used = idx + 1
         plan = _plan_from_params(sol.x)
         r = residual_of(plan)
         if r < best_res:
             best_plan, best_res = plan, r
         if best_res <= FIT_TARGET_RESIDUAL:
             break
-
-    if best_res > FIT_TARGET_RESIDUAL and best_plan is not None:
-        # Derivative-free polish of the best start.
-        sol = optimize.minimize(
-            lambda x: float(np.linalg.norm(residual_vec(x))),
-            _params_from_plan(best_plan),
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        plan = _plan_from_params(sol.x)
-        r = residual_of(plan)
-        if r < best_res:
-            best_plan, best_res = plan, r
 
     return FitResult(plan=_tidy_plan(best_plan), residual=float(best_res), starts_used=starts_used)
 

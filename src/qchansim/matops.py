@@ -37,15 +37,6 @@ def dagger(m) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().T
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices in (pol x mode) index order.
-
-    Row/column index of the result is ``2 * pol_index + mode_index``, so the
-    composite basis reads |Hh>, |Hv>, |Vh>, |Vv>.
-    """
-    return np.kron(as_cmat(a, 2), as_cmat(b, 2))
-
-
 def frob_dist(a, b) -> float:
     """Frobenius distance between two same-shape matrices."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)))
@@ -54,10 +45,6 @@ def frob_dist(a, b) -> float:
 def unitarity_residual(u) -> float:
     u = as_cmat(u)
     return frob_dist(dagger(u) @ u, np.eye(u.shape[0]))
-
-
-def is_unitary(u) -> bool:
-    return unitarity_residual(u) <= 1e-8
 
 
 def phase_invariant_distance(u, v) -> float:

@@ -28,7 +28,6 @@ from .matops import (
     PAULI_Z,
     Q0,
     as_cmat,
-    is_unitary,
     unitarity_residual,
 )
 
@@ -65,9 +64,6 @@ class WaveplateTriple:
     tau: float
     eta2: float
 
-    def to_matrix(self) -> np.ndarray:
-        return triple_to_unitary(self)
-
 
 @dataclass(frozen=True)
 class EulerAngles:
@@ -76,25 +72,6 @@ class EulerAngles:
     phi: float
     xi: float
     zeta: float
-
-
-@dataclass(frozen=True)
-class AxisAngle:
-    """Rotation exp(-i psi n.sigma); theta/phi orient the axis n."""
-
-    psi: float
-    theta: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class DovePair:
-    """Two Dove prisms, the first fixed at 0 and the second at ``delta``."""
-
-    delta: float
-
-    def to_matrix(self) -> np.ndarray:
-        return dove(self.delta) @ dove(0.0)
 
 
 def triple_to_unitary(w: WaveplateTriple) -> np.ndarray:
@@ -116,13 +93,6 @@ def su2_from_euler(e: EulerAngles) -> np.ndarray:
     u = np.cos(e.xi) * np.cos(e.phi + e.zeta) + 1j * np.sin(e.xi) * np.cos(e.phi - e.zeta)
     w = np.cos(e.xi) * np.sin(e.phi + e.zeta) + 1j * np.sin(e.xi) * np.sin(e.phi - e.zeta)
     return _su2_from_uw(u, w)
-
-
-def su2_from_axis_angle(a: AxisAngle) -> np.ndarray:
-    """cos(psi) I - i sin(psi) n.sigma for the unit axis set by (theta, phi)."""
-    n = np.array([np.sin(a.theta) * np.cos(a.phi), np.sin(a.theta) * np.sin(a.phi), np.cos(a.theta)])
-    nsigma = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    return np.cos(a.psi) * ID2 - 1j * np.sin(a.psi) * nsigma
 
 
 def euler_from_su2(u) -> EulerAngles:
@@ -165,19 +135,19 @@ def ry_rotation(gamma: float) -> np.ndarray:
     return rot2(gamma / 2.0)
 
 
-def dove_pair_for_ry(gamma: float) -> DovePair:
-    """Dove-prism pair realizing ry_rotation(gamma).
+def dove_pair_for_ry(gamma: float) -> float:
+    """Angle of the second prism of the Dove pair DP(d) DP(0) realizing ry_rotation(gamma).
 
-    A pair DP(d) DP(0) rotates by the full angle 2d, so the half-angle
-    circuit rotation by gamma needs the second prism at gamma / 4.
+    The pair rotates by the full angle 2d, so the half-angle circuit
+    rotation by gamma needs d = gamma / 4.
     """
-    return DovePair(delta=gamma / 4.0)
+    return gamma / 4.0
 
 
 def bloch_rotation(u) -> np.ndarray:
     """SO(3) rotation of Bloch vectors under rho -> u rho u^dag."""
     u = as_cmat(u, 2)
-    if not is_unitary(u):
+    if unitarity_residual(u) > 1e-8:
         raise ValueError("bloch_rotation requires a unitary input")
     return to_affine(KrausChannel((u,))).T
 

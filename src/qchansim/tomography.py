@@ -15,8 +15,6 @@ r_z = P_H - P_V.
 
 from __future__ import annotations
 
-import io
-import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -165,27 +163,6 @@ def coherence(rho) -> CoherencePair:
     rho = assert_density_matrix(rho)
     r = bloch_vector(rho)
     return CoherencePair(c_l1=float(2.0 * abs(rho[0, 1])), c_max=float(np.linalg.norm(r)))
-
-
-def record_to_csv(rec: TomographyRecord) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["basis", "I_A", "I_B"])
-    for basis in Basis:
-        ia, ib = rec.pair(basis)
-        writer.writerow([basis.value, repr(ia), repr(ib)])
-    return buf.getvalue()
-
-
-def record_from_csv(text: str) -> TomographyRecord:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["basis", "I_A", "I_B"]:
-        raise ValueError("tomography CSV must have header basis,I_A,I_B")
-    pairs = {row[0]: (float(row[1]), float(row[2])) for row in rows[1:] if row}
-    try:
-        return TomographyRecord(hv=pairs["HV"], da=pairs["DA"], lr=pairs["LR"])
-    except KeyError as exc:
-        raise ValueError(f"missing basis {exc} in tomography CSV") from exc
 
 
 def reconstruction_to_json(rec: Reconstruction) -> str:

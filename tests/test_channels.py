@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_channel, random_density, random_kraus_pair_channel
 from qchansim.channels import (
-    AffineRep,
     ChannelKind,
     KrausChannel,
     apply_channel,
@@ -191,13 +190,6 @@ def test_choi_detects_non_cp_maps():
             e[i, j] = 1.0
             transpose_choi += np.kron(e, e.T)
     assert np.linalg.eigvalsh(transpose_choi).min() < -1e-6
-
-
-def test_affine_image_stays_in_unit_ball():
-    for kind in ChannelKind:
-        for lam in (0.0, 0.4, 1.0):
-            assert to_affine(builtin_channel(kind, lam)).image_in_unit_ball()
-    assert not AffineRep(T=1.2 * np.eye(3), t=np.zeros(3)).image_in_unit_ball()
 
 
 def test_channel_json_round_trip():

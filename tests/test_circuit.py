@@ -4,11 +4,10 @@ import pytest
 from conftest import haar_unitary, random_density, random_pure
 from qchansim.channels import ChannelKind, apply_channel, builtin_channel, to_choi, transfer
 from qchansim.circuit import (
+    _CNOT,
     NoiseParams,
-    SpinOrbitState,
     _branch_stages,
     apply_noise,
-    cnot_pol_controls_mode,
     compile_plan,
     gates_for_branch,
     prepare_initial,
@@ -27,27 +26,25 @@ KET_H = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
 def test_prepare_initial_ground():
-    rho = prepare_initial(0.0).rho
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = 1.0
-    assert np.allclose(rho, expected, atol=1e-12)
+    assert np.allclose(prepare_initial(0.0), KET_H, atol=1e-12)
 
 
 def test_prepare_initial_vertical():
-    rho = prepare_initial(np.pi / 4.0).rho
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[2, 2] = 1.0  # |Vh>
-    assert np.allclose(rho, expected, atol=1e-12)
+    assert np.allclose(prepare_initial(np.pi / 4.0), KET_V, atol=1e-12)
 
 
 def test_prepare_initial_superposition():
-    rho = prepare_initial(np.pi / 8.0).rho
+    rho = prepare_initial(np.pi / 8.0)
+    assert np.allclose(rho, PLUS, atol=1e-12)
+    # The input stage puts the mode in |h>: (|Hh> + |Vh>) / sqrt(2).
+    label, rho4 = next(_branch_stages(rho, closed_form_plan("AD", 0.5).branch_a))
     psi = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
-    assert np.allclose(rho, np.outer(psi, psi), atol=1e-12)
+    assert label == "input"
+    assert np.allclose(rho4, np.outer(psi, psi), atol=1e-12)
 
 
 def test_cnot_action():
-    cx = cnot_pol_controls_mode()
+    cx = _CNOT
     vh = np.array([0.0, 0.0, 1.0, 0.0])
     vv = np.array([0.0, 0.0, 0.0, 1.0])
     hh = np.array([1.0, 0.0, 0.0, 0.0])
@@ -156,7 +153,7 @@ def test_intermediate_states_stay_physical():
             assert abs(np.trace(rho4) - 1.0) <= 1e-9
             assert np.linalg.norm(rho4 - dagger(rho4)) <= 1e-9
             assert np.linalg.eigvalsh((rho4 + dagger(rho4)) / 2.0).min() >= -1e-9
-            SpinOrbitState(rho=rho4)
+            apply_noise(rho4, 1.0)
 
 
 def test_bpf_unitary_placement_is_equivalent():
@@ -172,14 +169,13 @@ def test_bpf_unitary_placement_is_equivalent():
 
 def test_apply_noise_identity_at_unit_visibility():
     rng = np.random.default_rng(46)
-    state = SpinOrbitState(rho=np.kron(random_density(rng), np.diag([1.0, 0.0])))
-    assert np.allclose(apply_noise(state, 1.0).rho, state.rho)
+    rho4 = np.kron(random_density(rng), np.diag([1.0, 0.0]))
+    assert np.allclose(apply_noise(rho4, 1.0), rho4)
 
 
 def test_apply_noise_fully_dephases_arms():
     psi = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)  # (|Hh> + |Vh>)/sqrt(2)
-    state = SpinOrbitState(rho=np.outer(psi, psi))
-    rho = apply_noise(state, 0.0, arms="pol").rho
+    rho = apply_noise(np.outer(psi, psi), 0.0, arms="pol")
     assert np.allclose(rho, np.diag([0.5, 0.0, 0.5, 0.0]), atol=1e-12)
     assert abs(np.trace(rho) - 1.0) <= 1e-12
 
@@ -199,6 +195,8 @@ def test_noise_params_validation():
         NoiseParams(visibility=1.2)
     with pytest.raises(ValueError):
         NoiseParams(intensity_sigma=-0.1)
+    with pytest.raises(ValueError, match="rng_seed"):
+        NoiseParams(rng_seed=-3)
 
 
 def test_gates_for_identity_dressing():
@@ -227,9 +225,11 @@ def test_gates_include_waveplates_for_dressed_branch():
 
 def test_spin_orbit_state_validation():
     with pytest.raises(ValueError):
-        SpinOrbitState(rho=np.eye(4, dtype=complex))  # trace 4
+        apply_noise(np.eye(4, dtype=complex), 1.0)  # trace 4
     with pytest.raises(ValueError):
-        SpinOrbitState(rho=np.diag([1.5, 0.0, 0.0, -0.5]).astype(complex))
+        apply_noise(np.diag([1.5, 0.0, 0.0, -0.5]).astype(complex), 1.0)
+    with pytest.raises(ValueError):
+        apply_noise(PLUS, 1.0)  # a 2x2 system state, not polarization (x) mode
 
 
 def test_run_branch_oracle_on_pure_states():
@@ -288,10 +288,10 @@ def test_circuit_choi_at_unit_visibility_matches_plan_channel():
 
 
 def test_apply_noise_rejects_unknown_arms_and_dephases_mode():
-    state = prepare_initial(np.pi / 8.0)
+    rho4 = np.full((4, 4), 0.25, dtype=complex)
     with pytest.raises(ValueError, match="arms"):
-        apply_noise(state, 0.5, arms="both")
-    mode = apply_noise(SpinOrbitState(rho=np.full((4, 4), 0.25, dtype=complex)), 0.5, arms="mode").rho
+        apply_noise(rho4, 0.5, arms="both")
+    mode = apply_noise(rho4, 0.5, arms="mode")
     assert np.allclose(mode, 0.25 * np.where(np.kron(np.ones((2, 2)), np.eye(2)) > 0, 1.0, 0.5))
 
 

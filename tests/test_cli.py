@@ -353,3 +353,42 @@ def test_simulate_prints_no_negative_zero(kind, lam, phi, capsys):
 def test_simulate_pure_output_is_not_flagged_clamped(kind, lam, phi, capsys):
     assert run(["simulate", "--channel", kind, "--lambda", lam, "--phi-deg", phi]) == 0
     assert "c_max=1.0000000000 clamped=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("command, key, value, extra, message", [
+    ("simulate", "visibility", "1.5", [], "visibility must lie in [0, 1]"),
+    ("simulate", "intensity_sigma", "-0.2", [], "intensity_sigma must be nonnegative"),
+    ("sweep", "visibility", "7", [], "visibility must lie in [0, 1]"),
+    ("simulate", "seed", "-3", ["--intensity-sigma", "0.1"], "rng_seed must be nonnegative"),
+    ("simulate", "seed", "-3", ["--visibility", "0.9"], "rng_seed must be nonnegative"),
+])
+def test_noise_options_are_validated_from_any_source(source, command, key, value, extra, message, tmp_path,
+                                                     monkeypatch, capsys):
+    args = [command, "--channel", "AD", *(["--lambda", "0.5"] if command == "simulate" else ["--lambda-grid", "0,1"])]
+    if source == "flag":
+        args += ["--" + key.replace("_", "-"), value]
+    elif source == "env":
+        monkeypatch.setenv("QCHANSIM_" + key.upper(), value)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        args += ["--config", str(cfg)]
+    assert run(args + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["decompose", "--channel", "AD", "--lambda", "0.5", "--gates"], "--gates needs --outdir"),
+    (["sweep", "--channel", "AD", "--formats", "json"], "--formats needs --outdir"),
+    (["sweep", "--channel", "AD", "--formats", ",", "--outdir", "OUT"], "--formats names no output format"),
+])
+def test_output_options_are_never_dropped(args, message, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert run([str(outdir) if a == "OUT" else a for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+    assert not outdir.exists()

@@ -252,6 +252,8 @@ def test_fit_plan_handles_every_choi_rank(rank):
     result = fit_plan(ch)
     assert result.converged
     assert result.residual <= 1e-9
+    # Ranks 1-2 end in the closed-form SVD stage, ranks 3-4 on the first LM start.
+    assert result.starts_used == (0 if rank <= 2 else 1)
     assert np.abs(compile_plan(result.plan) - transfer(ch)).max() <= 1e-8
 
 

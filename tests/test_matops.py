@@ -3,7 +3,6 @@ import pytest
 
 from conftest import haar_unitary
 from qchansim.matops import (
-    H0,
     ID2,
     PAULI_X,
     PAULI_Z,
@@ -14,52 +13,7 @@ from qchansim.matops import (
     eig_hermitian,
     phase_invariant_distance,
     svd3,
-    tensor,
 )
-
-
-def kron_by_hand(a, b):
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[2 * i + k, 2 * j + l] = a[i, j] * b[k, l]
-    return out
-
-
-def test_tensor_identity():
-    assert np.allclose(tensor(ID2, ID2), np.eye(4))
-
-
-def test_tensor_mirror_action():
-    assert np.allclose(tensor(H0, H0), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_tensor_sigma_x_identity():
-    expected = np.array(
-        [
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-        ],
-        dtype=complex,
-    )
-    assert np.allclose(tensor(PAULI_X, ID2), expected)
-    assert np.allclose(tensor(PAULI_X, ID2), kron_by_hand(PAULI_X, ID2))
-
-
-def test_tensor_is_bilinear_and_multiplicative():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(4))
-        lhs = tensor(a, b) @ tensor(c, d)
-        rhs = tensor(a @ c, b @ d)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
-        s = rng.standard_normal() + 1j * rng.standard_normal()
-        assert np.linalg.norm(tensor(a + s * c, b) - tensor(a, b) - s * tensor(c, b)) <= 1e-12
-        assert np.linalg.norm(tensor(a, b + s * d) - tensor(a, b) - s * tensor(a, d)) <= 1e-12
 
 
 def test_dagger_examples():

@@ -4,7 +4,6 @@ import pytest
 from conftest import haar_unitary
 from qchansim.matops import ID2, PAULI_X, Q0, phase_invariant_distance
 from qchansim.optics import (
-    AxisAngle,
     EulerAngles,
     GateElement,
     WaveplateTriple,
@@ -18,7 +17,6 @@ from qchansim.optics import (
     qwp,
     rot2,
     ry_rotation,
-    su2_from_axis_angle,
     su2_from_euler,
     su2_from_rotation,
     triple_to_unitary,
@@ -84,16 +82,10 @@ def test_su2_from_euler_matches_rotation_product():
         assert np.linalg.norm(su2_from_euler(EulerAngles(phi, xi, zeta)) - product) <= 1e-12
 
 
-def test_su2_from_axis_angle_example():
-    u = su2_from_axis_angle(AxisAngle(psi=np.pi / 2.0, theta=np.pi / 2.0, phi=0.0))
-    assert np.allclose(u, -1j * PAULI_X, atol=1e-12)
-
-
 def test_euler_and_axis_angle_agree():
     rng = np.random.default_rng(21)
     for _ in range(200):
-        a = AxisAngle(psi=rng.uniform(0.0, np.pi), theta=rng.uniform(0.0, np.pi), phi=rng.uniform(0.0, 2 * np.pi))
-        u = su2_from_axis_angle(a)
+        u = haar_unitary(rng)
         e = euler_from_su2(u)
         assert phase_invariant_distance(su2_from_euler(e), u) <= 1e-10
 
@@ -142,9 +134,9 @@ def test_dove_pair_realizes_half_angle_rotation():
     rng = np.random.default_rng(24)
     for _ in range(100):
         gamma = rng.uniform(-2 * np.pi, 2 * np.pi)
-        pair = dove_pair_for_ry(gamma)
-        assert pair.delta == pytest.approx(gamma / 4.0)
-        assert np.linalg.norm(pair.to_matrix() - ry_rotation(gamma)) <= 1e-12
+        delta = dove_pair_for_ry(gamma)
+        assert delta == pytest.approx(gamma / 4.0)
+        assert np.linalg.norm(dove(delta) @ dove(0.0) - ry_rotation(gamma)) <= 1e-12
 
 
 def test_printed_dove_composition_is_full_angle():

@@ -15,8 +15,6 @@ from qchansim.tomography import (
     probabilities,
     reconstruct,
     reconstruction_to_json,
-    record_from_csv,
-    record_to_csv,
 )
 
 KET_H = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -159,20 +157,6 @@ def test_coherence_invariances():
         assert coherence(diag_u @ rho @ dagger(diag_u)).c_l1 == pytest.approx(base.c_l1, abs=1e-12)
         u = haar_unitary(rng)
         assert coherence(u @ rho @ dagger(u)).c_max == pytest.approx(base.c_max, abs=1e-12)
-
-
-def test_record_csv_round_trip():
-    rec = forward_intensities(PLUS)
-    text = record_to_csv(rec)
-    assert text.splitlines()[0] == "basis,I_A,I_B"
-    back = record_from_csv(text)
-    for basis in Basis:
-        assert back.pair(basis) == pytest.approx(rec.pair(basis))
-
-
-def test_record_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        record_from_csv("a,b,c\nHV,1,0\n")
 
 
 def test_reconstruction_json_fields():
