@@ -282,9 +282,9 @@ def _prepared_state(args, config) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     config = _read_config(args.config) if args.config else {}
-    ch, plan, _ = _channel_source(args, config)
     rho_in = _prepared_state(args, config)
     noise = _noise_from(args, config)
+    ch, plan, _ = _channel_source(args, config)
     rho_sim = simulate_channel(rho_in, plan, noise=noise)
     rho_oracle = apply_channel(ch, rho_in)
     record = forward_intensities(rho_sim, noise=noise)

@@ -10,8 +10,8 @@ operators::
 with ``alpha = (mu + nu) / 2`` and ``beta = (mu - nu) / 2``.  An arbitrary
 channel is a convex mix ``p E_a + (1 - p) E_b`` of two such branches, each
 dressed by unitaries: ``M_i = U K_i U'``.  This module provides the closed
-forms for the five named channels, a numerical fitter for everything else,
-and the reconstruction of a channel from a plan.
+forms for the five named channels, a numpy Levenberg-Marquardt fitter for
+everything else, and the reconstruction of a channel from a plan.
 
 The ancilla rotation angles obey ``gamma1 = pi/2 - alpha + beta`` and
 ``gamma2 = alpha + beta - pi/2`` (modulo 2 pi); the circuit-versus-Kraus
@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .channels import (
     AffineRep,
@@ -58,11 +57,12 @@ def wrap_angle(a: float) -> float:
     return np.pi if w == -np.pi else w
 
 
-def kraus_from_angles(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The trace-preserving quasiextreme Kraus pair for angles (alpha, beta)."""
-    k0 = np.array([[np.cos(beta), 0.0], [0.0, np.cos(alpha)]], dtype=complex)
-    k1 = np.array([[0.0, np.sin(alpha)], [np.sin(beta), 0.0]], dtype=complex)
-    return k0, k1
+def kraus_from_angles(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The trace-preserving quasiextreme Kraus pair for angles (alpha, beta); angle arrays give stacks."""
+    zero = np.zeros_like(alpha, dtype=float)
+    k0 = np.array([[np.cos(beta), zero], [zero, np.cos(alpha)]], dtype=complex)
+    k1 = np.array([[zero, np.sin(alpha)], [np.sin(beta), zero]], dtype=complex)
+    return np.moveaxis(k0, (0, 1), (-2, -1)), np.moveaxis(k1, (0, 1), (-2, -1))
 
 
 def gammas_from_angles(alpha: float, beta: float) -> tuple[float, float]:
@@ -285,6 +285,50 @@ def _plan_from_params(x) -> DecompositionPlan:
     return DecompositionPlan(branch_a=branch_a, branch_b=branch_b, p=p)
 
 
+def _choi_residuals(xs, target) -> np.ndarray:
+    """Choi differences for a stack of parameter vectors, as (n, 32) real rows.
+
+    Row i is the real, then the imaginary part of
+    ``to_choi(plan_to_channel(_plan_from_params(xs[i]))) - target``; no plan is built.
+    """
+    n = len(xs)
+    p = np.sin(xs[:, 4]) ** 2
+    # Axes: n parameter vector, s branch, k Kraus operator; u[:, s] holds (U, U').
+    k = np.stack(kraus_from_angles(xs[:, [0, 2]], xs[:, [1, 3]]), axis=2)
+    u = su2_from_euler(EulerAngles(*np.moveaxis(xs[:, 5:].reshape(n, 2, 2, 3), -1, 0)))
+    m = np.einsum("ns,nsab,nskbc,nscd->nskad", np.sqrt(np.stack([p, 1.0 - p], axis=1)), u[:, :, 0], k, u[:, :, 1])
+    diff = np.einsum("nskai,nskbj->niajb", m, m.conj()).reshape(n, 4, 4) - target
+    return np.concatenate([diff.real.reshape(n, 16), diff.imag.reshape(n, 16)], axis=1)
+
+
+def _levenberg_marquardt(x, target) -> np.ndarray:
+    """Levenberg-Marquardt least squares on :func:`_choi_residuals`, started at ``x``.
+
+    A step minimizes |J d + f|^2 + lam d^T D d with Marquardt's D = diag(J^T J),
+    solved as least squares on [J; sqrt(lam D)] since J^T J is singular (17
+    parameters, 12-dimensional channels).  The forward-difference J is one call
+    on the stack x + h I.  lam falls tenfold after a step that lowers the cost
+    and rises tenfold otherwise, until no lam up to 1e16 helps or 2000 trials.
+    """
+    h = np.sqrt(np.finfo(float).eps)
+    f = _choi_residuals(x[None], target)[0]
+    lam, jac = 1e-3, None
+    for _ in range(2000):
+        if jac is None:
+            jac = (_choi_residuals(x + h * np.eye(x.size), target) - f).T / h
+            damping = np.diag(np.linalg.norm(jac, axis=0))
+            rhs = np.concatenate([-f, np.zeros(x.size)])
+        step = np.linalg.lstsq(np.vstack([jac, np.sqrt(lam) * damping]), rhs, rcond=None)[0]
+        f_trial = _choi_residuals((x + step)[None], target)[0]
+        if f_trial @ f_trial < f @ f:
+            x, f, lam, jac = x + step, f_trial, lam / 10.0, None
+        elif lam > 1e16:
+            break
+        else:
+            lam *= 10.0
+    return x
+
+
 def _tidy_plan(plan: DecompositionPlan) -> DecompositionPlan:
     """Snap the weight to the boundary and keep the heavier branch first."""
     p = plan.p
@@ -303,7 +347,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     from the signed SVD of the distortion matrix; any two-Kraus channel
     lands here with residual at the arithmetic floor, and the first
     candidate within ``FIT_TARGET_RESIDUAL`` is kept.  Stage two runs
-    multi-start Levenberg-Marquardt least squares over all seventeen
+    multi-start Levenberg-Marquardt, a numpy loop, over all seventeen
     parameters (branch angles, mixing weight, Euler angles of the four
     dressing unitaries) against the Choi-matrix difference, from seeded
     random starts until one lands within ``FIT_TARGET_RESIDUAL`` or
@@ -326,18 +370,13 @@ def fit_plan(ch: KrausChannel) -> FitResult:
         if r <= FIT_TARGET_RESIDUAL:
             return FitResult(plan=_tidy_plan(cand), residual=float(r), starts_used=0)
 
-    def residual_vec(x):
-        diff = to_choi(plan_to_channel(_plan_from_params(x))) - target
-        return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-
     rng = np.random.default_rng(FIT_SEED)
     best_plan = None
     best_res = np.inf
     for starts_used in range(1, FIT_MAX_STARTS + 1):
         x0 = rng.uniform(-np.pi, np.pi, size=17)
         x0[4] = rng.uniform(0.0, np.pi / 2.0)
-        sol = optimize.least_squares(residual_vec, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=6000)
-        plan = _plan_from_params(sol.x)
+        plan = _plan_from_params(_levenberg_marquardt(x0, target))
         r = residual_of(plan)
         if r < best_res:
             best_plan, best_res = plan, r

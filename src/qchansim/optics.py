@@ -83,16 +83,12 @@ def triple_to_unitary(w: WaveplateTriple) -> np.ndarray:
     return qwp(w.eta1) @ hwp(w.tau) @ qwp(w.eta2)
 
 
-def _su2_from_uw(u: complex, w: complex) -> np.ndarray:
-    return np.array([[u, -np.conj(w)], [w, np.conj(u)]], dtype=complex)
-
-
 def su2_from_euler(e: EulerAngles) -> np.ndarray:
     """SU(2) matrix with u = cos(xi)cos(phi+zeta) + i sin(xi)cos(phi-zeta)
-    and w = cos(xi)sin(phi+zeta) + i sin(xi)sin(phi-zeta)."""
+    and w = cos(xi)sin(phi+zeta) + i sin(xi)sin(phi-zeta); angle arrays give a stack (..., 2, 2)."""
     u = np.cos(e.xi) * np.cos(e.phi + e.zeta) + 1j * np.sin(e.xi) * np.cos(e.phi - e.zeta)
     w = np.cos(e.xi) * np.sin(e.phi + e.zeta) + 1j * np.sin(e.xi) * np.sin(e.phi - e.zeta)
-    return _su2_from_uw(u, w)
+    return np.moveaxis(np.array([[u, -np.conj(w)], [w, np.conj(u)]], dtype=complex), (0, 1), (-2, -1))
 
 
 def euler_from_su2(u) -> EulerAngles:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_kraus_pair_channel
+from conftest import random_channel, random_kraus_pair_channel
+from qchansim import cli
 from qchansim.channels import builtin_channel, channel_to_json, to_choi
 from qchansim.cli import main
 from qchansim.decompose import closed_form_plan, plan_from_json, plan_to_channel
@@ -52,6 +57,14 @@ def test_decompose_fits_custom_kraus_file(tmp_path):
     assert code == 0
     plan = plan_from_json((out / "plan.json").read_text())
     assert frob_dist(to_choi(plan_to_channel(plan)), to_choi(ch)) <= 1e-8
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows what the import really loads.
+    code = "import sys, qchansim.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_decompose_requires_channel_source():
@@ -362,10 +375,19 @@ def test_simulate_pure_output_is_not_flagged_clamped(kind, lam, phi, capsys):
     ("sweep", "visibility", "7", [], "visibility must lie in [0, 1]"),
     ("simulate", "seed", "-3", ["--intensity-sigma", "0.1"], "rng_seed must be nonnegative"),
     ("simulate", "seed", "-3", ["--visibility", "0.9"], "rng_seed must be nonnegative"),
+    ("simulate", "visibility", "1.5", ["--kraus-file", "RANK3"], "visibility must lie in [0, 1]"),
 ])
 def test_noise_options_are_validated_from_any_source(source, command, key, value, extra, message, tmp_path,
                                                      monkeypatch, capsys):
-    args = [command, "--channel", "AD", *(["--lambda", "0.5"] if command == "simulate" else ["--lambda-grid", "0,1"])]
+    # A rank-3 --kraus-file needs the LM fit, which must not run before the options are checked.
+    monkeypatch.setattr(cli, "fit_plan", lambda ch: pytest.fail("fit_plan ran before the noise options"))
+    if "RANK3" in extra:
+        path = tmp_path / "rank3.json"
+        path.write_text(channel_to_json(random_channel(np.random.default_rng(65), 3)))
+        args, extra = [command], ["--kraus-file", str(path)]
+    else:
+        args = [command, "--channel", "AD",
+                *(["--lambda", "0.5"] if command == "simulate" else ["--lambda-grid", "0,1"])]
     if source == "flag":
         args += ["--" + key.replace("_", "-"), value]
     elif source == "env":

@@ -12,6 +12,8 @@ from qchansim.decompose import (
     NotQuasiExtremeError,
     QuasiExtremeBranch,
     U_BPF,
+    _choi_residuals,
+    _plan_from_params,
     branch_from_nu_mu,
     closed_form_plan,
     extract_nu_mu,
@@ -69,10 +71,14 @@ def test_kraus_from_angles_examples():
 
 def test_kraus_from_angles_trace_preserving():
     rng = np.random.default_rng(30)
-    for _ in range(200):
-        k0, k1 = kraus_from_angles(rng.uniform(-PI, PI), rng.uniform(-PI, PI))
+    angles = rng.uniform(-PI, PI, (200, 2))
+    stacked = kraus_from_angles(angles[:, 0], angles[:, 1])
+    for i, (alpha, beta) in enumerate(angles):
+        k0, k1 = kraus_from_angles(alpha, beta)
         acc = k0.conj().T @ k0 + k1.conj().T @ k1
         assert np.linalg.norm(acc - ID2) <= 1e-12
+        # A stacked call gives the same pairs as one call per angle pair.
+        assert np.abs(stacked[0][i] - k0).max() <= 1e-15 and np.abs(stacked[1][i] - k1).max() <= 1e-15
 
 
 def test_gammas_from_angles_examples():
@@ -255,6 +261,8 @@ def test_fit_plan_handles_every_choi_rank(rank):
     # Ranks 1-2 end in the closed-form SVD stage, ranks 3-4 on the first LM start.
     assert result.starts_used == (0 if rank <= 2 else 1)
     assert np.abs(compile_plan(result.plan) - transfer(ch)).max() <= 1e-8
+    # A second fit in the same process returns the identical plan.
+    assert plan_to_json(fit_plan(ch).plan) == plan_to_json(result.plan)
 
 
 def test_fit_plan_rejects_non_cptp():
@@ -267,6 +275,11 @@ def test_fit_plan_reports_choi_distance():
     result = fit_plan(ch)
     recomputed = frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch))
     assert result.residual == pytest.approx(recomputed, abs=1e-12)
+    # The LM stage's stacked residual is the same Choi difference, split into real and imaginary parts.
+    xs = np.random.default_rng(39).uniform(-PI, PI, (50, 17))
+    for x, row in zip(xs, _choi_residuals(xs, to_choi(ch))):
+        diff = to_choi(plan_to_channel(_plan_from_params(x))) - to_choi(ch)
+        assert np.abs(row - np.concatenate([diff.real.ravel(), diff.imag.ravel()])).max() <= 1e-14
 
 
 def test_plan_json_round_trip():

@@ -76,10 +76,14 @@ def test_su2_from_euler_matches_rotation_product():
     # Independent path: Ry(phi) Rz(-xi) Ry(zeta) as an explicit product,
     # with Rz(xi) = diag(e^{-i xi}, e^{i xi}).
     rng = np.random.default_rng(26)
-    for _ in range(200):
-        phi, xi, zeta = rng.uniform(-np.pi, np.pi, size=3)
+    angles = rng.uniform(-np.pi, np.pi, size=(200, 3))
+    stacked = su2_from_euler(EulerAngles(*angles.T))
+    for i, (phi, xi, zeta) in enumerate(angles):
         product = rot2(phi) @ np.diag([np.exp(1j * xi), np.exp(-1j * xi)]) @ rot2(zeta)
-        assert np.linalg.norm(su2_from_euler(EulerAngles(phi, xi, zeta)) - product) <= 1e-12
+        single = su2_from_euler(EulerAngles(phi, xi, zeta))
+        assert np.linalg.norm(single - product) <= 1e-12
+        # A stacked call gives the same matrices as one call per angle triple.
+        assert np.abs(stacked[i] - single).max() <= 1e-15
 
 
 def test_euler_and_axis_angle_agree():
