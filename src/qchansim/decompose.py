@@ -44,6 +44,7 @@ QE_TOL = 1e-8
 FIT_MAX_STARTS = 32
 FIT_SEED = 7
 FIT_TARGET_RESIDUAL = 1e-9
+LM_STOP_RESIDUAL = 1e-12
 CONVERGED_RESIDUAL = 1e-4
 
 
@@ -59,10 +60,11 @@ def wrap_angle(a: float) -> float:
 
 def kraus_from_angles(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
     """The trace-preserving quasiextreme Kraus pair for angles (alpha, beta); angle arrays give stacks."""
-    zero = np.zeros_like(alpha, dtype=float)
-    k0 = np.array([[np.cos(beta), zero], [zero, np.cos(alpha)]], dtype=complex)
-    k1 = np.array([[zero, np.sin(alpha)], [np.sin(beta), zero]], dtype=complex)
-    return np.moveaxis(k0, (0, 1), (-2, -1)), np.moveaxis(k1, (0, 1), (-2, -1))
+    zero = np.zeros_like(alpha, dtype=complex)
+    shape = np.shape(zero) + (2, 2)
+    k0 = np.stack([np.cos(beta), zero, zero, np.cos(alpha)], axis=-1).reshape(shape)
+    k1 = np.stack([zero, np.sin(alpha), np.sin(beta), zero], axis=-1).reshape(shape)
+    return k0, k1
 
 
 def gammas_from_angles(alpha: float, beta: float) -> tuple[float, float]:
@@ -301,27 +303,58 @@ def _choi_residuals(xs, target) -> np.ndarray:
     return np.concatenate([diff.real.reshape(n, 16), diff.imag.reshape(n, 16)], axis=1)
 
 
+def _damped_step_solver(jac, f):
+    """The map lam -> argmin over d of |J d + f|^2 + lam |D d|^2, D = diag of J's column norms.
+
+    Marquardt's scaling D makes the step independent of the parameters' units.
+    With y = D d this is ridge least squares on J D^-1 = V_l S V_r^T, so one SVD
+    serves every lam: d = D^-1 V_r filt V_l^T (-f) with filt = s / (s^2 + lam).
+    Directions whose singular value sqrt(s^2 + lam) in the stacked matrix
+    [J D^-1; sqrt(lam) I] falls below lstsq's default cutoff, (rows + columns) eps
+    times the largest, get no step; without the cut they blow up at tiny lam.
+    """
+    d = np.linalg.norm(jac, axis=0)
+    d[d == 0.0] = 1.0
+    vl, s, vr = np.linalg.svd(jac / d, full_matrices=False)
+    g = vl.T @ -f
+    back = vr.T / d[:, None]
+    cut = sum(jac.shape) * np.finfo(float).eps
+
+    def step(lam):
+        shifted = s * s + lam
+        filt = np.where(np.sqrt(shifted) > cut * np.sqrt(shifted[0]), s / shifted, 0.0)
+        return back @ (filt * g)
+
+    return step
+
+
 def _levenberg_marquardt(x, target) -> np.ndarray:
     """Levenberg-Marquardt least squares on :func:`_choi_residuals`, started at ``x``.
 
-    A step minimizes |J d + f|^2 + lam d^T D d with Marquardt's D = diag(J^T J),
-    solved as least squares on [J; sqrt(lam D)] since J^T J is singular (17
-    parameters, 12-dimensional channels).  The forward-difference J is one call
-    on the stack x + h I.  lam falls tenfold after a step that lowers the cost
-    and rises tenfold otherwise, until no lam up to 1e16 helps or 2000 trials.
+    J^T J is singular (17 parameters, 12-dimensional channels), so each step is
+    the damped least-squares step of :func:`_damped_step_solver`.  The
+    forward-difference J is one call on the stack x + h I.  lam falls tenfold
+    after a step that lowers the cost and rises tenfold otherwise.  The loop
+    stops once |f| <= ``LM_STOP_RESIDUAL``, when the last 10 accepted steps did
+    not halve |f| together (a stalled start, left to the caller's next start),
+    when no lam up to 1e16 helps, or after 2000 trials.
     """
     h = np.sqrt(np.finfo(float).eps)
     f = _choi_residuals(x[None], target)[0]
-    lam, jac = 1e-3, None
+    norms = [np.linalg.norm(f)]
+    lam, step = 1e-3, None
     for _ in range(2000):
-        if jac is None:
-            jac = (_choi_residuals(x + h * np.eye(x.size), target) - f).T / h
-            damping = np.diag(np.linalg.norm(jac, axis=0))
-            rhs = np.concatenate([-f, np.zeros(x.size)])
-        step = np.linalg.lstsq(np.vstack([jac, np.sqrt(lam) * damping]), rhs, rcond=None)[0]
-        f_trial = _choi_residuals((x + step)[None], target)[0]
+        if f @ f <= LM_STOP_RESIDUAL**2:
+            break
+        if step is None:
+            step = _damped_step_solver((_choi_residuals(x + h * np.eye(x.size), target) - f).T / h, f)
+        x_trial = x + step(lam)
+        f_trial = _choi_residuals(x_trial[None], target)[0]
         if f_trial @ f_trial < f @ f:
-            x, f, lam, jac = x + step, f_trial, lam / 10.0, None
+            x, f, lam, step = x_trial, f_trial, lam / 10.0, None
+            norms.append(np.linalg.norm(f))
+            if len(norms) > 10 and norms[-1] > 0.5 * norms[-11]:
+                break
         elif lam > 1e16:
             break
         else:
@@ -376,14 +409,14 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     for starts_used in range(1, FIT_MAX_STARTS + 1):
         x0 = rng.uniform(-np.pi, np.pi, size=17)
         x0[4] = rng.uniform(0.0, np.pi / 2.0)
-        plan = _plan_from_params(_levenberg_marquardt(x0, target))
+        plan = _tidy_plan(_plan_from_params(_levenberg_marquardt(x0, target)))
         r = residual_of(plan)
         if r < best_res:
             best_plan, best_res = plan, r
         if best_res <= FIT_TARGET_RESIDUAL:
             break
 
-    return FitResult(plan=_tidy_plan(best_plan), residual=float(best_res), starts_used=starts_used)
+    return FitResult(plan=best_plan, residual=float(best_res), starts_used=starts_used)
 
 
 def _unitary_to_json(u) -> list | None:

@@ -88,7 +88,7 @@ def su2_from_euler(e: EulerAngles) -> np.ndarray:
     and w = cos(xi)sin(phi+zeta) + i sin(xi)sin(phi-zeta); angle arrays give a stack (..., 2, 2)."""
     u = np.cos(e.xi) * np.cos(e.phi + e.zeta) + 1j * np.sin(e.xi) * np.cos(e.phi - e.zeta)
     w = np.cos(e.xi) * np.sin(e.phi + e.zeta) + 1j * np.sin(e.xi) * np.sin(e.phi - e.zeta)
-    return np.moveaxis(np.array([[u, -np.conj(w)], [w, np.conj(u)]], dtype=complex), (0, 1), (-2, -1))
+    return np.stack([u, -np.conj(w), w, np.conj(u)], axis=-1).reshape(np.shape(u) + (2, 2))
 
 
 def euler_from_su2(u) -> EulerAngles:

@@ -7,12 +7,15 @@ from conftest import random_channel, random_kraus_pair_channel
 from qchansim.channels import ChannelKind, KrausChannel, builtin_channel, to_affine, to_choi, transfer, validate_channel
 from qchansim.circuit import compile_plan
 from qchansim.decompose import (
+    LM_STOP_RESIDUAL,
     AngleNuMu,
     DecompositionPlan,
     NotQuasiExtremeError,
     QuasiExtremeBranch,
     U_BPF,
     _choi_residuals,
+    _damped_step_solver,
+    _levenberg_marquardt,
     _plan_from_params,
     branch_from_nu_mu,
     closed_form_plan,
@@ -280,6 +283,84 @@ def test_fit_plan_reports_choi_distance():
     for x, row in zip(xs, _choi_residuals(xs, to_choi(ch))):
         diff = to_choi(plan_to_channel(_plan_from_params(x))) - to_choi(ch)
         assert np.abs(row - np.concatenate([diff.real.ravel(), diff.imag.ravel()])).max() <= 1e-14
+
+
+def test_fit_plan_residual_describes_the_returned_plan(monkeypatch):
+    import qchansim.decompose as decompose
+
+    # An LM end point with p = 1 - 1e-14, so the returned plan drops branch b.
+    def near_single_branch(x, target):
+        return np.concatenate([x[:4], [PI / 2 - 1e-7], x[5:]])
+
+    monkeypatch.setattr(decompose, "_levenberg_marquardt", near_single_branch)
+    ch = random_channel(np.random.default_rng(35), 3)
+    result = fit_plan(ch)
+    assert result.plan.branch_b is None
+    assert result.residual == frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch))
+
+
+def _count_residual_rows(monkeypatch) -> list:
+    """Wrap decompose._choi_residuals; each call appends its row count to the returned list."""
+    import qchansim.decompose as decompose
+
+    rows = []
+
+    def counting_residuals(xs, target):
+        rows.append(len(xs))
+        return _choi_residuals(xs, target)
+
+    monkeypatch.setattr(decompose, "_choi_residuals", counting_residuals)
+    return rows
+
+
+def test_fit_plan_leaves_a_stalled_start_quickly(monkeypatch):
+    # The LM converges only linearly toward this channel's singular solution.
+    rows = _count_residual_rows(monkeypatch)
+    result = fit_plan(random_channel(np.random.default_rng(1011), 3))
+    assert result.residual <= 1e-9
+    assert len(rows) <= 400
+
+
+@pytest.mark.parametrize("lam", [1e3, 1.0, 1e-3])
+def test_damped_step_matches_lstsq(lam):
+    rng = np.random.default_rng(41)
+    jac = rng.standard_normal((32, 12)) @ rng.standard_normal((12, 17))
+    f = rng.standard_normal(32)
+    damping = np.diag(np.linalg.norm(jac, axis=0))
+    expected = np.linalg.lstsq(np.vstack([jac, np.sqrt(lam) * damping]), np.concatenate([-f, np.zeros(17)]),
+                               rcond=None)[0]
+    step = _damped_step_solver(jac, f)(lam)
+    assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_levenberg_marquardt_returns_a_converged_start_at_once(monkeypatch):
+    x = np.random.default_rng(42).uniform(-PI, PI, 17)
+    target = to_choi(plan_to_channel(_plan_from_params(x)))
+    rows = _count_residual_rows(monkeypatch)
+    assert np.array_equal(_levenberg_marquardt(x, target), x)
+    # One residual at x, no 17-row Jacobian.
+    assert rows == [1]
+
+
+@pytest.mark.parametrize("shrink", [0.99, 0.9])
+def test_levenberg_marquardt_stops_at_target_or_stall(monkeypatch, shrink):
+    import qchansim.decompose as decompose
+
+    # Every trial is accepted and scales |f| by `shrink`; the Jacobian stack is any finite rows.
+    norms = []
+
+    def shrinking_residuals(xs, target):
+        if len(xs) > 1:
+            return np.zeros((len(xs), 32))
+        norms.append(shrink ** len(norms))
+        return np.full((1, 32), norms[-1] / np.sqrt(32.0))
+
+    monkeypatch.setattr(decompose, "_choi_residuals", shrinking_residuals)
+    _levenberg_marquardt(np.zeros(17), None)
+    if shrink ** 10 > 0.5:
+        assert len(norms) == 11  # the start, then 10 accepted steps that did not halve |f|
+    else:
+        assert norms[-1] <= LM_STOP_RESIDUAL < norms[-2]
 
 
 def test_plan_json_round_trip():
