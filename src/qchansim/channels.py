@@ -86,7 +86,7 @@ class AffineRep:
         object.__setattr__(self, "t", t)
 
 
-def builtin_channel(kind: ChannelKind | str, lam: float, label: str = "") -> KrausChannel:
+def builtin_channel(kind: ChannelKind | str, lam: float) -> KrausChannel:
     """Kraus operators of a named channel at decoherence parameter ``lam``.
 
     AD damps the excited state |V>, PD damps the phase without populating,
@@ -109,7 +109,7 @@ def builtin_channel(kind: ChannelKind | str, lam: float, label: str = "") -> Kra
     else:
         ops = [coroot * ID2, root * PAULI_Y]
     ops = [k for k in ops if np.linalg.norm(k) >= ZERO_OP_TOL]
-    return KrausChannel(tuple(ops), label or f"{kind.value}(lambda={lam:g})")
+    return KrausChannel(tuple(ops), f"{kind.value}(lambda={lam:g})")
 
 
 def transfer(ch: KrausChannel) -> np.ndarray:
@@ -161,6 +161,9 @@ def channel_to_json(ch: KrausChannel) -> str:
 
 
 def channel_from_json(text: str) -> KrausChannel:
+    """Inverse of :func:`channel_to_json`; raises ValueError on any other shape."""
     payload = json.loads(text)
+    if not isinstance(payload, dict) or not isinstance(payload.get("kraus"), list):
+        raise ValueError('expected a JSON object {"label": ..., "kraus": [...]}')
     ops = tuple(pairs_to_complex(k) for k in payload["kraus"])
     return KrausChannel(ops, payload.get("label", ""))

@@ -280,16 +280,20 @@ def _prepared_state(args, config) -> np.ndarray:
     return prepare_initial(np.deg2rad(_as_float(_resolve(args, "phi_deg", config, 22.5), "phi_deg")))
 
 
+def _measure(rho_in, plan: DecompositionPlan, ch: KrausChannel, noise: NoiseParams | None) -> tuple:
+    """Circuit, Kraus oracle and tomography at one point: (rho_sim, rho_oracle, reconstruction, fidelity)."""
+    rho_sim = simulate_channel(rho_in, plan, noise=noise)
+    rho_oracle = apply_channel(ch, rho_in)
+    recon = reconstruct(forward_intensities(rho_sim, noise=noise))
+    return rho_sim, rho_oracle, recon, fidelity(recon.rho, rho_oracle)
+
+
 def cmd_simulate(args) -> int:
     config = _read_config(args.config) if args.config else {}
     rho_in = _prepared_state(args, config)
     noise = _noise_from(args, config)
     ch, plan, _ = _channel_source(args, config)
-    rho_sim = simulate_channel(rho_in, plan, noise=noise)
-    rho_oracle = apply_channel(ch, rho_in)
-    record = forward_intensities(rho_sim, noise=noise)
-    recon = reconstruct(record)
-    fid = fidelity(recon.rho, rho_oracle)
+    rho_sim, _, recon, fid = _measure(rho_in, plan, ch, noise)
     coh = coherence(recon.rho)
     # + 0.0 turns a round-off -0.0 into 0.0.
     print(f"bloch (reconstructed): {(np.round(recon.bloch, 10) + 0.0).tolist()}")
@@ -307,10 +311,7 @@ def _sweep_rows(kind: ChannelKind, grid, rho_in, noise: NoiseParams | None):
     rows = []
     for index, lam in enumerate(grid):
         row_noise = None if noise is None else replace(noise, rng_seed=noise.rng_seed + index)
-        plan = closed_form_plan(kind, lam)
-        rho_sim = simulate_channel(rho_in, plan, noise=row_noise)
-        recon = reconstruct(forward_intensities(rho_sim, noise=row_noise))
-        rho_oracle = apply_channel(builtin_channel(kind, lam), rho_in)
+        _, rho_oracle, recon, fid = _measure(rho_in, closed_form_plan(kind, lam), builtin_channel(kind, lam), row_noise)
         c_sim = coherence(recon.rho)
         c_oracle = coherence(rho_oracle)
         rows.append(
@@ -320,7 +321,7 @@ def _sweep_rows(kind: ChannelKind, grid, rho_in, noise: NoiseParams | None):
                 "c_max_sim": c_sim.c_max,
                 "c_l1_oracle": c_oracle.c_l1,
                 "c_max_oracle": c_oracle.c_max,
-                "fidelity_sim_vs_oracle": fidelity(recon.rho, rho_oracle),
+                "fidelity_sim_vs_oracle": fid,
             }
         )
     return rows

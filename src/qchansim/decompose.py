@@ -169,7 +169,7 @@ def closed_form_plan(kind: ChannelKind | str, lam: float) -> DecompositionPlan:
     return DecompositionPlan(branch_a=flip, branch_b=identity, p=float(lam))
 
 
-def plan_to_channel(plan: DecompositionPlan, label: str = "") -> KrausChannel:
+def plan_to_channel(plan: DecompositionPlan) -> KrausChannel:
     """Kraus set {sqrt(w) U K_i U'} over both branches, zero operators dropped."""
     ops = []
     for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)):
@@ -180,7 +180,7 @@ def plan_to_channel(plan: DecompositionPlan, label: str = "") -> KrausChannel:
             m = root * (branch.U @ k @ branch.Uprime)
             if np.linalg.norm(m) >= ZERO_OP_TOL:
                 ops.append(m)
-    return KrausChannel(tuple(ops), label)
+    return KrausChannel(tuple(ops))
 
 
 def extract_nu_mu(aff: AffineRep) -> AngleNuMu:
@@ -213,10 +213,8 @@ def extract_nu_mu(aff: AffineRep) -> AngleNuMu:
     return AngleNuMu(nu=nu, mu=float(mu))
 
 
-def branch_from_nu_mu(nm: AngleNuMu, U=None, Uprime=None, conditional_x=True) -> QuasiExtremeBranch:
-    return QuasiExtremeBranch.from_alpha_beta(
-        (nm.mu + nm.nu) / 2.0, (nm.mu - nm.nu) / 2.0, U=U, Uprime=Uprime, conditional_x=conditional_x
-    )
+def branch_from_nu_mu(nm: AngleNuMu, U=None, Uprime=None) -> QuasiExtremeBranch:
+    return QuasiExtremeBranch.from_alpha_beta((nm.mu + nm.nu) / 2.0, (nm.mu - nm.nu) / 2.0, U=U, Uprime=Uprime)
 
 
 @dataclass(frozen=True)

@@ -67,20 +67,6 @@ def hermiticity_residual(m) -> float:
     return frob_dist(m, dagger(m))
 
 
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvectors in the columns of ``v``.  Rejects input more than 1e-8
-    from Hermitian.
-    """
-    m = as_cmat(m)
-    if hermiticity_residual(m) > 1e-8:
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    return w.real, v
-
-
 def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signed SVD of a real 3x3 matrix: t = L diag(s) R^T with L, R rotations.
 
@@ -110,8 +96,17 @@ def complex_to_pairs(m) -> list:
 
 
 def pairs_to_complex(rows) -> np.ndarray:
-    """Inverse of :func:`complex_to_pairs`."""
-    return np.array([[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex)
+    """Inverse of :func:`complex_to_pairs`; raises ValueError unless ``rows``
+    is a square grid of [re, im] pairs of numbers."""
+    message = "expected a square grid of [re, im] number pairs"
+    try:
+        a = np.asarray(rows)
+    except ValueError:  # ragged nesting
+        raise ValueError(message) from None
+    if a.dtype.kind not in "iuf" or a.ndim != 3 or a.shape[0] != a.shape[1] or a.shape[2] != 2:
+        raise ValueError(message)
+    # Viewing each [re, im] pair as one complex keeps the sign of every zero.
+    return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
 
 
 def bloch_vector(rho) -> np.ndarray:

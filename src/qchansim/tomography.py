@@ -10,7 +10,10 @@ half-wave plate at ``theta_h`` and a polarizing splitter.  The settings
 send |H>, |+> and |L> to output port A, so the normalized intensities give
 the probabilities P_H, P_+ and P_L directly and the Bloch vector follows
 from the Stokes differences r_x = P_+ - P_-, r_y = P_L - P_R,
-r_z = P_H - P_V.
+r_z = P_H - P_V.  Port A of each setting is row 0 of HWP(theta_h) QWP(theta_q),
+kept in the constant ``_PORT_A_ROWS``.  Qubit closed forms give the purity
+Tr rho^2 = (1 + |r|^2) / 2 and the Uhlmann fidelity
+F = Tr(rho sigma) + 2 sqrt(det rho det sigma) (Hubner 1992; Jozsa 1994).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import NoiseParams
-from .matops import assert_density_matrix, bloch_vector, complex_to_pairs, dagger, density_from_bloch, eig_hermitian
+from .matops import as_cmat, assert_density_matrix, bloch_vector, complex_to_pairs, density_from_bloch
 from .optics import hwp, qwp
 
 
@@ -46,6 +49,9 @@ SETTINGS = {
     Basis.LR: MeasurementSetting(np.pi / 4.0, 0.0),
 }
 
+# Row b is port A's row of HWP(theta_h) QWP(theta_q) for SETTINGS entry b, so P_A(b) = (R rho R^dag)[b, b].
+_PORT_A_ROWS = np.array([(hwp(s.theta_h) @ qwp(s.theta_q))[0] for s in SETTINGS.values()])
+
 
 @dataclass(frozen=True)
 class TomographyRecord:
@@ -54,9 +60,6 @@ class TomographyRecord:
     hv: tuple
     da: tuple
     lr: tuple
-
-    def pair(self, basis: Basis) -> tuple:
-        return {Basis.HV: self.hv, Basis.DA: self.da, Basis.LR: self.lr}[Basis(basis)]
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,8 @@ class CoherencePair:
 class Reconstruction:
     rho: np.ndarray
     bloch: np.ndarray
-    purity: float
+    purity: float  # Tr rho^2 = (1 + |r|^2) / 2
     clamped: bool
-
-
-def port_a_probability(rho, setting: MeasurementSetting) -> float:
-    """Born probability of the A port behind QWP(theta_q), HWP(theta_h), PBS."""
-    w = hwp(setting.theta_h) @ qwp(setting.theta_q)
-    return float((w @ rho @ dagger(w))[0, 0].real)
 
 
 def forward_intensities(rho, noise: NoiseParams | None = None) -> TomographyRecord:
@@ -88,24 +85,20 @@ def forward_intensities(rho, noise: NoiseParams | None = None) -> TomographyReco
     of relative width ``intensity_sigma``, seeded by ``rng_seed``, clamped at zero.
     """
     rho = assert_density_matrix(rho)
-    noisy = noise is not None and noise.intensity_sigma > 0.0
-    rng = np.random.default_rng(noise.rng_seed) if noisy else None
-    pairs = {}
-    for basis in Basis:
-        pa = port_a_probability(rho, SETTINGS[basis])
-        ia, ib = pa, 1.0 - pa
-        if noisy:
-            ia = max(ia * (1.0 + noise.intensity_sigma * rng.standard_normal()), 0.0)
-            ib = max(ib * (1.0 + noise.intensity_sigma * rng.standard_normal()), 0.0)
-        pairs[basis] = (float(ia), float(ib))
-    return TomographyRecord(hv=pairs[Basis.HV], da=pairs[Basis.DA], lr=pairs[Basis.LR])
+    pa = np.diagonal(_PORT_A_ROWS @ rho @ _PORT_A_ROWS.conj().T).real
+    intensities = np.stack([pa, 1.0 - pa], axis=1)
+    if noise is not None and noise.intensity_sigma > 0.0:
+        # Draw order I_A, I_B per basis, bases in SETTINGS order.
+        rng = np.random.default_rng(noise.rng_seed)
+        intensities = np.maximum(intensities * (1.0 + noise.intensity_sigma * rng.standard_normal((3, 2))), 0.0)
+    hv, da, lr = (tuple(row) for row in intensities.tolist())
+    return TomographyRecord(hv=hv, da=da, lr=lr)
 
 
 def probabilities(rec: TomographyRecord) -> dict:
     """Per-basis (P_A, P_B) with P_A = I_A / (I_A + I_B); P_A + P_B = 1 exactly."""
     out = {}
-    for basis in Basis:
-        ia, ib = rec.pair(basis)
+    for basis, (ia, ib) in zip(Basis, (rec.hv, rec.da, rec.lr)):
         total = ia + ib
         if total <= 0.0:
             raise ValueError(f"zero total intensity in basis {basis.value}")
@@ -122,38 +115,29 @@ def reconstruct(rec: TomographyRecord) -> Reconstruction:
     pure state a few ulp above 1, intensity noise moves it by far more.
     """
     probs = probabilities(rec)
-    r = np.array(
-        [
-            probs[Basis.DA][0] - probs[Basis.DA][1],
-            probs[Basis.LR][0] - probs[Basis.LR][1],
-            probs[Basis.HV][0] - probs[Basis.HV][1],
-        ]
-    )
+    r = np.array([probs[b][0] - probs[b][1] for b in (Basis.DA, Basis.LR, Basis.HV)])
     norm = float(np.linalg.norm(r))
     if norm > 1.0:
         r = r / norm
-    return Reconstruction(
-        rho=density_from_bloch(r),
-        bloch=r,
-        purity=float(np.linalg.norm(r)),
-        clamped=norm > 1.0 + 1e-12,
-    )
+    return Reconstruction(rho=density_from_bloch(r), bloch=r, purity=float((1.0 + r @ r) / 2.0),
+                          clamped=norm > 1.0 + 1e-12)
+
+
+def _det2(m) -> float:
+    return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of two qubit states
+    in closed form, Tr(rho sigma) + 2 sqrt(det rho det sigma), clamped to [0, 1].
 
     F is not Lipschitz where an argument is rank deficient: the square root
-    of a round-off eigenvalue of order 1e-16 is of order 1e-8, so a 1e-16
+    of a round-off determinant of order 1e-16 is of order 1e-8, so a 1e-16
     change of a near-pure input can move F by about 1e-8.
     """
-    rho = assert_density_matrix(rho)
-    sigma = assert_density_matrix(sigma)
-    w, v = eig_hermitian(rho)
-    sqrt_rho = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
-    inner = sqrt_rho @ sigma @ sqrt_rho
-    w_inner, _ = eig_hermitian(inner)
-    value = float(np.sum(np.sqrt(np.clip(w_inner, 0.0, None))) ** 2)
+    rho = assert_density_matrix(as_cmat(rho, 2))
+    sigma = assert_density_matrix(as_cmat(sigma, 2))
+    value = float(np.trace(rho @ sigma).real + 2.0 * np.sqrt(max(_det2(rho) * _det2(sigma), 0.0)))
     return min(max(value, 0.0), 1.0)
 
 

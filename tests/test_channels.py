@@ -193,7 +193,7 @@ def test_choi_detects_non_cp_maps():
 
 
 def test_channel_json_round_trip():
-    ch = builtin_channel("BPF", 0.3, label="bpf-third")
+    ch = KrausChannel(builtin_channel("BPF", 0.3).ops, "bpf-third")
     back = channel_from_json(channel_to_json(ch))
     assert back.label == "bpf-third"
     assert len(back.ops) == len(ch.ops)

@@ -241,6 +241,41 @@ def test_validate_unparseable_file(tmp_path):
     assert run(["validate", "--kraus-file", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "decompose", "simulate"])
+@pytest.mark.parametrize("payload", [
+    {"kraus": [[1, 0], [0, 1]]},
+    [1, 2],
+    {"kraus": "x"},
+    {"kraus": [[[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]]]},
+    {"kraus": [[[[1, 0, 5, 6], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]]},
+    {"kraus": 5},
+], ids=["op-not-a-grid", "not-an-object", "kraus-a-string", "three-number-entry", "four-number-entries",
+        "kraus-a-number"])
+def test_malformed_kraus_file_is_a_parse_error(command, payload, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    assert run([command, "--kraus-file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot load Kraus file:")
+
+
+@pytest.mark.parametrize("kind, lam, phi, noise", [
+    ("AD", "0.3", "22.5", []),
+    ("BPF", "0.6", "10", ["--visibility", "0.93", "--intensity-sigma", "0.02"]),
+    ("PD", "0.45", "35", ["--intensity-sigma", "0.05"]),
+])
+def test_simulate_matches_first_sweep_row(kind, lam, phi, noise, capsys):
+    common = ["--channel", kind, "--phi-deg", phi, *noise, "--seed", "11"]
+    assert run(["simulate", "--lambda", lam, *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert run(["sweep", "--lambda-grid", f"{lam},1", *common]) == 0
+    row = _sweep_rows_from_csv(capsys.readouterr().out)[0]
+    assert f"fidelity vs Kraus oracle: {row['fidelity_sim_vs_oracle']:.10f}" in lines
+    assert any(line.startswith(f"coherence c_l1={row['c_l1_sim']:.10f} c_max={row['c_max_sim']:.10f} ")
+               for line in lines)
+
+
 def test_config_file_and_env_override(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("channel=AD\nlambda_grid=0,0.5\nphi_deg=22.5\noutdir=" + str(tmp_path / "from_cfg") + "\n")

@@ -378,9 +378,9 @@ def test_fit_plan_stage_one_stops_at_first_exact_candidate(monkeypatch):
 
     calls = []
 
-    def counting_plan_to_channel(plan, label=""):
+    def counting_plan_to_channel(plan):
         calls.append(plan)
-        return plan_to_channel(plan, label)
+        return plan_to_channel(plan)
 
     monkeypatch.setattr(decompose, "plan_to_channel", counting_plan_to_channel)
     ch = random_kraus_pair_channel(np.random.default_rng(37))

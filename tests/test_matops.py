@@ -7,10 +7,10 @@ from qchansim.matops import (
     PAULI_X,
     PAULI_Z,
     Q0,
+    assert_density_matrix,
     bloch_vector,
     dagger,
     density_from_bloch,
-    eig_hermitian,
     phase_invariant_distance,
     svd3,
 )
@@ -41,46 +41,6 @@ def test_phase_invariant_distance_kills_global_phase():
 def test_phase_invariant_distance_rejects_nonunitary():
     with pytest.raises(ValueError):
         phase_invariant_distance(ID2, 1.1 * ID2)
-
-
-def test_eig_hermitian_examples():
-    w, _ = eig_hermitian(PAULI_Z)
-    assert np.allclose(w, [-1.0, 1.0])
-    w, _ = eig_hermitian((ID2 + PAULI_X) / 2.0)
-    assert np.allclose(w, [0.0, 1.0], atol=1e-12)
-
-
-def test_eig_hermitian_choi_of_amplitude_damping():
-    # Brute-force Choi of the lam = 0.5 damping channel, then its spectrum.
-    k0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
-    k1 = np.array([[0.0, np.sqrt(0.5)], [0.0, 0.0]], dtype=complex)
-    choi = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            choi += np.kron(e, k0 @ e @ dagger(k0) + k1 @ e @ dagger(k1))
-    w, v = eig_hermitian(choi)
-    assert np.allclose(np.linalg.eigvalsh(choi), w)
-    assert np.allclose(w, [0.0, 0.0, 0.5, 1.5], atol=1e-12)
-    recon = sum(w[i] * np.outer(v[:, i], v[:, i].conj()) for i in range(4))
-    assert np.linalg.norm(recon - choi) <= 1e-10
-
-
-def test_eig_hermitian_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eig_hermitian_reconstruction_random():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = a + dagger(a)
-        w, v = eig_hermitian(h)
-        assert np.all(np.diff(w) >= -1e-12)
-        recon = (v * w) @ dagger(v)
-        assert np.linalg.norm(recon - h) <= 1e-10 * max(1.0, np.linalg.norm(h))
 
 
 def test_svd3_identity_and_diagonal():
@@ -130,4 +90,4 @@ def test_finite_check_accepts_noncontiguous_views():
     u = np.array([[0.6 + 0.8j, 0.0], [0.0, 1.0]], dtype=complex)
     assert phase_invariant_distance(dagger(u), u.conj().T) <= 1e-12
     with pytest.raises(ValueError):
-        eig_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+        assert_density_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density
+from conftest import haar_unitary, random_density, random_pure
 from qchansim.circuit import NoiseParams
 from qchansim.matops import ID2, bloch_vector, dagger, density_from_bloch
 from qchansim.tomography import (
     Basis,
-    SETTINGS,
     TomographyRecord,
     coherence,
     fidelity,
     forward_intensities,
-    port_a_probability,
     probabilities,
     reconstruct,
     reconstruction_to_json,
@@ -33,9 +31,12 @@ def test_settings_project_on_named_states():
     rng = np.random.default_rng(50)
     for _ in range(50):
         rho = random_density(rng)
-        for basis, ket in PORT_A_STATES.items():
+        rec = forward_intensities(rho)
+        for basis, pair in zip(Basis, (rec.hv, rec.da, rec.lr)):
+            ket = PORT_A_STATES[basis]
             direct = float(np.real(ket.conj() @ rho @ ket))
-            assert port_a_probability(rho, SETTINGS[basis]) == pytest.approx(direct, abs=1e-12)
+            assert pair[0] == pytest.approx(direct, abs=1e-12)
+            assert pair[1] == pytest.approx(1.0 - direct, abs=1e-12)
 
 
 def test_forward_intensities_h_state():
@@ -93,6 +94,15 @@ def test_reconstruct_clamps_unphysical_records():
     assert rec.purity == pytest.approx(1.0)
 
 
+def test_reconstruction_purity_is_trace_of_rho_squared():
+    rec = reconstruct(forward_intensities(density_from_bloch([0.0, 0.0, 0.6])))
+    assert rec.purity == pytest.approx(0.68, abs=1e-12)
+    rng = np.random.default_rng(57)
+    for _ in range(50):
+        rec = reconstruct(forward_intensities(random_density(rng)))
+        assert rec.purity == pytest.approx(np.trace(rec.rho @ rec.rho).real, abs=1e-12)
+
+
 def test_noisy_reconstruction_never_leaves_ball():
     rng = np.random.default_rng(52)
     for seed in range(200):
@@ -122,6 +132,29 @@ def test_fidelity_symmetry_and_unitary_invariance():
 def test_fidelity_rejects_invalid_input():
     with pytest.raises(ValueError):
         fidelity(np.eye(2), KET_H)
+    with pytest.raises(ValueError):
+        fidelity(np.eye(4) / 4.0, np.eye(4) / 4.0)
+
+
+def _uhlmann_reference(rho, sigma):
+    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 from two Hermitian eigensolves."""
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ dagger(v)
+    w_inner = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
+    return min(max(float(np.sum(np.sqrt(np.clip(w_inner, 0.0, None))) ** 2), 0.0), 1.0)
+
+
+def test_fidelity_closed_form_matches_uhlmann_reference():
+    rng = np.random.default_rng(58)
+    for _ in range(1000):
+        rho, sigma = random_density(rng), random_density(rng)
+        assert abs(fidelity(rho, sigma) - _uhlmann_reference(rho, sigma)) <= 1e-12
+    # With a pure argument the reference takes the square root of a
+    # round-off eigenvalue, so it is itself only good to about 1e-8.
+    for _ in range(1000):
+        pure, mixed = random_pure(rng), random_density(rng)
+        assert abs(fidelity(pure, mixed) - _uhlmann_reference(pure, mixed)) <= 1e-7
+        assert abs(fidelity(mixed, pure) - _uhlmann_reference(mixed, pure)) <= 1e-7
 
 
 def test_coherence_examples():
