@@ -32,7 +32,6 @@ from .matops import (
     H0,
     ID2,
     PAULI_X,
-    as_cmat,
     assert_density_matrix,
     dagger,
     phase_invariant_distance,
@@ -115,7 +114,7 @@ def apply_noise(rho4, visibility: float, arms: str = "pol") -> np.ndarray:
     if arms not in ("pol", "mode"):
         raise ValueError("arms must be 'pol' or 'mode'")
     mask = _POL_DIAG_MASK if arms == "pol" else _MODE_DIAG_MASK
-    return _scale_coherences(assert_density_matrix(as_cmat(rho4, 4), tol=1e-9), mask, visibility)
+    return _scale_coherences(assert_density_matrix(rho4, tol=1e-9, dim=4), mask, visibility)
 
 
 def _scale_coherences(rho4: np.ndarray, mask: np.ndarray, factor: float) -> np.ndarray:
@@ -123,83 +122,116 @@ def _scale_coherences(rho4: np.ndarray, mask: np.ndarray, factor: float) -> np.n
     return np.where(mask, rho4, factor * rho4)
 
 
-def _branch_stages(rho_in, branch: QuasiExtremeBranch, visibility: float = 1.0):
-    """Yield (stage label, 4x4 operator) through the branch circuit.
+def _conjugate(op, rho: np.ndarray) -> np.ndarray:
+    """``op rho op^dag`` for every member of a working stack ``(n, 4, m, 4)``
+    (row, member, column), with ``op`` one 4x4 or one per branch ``(n, 4, 4)``.
 
-    ``rho_in`` is a 2x2 system operator or a stack ``(..., 2, 2)`` of them;
-    every stage acts on the whole stack.  Both TBS ports are kept; after the
+    In this layout the m members side by side are one 4 x 4m matrix, and
+    stacked they are one 4m x 4 matrix, so each side is one product per branch.
+    """
+    n, _, m, _ = rho.shape
+    rho = (op @ rho.reshape(n, 4, 4 * m)).reshape(n, 4 * m, 4) @ dagger(op)
+    return rho.reshape(n, 4, m, 4)
+
+
+def _branch_stages(rho_in, branches, visibility: float = 1.0):
+    """Yield (stage label, states) through the circuits of a sequence of n branches.
+
+    ``rho_in`` is a 2x2 system operator or a stack ``(m, 2, 2)`` of them, and
+    every branch acts on each: a stage's states are ``(n, 4, 4)`` or
+    ``(n, m, 4, 4)``, branch first.  Both TBS ports are kept; after the
     feed-forward they are summed into a single nonselective state.
     """
     rho_in = np.asarray(rho_in, dtype=complex)
-    rho = np.einsum("...pq,mn->...pmqn", rho_in, _MODE_H).reshape(rho_in.shape[:-2] + (4, 4))
-    yield "input", rho
+    stack = rho_in.reshape(-1, 2, 2)
+    n, m = len(branches), len(stack)
 
-    upre = np.kron(branch.Uprime, ID2)
-    rho = upre @ rho @ dagger(upre)
-    yield "system_pre_unitary", rho
+    def states(rho):
+        """A view of the (n, 4, m, 4) working stack in the layout documented above."""
+        return rho[:, :, 0] if rho_in.ndim == 2 else rho.transpose(0, 2, 1, 3)
 
-    g1 = np.kron(ID2, ry_rotation(branch.gamma1))
-    rho = g1 @ rho @ dagger(g1)
-    yield "ancilla_rotation_1", rho
+    def lift(pol, mode):
+        """pol (x) mode, polarization first, from 2x2 factors or stacks (n, 2, 2) of them."""
+        return np.einsum("...pq,...rs->...prqs", pol, mode).reshape(n, 4, 4)
 
-    rho = _CNOT @ rho @ _CNOT
+    rho = np.einsum("bpq,rs->prbqs", stack, _MODE_H).reshape(4, m, 4)
+    rho = np.broadcast_to(rho, (n, 4, m, 4))
+    yield "input", states(rho)
+
+    rho = _conjugate(lift(np.array([b.Uprime for b in branches]), ID2), rho)
+    yield "system_pre_unitary", states(rho)
+
+    rho = _conjugate(lift(ID2, ry_rotation(np.array([b.gamma1 for b in branches]))), rho)
+    yield "ancilla_rotation_1", states(rho)
+
+    rho = _conjugate(_CNOT, rho)
     if visibility < 1.0:
-        rho = _scale_coherences(rho, _POL_DIAG_MASK, visibility)
-    yield "cnot", rho
+        rho = _scale_coherences(rho, _POL_DIAG_MASK[:, None], visibility)
+    yield "cnot", states(rho)
 
-    g2 = np.kron(ID2, ry_rotation(branch.gamma2))
-    rho = g2 @ rho @ dagger(g2)
-    yield "ancilla_rotation_2", rho
+    rho = _conjugate(lift(ID2, ry_rotation(np.array([b.gamma2 for b in branches]))), rho)
+    yield "ancilla_rotation_2", states(rho)
 
-    rho_k = _TBS_K @ rho @ _TBS_K
-    rho_l = _TBS_L @ rho @ _TBS_L
+    rho_k = _conjugate(_TBS_K, rho)
+    rho_l = _conjugate(_TBS_L, rho)
     if visibility < 1.0:
         # Failed interference spills the mode-dephased state evenly into
         # both ports; the coherent part keeps weight = visibility.
-        spill = 0.5 * (1.0 - visibility) * _scale_coherences(rho, _MODE_DIAG_MASK, 0.0)
+        spill = 0.5 * (1.0 - visibility) * _scale_coherences(rho, _MODE_DIAG_MASK[:, None], 0.0)
         rho_k = visibility * rho_k + spill
         rho_l = visibility * rho_l + spill
-    if branch.conditional_x:
-        rho_l = _FEED_FORWARD @ rho_l @ _FEED_FORWARD
-    rho = rho_k + rho_l
-    yield "tbs_and_feedforward", rho
+    conditional_x = np.array([b.conditional_x for b in branches])[:, None, None, None]
+    rho = rho_k + np.where(conditional_x, _conjugate(_FEED_FORWARD, rho_l), rho_l)
+    yield "tbs_and_feedforward", states(rho)
 
-    upost = np.kron(branch.U, ID2)
-    rho = upost @ rho @ dagger(upost)
-    yield "system_post_unitary", rho
+    rho = _conjugate(lift(np.array([b.U for b in branches]), ID2), rho)
+    yield "system_post_unitary", states(rho)
 
 
-def _readout(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None) -> np.ndarray:
-    """Run every stage of one branch and trace out the mode."""
+def _readout(rho_in, branches, noise: NoiseParams | None) -> np.ndarray:
+    """Run every stage of n branches and trace out the mode: ``(n, 2, 2)`` or ``(n, m, 2, 2)``."""
     visibility = 1.0 if noise is None else noise.visibility
-    for _, final in _branch_stages(rho_in, branch, visibility):
+    for _, final in _branch_stages(rho_in, branches, visibility):
         pass
     return np.trace(final.reshape(final.shape[:-2] + (2, 2, 2, 2)), axis1=-3, axis2=-1)
 
 
 def run_branch(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None = None) -> np.ndarray:
     """Run one branch; returns the 2x2 system state after ancilla readout."""
-    return _readout(assert_density_matrix(rho_in), branch, noise)
+    return _readout(assert_density_matrix(rho_in), [branch], noise)[0]
 
 
-def compile_plan(plan: DecompositionPlan, noise: NoiseParams | None = None) -> np.ndarray:
-    """The 4x4 transfer matrix of the circuit: vec(rho_out) = S vec(rho_in).
+def compile_plan(plan, noise: NoiseParams | None = None) -> np.ndarray:
+    """The 4x4 transfer matrix of the circuit, vec(rho_out) = S vec(rho_in),
+    of one plan; a sequence of n plans gives the stack ``(n, 4, 4)``.
 
     Column ``2 i + j`` of ``S`` is the row-major vec of the circuit's image
     of ``|i><j|``, mixed over the branches as p * branch_a + (1 - p) * branch_b.
+    The branches of every plan run through the stages as one stack.
     """
-    s = np.zeros((4, 4), dtype=complex)
-    for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)):
-        if branch is None or weight == 0.0:
-            continue
-        s += weight * _readout(_BASIS_OPS, branch, noise).reshape(4, 4).T
-    return s
+    single = isinstance(plan, DecompositionPlan)
+    plans = (plan,) if single else plan
+    runs = [
+        (row, weight, branch)
+        for row, member in enumerate(plans)
+        for branch, weight in ((member.branch_a, member.p), (member.branch_b, 1.0 - member.p))
+        if branch is not None and weight != 0.0
+    ]
+    rows, weights, branches = zip(*runs)
+    images = _readout(_BASIS_OPS, branches, noise).reshape(-1, 4, 4).swapaxes(-1, -2)
+    s = np.zeros((len(plans), 4, 4), dtype=complex)
+    # Runs come in plan order, branch a first, so each S sums as 0 + p * a + (1 - p) * b.
+    np.add.at(s, list(rows), np.asarray(weights)[:, None, None] * images)
+    return s[0] if single else s
 
 
-def simulate_channel(rho_in, plan: DecompositionPlan, noise: NoiseParams | None = None) -> np.ndarray:
-    """Apply the plan's compiled circuit: p * branch_a + (1 - p) * branch_b."""
-    rho_in = assert_density_matrix(rho_in)
-    return (compile_plan(plan, noise) @ rho_in.reshape(4)).reshape(2, 2)
+def simulate_channel(rho_in, plan, noise: NoiseParams | None = None) -> np.ndarray:
+    """Apply the compiled circuit, p * branch_a + (1 - p) * branch_b, of one
+    plan; a sequence of n plans gives the stack ``(n, 2, 2)`` of outputs."""
+    rho_in = assert_density_matrix(rho_in, dim=2)
+    single = isinstance(plan, DecompositionPlan)
+    out = (compile_plan([plan] if single else plan, noise) @ rho_in.reshape(4)).reshape(-1, 2, 2)
+    return out[0] if single else out
 
 
 def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -30,9 +29,9 @@ import numpy as np
 from .channels import (
     ChannelKind,
     KrausChannel,
-    apply_channel,
     builtin_channel,
     channel_from_json,
+    transfer,
     validate_channel,
 )
 from .circuit import NoiseParams, gates_for_branch, prepare_initial, simulate_channel
@@ -160,14 +159,21 @@ def _noise_from(args, config) -> NoiseParams | None:
     return None if visibility == 1.0 and sigma == 0.0 else noise
 
 
+def _kraus_file(args, config) -> str | None:
+    """The resolved --kraus-file path, or None; with --channel or --lambda it is a parse error."""
+    kraus_file = _resolve(args, "kraus_file", config)
+    if kraus_file is not None:
+        for key in ("channel", "lambda"):
+            if _resolve(args, key, config) is not None:
+                raise CliError(EXIT_PARSE, f"--kraus-file and --{key} are mutually exclusive")
+    return kraus_file
+
+
 def _load_kraus_file(args, config) -> KrausChannel | None:
     """The channel in the resolved --kraus-file, or None when none is set."""
-    kraus_file = _resolve(args, "kraus_file", config)
+    kraus_file = _kraus_file(args, config)
     if kraus_file is None:
         return None
-    for key in ("channel", "lambda"):
-        if _resolve(args, key, config) is not None:
-            raise CliError(EXIT_PARSE, f"--kraus-file and --{key} are mutually exclusive")
     try:
         return channel_from_json(Path(kraus_file).read_text())
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -280,10 +286,15 @@ def _prepared_state(args, config) -> np.ndarray:
     return prepare_initial(np.deg2rad(_as_float(_resolve(args, "phi_deg", config, 22.5), "phi_deg")))
 
 
-def _measure(rho_in, plan: DecompositionPlan, ch: KrausChannel, noise: NoiseParams | None) -> tuple:
-    """Circuit, Kraus oracle and tomography at one point: (rho_sim, rho_oracle, reconstruction, fidelity)."""
-    rho_sim = simulate_channel(rho_in, plan, noise=noise)
-    rho_oracle = apply_channel(ch, rho_in)
+def _measure(rho_in, plans, oracles, noise: NoiseParams | None) -> tuple:
+    """Circuit, Kraus oracle and tomography at n points, each a stack over the
+    points: (rho_sim, rho_oracle, reconstruction, fidelity).
+
+    ``oracles`` holds the n transfer matrices of the target channels.  Point
+    i draws its intensity noise from seed + i.
+    """
+    rho_sim = simulate_channel(rho_in, plans, noise=noise)
+    rho_oracle = (oracles @ rho_in.reshape(4)).reshape(-1, 2, 2)
     recon = reconstruct(forward_intensities(rho_sim, noise=noise))
     return rho_sim, rho_oracle, recon, fidelity(recon.rho, rho_oracle)
 
@@ -293,7 +304,8 @@ def cmd_simulate(args) -> int:
     rho_in = _prepared_state(args, config)
     noise = _noise_from(args, config)
     ch, plan, _ = _channel_source(args, config)
-    rho_sim, _, recon, fid = _measure(rho_in, plan, ch, noise)
+    rho_sim, _, recon, fid = _measure(rho_in, [plan], transfer(ch)[None], noise)
+    rho_sim, recon, fid = rho_sim[0], recon[0], fid[0]
     coh = coherence(recon.rho)
     # + 0.0 turns a round-off -0.0 into 0.0.
     print(f"bloch (reconstructed): {(np.round(recon.bloch, 10) + 0.0).tolist()}")
@@ -307,41 +319,38 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+SWEEP_COLUMNS = ("lambda", "c_l1_sim", "c_max_sim", "c_l1_oracle", "c_max_oracle", "fidelity_sim_vs_oracle")
+# Grid rows per stacked pass.  Each stage stack of a pass takes about 1 KB
+# per row, so the block bounds the working memory of a long grid.
+SWEEP_BLOCK = 64
+
+
 def _sweep_rows(kind: ChannelKind, grid, rho_in, noise: NoiseParams | None):
+    """One row per grid value, measured in stacked passes of at most SWEEP_BLOCK rows."""
     rows = []
-    for index, lam in enumerate(grid):
-        row_noise = None if noise is None else replace(noise, rng_seed=noise.rng_seed + index)
-        _, rho_oracle, recon, fid = _measure(rho_in, closed_form_plan(kind, lam), builtin_channel(kind, lam), row_noise)
+    for start in range(0, len(grid), SWEEP_BLOCK):
+        block = grid[start : start + SWEEP_BLOCK]
+        block_noise = None if noise is None else replace(noise, rng_seed=noise.rng_seed + start)
+        plans = [closed_form_plan(kind, lam) for lam in block]
+        oracles = np.array([transfer(builtin_channel(kind, lam)) for lam in block])
+        _, rho_oracle, recon, fid = _measure(rho_in, plans, oracles, block_noise)
         c_sim = coherence(recon.rho)
         c_oracle = coherence(rho_oracle)
-        rows.append(
-            {
-                "lambda": float(lam),
-                "c_l1_sim": c_sim.c_l1,
-                "c_max_sim": c_sim.c_max,
-                "c_l1_oracle": c_oracle.c_l1,
-                "c_max_oracle": c_oracle.c_max,
-                "fidelity_sim_vs_oracle": fid,
-            }
-        )
+        cells = np.column_stack([c_sim.c_l1, c_sim.c_max, c_oracle.c_l1, c_oracle.c_max, fid]).tolist()
+        rows.extend(dict(zip(SWEEP_COLUMNS, (float(lam), *values))) for lam, values in zip(block, cells))
     return rows
 
 
-SWEEP_COLUMNS = ("lambda", "c_l1_sim", "c_max_sim", "c_l1_oracle", "c_max_oracle", "fidelity_sim_vs_oracle")
-
-
-def _sweep_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_sweep_csv(fh, rows) -> None:
+    """Write the sweep CSV row by row, so no second copy of a long sweep is held."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([repr(row[c]) for c in SWEEP_COLUMNS])
-    return buf.getvalue()
+    writer.writerows([repr(row[c]) for c in SWEEP_COLUMNS] for row in rows)
 
 
 def cmd_sweep(args) -> int:
     config = _read_config(args.config) if args.config else {}
-    if _load_kraus_file(args, config) is not None:
+    if _kraus_file(args, config) is not None:
         raise CliError(EXIT_PARSE, "sweep takes --channel, not --kraus-file")
     if _resolve(args, "lambda", config) is not None:
         raise CliError(EXIT_PARSE, "sweep takes --lambda-grid, not --lambda")
@@ -360,17 +369,17 @@ def cmd_sweep(args) -> int:
         if fmt not in ("csv", "json"):
             raise CliError(EXIT_PARSE, f"unknown output format {fmt!r}")
     rows = _sweep_rows(kind, grid, rho_in, noise)
-    csv_text = _sweep_csv(rows)
     outdir = _outdir(args, config)
-    if outdir is not None:
-        if "csv" in formats:
-            _write(outdir, "sweep.csv", csv_text)
-            print(f"wrote {outdir / 'sweep.csv'}")
-        if "json" in formats:
-            _write(outdir, "sweep.json", json.dumps(rows, sort_keys=True))
-            print(f"wrote {outdir / 'sweep.json'}")
-    else:
-        sys.stdout.write(csv_text)
+    if outdir is None:
+        _write_sweep_csv(sys.stdout, rows)
+        return EXIT_OK
+    if "csv" in formats:
+        with open(outdir / "sweep.csv", "w", newline="\n") as fh:
+            _write_sweep_csv(fh, rows)
+        print(f"wrote {outdir / 'sweep.csv'}")
+    if "json" in formats:
+        _write(outdir, "sweep.json", json.dumps(rows, sort_keys=True))
+        print(f"wrote {outdir / 'sweep.json'}")
     return EXIT_OK
 
 

@@ -140,6 +140,14 @@ class DecompositionPlan:
             raise ValueError("branch_b is required whenever p < 1")
 
 
+# The lambda-independent branches of the PF and BPF plans, built once.
+_IDENTITY_BRANCH = QuasiExtremeBranch.from_alpha_beta(0.0, 0.0)
+_FLIP_BRANCHES = {
+    ChannelKind.PF: QuasiExtremeBranch.from_alpha_beta(np.pi, 0.0),
+    ChannelKind.BPF: QuasiExtremeBranch.from_alpha_beta(np.pi / 2.0, np.pi / 2.0, U=U_BPF),
+}
+
+
 def closed_form_plan(kind: ChannelKind | str, lam: float) -> DecompositionPlan:
     """Decomposition parameters of the five named channels.
 
@@ -161,12 +169,7 @@ def closed_form_plan(kind: ChannelKind | str, lam: float) -> DecompositionPlan:
             alpha, beta, conditional_x=kind is not ChannelKind.PD
         )
         return DecompositionPlan(branch_a=branch, branch_b=None, p=1.0)
-    identity = QuasiExtremeBranch.from_alpha_beta(0.0, 0.0)
-    if kind is ChannelKind.PF:
-        flip = QuasiExtremeBranch.from_alpha_beta(np.pi, 0.0)
-    else:
-        flip = QuasiExtremeBranch.from_alpha_beta(np.pi / 2.0, np.pi / 2.0, U=U_BPF)
-    return DecompositionPlan(branch_a=flip, branch_b=identity, p=float(lam))
+    return DecompositionPlan(branch_a=_FLIP_BRANCHES[kind], branch_b=_IDENTITY_BRANCH, p=float(lam))
 
 
 def plan_to_channel(plan: DecompositionPlan) -> KrausChannel:

@@ -14,27 +14,29 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_STACK = np.array(PAULIS)
 
 # Jones matrices of a quarter- and half-wave plate with horizontal fast axis.
 Q0 = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 H0 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def as_cmat(m, dim: int | None = None) -> np.ndarray:
-    """Coerce to a square complex array with finite entries."""
+def as_cmat(m, dim: int | None = None, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex array with finite entries; with ``stack``,
+    to a stack ``(..., d, d)`` of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if dim is not None and a.shape[0] != dim:
+    if dim is not None and a.shape[-1] != dim:
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
 
 def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
+    """Conjugate transpose; of every member of a stack ``(..., d, d)``."""
+    return np.asarray(m, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def frob_dist(a, b) -> float:
@@ -60,11 +62,6 @@ def phase_invariant_distance(u, v) -> float:
         raise ValueError("phase_invariant_distance requires unitary inputs")
     phase = np.exp(-1j * np.angle(np.trace(dagger(u) @ v)))
     return frob_dist(u, phase * v)
-
-
-def hermiticity_residual(m) -> float:
-    m = as_cmat(m)
-    return frob_dist(m, dagger(m))
 
 
 def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,29 +107,38 @@ def pairs_to_complex(rows) -> np.ndarray:
 
 
 def bloch_vector(rho) -> np.ndarray:
-    """Bloch vector of a 2x2 Hermitian operator: r_i = Tr(sigma_i rho)."""
-    rho = as_cmat(rho, 2)
-    return np.array([np.trace(p @ rho).real for p in PAULIS])
+    """Bloch vector of a 2x2 Hermitian operator, r_i = Tr(sigma_i rho); a
+    stack ``(..., 2, 2)`` gives ``(..., 3)``."""
+    return np.einsum("kij,...ji->...k", _PAULI_STACK, as_cmat(rho, 2, stack=True)).real
 
 
 def density_from_bloch(r) -> np.ndarray:
-    """rho = (I + r . sigma) / 2; requires ||r|| <= 1 + 1e-10."""
+    """rho = (I + r . sigma) / 2; requires ||r|| <= 1 + 1e-10.  A stack
+    ``(..., 3)`` of Bloch vectors gives ``(..., 2, 2)``."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3,):
+    if r.ndim == 0 or r.shape[-1] != 3:
         raise ValueError("Bloch vector must have 3 real components")
-    if np.linalg.norm(r) > 1.0 + 1e-10:
-        raise ValueError(f"Bloch vector length {np.linalg.norm(r):.6g} exceeds 1")
-    return (ID2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2.0
+    length = np.linalg.norm(r, axis=-1)
+    if length.max() > 1.0 + 1e-10:
+        raise ValueError(f"Bloch vector length {length.max():.6g} exceeds 1")
+    x, y, z = (r[..., i, None, None] for i in range(3))
+    return (ID2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
 
 
-def assert_density_matrix(rho, tol: float = 1e-8) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; return the coerced array."""
-    rho = as_cmat(rho)
-    if hermiticity_residual(rho) > tol:
+def assert_density_matrix(rho, tol: float = 1e-8, dim: int | None = None) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a state or of every
+    member of a stack ``(..., d, d)``; return the coerced array.
+
+    A stack takes one ``eigvalsh`` call, and one bad member rejects it.
+    """
+    rho = as_cmat(rho, dim, stack=True)
+    rho_dag = dagger(rho)
+    if np.linalg.norm(rho - rho_dag, axis=(-2, -1)).max() > tol:
         raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if abs(trace.real - 1.0).max() > tol or abs(trace.imag).max() > tol:
         raise ValueError("density matrix must have unit trace")
-    w = np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)
-    if w.min() < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w.min():.3g}")
+    w = np.linalg.eigvalsh((rho + rho_dag) / 2.0).min()
+    if w < -tol:
+        raise ValueError(f"density matrix has negative eigenvalue {w:.3g}")
     return rho

@@ -35,9 +35,10 @@ from .matops import (
 GATE_TARGETS = {"QWP": "pol", "HWP": "pol", "DP": "mode", "TBS": "mode", "CNOT": "both", "CONDX": "both"}
 
 
-def rot2(theta: float) -> np.ndarray:
+def rot2(theta) -> np.ndarray:
+    """The rotation by ``theta``; an array of angles gives a stack ``(..., 2, 2)``."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
 def qwp(eta: float) -> np.ndarray:
@@ -125,7 +126,7 @@ def waveplates_from_euler(e: EulerAngles) -> WaveplateTriple:
     )
 
 
-def ry_rotation(gamma: float) -> np.ndarray:
+def ry_rotation(gamma) -> np.ndarray:
     """Ancilla rotation in the SU(2) half-angle convention,
     [[cos(g/2), -sin(g/2)], [sin(g/2), cos(g/2)]]."""
     return rot2(gamma / 2.0)

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .circuit import NoiseParams
-from .matops import as_cmat, assert_density_matrix, bloch_vector, complex_to_pairs, density_from_bloch
+from .matops import assert_density_matrix, bloch_vector, complex_to_pairs, density_from_bloch
 from .optics import hwp, qwp
 
 
@@ -55,7 +55,8 @@ _PORT_A_ROWS = np.array([(hwp(s.theta_h) @ qwp(s.theta_q))[0] for s in SETTINGS.
 
 @dataclass(frozen=True)
 class TomographyRecord:
-    """Detected intensities (I_A, I_B) for each of the three bases."""
+    """Detected intensities (I_A, I_B) for each of the three bases; for a
+    stack of n states each field is an ``(n, 2)`` array."""
 
     hv: tuple
     da: tuple
@@ -64,7 +65,7 @@ class TomographyRecord:
 
 @dataclass(frozen=True)
 class CoherencePair:
-    """l1-norm coherence and its unitary maximum (the Bloch length)."""
+    """l1-norm coherence and its unitary maximum (the Bloch length); arrays for a stack."""
 
     c_l1: float
     c_max: float
@@ -72,81 +73,109 @@ class CoherencePair:
 
 @dataclass(frozen=True)
 class Reconstruction:
+    """A reconstructed state; for a stack every field gains a leading axis of length n."""
+
     rho: np.ndarray
     bloch: np.ndarray
     purity: float  # Tr rho^2 = (1 + |r|^2) / 2
     clamped: bool
 
+    def __getitem__(self, i) -> "Reconstruction":
+        """Member ``i`` of a stacked reconstruction."""
+        return Reconstruction(rho=self.rho[i], bloch=self.bloch[i], purity=float(self.purity[i]),
+                              clamped=bool(self.clamped[i]))
+
 
 def forward_intensities(rho, noise: NoiseParams | None = None) -> TomographyRecord:
-    """Model the six detected intensities for a state at unit total power.
+    """Model the six detected intensities for a state, or a stack ``(n, 2, 2)``
+    of states, at unit total power.
 
     With noise, each intensity picks up multiplicative Gaussian fluctuation
-    of relative width ``intensity_sigma``, seeded by ``rng_seed``, clamped at zero.
+    of relative width ``intensity_sigma``, clamped at zero.  Member i of a
+    stack draws from ``default_rng(rng_seed + i)``; one state is member 0.
     """
-    rho = assert_density_matrix(rho)
-    pa = np.diagonal(_PORT_A_ROWS @ rho @ _PORT_A_ROWS.conj().T).real
-    intensities = np.stack([pa, 1.0 - pa], axis=1)
+    rho = assert_density_matrix(rho, dim=2)
+    stack = rho.reshape(-1, 2, 2)
+    pa = np.diagonal(_PORT_A_ROWS @ stack @ _PORT_A_ROWS.conj().T, axis1=-2, axis2=-1).real
+    intensities = np.stack([pa, 1.0 - pa], axis=-1)
     if noise is not None and noise.intensity_sigma > 0.0:
         # Draw order I_A, I_B per basis, bases in SETTINGS order.
-        rng = np.random.default_rng(noise.rng_seed)
-        intensities = np.maximum(intensities * (1.0 + noise.intensity_sigma * rng.standard_normal((3, 2))), 0.0)
-    hv, da, lr = (tuple(row) for row in intensities.tolist())
+        draws = np.array([np.random.default_rng(noise.rng_seed + i).standard_normal((3, 2)) for i in range(len(stack))])
+        intensities = np.maximum(intensities * (1.0 + noise.intensity_sigma * draws), 0.0)
+    if rho.ndim == 2:
+        hv, da, lr = (tuple(row) for row in intensities[0].tolist())
+    else:
+        hv, da, lr = intensities.swapaxes(0, 1)
     return TomographyRecord(hv=hv, da=da, lr=lr)
 
 
+def _port_a_probabilities(rec: TomographyRecord) -> np.ndarray:
+    """P_A = I_A / (I_A + I_B) of each basis in Basis order: ``(3,)``, or ``(n, 3)`` for a stacked record."""
+    intensities = np.stack([rec.hv, rec.da, rec.lr], axis=-2)
+    total = intensities[..., 0] + intensities[..., 1]
+    dark = (total <= 0.0).reshape(-1, 3).any(axis=0)
+    if dark.any():
+        raise ValueError(f"zero total intensity in basis {list(Basis)[dark.argmax()].value}")
+    return intensities[..., 0] / total
+
+
 def probabilities(rec: TomographyRecord) -> dict:
-    """Per-basis (P_A, P_B) with P_A = I_A / (I_A + I_B); P_A + P_B = 1 exactly."""
-    out = {}
-    for basis, (ia, ib) in zip(Basis, (rec.hv, rec.da, rec.lr)):
-        total = ia + ib
-        if total <= 0.0:
-            raise ValueError(f"zero total intensity in basis {basis.value}")
-        pa = ia / total
-        out[basis] = (pa, 1.0 - pa)
-    return out
+    """Per-basis (P_A, P_B) with P_A = I_A / (I_A + I_B); P_A + P_B = 1 exactly.
+    A stacked record gives arrays."""
+    pa = _port_a_probabilities(rec).T
+    return {basis: (pa[i], 1.0 - pa[i]) for i, basis in enumerate(Basis)}
 
 
 def reconstruct(rec: TomographyRecord) -> Reconstruction:
-    """Linear Stokes inversion of a tomography record.
+    """Linear Stokes inversion of a tomography record, or of a stacked one.
 
     A Bloch vector outside the unit ball is rescaled onto the sphere.  The
     clamp is flagged only for a norm above 1 + 1e-12: round-off leaves a
     pure state a few ulp above 1, intensity noise moves it by far more.
     """
-    probs = probabilities(rec)
-    r = np.array([probs[b][0] - probs[b][1] for b in (Basis.DA, Basis.LR, Basis.HV)])
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0:
-        r = r / norm
-    return Reconstruction(rho=density_from_bloch(r), bloch=r, purity=float((1.0 + r @ r) / 2.0),
-                          clamped=norm > 1.0 + 1e-12)
+    pa = _port_a_probabilities(rec)
+    # r_x, r_y, r_z are the differences P_A - P_B of the DA, LR and HV bases.
+    r = (pa - (1.0 - pa))[..., [1, 2, 0]]
+    stack = r.reshape(-1, 3)
+    norm = np.linalg.norm(stack, axis=-1)
+    stack = stack / np.maximum(norm, 1.0)[:, None]
+    r_squared = (stack[:, None, :] @ stack[:, :, None])[:, 0, 0]
+    out = Reconstruction(rho=density_from_bloch(stack), bloch=stack, purity=(1.0 + r_squared) / 2.0,
+                         clamped=norm > 1.0 + 1e-12)
+    return out[0] if r.ndim == 1 else out
 
 
-def _det2(m) -> float:
-    return (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+def _det2(m) -> np.ndarray:
+    return (m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]).real
 
 
-def fidelity(rho, sigma) -> float:
+def fidelity(rho, sigma):
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of two qubit states
     in closed form, Tr(rho sigma) + 2 sqrt(det rho det sigma), clamped to [0, 1].
+    Two stacks ``(n, 2, 2)`` give the ``(n,)`` fidelities of their members.
 
     F is not Lipschitz where an argument is rank deficient: the square root
     of a round-off determinant of order 1e-16 is of order 1e-8, so a 1e-16
     change of a near-pure input can move F by about 1e-8.
     """
-    rho = assert_density_matrix(as_cmat(rho, 2))
-    sigma = assert_density_matrix(as_cmat(sigma, 2))
-    value = float(np.trace(rho @ sigma).real + 2.0 * np.sqrt(max(_det2(rho) * _det2(sigma), 0.0)))
-    return min(max(value, 0.0), 1.0)
+    rho = assert_density_matrix(rho, dim=2)
+    sigma = assert_density_matrix(sigma, dim=2)
+    a, b = rho.reshape(-1, 2, 2), sigma.reshape(-1, 2, 2)
+    value = np.trace(a @ b, axis1=-2, axis2=-1).real + 2.0 * np.sqrt(np.maximum(_det2(a) * _det2(b), 0.0))
+    value = np.minimum(np.maximum(value, 0.0), 1.0)
+    return float(value[0]) if rho.ndim == sigma.ndim == 2 else value
 
 
 def coherence(rho) -> CoherencePair:
     """c_l1 = 2 |rho_01| and c_max = ||r||, the coherence ceiling over
-    local unitaries."""
-    rho = assert_density_matrix(rho)
-    r = bloch_vector(rho)
-    return CoherencePair(c_l1=float(2.0 * abs(rho[0, 1])), c_max=float(np.linalg.norm(r)))
+    local unitaries; a stack ``(n, 2, 2)`` gives arrays."""
+    rho = assert_density_matrix(rho, dim=2)
+    stack = rho.reshape(-1, 2, 2)
+    c_l1 = 2.0 * np.abs(stack[:, 0, 1])
+    c_max = np.linalg.norm(bloch_vector(stack), axis=-1)
+    if rho.ndim == 2:
+        return CoherencePair(c_l1=float(c_l1[0]), c_max=float(c_max[0]))
+    return CoherencePair(c_l1=c_l1, c_max=c_max)
 
 
 def reconstruction_to_json(rec: Reconstruction) -> str:

@@ -37,10 +37,11 @@ def test_prepare_initial_superposition():
     rho = prepare_initial(np.pi / 8.0)
     assert np.allclose(rho, PLUS, atol=1e-12)
     # The input stage puts the mode in |h>: (|Hh> + |Vh>) / sqrt(2).
-    label, rho4 = next(_branch_stages(rho, closed_form_plan("AD", 0.5).branch_a))
+    label, rho4 = next(_branch_stages(rho, [closed_form_plan("AD", 0.5).branch_a]))
     psi = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2)
     assert label == "input"
-    assert np.allclose(rho4, np.outer(psi, psi), atol=1e-12)
+    assert rho4.shape == (1, 4, 4)
+    assert np.allclose(rho4[0], np.outer(psi, psi), atol=1e-12)
 
 
 def test_cnot_action():
@@ -149,7 +150,7 @@ def test_intermediate_states_stay_physical():
     rng = np.random.default_rng(44)
     for kind in ChannelKind:
         plan = closed_form_plan(kind, 0.6)
-        for _, rho4 in _branch_stages(random_density(rng), plan.branch_a):
+        for _, (rho4,) in _branch_stages(random_density(rng), [plan.branch_a]):
             assert abs(np.trace(rho4) - 1.0) <= 1e-9
             assert np.linalg.norm(rho4 - dagger(rho4)) <= 1e-9
             assert np.linalg.eigvalsh((rho4 + dagger(rho4)) / 2.0).min() >= -1e-9
@@ -311,3 +312,31 @@ def test_simulate_channel_is_weighted_sum_of_branch_runs():
         rho = random_density(rng)
         direct = plan.p * run_branch(rho, plan.branch_a, noise) + (1.0 - plan.p) * run_branch(rho, plan.branch_b, noise)
         assert np.abs(simulate_channel(rho, plan, noise=noise) - direct).max() <= 1e-12
+
+
+def test_compile_plan_stack_rows_match_single_plans():
+    rng = np.random.default_rng(54)
+    plans = [closed_form_plan(kind, lam) for kind in ChannelKind for lam in (0.0, 0.3, 0.7, 1.0)]
+    plans += [_random_plan(rng) for _ in range(6)]
+    assert not plans[4].branch_a.conditional_x  # PD runs without the feed-forward
+    rho = random_density(rng)
+    for noise in (None, NoiseParams(visibility=0.9)):
+        stacked = compile_plan(plans, noise)
+        outputs = simulate_channel(rho, plans, noise=noise)
+        assert stacked.shape == (len(plans), 4, 4) and outputs.shape == (len(plans), 2, 2)
+        for plan, s, out in zip(plans, stacked, outputs):
+            assert np.abs(s - compile_plan(plan, noise)).max() <= 1e-15
+            assert np.abs(out - simulate_channel(rho, plan, noise=noise)).max() <= 1e-15
+
+
+def test_branch_stages_stack_every_branch_over_every_state():
+    rng = np.random.default_rng(55)
+    branches = [_random_plan(rng).branch_a for _ in range(3)]
+    states = np.array([random_density(rng) for _ in range(5)])
+    for (label, stacked), *singles in zip(
+        _branch_stages(states, branches, 0.9), *(_branch_stages(rho, branches, 0.9) for rho in states)
+    ):
+        assert stacked.shape == (3, 5, 4, 4)
+        for m, (single_label, single) in enumerate(singles):
+            assert single_label == label and single.shape == (3, 4, 4)
+            assert np.abs(stacked[:, m] - single).max() <= 1e-15

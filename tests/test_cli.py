@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 
 from conftest import random_channel, random_kraus_pair_channel
 from qchansim import cli
-from qchansim.channels import builtin_channel, channel_to_json, to_choi
+from qchansim.channels import apply_channel, builtin_channel, channel_to_json, to_choi
+from qchansim.circuit import NoiseParams, prepare_initial, simulate_channel
 from qchansim.cli import main
 from qchansim.decompose import closed_form_plan, plan_from_json, plan_to_channel
 from qchansim.matops import frob_dist
+from qchansim.tomography import coherence, fidelity, forward_intensities, reconstruct
 
 
 def run(args):
@@ -260,20 +263,59 @@ def test_malformed_kraus_file_is_a_parse_error(command, payload, tmp_path, capsy
     assert err.count("\n") == 1 and err.startswith("error: cannot load Kraus file:")
 
 
+def _per_point_cells(kind, lam, rho_in, noise):
+    """One sweep row from the per-point public functions."""
+    plan, oracle = closed_form_plan(kind, lam), builtin_channel(kind, lam)
+    rho_sim = simulate_channel(rho_in, plan, noise=noise)
+    rho_oracle = apply_channel(oracle, rho_in)
+    recon = reconstruct(forward_intensities(rho_sim, noise=noise))
+    c_sim, c_oracle = coherence(recon.rho), coherence(rho_oracle)
+    return {"lambda": lam, "c_l1_sim": c_sim.c_l1, "c_max_sim": c_sim.c_max, "c_l1_oracle": c_oracle.c_l1,
+            "c_max_oracle": c_oracle.c_max, "fidelity_sim_vs_oracle": fidelity(recon.rho, rho_oracle)}
+
+
 @pytest.mark.parametrize("kind, lam, phi, noise", [
     ("AD", "0.3", "22.5", []),
     ("BPF", "0.6", "10", ["--visibility", "0.93", "--intensity-sigma", "0.02"]),
     ("PD", "0.45", "35", ["--intensity-sigma", "0.05"]),
+    ("BF", "0", "45", ["--visibility", "0.9", "--intensity-sigma", "0.01"]),  # a pure oracle state
 ])
 def test_simulate_matches_first_sweep_row(kind, lam, phi, noise, capsys):
     common = ["--channel", kind, "--phi-deg", phi, *noise, "--seed", "11"]
     assert run(["simulate", "--lambda", lam, *common]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert run(["sweep", "--lambda-grid", f"{lam},1", *common]) == 0
-    row = _sweep_rows_from_csv(capsys.readouterr().out)[0]
-    assert f"fidelity vs Kraus oracle: {row['fidelity_sim_vs_oracle']:.10f}" in lines
-    assert any(line.startswith(f"coherence c_l1={row['c_l1_sim']:.10f} c_max={row['c_max_sim']:.10f} ")
-               for line in lines)
+    sweep_row = _sweep_rows_from_csv(capsys.readouterr().out)[0]
+    options = dict(zip(noise[::2], map(float, noise[1::2])))
+    params = NoiseParams(visibility=options.get("--visibility", 1.0),
+                         intensity_sigma=options.get("--intensity-sigma", 0.0), rng_seed=11) if noise else None
+    library_row = _per_point_cells(kind, float(lam), prepare_initial(np.deg2rad(float(phi))), params)
+    # simulate prints exactly what row 0 of the sweep and the per-point library functions give.
+    for row in (sweep_row, library_row):
+        assert f"fidelity vs Kraus oracle: {row['fidelity_sim_vs_oracle']:.10f}" in lines
+        assert any(line.startswith(f"coherence c_l1={row['c_l1_sim']:.10f} c_max={row['c_max_sim']:.10f} ")
+                   for line in lines)
+
+
+@pytest.mark.parametrize("kind", ["AD", "PD", "BF", "PF", "BPF"])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_stacked_sweep_rows_match_per_point_functions(kind, noisy):
+    # BPF with noise takes more than two SWEEP_BLOCK blocks, the last one partial.
+    count = 2 * cli.SWEEP_BLOCK + 9 if (kind, noisy) == ("BPF", True) else 41
+    grid = np.linspace(0.0, 1.0, count).tolist()
+    rho_in = prepare_initial(np.deg2rad(31.0))
+    noise = NoiseParams(visibility=0.9, intensity_sigma=0.01, rng_seed=17) if noisy else None
+    rows = cli._sweep_rows(kind, grid, rho_in, noise)
+    assert len(rows) == count
+    for index, (lam, row) in enumerate(zip(grid, rows)):
+        row_noise = None if noise is None else replace(noise, rng_seed=noise.rng_seed + index)
+        expected = _per_point_cells(kind, lam, rho_in, row_noise)
+        assert row["lambda"] == lam
+        # Fidelity is not Lipschitz next to a pure oracle state (see tomography.fidelity).
+        pure_oracle = abs(expected["c_max_oracle"] - 1.0) <= 1e-12
+        for column, value in expected.items():
+            tol = 1e-7 if column == "fidelity_sim_vs_oracle" and pure_oracle else 1e-14
+            assert abs(row[column] - value) <= tol, (index, column)
 
 
 def test_config_file_and_env_override(tmp_path, monkeypatch):
@@ -335,7 +377,11 @@ def test_kraus_file_and_channel_conflict(tmp_path, monkeypatch, capsys):
         assert err.count("\n") == 1 and "mutually exclusive" in err
     assert run(["sweep", "--kraus-file", str(path), "--channel", "AD", "--lambda-grid", "0,1"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err
-    assert run(["sweep", "--kraus-file", str(path)]) == 2
+    # sweep rejects the option itself, so a file it cannot load hides nothing.
+    for kraus_file in (path, tmp_path / "missing.json"):
+        assert run(["sweep", "--kraus-file", str(kraus_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "sweep takes --channel, not --kraus-file" in err
     cfg = tmp_path / "run.cfg"
     cfg.write_text("channel=AD\nlambda=0.5\n")
     assert run(["decompose", "--config", str(cfg), "--kraus-file", str(path)]) == 2

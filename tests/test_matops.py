@@ -91,3 +91,24 @@ def test_finite_check_accepts_noncontiguous_views():
     assert phase_invariant_distance(dagger(u), u.conj().T) <= 1e-12
     with pytest.raises(ValueError):
         assert_density_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex))
+
+
+def test_stacked_density_check_rejects_exactly_one_bad_member():
+    rng = np.random.default_rng(5)
+    stack = np.array([density_from_bloch(r * rng.uniform(0.0, 1.0) / np.linalg.norm(r))
+                      for r in rng.standard_normal((6, 3))])
+    assert np.array_equal(assert_density_matrix(stack), stack)
+    assert bloch_vector(stack).shape == (6, 3)
+    bad_members = {
+        "Hermitian": np.array([[0.5, 0.3], [0.0, 0.5]]),
+        "unit trace": np.diag([0.6, 0.5]),
+        "negative eigenvalue": np.array([[0.5, 0.7], [0.7, 0.5]]),
+    }
+    for message, bad in bad_members.items():
+        for index in (0, 3, 5):
+            corrupted = stack.copy()
+            corrupted[index] = bad
+            with pytest.raises(ValueError, match=message):
+                assert_density_matrix(corrupted)
+            with pytest.raises(ValueError, match=message):
+                assert_density_matrix(corrupted.reshape(2, 3, 2, 2))

@@ -217,3 +217,38 @@ def test_reconstruct_flags_clamp_only_beyond_round_off():
         rec = reconstruct(TomographyRecord(hv=(1.0, 0.0), da=(0.5 + eps, 0.5 - eps), lr=(0.5, 0.5)))
         assert rec.clamped is flagged
         assert np.linalg.norm(rec.bloch) <= 1.0
+
+
+def test_stacked_tomography_matches_per_point_calls():
+    rng = np.random.default_rng(59)
+    states = np.array([random_density(rng) for _ in range(8)] + [random_pure(rng) for _ in range(4)])
+    others = np.array([random_density(rng) for _ in range(12)])
+    noise = NoiseParams(visibility=1.0, intensity_sigma=0.05, rng_seed=30)
+    for row_noise in (None, noise):
+        record = forward_intensities(states, noise=row_noise)
+        recon = reconstruct(record)
+        fids = fidelity(recon.rho, others)
+        coh = coherence(recon.rho)
+        for i, rho in enumerate(states):
+            # Member i of a noisy stack draws from rng_seed + i.
+            seeded = None if row_noise is None else NoiseParams(intensity_sigma=0.05, rng_seed=30 + i)
+            single = forward_intensities(rho, noise=seeded)
+            for stacked_pair, pair in zip((record.hv, record.da, record.lr), (single.hv, single.da, single.lr)):
+                assert np.abs(stacked_pair[i] - pair).max() <= 1e-14
+            member = recon[i]
+            expected = reconstruct(single)
+            assert np.abs(member.rho - expected.rho).max() <= 1e-14
+            assert member.purity == pytest.approx(expected.purity, abs=1e-14)
+            assert member.clamped is expected.clamped
+            assert fids[i] == pytest.approx(fidelity(expected.rho, others[i]), abs=1e-14)
+            pair = coherence(expected.rho)
+            assert (coh.c_l1[i], coh.c_max[i]) == pytest.approx((pair.c_l1, pair.c_max), abs=1e-14)
+
+
+def test_stacked_probabilities_name_the_first_dark_basis():
+    lit = np.array([[1.0, 0.0], [0.5, 0.5]])
+    dark = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="basis DA"):
+        probabilities(TomographyRecord(hv=lit, da=dark, lr=dark))
+    probs = probabilities(TomographyRecord(hv=lit, da=lit, lr=lit))
+    assert np.array_equal(probs[Basis.DA][0], [1.0, 0.5])
