@@ -74,7 +74,6 @@ from .tomography import (
     coherence,
     fidelity,
     forward_intensities,
-    probabilities,
     reconstruct,
 )
 

@@ -10,7 +10,8 @@ stdout carries the plan JSON or the sweep CSV, so --gates and --formats
 (which name files in the output directory) need --outdir, and --formats
 must name at least one format.
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 fit
-non-convergence.
+non-convergence, 4 measurement failed (intensity noise left a tomography
+basis dark).
 """
 
 from __future__ import annotations
@@ -38,13 +39,21 @@ from .circuit import NoiseParams, gates_for_branch, prepare_initial, simulate_ch
 from .decompose import DecompositionPlan, closed_form_plan, fit_plan, plan_to_json
 from .matops import ID2, bloch_vector, complex_to_pairs, frob_dist
 from .optics import gate_list_to_json
-from .tomography import coherence, fidelity, forward_intensities, reconstruct, reconstruction_to_json
+from .tomography import (
+    DarkBasisError,
+    coherence,
+    fidelity,
+    forward_intensities,
+    reconstruct,
+    reconstruction_to_json,
+)
 
 ENV_PREFIX = "QCHANSIM_"
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_FIT = 3
+EXIT_MEASUREMENT = 4
 
 CONFIG_KEYS = (
     "channel",
@@ -452,6 +461,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except DarkBasisError as exc:
+        print(f"error: measurement failed: {exc}", file=sys.stderr)
+        return EXIT_MEASUREMENT
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -288,20 +288,73 @@ def _plan_from_params(x) -> DecompositionPlan:
     return DecompositionPlan(branch_a=branch_a, branch_b=branch_b, p=p)
 
 
+def _residual_tables():
+    """Constant tables of :func:`_choi_residuals`, built once at import.
+
+    ``angles`` maps x to t = (alpha_a, beta_a, alpha_b, beta_b, theta) followed
+    by (xi, phi + zeta, phi - zeta) for U_a, U'_a, U_b, U'_b, with p = sin^2 theta;
+    viewed as floats, ``exp(1j t)`` holds cos t_j in column 2j and sin t_j in
+    column 2j + 1.  ``kraus`` copies the Kraus entries (branch, operator, row,
+    column) from those columns into the real parts of a complex view.
+    ``first * second`` gives each dressing's (cos xi cos(phi+zeta),
+    cos xi sin(phi+zeta), sin xi cos(phi-zeta), sin xi sin(phi-zeta)), then p,
+    and ``su2`` turns each four into (u, -conj w, w, conj u) of
+    :func:`su2_from_euler` as real, imaginary pairs.  Every entry is 0 or +-1
+    and each output picks at most two terms, so the tables add no rounding:
+    the result is bit for bit that of :func:`kraus_from_angles` and
+    :func:`su2_from_euler` wherever ``exp`` returns the cosines and sines of
+    ``np.cos`` and ``np.sin``.
+    """
+    angles = np.zeros((17, 17))
+    angles[:5, :5] = np.eye(5)
+    xi, plus, minus = (np.arange(5, 17, 3) + i for i in range(3))
+    for c in xi:
+        # Dressing x[c:c + 3] = (phi, xi, zeta) becomes t[c:c + 3] = (xi, phi + zeta, phi - zeta).
+        angles[c + 1, c] = 1.0
+        angles[[c, c + 2], c + 1] = 1.0
+        angles[[c, c + 2], c + 2] = 1.0, -1.0
+    cos, sin = 2 * np.arange(17), 2 * np.arange(17) + 1
+    kraus = np.zeros((34, 32))
+    for s in range(2):
+        alpha, beta = 2 * s, 2 * s + 1
+        # K0 = diag(cos beta, cos alpha) and K1 = [[0, sin alpha], [sin beta, 0]], row-major.
+        for entry, col in zip((0, 3, 5, 6), (cos[beta], cos[alpha], sin[alpha], sin[beta])):
+            kraus[col, 2 * (8 * s + entry)] = 1.0
+    first = np.append(np.stack([cos[xi], cos[xi], sin[xi], sin[xi]], axis=1), sin[4])
+    second = np.append(np.stack([cos[plus], sin[plus], cos[minus], sin[minus]], axis=1), sin[4])
+    su2 = np.zeros((4, 8))
+    su2[[0, 2], [0, 1]] = 1.0  # u
+    su2[[1, 3], [2, 3]] = -1.0, 1.0  # -conj(w)
+    su2[[1, 3], [4, 5]] = 1.0  # w
+    su2[[0, 2], [6, 7]] = 1.0, -1.0  # conj(u)
+    return angles, kraus, first, second, su2
+
+
+_ANGLES, _KRAUS, _FIRST, _SECOND, _SU2 = _residual_tables()
+# sqrt(p * (1, -1) + (0, 1)) gives the branch weights (sqrt p, sqrt(1 - p)).
+_WEIGHT_SIGN = np.array([1.0, -1.0])
+_WEIGHT_SHIFT = np.array([0.0, 1.0])
+
+
 def _choi_residuals(xs, target) -> np.ndarray:
     """Choi differences for a stack of parameter vectors, as (n, 32) real rows.
 
     Row i is the real, then the imaginary part of
-    ``to_choi(plan_to_channel(_plan_from_params(xs[i]))) - target``; no plan is built.
+    ``to_choi(plan_to_channel(_plan_from_params(xs[i]))) - target``; no plan is
+    built.  One ``exp`` gives every cosine and sine, and the tables of
+    :func:`_residual_tables` place them, so a call does the same few numpy
+    operations whatever n is, and row i does not depend on the other rows.
     """
     n = len(xs)
-    p = np.sin(xs[:, 4]) ** 2
+    cs = np.exp(1j * (xs @ _ANGLES)).view(float)
     # Axes: n parameter vector, s branch, k Kraus operator; u[:, s] holds (U, U').
-    k = np.stack(kraus_from_angles(xs[:, [0, 2]], xs[:, [1, 3]]), axis=2)
-    u = su2_from_euler(EulerAngles(*np.moveaxis(xs[:, 5:].reshape(n, 2, 2, 3), -1, 0)))
-    m = np.einsum("ns,nsab,nskbc,nscd->nskad", np.sqrt(np.stack([p, 1.0 - p], axis=1)), u[:, :, 0], k, u[:, :, 1])
-    diff = np.einsum("nskai,nskbj->niajb", m, m.conj()).reshape(n, 4, 4) - target
-    return np.concatenate([diff.real.reshape(n, 16), diff.imag.reshape(n, 16)], axis=1)
+    k = (cs @ _KRAUS).view(complex).reshape(n, 2, 2, 2, 2)
+    prod = cs[:, _FIRST] * cs[:, _SECOND]
+    u = (prod[:, :16].reshape(n, 4, 4) @ _SU2).view(complex).reshape(n, 2, 2, 2, 2)
+    weights = np.sqrt(prod[:, 16:] * _WEIGHT_SIGN + _WEIGHT_SHIFT)
+    m = np.einsum("ns,nsab,nskbc,nscd->nskad", weights, u[:, :, 0], k, u[:, :, 1])
+    diff = np.einsum("nskai,nskbj->niajb", m, m.conj()).reshape(n, 16) - target.reshape(16)
+    return diff.view(float).reshape(n, 16, 2).transpose(0, 2, 1).reshape(n, 32)
 
 
 def _damped_step_solver(jac, f):
@@ -329,30 +382,42 @@ def _damped_step_solver(jac, f):
     return step
 
 
+# Forward-difference step, and the offsets of a trial point's 17 neighbours.
+_FD_STEP = np.sqrt(np.finfo(float).eps)
+_FD_OFFSETS = _FD_STEP * np.eye(17)
+_TRIAL_OFFSETS = np.vstack([np.zeros(17), _FD_OFFSETS])
+
+
 def _levenberg_marquardt(x, target) -> np.ndarray:
     """Levenberg-Marquardt least squares on :func:`_choi_residuals`, started at ``x``.
 
     J^T J is singular (17 parameters, 12-dimensional channels), so each step is
-    the damped least-squares step of :func:`_damped_step_solver`.  The
-    forward-difference J is one call on the stack x + h I.  lam falls tenfold
-    after a step that lowers the cost and rises tenfold otherwise.  The loop
-    stops once |f| <= ``LM_STOP_RESIDUAL``, when the last 10 accepted steps did
-    not halve |f| together (a stalled start, left to the caller's next start),
-    when no lam up to 1e16 helps, or after 2000 trials.
+    the damped least-squares step of :func:`_damped_step_solver`.  J is the
+    forward difference over the neighbours x + h e_i.  Each trial point is
+    evaluated together with its 17 neighbours as one 18-row call, so an
+    accepted trial brings its Jacobian along and a rejected one wastes 17 rows;
+    only the start has a one-row call and, unless it has already converged, a
+    17-row Jacobian call.  lam falls tenfold after a step that lowers the cost
+    and rises tenfold otherwise.  The loop stops once |f| <= ``LM_STOP_RESIDUAL``,
+    when the last 10 accepted steps did not halve |f| together (a stalled start,
+    left to the caller's next start), when no lam up to 1e16 helps, or after
+    2000 trials.
     """
-    h = np.sqrt(np.finfo(float).eps)
     f = _choi_residuals(x[None], target)[0]
     norms = [np.linalg.norm(f)]
-    lam, step = 1e-3, None
+    lam, step, jac = 1e-3, None, None
     for _ in range(2000):
         if f @ f <= LM_STOP_RESIDUAL**2:
             break
+        if jac is None:
+            jac = (_choi_residuals(x + _FD_OFFSETS, target) - f).T / _FD_STEP
         if step is None:
-            step = _damped_step_solver((_choi_residuals(x + h * np.eye(x.size), target) - f).T / h, f)
+            step = _damped_step_solver(jac, f)
         x_trial = x + step(lam)
-        f_trial = _choi_residuals(x_trial[None], target)[0]
-        if f_trial @ f_trial < f @ f:
-            x, f, lam, step = x_trial, f_trial, lam / 10.0, None
+        rows = _choi_residuals(x_trial + _TRIAL_OFFSETS, target)
+        if rows[0] @ rows[0] < f @ f:
+            x, f, lam, step = x_trial, rows[0], lam / 10.0, None
+            jac = (rows[1:] - f).T / _FD_STEP
             norms.append(np.linalg.norm(f))
             if len(norms) > 10 and norms[-1] > 0.5 * norms[-11]:
                 break

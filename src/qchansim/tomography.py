@@ -109,21 +109,22 @@ def forward_intensities(rho, noise: NoiseParams | None = None) -> TomographyReco
     return TomographyRecord(hv=hv, da=da, lr=lr)
 
 
+class DarkBasisError(ValueError):
+    """Both intensities of a basis are zero, so its probabilities are undefined."""
+
+
 def _port_a_probabilities(rec: TomographyRecord) -> np.ndarray:
-    """P_A = I_A / (I_A + I_B) of each basis in Basis order: ``(3,)``, or ``(n, 3)`` for a stacked record."""
+    """P_A = I_A / (I_A + I_B) of each basis in Basis order: ``(3,)``, or ``(n, 3)`` for a stacked record.
+
+    Raises :class:`DarkBasisError` naming the first basis, in Basis order,
+    that is dark for some member.
+    """
     intensities = np.stack([rec.hv, rec.da, rec.lr], axis=-2)
     total = intensities[..., 0] + intensities[..., 1]
     dark = (total <= 0.0).reshape(-1, 3).any(axis=0)
     if dark.any():
-        raise ValueError(f"zero total intensity in basis {list(Basis)[dark.argmax()].value}")
+        raise DarkBasisError(f"zero total intensity in basis {list(Basis)[dark.argmax()].value}")
     return intensities[..., 0] / total
-
-
-def probabilities(rec: TomographyRecord) -> dict:
-    """Per-basis (P_A, P_B) with P_A = I_A / (I_A + I_B); P_A + P_B = 1 exactly.
-    A stacked record gives arrays."""
-    pa = _port_a_probabilities(rec).T
-    return {basis: (pa[i], 1.0 - pa[i]) for i, basis in enumerate(Basis)}
 
 
 def reconstruct(rec: TomographyRecord) -> Reconstruction:

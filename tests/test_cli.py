@@ -354,6 +354,17 @@ def test_fit_nonconvergence_maps_to_exit_three(tmp_path, monkeypatch):
     assert run(["decompose", "--kraus-file", str(path)]) == 3
 
 
+@pytest.mark.parametrize("command", [["simulate", "--lambda", "0.5"], ["sweep", "--lambda-grid", "0.5"]])
+def test_dark_basis_exits_with_measurement_code(command, capsys):
+    # At sigma 100 both intensities of a basis can clamp to zero; every option still parsed.
+    args = [command[0], "--channel", "AD", *command[1:], "--intensity-sigma", "100"]
+    assert run([*args, "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert run([*args, "--seed", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: measurement failed: zero total intensity in basis DA\n"
+
+
 def test_help_exits_cleanly():
     assert run(["--help"]) == 0
 

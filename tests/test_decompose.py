@@ -333,6 +333,36 @@ def test_damped_step_matches_lstsq(lam):
     assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+def _reference_choi_residuals(xs, target):
+    """The residual built from kraus_from_angles and su2_from_euler, one call per factor."""
+    n = len(xs)
+    p = np.sin(xs[:, 4]) ** 2
+    k = np.stack(kraus_from_angles(xs[:, [0, 2]], xs[:, [1, 3]]), axis=2)
+    u = su2_from_euler(EulerAngles(*np.moveaxis(xs[:, 5:].reshape(n, 2, 2, 3), -1, 0)))
+    m = np.einsum("ns,nsab,nskbc,nscd->nskad", np.sqrt(np.stack([p, 1.0 - p], axis=1)), u[:, :, 0], k, u[:, :, 1])
+    diff = np.einsum("nskai,nskbj->niajb", m, m.conj()).reshape(n, 4, 4) - target
+    return np.concatenate([diff.real.reshape(n, 16), diff.imag.reshape(n, 16)], axis=1)
+
+
+def test_choi_residual_rows_do_not_depend_on_the_stack():
+    target = to_choi(random_channel(np.random.default_rng(44), 4))
+    xs = np.random.default_rng(45).uniform(-PI, PI, (50, 17))
+    stacked = _choi_residuals(xs, target)
+    for x, row in zip(xs, stacked):
+        assert np.abs(row - _choi_residuals(x[None], target)[0]).max() <= 1e-15
+    # The constant tables reproduce the per-factor construction.
+    assert np.abs(stacked - _reference_choi_residuals(xs, target)).max() <= 1e-15
+
+
+def test_levenberg_marquardt_trial_brings_its_jacobian(monkeypatch):
+    rows = _count_residual_rows(monkeypatch)
+    result = fit_plan(random_channel(np.random.default_rng(43), 3))
+    assert result.starts_used == 1 and result.residual <= 1e-9
+    # The start's residual and Jacobian, then one 18-row call per trial: the point and its 17 neighbours.
+    assert rows[:2] == [1, 17] and len(rows) > 2
+    assert set(rows[2:]) == {18}
+
+
 def test_levenberg_marquardt_returns_a_converged_start_at_once(monkeypatch):
     x = np.random.default_rng(42).uniform(-PI, PI, 17)
     target = to_choi(plan_to_channel(_plan_from_params(x)))
@@ -346,14 +376,15 @@ def test_levenberg_marquardt_returns_a_converged_start_at_once(monkeypatch):
 def test_levenberg_marquardt_stops_at_target_or_stall(monkeypatch, shrink):
     import qchansim.decompose as decompose
 
-    # Every trial is accepted and scales |f| by `shrink`; the Jacobian stack is any finite rows.
+    # Every trial is accepted and scales |f| by `shrink`; the Jacobian rows are any finite rows.
     norms = []
 
     def shrinking_residuals(xs, target):
-        if len(xs) > 1:
-            return np.zeros((len(xs), 32))
-        norms.append(shrink ** len(norms))
-        return np.full((1, 32), norms[-1] / np.sqrt(32.0))
+        rows = np.zeros((len(xs), 32))
+        if len(xs) != 17:  # the start's one-row call, or a trial whose row 0 is the trial point
+            norms.append(shrink ** len(norms))
+            rows[0] = norms[-1] / np.sqrt(32.0)
+        return rows
 
     monkeypatch.setattr(decompose, "_choi_residuals", shrinking_residuals)
     _levenberg_marquardt(np.zeros(17), None)

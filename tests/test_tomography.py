@@ -6,11 +6,12 @@ from qchansim.circuit import NoiseParams
 from qchansim.matops import ID2, bloch_vector, dagger, density_from_bloch
 from qchansim.tomography import (
     Basis,
+    DarkBasisError,
     TomographyRecord,
+    _port_a_probabilities,
     coherence,
     fidelity,
     forward_intensities,
-    probabilities,
     reconstruct,
     reconstruction_to_json,
 )
@@ -59,16 +60,19 @@ def test_forward_intensities_partial_mix():
 
 def test_probabilities_ratios():
     rec = TomographyRecord(hv=(1.0, 0.0), da=(3.0, 1.0), lr=(2.0, 2.0))
-    probs = probabilities(rec)
-    assert probs[Basis.HV] == pytest.approx((1.0, 0.0))
-    assert probs[Basis.DA] == pytest.approx((0.75, 0.25))
-    assert probs[Basis.LR][0] + probs[Basis.LR][1] == 1.0
+    # P_A per basis in Basis order; reconstruct takes P_B = 1 - P_A.
+    hv, da, lr = _port_a_probabilities(rec)
+    assert (hv, 1.0 - hv) == pytest.approx((1.0, 0.0))
+    assert (da, 1.0 - da) == pytest.approx((0.75, 0.25))
+    assert lr + (1.0 - lr) == 1.0
 
 
 def test_probabilities_rejects_dark_basis():
     rec = TomographyRecord(hv=(0.0, 0.0), da=(1.0, 0.0), lr=(1.0, 0.0))
-    with pytest.raises(ValueError):
-        probabilities(rec)
+    with pytest.raises(DarkBasisError, match="basis HV"):
+        _port_a_probabilities(rec)
+    with pytest.raises(DarkBasisError, match="basis HV"):
+        reconstruct(rec)
 
 
 def test_reconstruct_cardinal_states():
@@ -248,7 +252,7 @@ def test_stacked_tomography_matches_per_point_calls():
 def test_stacked_probabilities_name_the_first_dark_basis():
     lit = np.array([[1.0, 0.0], [0.5, 0.5]])
     dark = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="basis DA"):
-        probabilities(TomographyRecord(hv=lit, da=dark, lr=dark))
-    probs = probabilities(TomographyRecord(hv=lit, da=lit, lr=lit))
-    assert np.array_equal(probs[Basis.DA][0], [1.0, 0.5])
+    with pytest.raises(DarkBasisError, match="basis DA"):
+        _port_a_probabilities(TomographyRecord(hv=lit, da=dark, lr=dark))
+    pa = _port_a_probabilities(TomographyRecord(hv=lit, da=lit, lr=lit))
+    assert np.array_equal(pa[:, 1], [1.0, 0.5])  # DA is column 1 in Basis order
