@@ -34,7 +34,7 @@ from .channels import (
     to_choi,
     validate_channel,
 )
-from .matops import ID2, as_cmat, complex_to_pairs, frob_dist, pairs_to_complex, svd3, unitarity_residual
+from .matops import ID2, PAULIS, as_cmat, complex_to_pairs, frob_dist, pairs_to_complex, svd3, unitarity_residual
 from .optics import EulerAngles, su2_from_euler, su2_from_rotation
 
 U_BPF = np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
@@ -288,84 +288,95 @@ def _plan_from_params(x) -> DecompositionPlan:
     return DecompositionPlan(branch_a=branch_a, branch_b=branch_b, p=p)
 
 
-def _residual_tables():
-    """Constant tables of :func:`_choi_residuals`, built once at import.
+def _affine_tables():
+    """Constant tables of :func:`_affine_residual`, built once at import.
 
-    ``angles`` maps x to t = (alpha_a, beta_a, alpha_b, beta_b, theta) followed
-    by (xi, phi + zeta, phi - zeta) for U_a, U'_a, U_b, U'_b, with p = sin^2 theta;
-    viewed as floats, ``exp(1j t)`` holds cos t_j in column 2j and sin t_j in
-    column 2j + 1.  ``kraus`` copies the Kraus entries (branch, operator, row,
-    column) from those columns into the real parts of a complex view.
-    ``first * second`` gives each dressing's (cos xi cos(phi+zeta),
-    cos xi sin(phi+zeta), sin xi cos(phi-zeta), sin xi sin(phi-zeta)), then p,
-    and ``su2`` turns each four into (u, -conj w, w, conj u) of
-    :func:`su2_from_euler` as real, imaginary pairs.  Every entry is 0 or +-1
-    and each output picks at most two terms, so the tables add no rounding:
-    the result is bit for bit that of :func:`kraus_from_angles` and
-    :func:`su2_from_euler` wherever ``exp`` returns the cosines and sines of
-    ``np.cos`` and ``np.sin``.
+    ``angles`` maps x to t = (alpha_a, beta_a, 0, alpha_b, beta_b, 0, theta, then xi, phi + zeta,
+    phi - zeta of U_a, U'_a, U_b, U'_b); ``exp(1j t)`` as floats holds cos t_j at 2j, sin t_j at
+    2j + 1.  ``g = coef * cs[first] * cs[second]`` holds, per dressing, the quaternion
+    (Re u, Im u, Re w, Im w) of :func:`su2_from_euler` and twice its derivatives in (phi, xi, zeta);
+    per branch, (cos alpha, sin alpha, cos beta, sin beta) and twice its derivatives in alpha, beta;
+    then p = sin^2 theta, 1 - p, sin 2 theta.  ``rotation`` and ``kraus`` give the Pauli transfer
+    matrices Tr(s_i E(s_j)) / 2, s = (I, sigma_x, sigma_y, sigma_z), of U and of the Kraus pair as
+    bilinear forms in those four-vectors v: v (x) v is the matrix, 2 dv (x) v its derivative.
     """
-    angles = np.zeros((17, 17))
-    angles[:5, :5] = np.eye(5)
-    xi, plus, minus = (np.arange(5, 17, 3) + i for i in range(3))
-    for c in xi:
-        # Dressing x[c:c + 3] = (phi, xi, zeta) becomes t[c:c + 3] = (xi, phi + zeta, phi - zeta).
-        angles[c + 1, c] = 1.0
-        angles[[c, c + 2], c + 1] = 1.0
-        angles[[c, c + 2], c + 2] = 1.0, -1.0
-    cos, sin = 2 * np.arange(17), 2 * np.arange(17) + 1
-    kraus = np.zeros((34, 32))
-    for s in range(2):
-        alpha, beta = 2 * s, 2 * s + 1
-        # K0 = diag(cos beta, cos alpha) and K1 = [[0, sin alpha], [sin beta, 0]], row-major.
-        for entry, col in zip((0, 3, 5, 6), (cos[beta], cos[alpha], sin[alpha], sin[beta])):
-            kraus[col, 2 * (8 * s + entry)] = 1.0
-    first = np.append(np.stack([cos[xi], cos[xi], sin[xi], sin[xi]], axis=1), sin[4])
-    second = np.append(np.stack([cos[plus], sin[plus], cos[minus], sin[minus]], axis=1), sin[4])
-    su2 = np.zeros((4, 8))
-    su2[[0, 2], [0, 1]] = 1.0  # u
-    su2[[1, 3], [2, 3]] = -1.0, 1.0  # -conj(w)
-    su2[[1, 3], [4, 5]] = 1.0  # w
-    su2[[0, 2], [6, 7]] = 1.0, -1.0  # conj(u)
-    return angles, kraus, first, second, su2
+    # The dressing x[c:c + 3] = (phi, xi, zeta) gives xi = x[c + 1], phi + zeta and phi - zeta.
+    rows = [0, 1, 2, 3, 4] + [c + i for c in range(5, 17, 3) for i in (1, 0, 2, 0, 2)]
+    cols = [0, 1, 3, 4, 6] + [c + j for c in range(7, 19, 3) for j in (0, 1, 1, 2, 2)]
+    angles = np.zeros((17, 19))
+    angles[rows, cols] = [1.0] * 5 + [1.0, 1.0, 1.0, 1.0, -1.0] * 4
+    # Rows first, second, coef.  Dressing d has cos xi, sin xi, cos(phi+zeta), sin(phi+zeta),
+    # cos(phi-zeta), sin(phi-zeta) at 14 + 6 d + (0-5): the quaternion, d/dphi, d/dxi, d/dzeta.
+    quat = np.array([0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1,
+                     2, 4, 3, 5, 3, 5, 2, 4, 2, 4, 3, 5, 3, 5, 2, 4,
+                     1, 1, 1, 1, -2, -2, 2, 2, -2, 2, -2, 2, -2, 2, 2, -2]).reshape(3, 4, 4)
+    # Branch s has cos alpha, sin alpha, cos beta, sin beta, 1, 0 at 6 s + (0-5): the value, d/dalpha, d/dbeta.
+    pair = np.array([0, 1, 2, 3, 1, 0, 5, 5, 5, 5, 3, 2, *[4] * 12,
+                     1, 1, 1, 1, -2, 2, 0, 0, 0, 0, -2, 2]).reshape(3, 3, 4)
+    offsets = np.array([[14, 20, 26, 32, 0, 6], [14, 20, 26, 32, 0, 6], [0, 0, 0, 0, 0, 0]])[:, :, None, None]
+    quat, pair = quat[:, None] + offsets[:, :4], pair[:, None] + offsets[:, 4:]
+    weights = [[13, 12, 13], [13, 12, 12], [1, 1, 2]]
+    first, second, coef = np.concatenate([quat.reshape(3, 64), pair.reshape(3, 24), weights], axis=1)
+    # Row-major: the basis of U = a I + i b sigma_z - i c sigma_y + i d sigma_x, then the places of cos alpha,
+    # sin alpha, cos beta, sin beta in K0 = diag(cos beta, cos alpha) and K1 = [[0, sin alpha], [sin beta, 0]].
+    ops = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, -1, 1, 0], [0, 1j, 1j, 0],
+                    [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]]).reshape(2, 4, 2, 2)
+    kron = (ops[:, :, None, :, None, :, None] * ops.conj()[:, None, :, None, :, None, :]).reshape(32, 16)
+    # Columns of paulis are the row-major vecs of s: V^dag (A (x) conj B) V for all (A, B) is one product.
+    paulis = np.array([ID2, *PAULIS]).reshape(4, 4).T
+    forms = 0.5 * (kron @ (paulis.conj()[:, None, :, None] * paulis[None, :, None, :]).reshape(16, 16)).real
+    rotation, kraus = forms.reshape(2, 4, 4, 16)
+    kraus[::2, 1::2] = kraus[1::2, ::2] = 0.0  # cosines are K0's entries and sines K1's: they do not pair
+    return angles, first, second, coef.astype(float), rotation.reshape(16, 16), kraus.reshape(16, 16)
 
 
-_ANGLES, _KRAUS, _FIRST, _SECOND, _SU2 = _residual_tables()
-# sqrt(p * (1, -1) + (0, 1)) gives the branch weights (sqrt p, sqrt(1 - p)).
-_WEIGHT_SIGN = np.array([1.0, -1.0])
-_WEIGHT_SHIFT = np.array([0.0, 1.0])
+_ANGLE_MAP, _PRODUCT_FIRST, _PRODUCT_SECOND, _PRODUCT_COEF, _ROTATION_FORM, _KRAUS_FORM = _affine_tables()
+# Row _VALUE[i] of g's 22 four-vectors (4 per dressing, then 3 per branch) is the value that vector i
+# pairs with.  Branch s has 9 terms PTM(U) PTM(K) PTM(U') with at most one factor differentiated: the
+# value, d/dalpha, d/dbeta, d/dU and d/dU' in (phi, xi, zeta).  The rotations' matrices are indexed
+# 4 * dressing + (value, phi, xi, zeta), the Kraus pairs' 3 * branch + (value, alpha, beta).
+_VALUE = np.array([0] * 4 + [4] * 4 + [8] * 4 + [12] * 4 + [16] * 3 + [19] * 3)
+_LEFT, _MIDDLE, _RIGHT = np.array([[0, 0, 0, 1, 2, 3, 0, 0, 0, 8, 8, 8, 9, 10, 11, 8, 8, 8],
+                                    [0, 1, 2, 0, 0, 0, 0, 0, 0, 3, 4, 5, 3, 3, 3, 3, 3, 3],
+                                    [4, 4, 4, 4, 4, 4, 5, 6, 7, 12, 12, 12, 12, 12, 12, 13, 14, 15]])
+# _MIX @ (p, 1 - p, sin 2 theta) takes the terms to the Jacobian in x and, in column 17, to the map:
+# branch a's terms are weighed by p, branch b's by 1 - p, and d/dtheta = sin 2 theta (a - b).
+_MIX = np.zeros((18, 18, 3))
+_MIX[range(18), [17, 0, 1, 5, 6, 7, 8, 9, 10, 17, 2, 3, 11, 12, 13, 14, 15, 16], [0] * 9 + [1] * 9] = 1.0
+_MIX[[0, 9], 4, 2] = 1.0, -1.0
 
 
-def _choi_residuals(xs, target) -> np.ndarray:
-    """Choi differences for a stack of parameter vectors, as (n, 32) real rows.
+def _affine_residual(x, target) -> tuple[np.ndarray, np.ndarray]:
+    """The plan's Bloch map minus ``target`` as 12 reals, and their exact 12 x 17 Jacobian.
 
-    Row i is the real, then the imaginary part of
-    ``to_choi(plan_to_channel(_plan_from_params(xs[i]))) - target``; no plan is
-    built.  One ``exp`` gives every cosine and sine, and the tables of
-    :func:`_residual_tables` place them, so a call does the same few numpy
-    operations whatever n is, and row i does not depend on the other rows.
+    The residual is [t | T] - ``target``, row-major, for the map r -> T r + t of
+    ``plan_to_channel(_plan_from_params(x))``, the rows of its transfer matrix
+    p PTM(U_a) PTM(K_a) PTM(U'_a) + (1 - p) PTM(U_b) PTM(K_b) PTM(U'_b) below [1, 0].
+    Trace-preserving maps have the transfer matrix [[1, 0], [t, T]] in the orthonormal
+    basis s/sqrt(2), and the Choi matrix is a reshuffle of that, so
+    ||Choi - Choi*||_F = ||(T - T*, t - t*)||: the least-squares problem is that of the
+    Choi difference.  No plan is built.
     """
-    n = len(xs)
-    cs = np.exp(1j * (xs @ _ANGLES)).view(float)
-    # Axes: n parameter vector, s branch, k Kraus operator; u[:, s] holds (U, U').
-    k = (cs @ _KRAUS).view(complex).reshape(n, 2, 2, 2, 2)
-    prod = cs[:, _FIRST] * cs[:, _SECOND]
-    u = (prod[:, :16].reshape(n, 4, 4) @ _SU2).view(complex).reshape(n, 2, 2, 2, 2)
-    weights = np.sqrt(prod[:, 16:] * _WEIGHT_SIGN + _WEIGHT_SHIFT)
-    m = np.einsum("ns,nsab,nskbc,nscd->nskad", weights, u[:, :, 0], k, u[:, :, 1])
-    diff = np.einsum("nskai,nskbj->niajb", m, m.conj()).reshape(n, 16) - target.reshape(16)
-    return diff.view(float).reshape(n, 16, 2).transpose(0, 2, 1).reshape(n, 32)
+    cs = np.exp(1j * (x @ _ANGLE_MAP)).view(float)
+    g = _PRODUCT_COEF * cs[_PRODUCT_FIRST] * cs[_PRODUCT_SECOND]
+    vecs = g[:88].reshape(22, 4)
+    forms = (vecs[:, :, None] * vecs[_VALUE, None, :]).reshape(22, 16)
+    rot = (forms[:16] @ _ROTATION_FORM).reshape(16, 4, 4)
+    kraus = (forms[16:] @ _KRAUS_FORM).reshape(6, 4, 4)
+    terms = rot[_LEFT, 1:, 1:] @ (kraus[_MIDDLE, 1:] @ rot[_RIGHT])
+    out = terms.reshape(18, 12).T @ (_MIX @ g[88:])
+    return out[:, 17] - target, out[:, :17]
 
 
 def _damped_step_solver(jac, f):
     """The map lam -> argmin over d of |J d + f|^2 + lam |D d|^2, D = diag of J's column norms.
 
-    Marquardt's scaling D makes the step independent of the parameters' units.
-    With y = D d this is ridge least squares on J D^-1 = V_l S V_r^T, so one SVD
-    serves every lam: d = D^-1 V_r filt V_l^T (-f) with filt = s / (s^2 + lam).
-    Directions whose singular value sqrt(s^2 + lam) in the stacked matrix
-    [J D^-1; sqrt(lam) I] falls below lstsq's default cutoff, (rows + columns) eps
-    times the largest, get no step; without the cut they blow up at tiny lam.
+    J is 12 x 17: 12 residuals, 17 parameters.  Marquardt's scaling D makes the step independent
+    of the parameters' units.  With y = D d this is ridge least squares on J D^-1 = V_l S V_r^T,
+    so one SVD serves every lam: d = D^-1 V_r filt V_l^T (-f) with filt = s / (s^2 + lam).
+    Directions whose singular value sqrt(s^2 + lam) in the stacked matrix [J D^-1; sqrt(lam) I]
+    falls below lstsq's default cutoff, (rows + columns) eps times the largest, get no step;
+    without the cut they blow up at tiny lam.
     """
     d = np.linalg.norm(jac, axis=0)
     d[d == 0.0] = 1.0
@@ -382,42 +393,28 @@ def _damped_step_solver(jac, f):
     return step
 
 
-# Forward-difference step, and the offsets of a trial point's 17 neighbours.
-_FD_STEP = np.sqrt(np.finfo(float).eps)
-_FD_OFFSETS = _FD_STEP * np.eye(17)
-_TRIAL_OFFSETS = np.vstack([np.zeros(17), _FD_OFFSETS])
-
-
 def _levenberg_marquardt(x, target) -> np.ndarray:
-    """Levenberg-Marquardt least squares on :func:`_choi_residuals`, started at ``x``.
+    """Levenberg-Marquardt least squares on :func:`_affine_residual`, started at ``x``.
 
-    J^T J is singular (17 parameters, 12-dimensional channels), so each step is
-    the damped least-squares step of :func:`_damped_step_solver`.  J is the
-    forward difference over the neighbours x + h e_i.  Each trial point is
-    evaluated together with its 17 neighbours as one 18-row call, so an
-    accepted trial brings its Jacobian along and a rejected one wastes 17 rows;
-    only the start has a one-row call and, unless it has already converged, a
-    17-row Jacobian call.  lam falls tenfold after a step that lowers the cost
-    and rises tenfold otherwise.  The loop stops once |f| <= ``LM_STOP_RESIDUAL``,
-    when the last 10 accepted steps did not halve |f| together (a stalled start,
-    left to the caller's next start), when no lam up to 1e16 helps, or after
-    2000 trials.
+    J^T J is singular (17 parameters, 12-dimensional channels), so each step is the damped
+    least-squares step of :func:`_damped_step_solver`.  The start and every trial cost one
+    kernel call, which brings the exact Jacobian along.  lam falls tenfold after a step that
+    lowers the cost and rises tenfold otherwise.  The loop stops once |f| <= ``LM_STOP_RESIDUAL``,
+    when the last 10 accepted steps did not halve |f| together (a stalled start, left to the
+    caller's next start), when no lam up to 1e16 helps, or after 2000 trials.
     """
-    f = _choi_residuals(x[None], target)[0]
+    f, jac = _affine_residual(x, target)
     norms = [np.linalg.norm(f)]
-    lam, step, jac = 1e-3, None, None
+    lam, step = 1e-3, None
     for _ in range(2000):
         if f @ f <= LM_STOP_RESIDUAL**2:
             break
-        if jac is None:
-            jac = (_choi_residuals(x + _FD_OFFSETS, target) - f).T / _FD_STEP
         if step is None:
             step = _damped_step_solver(jac, f)
         x_trial = x + step(lam)
-        rows = _choi_residuals(x_trial + _TRIAL_OFFSETS, target)
-        if rows[0] @ rows[0] < f @ f:
-            x, f, lam, step = x_trial, rows[0], lam / 10.0, None
-            jac = (rows[1:] - f).T / _FD_STEP
+        f_trial, jac_trial = _affine_residual(x_trial, target)
+        if f_trial @ f_trial < f @ f:
+            x, f, jac, lam, step = x_trial, f_trial, jac_trial, lam / 10.0, None
             norms.append(np.linalg.norm(f))
             if len(norms) > 10 and norms[-1] > 0.5 * norms[-11]:
                 break
@@ -442,16 +439,16 @@ def _tidy_plan(plan: DecompositionPlan) -> DecompositionPlan:
 def fit_plan(ch: KrausChannel) -> FitResult:
     """Fit a two-branch plan to an arbitrary CPTP channel.
 
-    Stage one recognizes rotated single-branch channels in closed form
-    from the signed SVD of the distortion matrix; any two-Kraus channel
-    lands here with residual at the arithmetic floor, and the first
-    candidate within ``FIT_TARGET_RESIDUAL`` is kept.  Stage two runs
-    multi-start Levenberg-Marquardt, a numpy loop, over all seventeen
-    parameters (branch angles, mixing weight, Euler angles of the four
-    dressing unitaries) against the Choi-matrix difference, from seeded
-    random starts until one lands within ``FIT_TARGET_RESIDUAL`` or
-    ``FIT_MAX_STARTS`` are spent.  Starts are merged by lowest residual
-    with the start index as tiebreak, so results are deterministic.
+    Stage one recognizes rotated single-branch channels in closed form from the
+    signed SVD of the distortion matrix; any two-Kraus channel lands here with
+    residual at the arithmetic floor, and the first candidate within
+    ``FIT_TARGET_RESIDUAL`` is kept.  Stage two runs multi-start
+    Levenberg-Marquardt, a numpy loop, over all seventeen parameters (branch
+    angles, mixing weight, Euler angles of the four dressing unitaries) against
+    the Bloch affine map, whose distance is the Choi distance, from seeded random
+    starts until one lands within ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS``
+    are spent.  Starts are merged by lowest residual with the start index as
+    tiebreak, so results are deterministic.
 
     Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
     the result, not raised.
@@ -459,23 +456,24 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     report = validate_channel(ch)
     if not report.ok:
         raise ValueError("fit_plan requires a CPTP channel")
-    target = to_choi(ch)
+    target, aff = to_choi(ch), to_affine(ch)
 
     def residual_of(plan):
         return frob_dist(to_choi(plan_to_channel(plan)), target)
 
-    for cand in _single_branch_candidates(to_affine(ch)):
+    for cand in _single_branch_candidates(aff):
         r = residual_of(cand)
         if r <= FIT_TARGET_RESIDUAL:
             return FitResult(plan=_tidy_plan(cand), residual=float(r), starts_used=0)
 
+    affine_target = np.hstack([aff.t[:, None], aff.T]).ravel()
     rng = np.random.default_rng(FIT_SEED)
     best_plan = None
     best_res = np.inf
     for starts_used in range(1, FIT_MAX_STARTS + 1):
         x0 = rng.uniform(-np.pi, np.pi, size=17)
         x0[4] = rng.uniform(0.0, np.pi / 2.0)
-        plan = _tidy_plan(_plan_from_params(_levenberg_marquardt(x0, target)))
+        plan = _tidy_plan(_plan_from_params(_levenberg_marquardt(x0, affine_target)))
         r = residual_of(plan)
         if r < best_res:
             best_plan, best_res = plan, r

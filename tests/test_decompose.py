@@ -12,8 +12,9 @@ from qchansim.decompose import (
     DecompositionPlan,
     NotQuasiExtremeError,
     QuasiExtremeBranch,
+    FIT_TARGET_RESIDUAL,
     U_BPF,
-    _choi_residuals,
+    _affine_residual,
     _damped_step_solver,
     _levenberg_marquardt,
     _plan_from_params,
@@ -28,7 +29,7 @@ from qchansim.decompose import (
     plan_to_json,
     wrap_angle,
 )
-from qchansim.matops import ID2, PAULI_Z, frob_dist
+from qchansim.matops import ID2, PAULIS, PAULI_Z, frob_dist
 from qchansim.optics import EulerAngles, su2_from_euler
 
 PI = np.pi
@@ -278,11 +279,6 @@ def test_fit_plan_reports_choi_distance():
     result = fit_plan(ch)
     recomputed = frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch))
     assert result.residual == pytest.approx(recomputed, abs=1e-12)
-    # The LM stage's stacked residual is the same Choi difference, split into real and imaginary parts.
-    xs = np.random.default_rng(39).uniform(-PI, PI, (50, 17))
-    for x, row in zip(xs, _choi_residuals(xs, to_choi(ch))):
-        diff = to_choi(plan_to_channel(_plan_from_params(x))) - to_choi(ch)
-        assert np.abs(row - np.concatenate([diff.real.ravel(), diff.imag.ravel()])).max() <= 1e-14
 
 
 def test_fit_plan_residual_describes_the_returned_plan(monkeypatch):
@@ -299,33 +295,34 @@ def test_fit_plan_residual_describes_the_returned_plan(monkeypatch):
     assert result.residual == frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch))
 
 
-def _count_residual_rows(monkeypatch) -> list:
-    """Wrap decompose._choi_residuals; each call appends its row count to the returned list."""
+def _count_kernel_calls(monkeypatch) -> list:
+    """Wrap decompose._affine_residual; each call appends its point to the returned list."""
     import qchansim.decompose as decompose
 
-    rows = []
+    calls = []
 
-    def counting_residuals(xs, target):
-        rows.append(len(xs))
-        return _choi_residuals(xs, target)
+    def counting_residual(x, target):
+        calls.append(x)
+        return _affine_residual(x, target)
 
-    monkeypatch.setattr(decompose, "_choi_residuals", counting_residuals)
-    return rows
+    monkeypatch.setattr(decompose, "_affine_residual", counting_residual)
+    return calls
 
 
 def test_fit_plan_leaves_a_stalled_start_quickly(monkeypatch):
     # The LM converges only linearly toward this channel's singular solution.
-    rows = _count_residual_rows(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
     result = fit_plan(random_channel(np.random.default_rng(1011), 3))
     assert result.residual <= 1e-9
-    assert len(rows) <= 400
+    assert len(calls) <= 400
 
 
+@pytest.mark.parametrize("rows", [32, 12])
 @pytest.mark.parametrize("lam", [1e3, 1.0, 1e-3])
-def test_damped_step_matches_lstsq(lam):
+def test_damped_step_matches_lstsq(lam, rows):
     rng = np.random.default_rng(41)
-    jac = rng.standard_normal((32, 12)) @ rng.standard_normal((12, 17))
-    f = rng.standard_normal(32)
+    jac = rng.standard_normal((rows, 12)) @ rng.standard_normal((12, 17))
+    f = rng.standard_normal(rows)
     damping = np.diag(np.linalg.norm(jac, axis=0))
     expected = np.linalg.lstsq(np.vstack([jac, np.sqrt(lam) * damping]), np.concatenate([-f, np.zeros(17)]),
                                rcond=None)[0]
@@ -344,54 +341,108 @@ def _reference_choi_residuals(xs, target):
     return np.concatenate([diff.real.reshape(n, 16), diff.imag.reshape(n, 16)], axis=1)
 
 
-def test_choi_residual_rows_do_not_depend_on_the_stack():
-    target = to_choi(random_channel(np.random.default_rng(44), 4))
-    xs = np.random.default_rng(45).uniform(-PI, PI, (50, 17))
-    stacked = _choi_residuals(xs, target)
-    for x, row in zip(xs, stacked):
-        assert np.abs(row - _choi_residuals(x[None], target)[0]).max() <= 1e-15
-    # The constant tables reproduce the per-factor construction.
-    assert np.abs(stacked - _reference_choi_residuals(xs, target)).max() <= 1e-15
+def _affine_rows(ch) -> np.ndarray:
+    """[t | T] of a channel's Bloch map, row-major: the order of _affine_residual."""
+    aff = to_affine(ch)
+    return np.hstack([aff.t[:, None], aff.T]).ravel()
+
+
+def _kernel_points(seed):
+    """50 parameter vectors with angles up to +-20 pi; every third has p = 0, every third p = 1."""
+    xs = np.random.default_rng(seed).uniform(-20 * PI, 20 * PI, (50, 17))
+    xs[1::3, 4], xs[2::3, 4] = 0.0, PI / 2
+    return xs
+
+
+def test_affine_residual_is_the_plans_bloch_map_difference():
+    ch = random_channel(np.random.default_rng(44), 4)
+    target = _affine_rows(ch)
+    for x in _kernel_points(45):
+        f, _ = _affine_residual(x, target)
+        plan_channel = plan_to_channel(_plan_from_params(x))
+        assert np.abs(f - (_affine_rows(plan_channel) - target)).max() <= 1e-14
+        # ||Choi - Choi*||_F of the per-factor construction is the norm of the 12 reals.
+        choi = _reference_choi_residuals(x[None], to_choi(ch))[0]
+        assert abs(np.linalg.norm(f) - np.linalg.norm(choi)) <= 1e-12
+
+
+def test_affine_residual_jacobian_matches_central_differences():
+    target = _affine_rows(random_channel(np.random.default_rng(46), 3))
+    h = 1e-5
+    for x in _kernel_points(47):
+        _, jac = _affine_residual(x, target)
+        central = [(_affine_residual(x + h * e, target)[0] - _affine_residual(x - h * e, target)[0]) / (2 * h)
+                   for e in np.eye(17)]
+        assert np.abs(jac - np.transpose(central)).max() <= 1e-8
 
 
 def test_levenberg_marquardt_trial_brings_its_jacobian(monkeypatch):
-    rows = _count_residual_rows(monkeypatch)
+    import qchansim.decompose as decompose
+
+    points, returned, solved = [], [], []
+
+    def recording_residual(x, target):
+        points.append(x.tobytes())
+        returned.append(_affine_residual(x, target))
+        return returned[-1]
+
+    def recording_solver(jac, f):
+        solved.append((f, jac))
+        return _damped_step_solver(jac, f)
+
+    monkeypatch.setattr(decompose, "_affine_residual", recording_residual)
+    monkeypatch.setattr(decompose, "_damped_step_solver", recording_solver)
     result = fit_plan(random_channel(np.random.default_rng(43), 3))
     assert result.starts_used == 1 and result.residual <= 1e-9
-    # The start's residual and Jacobian, then one 18-row call per trial: the point and its 17 neighbours.
-    assert rows[:2] == [1, 17] and len(rows) > 2
-    assert set(rows[2:]) == {18}
+    # Each step is solved from the residual and Jacobian of one kernel call: the start's, then each accepted
+    # trial's.  No point is evaluated twice, so no Jacobian is recomputed.
+    assert len(solved) > 1 and solved[0][1] is returned[0][1]
+    assert all(any(f is r and jac is j for r, j in returned) for f, jac in solved)
+    assert len(set(points)) == len(points)
 
 
 def test_levenberg_marquardt_returns_a_converged_start_at_once(monkeypatch):
     x = np.random.default_rng(42).uniform(-PI, PI, 17)
-    target = to_choi(plan_to_channel(_plan_from_params(x)))
-    rows = _count_residual_rows(monkeypatch)
+    target = _affine_rows(plan_to_channel(_plan_from_params(x)))
+    calls = _count_kernel_calls(monkeypatch)
     assert np.array_equal(_levenberg_marquardt(x, target), x)
-    # One residual at x, no 17-row Jacobian.
-    assert rows == [1]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("shrink", [0.99, 0.9])
 def test_levenberg_marquardt_stops_at_target_or_stall(monkeypatch, shrink):
     import qchansim.decompose as decompose
 
-    # Every trial is accepted and scales |f| by `shrink`; the Jacobian rows are any finite rows.
+    # Every trial is accepted and scales |f| by `shrink`; the Jacobian is any finite matrix.
     norms = []
 
-    def shrinking_residuals(xs, target):
-        rows = np.zeros((len(xs), 32))
-        if len(xs) != 17:  # the start's one-row call, or a trial whose row 0 is the trial point
-            norms.append(shrink ** len(norms))
-            rows[0] = norms[-1] / np.sqrt(32.0)
-        return rows
+    def shrinking_residual(x, target):
+        norms.append(shrink ** len(norms))
+        return np.full(12, norms[-1] / np.sqrt(12.0)), np.zeros((12, 17))
 
-    monkeypatch.setattr(decompose, "_choi_residuals", shrinking_residuals)
+    monkeypatch.setattr(decompose, "_affine_residual", shrinking_residual)
     _levenberg_marquardt(np.zeros(17), None)
     if shrink ** 10 > 0.5:
         assert len(norms) == 11  # the start, then 10 accepted steps that did not halve |f|
     else:
         assert norms[-1] <= LM_STOP_RESIDUAL < norms[-2]
+
+
+def _near_extreme(i, eps):
+    """(1 - eps) of a random Choi-rank-2 channel plus eps of the fully depolarizing channel."""
+    ch = random_channel(np.random.default_rng(30000 + i), 2)
+    ops = [np.sqrt(1.0 - eps) * k for k in ch.ops] + [np.sqrt(eps) / 2.0 * s for s in (ID2, *PAULIS)]
+    return KrausChannel(tuple(ops), f"near-extreme {i}")
+
+
+def test_fit_plan_converges_over_every_choi_rank():
+    channels = [random_channel(np.random.default_rng(6000 + 100 * rank + i), rank, f"rank {rank}, {i}")
+                for rank in (1, 2, 3, 4) for i in range(20)]
+    channels += [_near_extreme(i, 1e-2) for i in range(10)]
+    for ch in channels:
+        result = fit_plan(ch)
+        assert result.residual <= FIT_TARGET_RESIDUAL, ch.label
+        assert frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch)) <= 1e-9, ch.label
 
 
 def test_plan_json_round_trip():
