@@ -126,31 +126,37 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
 
 
 def to_choi(ch: KrausChannel) -> np.ndarray:
-    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|); Tr J = 2 when E is TP.
+    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|); Tr J = 2 when E is TP."""
+    return choi_from_transfer(transfer(ch))
 
-    J is the reshuffle J[(i,a),(j,b)] = S[(a,b),(i,j)] of the transfer matrix.
-    """
-    return transfer(ch).reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
+
+def choi_from_transfer(s) -> np.ndarray:
+    """The reshuffle J[(i,a),(j,b)] = S[(a,b),(i,j)] of a transfer matrix: its Choi matrix."""
+    return s.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
 
 
 def validate_channel(ch: KrausChannel) -> CPTPReport:
-    """CPTP diagnostics: never raises, returns residuals and a verdict.
-
-    The output partial trace of J is (sum_i K_i^dag K_i)^T, so TP means it is I.
-    """
+    """CPTP diagnostics: never raises, returns residuals and a verdict."""
     j = to_choi(ch)
+    return cptp_report(j, np.linalg.eigvalsh((j + dagger(j)) / 2.0))
+
+
+def cptp_report(j, choi_eigenvalues) -> CPTPReport:
+    """:func:`validate_channel`'s report from J and its eigenvalues; TP means Tr_out J = (sum K^dag K)^T = I."""
     trace_residual = frob_dist(np.trace(j.reshape(2, 2, 2, 2), axis1=1, axis2=3), ID2)
-    min_eig = float(np.linalg.eigvalsh((j + dagger(j)) / 2.0).min())
+    min_eig = float(choi_eigenvalues.min())
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL
     return CPTPReport(trace_residual=trace_residual, min_choi_eig=min_eig, ok=ok)
 
 
 def to_affine(ch: KrausChannel) -> AffineRep:
-    """Distortion matrix and displacement: T_ij = Tr[s_i E(s_j)]/2, t_i = Tr[s_i E(I)]/2.
+    """Distortion matrix and displacement: T_ij = Tr[s_i E(s_j)]/2, t_i = Tr[s_i E(I)]/2."""
+    return affine_from_transfer(transfer(ch))
 
-    Both are blocks of (1/2) P^dag S P, the transfer matrix in the Pauli basis.
-    """
-    m = 0.5 * (dagger(_PAULI_VECS) @ transfer(ch) @ _PAULI_VECS).real
+
+def affine_from_transfer(s) -> AffineRep:
+    """T and t as blocks of (1/2) P^dag S P, the transfer matrix S in the Pauli basis."""
+    m = 0.5 * (dagger(_PAULI_VECS) @ s @ _PAULI_VECS).real
     return AffineRep(T=m[1:, 1:], t=m[1:, 0])
 
 

@@ -11,7 +11,8 @@ with ``alpha = (mu + nu) / 2`` and ``beta = (mu - nu) / 2``.  An arbitrary
 channel is a convex mix ``p E_a + (1 - p) E_b`` of two such branches, each
 dressed by unitaries: ``M_i = U K_i U'``.  This module provides the closed
 forms for the five named channels, a numpy Levenberg-Marquardt fitter for
-everything else, and the reconstruction of a channel from a plan.
+everything else (quadratically convergent also on Choi-rank-deficient targets),
+and the reconstruction of a channel from a plan.
 
 The ancilla rotation angles obey ``gamma1 = pi/2 - alpha + beta`` and
 ``gamma2 = alpha + beta - pi/2`` (modulo 2 pi); the circuit-versus-Kraus
@@ -21,6 +22,7 @@ equivalence tests pin this relation down.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +32,11 @@ from .channels import (
     ChannelKind,
     KrausChannel,
     ZERO_OP_TOL,
-    to_affine,
+    affine_from_transfer,
+    choi_from_transfer,
+    cptp_report,
     to_choi,
-    validate_channel,
+    transfer,
 )
 from .matops import ID2, PAULIS, as_cmat, complex_to_pairs, frob_dist, pairs_to_complex, svd3, unitarity_residual
 from .optics import EulerAngles, su2_from_euler, su2_from_rotation
@@ -46,6 +50,7 @@ FIT_SEED = 7
 FIT_TARGET_RESIDUAL = 1e-9
 LM_STOP_RESIDUAL = 1e-12
 CONVERGED_RESIDUAL = 1e-4
+_EPS = np.finfo(float).eps
 
 
 class NotQuasiExtremeError(ValueError):
@@ -315,7 +320,7 @@ def _affine_tables():
                      1, 1, 1, 1, -2, 2, 0, 0, 0, 0, -2, 2]).reshape(3, 3, 4)
     offsets = np.array([[14, 20, 26, 32, 0, 6], [14, 20, 26, 32, 0, 6], [0, 0, 0, 0, 0, 0]])[:, :, None, None]
     quat, pair = quat[:, None] + offsets[:, :4], pair[:, None] + offsets[:, 4:]
-    weights = [[13, 12, 13], [13, 12, 12], [1, 1, 2]]
+    weights = [[13, 12, 13, 13, 12, 12, 13], [13, 12, 12, 4, 4, 4, 4], [1, 1, 2, 1, 1, 1, -1]]
     first, second, coef = np.concatenate([quat.reshape(3, 64), pair.reshape(3, 24), weights], axis=1)
     # Row-major: the basis of U = a I + i b sigma_z - i c sigma_y + i d sigma_x, then the places of cos alpha,
     # sin alpha, cos beta, sin beta in K0 = diag(cos beta, cos alpha) and K1 = [[0, sin alpha], [sin beta, 0]].
@@ -327,10 +332,15 @@ def _affine_tables():
     forms = 0.5 * (kron @ (paulis.conj()[:, None, :, None] * paulis[None, :, None, :]).reshape(16, 16)).real
     rotation, kraus = forms.reshape(2, 4, 4, 16)
     kraus[::2, 1::2] = kraus[1::2, ::2] = 0.0  # cosines are K0's entries and sines K1's: they do not pair
-    return angles, first, second, coef.astype(float), rotation.reshape(16, 16), kraus.reshape(16, 16)
+    # Choi vectors of B_i E_m B_j for U = sum_i q_i B_i, U' = sum_j q'_j B_j and Kraus entry m, split by the
+    # Kraus operator (K0 for the cosines, K1 for the sines) that holds entry m.
+    choi = np.einsum("iab,mbc,jcd->daijm", ops[0], ops[1], ops[0]).reshape(4, 1, 64)
+    null = (choi * (np.arange(64) % 2 == np.arange(2)[:, None])).reshape(4, 128)
+    return angles, first, second, coef.astype(float), rotation.reshape(16, 16), kraus.reshape(16, 16), null
 
 
-_ANGLE_MAP, _PRODUCT_FIRST, _PRODUCT_SECOND, _PRODUCT_COEF, _ROTATION_FORM, _KRAUS_FORM = _affine_tables()
+(_ANGLE_MAP, _PRODUCT_FIRST, _PRODUCT_SECOND, _PRODUCT_COEF, _ROTATION_FORM, _KRAUS_FORM,
+ _NULL_BASIS) = _affine_tables()
 # Row _VALUE[i] of g's 22 four-vectors (4 per dressing, then 3 per branch) is the value that vector i
 # pairs with.  Branch s has 9 terms PTM(U) PTM(K) PTM(U') with at most one factor differentiated: the
 # value, d/dalpha, d/dbeta, d/dU and d/dU' in (phi, xi, zeta).  The rotations' matrices are indexed
@@ -344,18 +354,42 @@ _LEFT, _MIDDLE, _RIGHT = np.array([[0, 0, 0, 1, 2, 3, 0, 0, 0, 8, 8, 8, 9, 10, 1
 _MIX = np.zeros((18, 18, 3))
 _MIX[range(18), [17, 0, 1, 5, 6, 7, 8, 9, 10, 17, 2, 3, 11, 12, 13, 14, 15, 16], [0] * 9 + [1] * 9] = 1.0
 _MIX[[0, 9], 4, 2] = 1.0, -1.0
+# The null rows take the 18 terms per branch from the trilinear Tr(W U K U'): _NULL_GATHER gathers each term's
+# q_i (U), q'_j (U') and kappa_m (Kraus entry) from g over ijm = 16 i + 4 j + m.  _NULL_PLACE halves g's doubled
+# derivatives and sends values to d/dtheta too, weighed by sin or cos theta or their derivative, _NULL_WEIGHT.
+_NULL_GATHER = np.stack(np.broadcast_arrays(*(4 * t + np.arange(4).reshape(-1, *[1] * k) for t, k in
+                                              ((_LEFT, 3), (_RIGHT, 2), (16 + _MIDDLE, 1))))).reshape(3, 64, 18)
+_NULL_PLACE = _MIX[:, :, :2].transpose(0, 2, 1) * np.where(np.arange(18) % 9, 0.5, 1.0)[:, None, None]
+_NULL_PLACE[[0, 9], [0, 1], 4] = 1.0
+_NULL_PLACE = _NULL_PLACE.reshape(18, 36)
+_NULL_WEIGHT = np.repeat([91, 92], 18)
+_NULL_WEIGHT[[4, 22]] = 93, 94
 
 
-def _affine_residual(x, target) -> tuple[np.ndarray, np.ndarray]:
-    """The plan's Bloch map minus ``target`` as 12 reals, and their exact 12 x 17 Jacobian.
+def _null_table(vectors) -> np.ndarray:
+    """(4n, 64): Re, then Im, of Tr(W_n B_i E_m B_j) for each column v_n of ``vectors``, then K0, K1 (their E_m)."""
+    table = (vectors.conj().T @ _NULL_BASIS).reshape(-1, 64)
+    return np.concatenate([table.real, table.imag])
 
-    The residual is [t | T] - ``target``, row-major, for the map r -> T r + t of
+
+def _affine_residual(x, target, nulls) -> tuple[np.ndarray, np.ndarray]:
+    """The plan's Bloch map and null rows minus ``target``: 12 + 8n reals, and their exact Jacobian in x.
+
+    The first 12 are [t | T], row-major, for the map r -> T r + t of
     ``plan_to_channel(_plan_from_params(x))``, the rows of its transfer matrix
     p PTM(U_a) PTM(K_a) PTM(U'_a) + (1 - p) PTM(U_b) PTM(K_b) PTM(U'_b) below [1, 0].
     Trace-preserving maps have the transfer matrix [[1, 0], [t, T]] in the orthonormal
     basis s/sqrt(2), and the Choi matrix is a reshuffle of that, so
     ||Choi - Choi*||_F = ||(T - T*, t - t*)||: the least-squares problem is that of the
     Choi difference.  No plan is built.
+
+    Each of the n Choi null vectors v of the target in ``nulls`` (:func:`_null_table`) adds 8 null
+    rows, Re and Im of Tr(W M) = <v|vec M> for the Kraus operators M = c U K U', c = sin theta or
+    cos theta: row 12 + 2 r + s pairs row r of ``nulls`` with branch s.  The plan's Choi weight on v,
+    sum_M |<v|vec M>|^2, is 0 at every exact plan, so the rows vanish there and leave the solutions
+    alone.  That weight is quadratic in the distance to a solution, so the 12 rows' Jacobian is
+    singular there and Gauss-Newton only halves the distance per step; the null rows are linear
+    in it and restore quadratic convergence.
     """
     cs = np.exp(1j * (x @ _ANGLE_MAP)).view(float)
     g = _PRODUCT_COEF * cs[_PRODUCT_FIRST] * cs[_PRODUCT_SECOND]
@@ -364,14 +398,18 @@ def _affine_residual(x, target) -> tuple[np.ndarray, np.ndarray]:
     rot = (forms[:16] @ _ROTATION_FORM).reshape(16, 4, 4)
     kraus = (forms[16:] @ _KRAUS_FORM).reshape(6, 4, 4)
     terms = rot[_LEFT, 1:, 1:] @ (kraus[_MIDDLE, 1:] @ rot[_RIGHT])
-    out = terms.reshape(18, 12).T @ (_MIX @ g[88:])
+    out = terms.reshape(18, 12).T @ (_MIX @ g[88:91])
+    if nulls.size:
+        left, right, middle = g[_NULL_GATHER]
+        rows = (nulls @ (left * right * middle)) @ _NULL_PLACE * g[_NULL_WEIGHT]
+        out = np.concatenate([out, rows.reshape(-1, 18)])
     return out[:, 17] - target, out[:, :17]
 
 
 def _damped_step_solver(jac, f):
     """The map lam -> argmin over d of |J d + f|^2 + lam |D d|^2, D = diag of J's column norms.
 
-    J is 12 x 17: 12 residuals, 17 parameters.  Marquardt's scaling D makes the step independent
+    J is (12 + 8n) x 17: 12 + 8n residuals, 17 parameters.  Marquardt's scaling D makes the step independent
     of the parameters' units.  With y = D d this is ridge least squares on J D^-1 = V_l S V_r^T,
     so one SVD serves every lam: d = D^-1 V_r filt V_l^T (-f) with filt = s / (s^2 + lam).
     Directions whose singular value sqrt(s^2 + lam) in the stacked matrix [J D^-1; sqrt(lam) I]
@@ -383,7 +421,7 @@ def _damped_step_solver(jac, f):
     vl, s, vr = np.linalg.svd(jac / d, full_matrices=False)
     g = vl.T @ -f
     back = vr.T / d[:, None]
-    cut = sum(jac.shape) * np.finfo(float).eps
+    cut = sum(jac.shape) * _EPS
 
     def step(lam):
         shifted = s * s + lam
@@ -393,18 +431,18 @@ def _damped_step_solver(jac, f):
     return step
 
 
-def _levenberg_marquardt(x, target) -> np.ndarray:
+def _levenberg_marquardt(x, target, nulls) -> np.ndarray:
     """Levenberg-Marquardt least squares on :func:`_affine_residual`, started at ``x``.
 
-    J^T J is singular (17 parameters, 12-dimensional channels), so each step is the damped
-    least-squares step of :func:`_damped_step_solver`.  The start and every trial cost one
+    J^T J is singular in general (17 parameters, 12-dimensional channels), so each step is the
+    damped least-squares step of :func:`_damped_step_solver`.  The start and every trial cost one
     kernel call, which brings the exact Jacobian along.  lam falls tenfold after a step that
     lowers the cost and rises tenfold otherwise.  The loop stops once |f| <= ``LM_STOP_RESIDUAL``,
     when the last 10 accepted steps did not halve |f| together (a stalled start, left to the
     caller's next start), when no lam up to 1e16 helps, or after 2000 trials.
     """
-    f, jac = _affine_residual(x, target)
-    norms = [np.linalg.norm(f)]
+    f, jac = _affine_residual(x, target, nulls)
+    norms = [math.sqrt(f @ f)]
     lam, step = 1e-3, None
     for _ in range(2000):
         if f @ f <= LM_STOP_RESIDUAL**2:
@@ -412,10 +450,10 @@ def _levenberg_marquardt(x, target) -> np.ndarray:
         if step is None:
             step = _damped_step_solver(jac, f)
         x_trial = x + step(lam)
-        f_trial, jac_trial = _affine_residual(x_trial, target)
+        f_trial, jac_trial = _affine_residual(x_trial, target, nulls)
         if f_trial @ f_trial < f @ f:
             x, f, jac, lam, step = x_trial, f_trial, jac_trial, lam / 10.0, None
-            norms.append(np.linalg.norm(f))
+            norms.append(math.sqrt(f @ f))
             if len(norms) > 10 and norms[-1] > 0.5 * norms[-11]:
                 break
         elif lam > 1e16:
@@ -448,15 +486,18 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     the Bloch affine map, whose distance is the Choi distance, from seeded random
     starts until one lands within ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS``
     are spent.  Starts are merged by lowest residual with the start index as
-    tiebreak, so results are deterministic.
+    tiebreak, so results are deterministic.  Choi eigenvectors with eigenvalue <= ``LM_STOP_RESIDUAL``
+    add null rows to the residual; one transfer matrix and one ``eigh`` give them and the CPTP check.
 
     Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
     the result, not raised.
     """
-    report = validate_channel(ch)
-    if not report.ok:
+    transfer_matrix = transfer(ch)
+    target = choi_from_transfer(transfer_matrix)
+    eigenvalues, eigenvectors = np.linalg.eigh((target + target.conj().T) / 2.0)
+    if not cptp_report(target, eigenvalues).ok:
         raise ValueError("fit_plan requires a CPTP channel")
-    target, aff = to_choi(ch), to_affine(ch)
+    aff = affine_from_transfer(transfer_matrix)
 
     def residual_of(plan):
         return frob_dist(to_choi(plan_to_channel(plan)), target)
@@ -466,14 +507,15 @@ def fit_plan(ch: KrausChannel) -> FitResult:
         if r <= FIT_TARGET_RESIDUAL:
             return FitResult(plan=_tidy_plan(cand), residual=float(r), starts_used=0)
 
-    affine_target = np.hstack([aff.t[:, None], aff.T]).ravel()
+    nulls = _null_table(eigenvectors[:, eigenvalues <= LM_STOP_RESIDUAL])
+    affine_target = np.concatenate([np.hstack([aff.t[:, None], aff.T]).ravel(), np.zeros(2 * len(nulls))])
     rng = np.random.default_rng(FIT_SEED)
     best_plan = None
     best_res = np.inf
     for starts_used in range(1, FIT_MAX_STARTS + 1):
         x0 = rng.uniform(-np.pi, np.pi, size=17)
         x0[4] = rng.uniform(0.0, np.pi / 2.0)
-        plan = _tidy_plan(_plan_from_params(_levenberg_marquardt(x0, affine_target)))
+        plan = _tidy_plan(_plan_from_params(_levenberg_marquardt(x0, affine_target, nulls)))
         r = residual_of(plan)
         if r < best_res:
             best_plan, best_res = plan, r

@@ -6,6 +6,9 @@ always tolerance-based.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 ID2 = np.eye(2, dtype=complex)
@@ -45,8 +48,13 @@ def frob_dist(a, b) -> float:
 
 
 def unitarity_residual(u) -> float:
+    """||u^dag u - I||_F; for 2x2 ``u`` in scalar arithmetic."""
     u = as_cmat(u)
-    return frob_dist(dagger(u) @ u, np.eye(u.shape[0]))
+    if u.shape != (2, 2):
+        return frob_dist(dagger(u) @ u, np.eye(u.shape[0]))
+    (a, b), (c, d) = u.tolist()
+    return math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1.0, abs(b) ** 2 + abs(d) ** 2 - 1.0,
+                      math.sqrt(2.0) * abs(a.conjugate() * b + c.conjugate() * d))
 
 
 def phase_invariant_distance(u, v) -> float:
@@ -54,14 +62,15 @@ def phase_invariant_distance(u, v) -> float:
 
     Equals sqrt(2 d - 2 |Tr(u^dag v)|), but is evaluated at the minimizing
     phase phi = arg Tr(u^dag v) so that near-equal matrices resolve to the
-    floating-point floor instead of sqrt(eps).
+    floating-point floor instead of sqrt(eps).  The sums run over scalar entries.
     """
     u = as_cmat(u)
     v = as_cmat(v, u.shape[0])
     if unitarity_residual(u) > 1e-8 or unitarity_residual(v) > 1e-8:
         raise ValueError("phase_invariant_distance requires unitary inputs")
-    phase = np.exp(-1j * np.angle(np.trace(dagger(u) @ v)))
-    return frob_dist(u, phase * v)
+    pairs = list(zip(u.ravel().tolist(), v.ravel().tolist()))
+    phase = cmath.exp(-1j * cmath.phase(sum(a.conjugate() * b for a, b in pairs)))
+    return math.sqrt(sum(abs(a - phase * b) ** 2 for a, b in pairs))
 
 
 def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

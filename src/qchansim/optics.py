@@ -14,7 +14,9 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +97,7 @@ def su2_from_euler(e: EulerAngles) -> np.ndarray:
 def euler_from_su2(u) -> EulerAngles:
     """Euler angles reproducing a unitary up to global phase.
 
-    The determinant phase is divided out first.  Branch choice: xi is taken
+    The determinant phase is divided out first, in scalar arithmetic.  Branch choice: xi is taken
     in [0, pi/2] from the magnitudes of the (Re, Im) component pairs, the
     sums/differences phi +- zeta come from atan2 of those pairs, and the
     zeta = 0 gauge is used whenever w vanishes.
@@ -103,17 +105,17 @@ def euler_from_su2(u) -> EulerAngles:
     u = as_cmat(u, 2)
     if unitarity_residual(u) > 1e-8:
         raise ValueError("euler_from_su2 requires a unitary input")
-    det = np.linalg.det(u)
-    su = u / np.sqrt(det)
-    a, w = su[0, 0], su[1, 0]
+    (u00, u01), (u10, u11) = u.tolist()
+    root = cmath.sqrt(u00 * u11 - u01 * u10)
+    a, w = u00 / root, u10 / root
     if abs(w) <= 1e-14:
-        return EulerAngles(phi=0.0, xi=float(np.angle(a)), zeta=0.0)
+        return EulerAngles(phi=0.0, xi=cmath.phase(a), zeta=0.0)
     if abs(a) <= 1e-14:
-        return EulerAngles(phi=np.pi / 2.0, xi=float(np.angle(w)), zeta=0.0)
-    xi = np.arctan2(np.hypot(a.imag, w.imag), np.hypot(a.real, w.real))
-    ssum = np.arctan2(w.real, a.real)
-    sdiff = np.arctan2(w.imag, a.imag)
-    return EulerAngles(phi=float((ssum + sdiff) / 2.0), xi=float(xi), zeta=float((ssum - sdiff) / 2.0))
+        return EulerAngles(phi=np.pi / 2.0, xi=cmath.phase(w), zeta=0.0)
+    xi = math.atan2(math.hypot(a.imag, w.imag), math.hypot(a.real, w.real))
+    ssum = math.atan2(w.real, a.real)
+    sdiff = math.atan2(w.imag, a.imag)
+    return EulerAngles(phi=(ssum + sdiff) / 2.0, xi=xi, zeta=(ssum - sdiff) / 2.0)
 
 
 def waveplates_from_euler(e: EulerAngles) -> WaveplateTriple:

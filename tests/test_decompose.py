@@ -17,6 +17,7 @@ from qchansim.decompose import (
     _affine_residual,
     _damped_step_solver,
     _levenberg_marquardt,
+    _null_table,
     _plan_from_params,
     branch_from_nu_mu,
     closed_form_plan,
@@ -285,7 +286,7 @@ def test_fit_plan_residual_describes_the_returned_plan(monkeypatch):
     import qchansim.decompose as decompose
 
     # An LM end point with p = 1 - 1e-14, so the returned plan drops branch b.
-    def near_single_branch(x, target):
+    def near_single_branch(x, target, nulls):
         return np.concatenate([x[:4], [PI / 2 - 1e-7], x[5:]])
 
     monkeypatch.setattr(decompose, "_levenberg_marquardt", near_single_branch)
@@ -301,20 +302,49 @@ def _count_kernel_calls(monkeypatch) -> list:
 
     calls = []
 
-    def counting_residual(x, target):
+    def counting_residual(x, target, nulls):
         calls.append(x)
-        return _affine_residual(x, target)
+        return _affine_residual(x, target, nulls)
 
     monkeypatch.setattr(decompose, "_affine_residual", counting_residual)
     return calls
 
 
-def test_fit_plan_leaves_a_stalled_start_quickly(monkeypatch):
-    # The LM converges only linearly toward this channel's singular solution.
+def test_fit_plan_converges_quadratically_toward_a_singular_solution(monkeypatch):
+    # The plan's Choi weight on this rank-3 channel's null vector vanishes quadratically at every solution, so
+    # the 12 affine rows alone have a singular Jacobian there and the LM took 322 kernel calls at linear speed.
+    # The null rows are linear in the distance: the first start converges quadratically.
     calls = _count_kernel_calls(monkeypatch)
     result = fit_plan(random_channel(np.random.default_rng(1011), 3))
-    assert result.residual <= 1e-9
-    assert len(calls) <= 400
+    assert result.residual <= 1e-9 and result.starts_used == 1
+    assert len(calls) <= 30
+
+
+def test_fit_plan_fits_random_rank3_channels_from_the_first_start(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    for i in range(20):
+        calls.clear()
+        result = fit_plan(random_channel(np.random.default_rng(10000 + i), 3))
+        assert result.residual <= FIT_TARGET_RESIDUAL and result.starts_used == 1, i
+        assert len(calls) <= 40, i
+
+
+@pytest.mark.parametrize("delta, rows", [(1e-13, 20), (1e-11, 12)])
+def test_fit_plan_adds_null_rows_for_choi_eigenvalues_below_the_stop_residual(monkeypatch, delta, rows):
+    import qchansim.decompose as decompose
+
+    # delta of the fully depolarizing channel lifts the rank-3 Choi null eigenvalue to about delta / 2.
+    sizes = []
+
+    def recording_residual(x, target, nulls):
+        sizes.append(len(target))
+        return _affine_residual(x, target, nulls)
+
+    monkeypatch.setattr(decompose, "_affine_residual", recording_residual)
+    for i in range(3):
+        ch = _depolarized(random_channel(np.random.default_rng(10000 + i), 3), delta)
+        assert fit_plan(ch).residual <= FIT_TARGET_RESIDUAL, i
+    assert set(sizes) == {rows}
 
 
 @pytest.mark.parametrize("rows", [32, 12])
@@ -347,6 +377,14 @@ def _affine_rows(ch) -> np.ndarray:
     return np.hstack([aff.t[:, None], aff.T]).ravel()
 
 
+_NO_NULLS = np.zeros((0, 64))
+
+
+def _central_differences(x, target, nulls, h=1e-5):
+    return np.transpose([(_affine_residual(x + h * e, target, nulls)[0] - _affine_residual(x - h * e, target, nulls)[0])
+                         / (2 * h) for e in np.eye(17)])
+
+
 def _kernel_points(seed):
     """50 parameter vectors with angles up to +-20 pi; every third has p = 0, every third p = 1."""
     xs = np.random.default_rng(seed).uniform(-20 * PI, 20 * PI, (50, 17))
@@ -358,7 +396,7 @@ def test_affine_residual_is_the_plans_bloch_map_difference():
     ch = random_channel(np.random.default_rng(44), 4)
     target = _affine_rows(ch)
     for x in _kernel_points(45):
-        f, _ = _affine_residual(x, target)
+        f, _ = _affine_residual(x, target, _NO_NULLS)
         plan_channel = plan_to_channel(_plan_from_params(x))
         assert np.abs(f - (_affine_rows(plan_channel) - target)).max() <= 1e-14
         # ||Choi - Choi*||_F of the per-factor construction is the norm of the 12 reals.
@@ -368,12 +406,36 @@ def test_affine_residual_is_the_plans_bloch_map_difference():
 
 def test_affine_residual_jacobian_matches_central_differences():
     target = _affine_rows(random_channel(np.random.default_rng(46), 3))
-    h = 1e-5
     for x in _kernel_points(47):
-        _, jac = _affine_residual(x, target)
-        central = [(_affine_residual(x + h * e, target)[0] - _affine_residual(x - h * e, target)[0]) / (2 * h)
-                   for e in np.eye(17)]
-        assert np.abs(jac - np.transpose(central)).max() <= 1e-8
+        _, jac = _affine_residual(x, target, _NO_NULLS)
+        assert np.abs(jac - _central_differences(x, target, _NO_NULLS)).max() <= 1e-8
+
+
+def _plan_null_rows(x, vectors):
+    """Re and Im of Tr(W_n M) = <v_n|vec M> for the Kraus operators M of plan_to_channel, in the kernel's order."""
+    plan = _plan_from_params(x)
+    ops = iter(plan_to_channel(plan).ops)
+    # plan_to_channel weighs branch a by |sin theta| and branch b by |cos theta|, and drops a branch of weight 0.
+    signs = np.sign([np.sin(x[4]), np.cos(x[4])])
+    m = np.array([[sign * next(ops) if weight > 0.0 else np.zeros((2, 2)) for _ in range(2)]
+                  for sign, weight in zip(signs, (plan.p, 1.0 - plan.p))])
+    overlaps = m.swapaxes(-1, -2).reshape(2, 2, 4) @ vectors.conj()  # vec M[2 i + a] = M[a, i], as in to_choi
+    return np.stack([overlaps.real, overlaps.imag]).transpose(0, 3, 2, 1).ravel()
+
+
+@pytest.mark.parametrize("rank", [3, 2])
+def test_null_rows_are_the_plans_kraus_overlaps_with_exact_columns(rank):
+    vectors = np.linalg.eigh(to_choi(random_channel(np.random.default_rng(48), rank)))[1][:, :4 - rank]
+    nulls = _null_table(vectors)
+    target = np.concatenate([_affine_rows(random_channel(np.random.default_rng(46), 3)), np.zeros(32 - 8 * rank)])
+    for x in _kernel_points(49):
+        f, jac = _affine_residual(x, target, nulls)
+        assert f.shape == (44 - 8 * rank,) and jac.shape == (44 - 8 * rank, 17)
+        # The affine rows are those of the kernel without null rows, bit for bit.
+        f_affine, jac_affine = _affine_residual(x, target[:12], _NO_NULLS)
+        assert np.array_equal(f[:12], f_affine) and np.array_equal(jac[:12], jac_affine)
+        assert np.abs(f[12:] - _plan_null_rows(x, vectors)).max() <= 1e-14
+        assert np.abs(jac[12:] - _central_differences(x, target, nulls)[12:]).max() <= 1e-8
 
 
 def test_levenberg_marquardt_trial_brings_its_jacobian(monkeypatch):
@@ -381,9 +443,9 @@ def test_levenberg_marquardt_trial_brings_its_jacobian(monkeypatch):
 
     points, returned, solved = [], [], []
 
-    def recording_residual(x, target):
+    def recording_residual(x, target, nulls):
         points.append(x.tobytes())
-        returned.append(_affine_residual(x, target))
+        returned.append(_affine_residual(x, target, nulls))
         return returned[-1]
 
     def recording_solver(jac, f):
@@ -405,7 +467,7 @@ def test_levenberg_marquardt_returns_a_converged_start_at_once(monkeypatch):
     x = np.random.default_rng(42).uniform(-PI, PI, 17)
     target = _affine_rows(plan_to_channel(_plan_from_params(x)))
     calls = _count_kernel_calls(monkeypatch)
-    assert np.array_equal(_levenberg_marquardt(x, target), x)
+    assert np.array_equal(_levenberg_marquardt(x, target, _NO_NULLS), x)
     assert len(calls) == 1
 
 
@@ -416,23 +478,27 @@ def test_levenberg_marquardt_stops_at_target_or_stall(monkeypatch, shrink):
     # Every trial is accepted and scales |f| by `shrink`; the Jacobian is any finite matrix.
     norms = []
 
-    def shrinking_residual(x, target):
+    def shrinking_residual(x, target, nulls):
         norms.append(shrink ** len(norms))
         return np.full(12, norms[-1] / np.sqrt(12.0)), np.zeros((12, 17))
 
     monkeypatch.setattr(decompose, "_affine_residual", shrinking_residual)
-    _levenberg_marquardt(np.zeros(17), None)
+    _levenberg_marquardt(np.zeros(17), None, None)
     if shrink ** 10 > 0.5:
         assert len(norms) == 11  # the start, then 10 accepted steps that did not halve |f|
     else:
         assert norms[-1] <= LM_STOP_RESIDUAL < norms[-2]
 
 
+def _depolarized(ch, eps, label=""):
+    """(1 - eps) of ``ch`` plus eps of the fully depolarizing channel."""
+    ops = [np.sqrt(1.0 - eps) * k for k in ch.ops] + [np.sqrt(eps) / 2.0 * s for s in (ID2, *PAULIS)]
+    return KrausChannel(tuple(ops), label)
+
+
 def _near_extreme(i, eps):
     """(1 - eps) of a random Choi-rank-2 channel plus eps of the fully depolarizing channel."""
-    ch = random_channel(np.random.default_rng(30000 + i), 2)
-    ops = [np.sqrt(1.0 - eps) * k for k in ch.ops] + [np.sqrt(eps) / 2.0 * s for s in (ID2, *PAULIS)]
-    return KrausChannel(tuple(ops), f"near-extreme {i}")
+    return _depolarized(random_channel(np.random.default_rng(30000 + i), 2), eps, f"near-extreme {i}")
 
 
 def test_fit_plan_converges_over_every_choi_rank():
