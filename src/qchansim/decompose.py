@@ -283,14 +283,10 @@ def _single_branch_candidates(aff: AffineRep):
 
 
 def _plan_from_params(x) -> DecompositionPlan:
-    p = float(np.sin(x[4]) ** 2)
-    branch_a = QuasiExtremeBranch.from_alpha_beta(
-        x[0], x[1], U=su2_from_euler(EulerAngles(*x[5:8])), Uprime=su2_from_euler(EulerAngles(*x[8:11]))
-    )
-    branch_b = QuasiExtremeBranch.from_alpha_beta(
-        x[2], x[3], U=su2_from_euler(EulerAngles(*x[11:14])), Uprime=su2_from_euler(EulerAngles(*x[14:17]))
-    )
-    return DecompositionPlan(branch_a=branch_a, branch_b=branch_b, p=p)
+    u = su2_from_euler(EulerAngles(*x[5:17].reshape(4, 3).T))
+    branch_a = QuasiExtremeBranch.from_alpha_beta(x[0], x[1], U=u[0], Uprime=u[1])
+    branch_b = QuasiExtremeBranch.from_alpha_beta(x[2], x[3], U=u[2], Uprime=u[3])
+    return DecompositionPlan(branch_a=branch_a, branch_b=branch_b, p=float(np.sin(x[4]) ** 2))
 
 
 def _affine_tables():
@@ -410,23 +406,23 @@ def _damped_step_solver(jac, f):
     """The map lam -> argmin over d of |J d + f|^2 + lam |D d|^2, D = diag of J's column norms.
 
     J is (12 + 8n) x 17: 12 + 8n residuals, 17 parameters.  Marquardt's scaling D makes the step independent
-    of the parameters' units.  With y = D d this is ridge least squares on J D^-1 = V_l S V_r^T,
-    so one SVD serves every lam: d = D^-1 V_r filt V_l^T (-f) with filt = s / (s^2 + lam).
-    Directions whose singular value sqrt(s^2 + lam) in the stacked matrix [J D^-1; sqrt(lam) I]
-    falls below lstsq's default cutoff, (rows + columns) eps times the largest, get no step;
-    without the cut they blow up at tiny lam.
+    of the parameters' units.  With y = D d this is ridge least squares on A = J D^-1, solved by
+    y = A^T (A A^T + lam I)^-1 (-f) = (A^T A + lam I)^-1 A^T (-f), the push-through identity: each lam
+    costs one solve with the Gram matrix G of A on its smaller side (More, 1978), A A^T for up to 17 rows
+    (every target without null rows), else A^T A.  A's columns have unit norm, so tr G <= 17 and G carries
+    round-off up to (rows + 17) eps 17.  lam is clamped up to that level, which keeps G + lam I regular
+    where G is singular (p = 0 or 1 zeroes a branch's columns) and where lam has underflowed to 0.
     """
     d = np.linalg.norm(jac, axis=0)
     d[d == 0.0] = 1.0
-    vl, s, vr = np.linalg.svd(jac / d, full_matrices=False)
-    g = vl.T @ -f
-    back = vr.T / d[:, None]
-    cut = sum(jac.shape) * _EPS
+    a = jac / d
+    wide = len(a) <= a.shape[1]
+    gram, rhs = (a @ a.T, -f) if wide else (a.T @ a, a.T @ -f)
+    back = (a.T if wide else np.eye(a.shape[1])) / d[:, None]
+    floor, eye = sum(a.shape) * _EPS * a.shape[1], np.eye(len(gram))
 
     def step(lam):
-        shifted = s * s + lam
-        filt = np.where(np.sqrt(shifted) > cut * np.sqrt(shifted[0]), s / shifted, 0.0)
-        return back @ (filt * g)
+        return back @ np.linalg.solve(gram + max(lam, floor) * eye, rhs)
 
     return step
 
@@ -435,9 +431,10 @@ def _levenberg_marquardt(x, target, nulls) -> np.ndarray:
     """Levenberg-Marquardt least squares on :func:`_affine_residual`, started at ``x``.
 
     J^T J is singular in general (17 parameters, 12-dimensional channels), so each step is the
-    damped least-squares step of :func:`_damped_step_solver`.  The start and every trial cost one
-    kernel call, which brings the exact Jacobian along.  lam falls tenfold after a step that
-    lowers the cost and rises tenfold otherwise.  The loop stops once |f| <= ``LM_STOP_RESIDUAL``,
+    damped least-squares step of :func:`_damped_step_solver`: one small Gram solve per trial, with lam
+    clamped at the Gram matrix's round-off level.  The start and every trial cost one kernel call,
+    which brings the exact Jacobian along.  lam falls tenfold after a step that lowers the cost and
+    rises tenfold otherwise.  The loop stops once |f| <= ``LM_STOP_RESIDUAL``,
     when the last 10 accepted steps did not halve |f| together (a stalled start, left to the
     caller's next start), when no lam up to 1e16 helps, or after 2000 trials.
     """
@@ -480,8 +477,9 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     Stage one recognizes rotated single-branch channels in closed form from the
     signed SVD of the distortion matrix; any two-Kraus channel lands here with
     residual at the arithmetic floor, and the first candidate within
-    ``FIT_TARGET_RESIDUAL`` is kept.  Stage two runs multi-start
-    Levenberg-Marquardt, a numpy loop, over all seventeen parameters (branch
+    ``FIT_TARGET_RESIDUAL`` is kept; it is skipped when the target's two smallest
+    Choi eigenvalues already put every two-Kraus channel farther away.  Stage two runs
+    multi-start Levenberg-Marquardt, a numpy loop, over all seventeen parameters (branch
     angles, mixing weight, Euler angles of the four dressing unitaries) against
     the Bloch affine map, whose distance is the Choi distance, from seeded random
     starts until one lands within ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS``
@@ -502,10 +500,13 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     def residual_of(plan):
         return frob_dist(to_choi(plan_to_channel(plan)), target)
 
-    for cand in _single_branch_candidates(aff):
-        r = residual_of(cand)
-        if r <= FIT_TARGET_RESIDUAL:
-            return FitResult(plan=_tidy_plan(cand), residual=float(r), starts_used=0)
+    # A candidate has two Kraus operators, so Choi rank <= 2: by Eckart-Young it is at least the root-sum-square
+    # of the target's two smallest |eigenvalues| away, and stage one cannot succeed when that exceeds the target.
+    if math.hypot(*np.sort(np.abs(eigenvalues))[:2]) <= FIT_TARGET_RESIDUAL:
+        for cand in _single_branch_candidates(aff):
+            r = residual_of(cand)
+            if r <= FIT_TARGET_RESIDUAL:
+                return FitResult(plan=_tidy_plan(cand), residual=float(r), starts_used=0)
 
     nulls = _null_table(eigenvectors[:, eigenvalues <= LM_STOP_RESIDUAL])
     affine_target = np.concatenate([np.hstack([aff.t[:, None], aff.T]).ravel(), np.zeros(2 * len(nulls))])

@@ -19,6 +19,7 @@ from qchansim.decompose import (
     _levenberg_marquardt,
     _null_table,
     _plan_from_params,
+    _single_branch_candidates,
     branch_from_nu_mu,
     closed_form_plan,
     extract_nu_mu,
@@ -347,17 +348,39 @@ def test_fit_plan_adds_null_rows_for_choi_eigenvalues_below_the_stop_residual(mo
     assert set(sizes) == {rows}
 
 
-@pytest.mark.parametrize("rows", [32, 12])
+@pytest.mark.parametrize("rows, smallest", [(32, None), (20, None), (12, None), (32, 1e-6), (20, 1e-6), (12, 1e-6)],
+                         ids=["32", "20", "12", "32-1e-06", "20-1e-06", "12-1e-06"])
 @pytest.mark.parametrize("lam", [1e3, 1.0, 1e-3])
-def test_damped_step_matches_lstsq(lam, rows):
+def test_damped_step_matches_lstsq(lam, rows, smallest):
     rng = np.random.default_rng(41)
     jac = rng.standard_normal((rows, 12)) @ rng.standard_normal((12, 17))
+    if smallest is not None:  # J keeps rank 12, with its smallest singular value set to 1e-6
+        u, s, vt = np.linalg.svd(jac, full_matrices=False)
+        jac = (u[:, :12] * np.append(s[:11], smallest)) @ vt[:12]
     f = rng.standard_normal(rows)
     damping = np.diag(np.linalg.norm(jac, axis=0))
     expected = np.linalg.lstsq(np.vstack([jac, np.sqrt(lam) * damping]), np.concatenate([-f, np.zeros(17)]),
                                rcond=None)[0]
     step = _damped_step_solver(jac, f)(lam)
+    # The normal equations lose up to cond(G + lam I) eps <= 17 eps / lam, 4e-12 at lam = 1e-3 (measured <= 3e-13).
     assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-300])
+@pytest.mark.parametrize("rank", [4, 3])
+def test_damped_step_is_finite_and_descends_where_the_gram_matrix_is_singular(lam, rank):
+    # At p = 0 (theta = 0) branch a's columns vanish: the 12- and the 20-row Jacobian have 9 and 8 zero columns.
+    ch = random_channel(np.random.default_rng(46), rank)
+    vectors = np.linalg.eigh(to_choi(ch))[1][:, :4 - rank]
+    target = np.concatenate([_affine_rows(ch), np.zeros(32 - 8 * rank)])
+    x = np.random.default_rng(50).uniform(-PI, PI, 17)
+    x[4] = 0.0
+    f, jac = _affine_residual(x, target, _null_table(vectors))
+    assert jac.shape == (44 - 8 * rank, 17) and np.linalg.matrix_rank(jac) < 12
+    with np.errstate(all="raise"):
+        step = _damped_step_solver(jac, f)(lam)
+    assert np.isfinite(step).all()
+    assert np.linalg.norm(jac @ step + f) <= np.linalg.norm(f)
 
 
 def _reference_choi_residuals(xs, target):
@@ -501,6 +524,11 @@ def _near_extreme(i, eps):
     return _depolarized(random_channel(np.random.default_rng(30000 + i), 2), eps, f"near-extreme {i}")
 
 
+def test_fit_plan_fits_every_near_extreme_channel_at_eps_1e_4():
+    for i in range(30):
+        assert fit_plan(_near_extreme(i, 1e-4)).residual <= FIT_TARGET_RESIDUAL, i
+
+
 def test_fit_plan_converges_over_every_choi_rank():
     channels = [random_channel(np.random.default_rng(6000 + 100 * rank + i), rank, f"rank {rank}, {i}")
                 for rank in (1, 2, 3, 4) for i in range(20)]
@@ -535,3 +563,24 @@ def test_fit_plan_stage_one_stops_at_first_exact_candidate(monkeypatch):
     result = fit_plan(ch)
     assert result.starts_used == 0 and result.residual <= 1e-9
     assert len(calls) == 1
+
+
+def test_fit_plan_skips_stage_one_where_no_two_kraus_plan_is_close_enough(monkeypatch):
+    import qchansim.decompose as decompose
+
+    # A stage-one candidate has Choi rank <= 2, so it is at least the target's two smallest |eigenvalues| away.
+    scanned = []
+
+    def recording_candidates(aff):
+        scanned.append(aff)
+        return _single_branch_candidates(aff)
+
+    monkeypatch.setattr(decompose, "_single_branch_candidates", recording_candidates)
+    for rank in (3, 4):
+        for i in range(5):
+            assert fit_plan(random_channel(np.random.default_rng(50 + 10 * rank + i), rank)).starts_used >= 1
+    assert scanned == []
+    # 1e-13 of the fully depolarizing channel keeps a rank-2 channel within reach of stage one.
+    result = fit_plan(_depolarized(random_kraus_pair_channel(np.random.default_rng(37)), 1e-13))
+    assert result.starts_used == 0 and result.residual <= FIT_TARGET_RESIDUAL
+    assert len(scanned) == 1
