@@ -407,22 +407,20 @@ def _damped_step_solver(jac, f):
 
     J is (12 + 8n) x 17: 12 + 8n residuals, 17 parameters.  Marquardt's scaling D makes the step independent
     of the parameters' units.  With y = D d this is ridge least squares on A = J D^-1, solved by
-    y = A^T (A A^T + lam I)^-1 (-f) = (A^T A + lam I)^-1 A^T (-f), the push-through identity: each lam
-    costs one solve with the Gram matrix G of A on its smaller side (More, 1978), A A^T for up to 17 rows
-    (every target without null rows), else A^T A.  A's columns have unit norm, so tr G <= 17 and G carries
-    round-off up to (rows + 17) eps 17.  lam is clamped up to that level, which keeps G + lam I regular
-    where G is singular (p = 0 or 1 zeroes a branch's columns) and where lam has underflowed to 0.
+    y = A^T (A A^T + lam I)^-1 (-f), the push-through form of (A^T A + lam I)^-1 A^T (-f): each lam costs
+    one solve with the rows' Gram matrix G = A A^T (More, 1978).  A's columns have unit norm, so tr G <= 17
+    and G carries round-off up to (rows + 17) eps 17.  lam is clamped up to that level, which keeps G + lam I
+    regular where G is singular (more than 17 rows, or p = 0 or 1 zeroing a branch's columns) and where
+    lam has underflowed to 0.
     """
     d = np.linalg.norm(jac, axis=0)
     d[d == 0.0] = 1.0
     a = jac / d
-    wide = len(a) <= a.shape[1]
-    gram, rhs = (a @ a.T, -f) if wide else (a.T @ a, a.T @ -f)
-    back = (a.T if wide else np.eye(a.shape[1])) / d[:, None]
-    floor, eye = sum(a.shape) * _EPS * a.shape[1], np.eye(len(gram))
+    gram, back = a @ a.T, a.T / d[:, None]
+    floor, eye = sum(a.shape) * _EPS * a.shape[1], np.eye(len(a))
 
     def step(lam):
-        return back @ np.linalg.solve(gram + max(lam, floor) * eye, rhs)
+        return back @ np.linalg.solve(gram + max(lam, floor) * eye, -f)
 
     return step
 

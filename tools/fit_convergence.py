@@ -2,8 +2,8 @@
 
 Run from the repository root, with numpy installed and no other dependency::
 
-    PYTHONPATH=src python tools/fit_convergence.py                   # every corpus
-    PYTHONPATH=src python tools/fit_convergence.py fit depolarizing  # the named corpora only
+    PYTHONPATH=src:. python tools/fit_convergence.py                   # every corpus
+    PYTHONPATH=src:. python tools/fit_convergence.py fit depolarizing  # the named corpora only
 
 Each corpus prints one markdown table row: its size; misses (residual above
 ``FIT_TARGET_RESIDUAL``); unconverged channels (residual above ``CONVERGED_RESIDUAL``,
@@ -14,9 +14,9 @@ each missed channel's index and residual, with a ``*`` on the unconverged ones.
 
 The corpora, by name:
 
-- ``fit``: the 28 channels of the ``fit`` benchmark workload (``perfbench/inputs.py``,
-  seed 2008, Choi ranks 1, 2, 3, 4 interleaved), rebuilt here;
-- ``rank3``, ``rank4``: 100 random channels of that Choi rank, seeds 10000 + i and 20000 + i;
+- ``fit``: the 28 channels of the ``fit`` benchmark workload, ``perfbench.inputs.fit_corpus``;
+- ``rank3``, ``rank4``: 100 random channels of that Choi rank (``perfbench.inputs.random_kraus_ops``,
+  as every random channel here), seeds 10000 + i and 20000 + i;
 - ``pauli``: 50 Pauli channels with Dirichlet(1, 1, 1, 1) weights, seeds 40000 + i;
 - ``depolarizing``: (1 - lam) id + lam (fully depolarizing), lam in linspace(0.05, 1, 20);
 - ``gad``: generalized amplitude damping, gamma and N in linspace(0.1, 0.9, 5);
@@ -34,26 +34,14 @@ import time
 
 import numpy as np
 
+from perfbench.inputs import fit_corpus, random_kraus_ops
 from qchansim import KrausChannel, decompose
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
-def _random_ops(rng, rank):
-    """A random (2 rank) x 2 isometry cut into ``rank`` 2x2 Kraus blocks."""
-    z = rng.standard_normal((2 * rank, 2)) + 1j * rng.standard_normal((2 * rank, 2))
-    q, _ = np.linalg.qr(z)
-    return [q[2 * i:2 * i + 2] for i in range(rank)]
-
-
 def _mixed_with_depolarizing(ops, eps):
     return [math.sqrt(1.0 - eps) * k for k in ops] + [math.sqrt(eps) / 2.0 * s for s in _PAULIS]
-
-
-def _fit_corpus():
-    rng = np.random.default_rng(2008)
-    by_rank = [[_random_ops(rng, rank) for _ in range(count)] for rank, count in zip((1, 2, 3, 4), (8, 8, 6, 6))]
-    return [group[i] for i in range(8) for group in by_rank if i < len(group)]
 
 
 def _gad(gamma, n):
@@ -64,14 +52,14 @@ def _gad(gamma, n):
 
 
 def _near_extreme(eps, count):
-    return lambda: [_mixed_with_depolarizing(_random_ops(np.random.default_rng(30000 + i), 2), eps)
+    return lambda: [_mixed_with_depolarizing(random_kraus_ops(np.random.default_rng(30000 + i), 2), eps)
                     for i in range(count)]
 
 
 CORPORA = {
-    "fit": _fit_corpus,
-    "rank3": lambda: [_random_ops(np.random.default_rng(10000 + i), 3) for i in range(100)],
-    "rank4": lambda: [_random_ops(np.random.default_rng(20000 + i), 4) for i in range(100)],
+    "fit": lambda: [ops for _, ops in fit_corpus()],
+    "rank3": lambda: [random_kraus_ops(np.random.default_rng(10000 + i), 3) for i in range(100)],
+    "rank4": lambda: [random_kraus_ops(np.random.default_rng(20000 + i), 4) for i in range(100)],
     "pauli": lambda: [[math.sqrt(w) * s for w, s in zip(np.random.default_rng(40000 + i).dirichlet(np.ones(4)), _PAULIS)]
                       for i in range(50)],
     "depolarizing": lambda: [_mixed_with_depolarizing([_PAULIS[0]], lam) for lam in np.linspace(0.05, 1.0, 20)],
