@@ -11,11 +11,11 @@ import pytest
 
 from conftest import random_channel, random_kraus_pair_channel
 from qchansim import cli
-from qchansim.channels import apply_channel, builtin_channel, channel_to_json, to_choi
+from qchansim.channels import KrausChannel, apply_channel, builtin_channel, channel_to_json, to_choi
 from qchansim.circuit import NoiseParams, prepare_initial, simulate_channel
 from qchansim.cli import main
 from qchansim.decompose import closed_form_plan, plan_from_json, plan_to_channel
-from qchansim.matops import frob_dist
+from qchansim.matops import PAULIS, frob_dist
 from qchansim.tomography import coherence, fidelity, forward_intensities, reconstruct
 
 
@@ -354,6 +354,29 @@ def test_fit_nonconvergence_maps_to_exit_three(tmp_path, monkeypatch):
     assert run(["decompose", "--kraus-file", str(path)]) == 3
 
 
+def test_fit_without_a_plan_exits_three_with_one_line(tmp_path, monkeypatch, capsys):
+    import qchansim.decompose as decompose
+
+    path = tmp_path / "ch.json"
+    path.write_text(channel_to_json(random_channel(np.random.default_rng(62), 3)))
+    monkeypatch.setattr(decompose, "_kraus_split", lambda kraus, rng: None)
+    assert run(["decompose", "--kraus-file", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "did not converge" in captured.err
+
+
+def test_decompose_fits_a_near_extreme_kraus_file(tmp_path, capsys):
+    # 1e-5 of the fully depolarizing channel mixed into a random Choi-rank-2 channel: the former 17-parameter
+    # fitter left this one at a residual above CONVERGED_RESIDUAL, and decompose exited 3.
+    ch = random_channel(np.random.default_rng(30049), 2)
+    ops = [np.sqrt(1.0 - 1e-5) * k for k in ch.ops] + [np.sqrt(1e-5) / 2.0 * s for s in (np.eye(2), *PAULIS)]
+    path = tmp_path / "near.json"
+    path.write_text(channel_to_json(KrausChannel(tuple(ops), "near-extreme")))
+    assert run(["decompose", "--kraus-file", str(path), "--outdir", str(tmp_path / "out")]) == 0
+    plan = plan_from_json((tmp_path / "out" / "plan.json").read_text())
+    assert frob_dist(to_choi(plan_to_channel(plan)), to_choi(KrausChannel(tuple(ops)))) <= 1e-9
+
+
 @pytest.mark.parametrize("command", [["simulate", "--lambda", "0.5"], ["sweep", "--lambda-grid", "0.5"]])
 def test_dark_basis_exits_with_measurement_code(command, capsys):
     # At sigma 100 both intensities of a basis can clamp to zero; every option still parsed.
@@ -471,7 +494,7 @@ def test_simulate_pure_output_is_not_flagged_clamped(kind, lam, phi, capsys):
 ])
 def test_noise_options_are_validated_from_any_source(source, command, key, value, extra, message, tmp_path,
                                                      monkeypatch, capsys):
-    # A rank-3 --kraus-file needs the LM fit, which must not run before the options are checked.
+    # A rank-3 --kraus-file needs the stage-two split, which must not run before the options are checked.
     monkeypatch.setattr(cli, "fit_plan", lambda ch: pytest.fail("fit_plan ran before the noise options"))
     if "RANK3" in extra:
         path = tmp_path / "rank3.json"

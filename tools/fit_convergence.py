@@ -7,10 +7,11 @@ Run from the repository root, with numpy installed and no other dependency::
 
 Each corpus prints one markdown table row: its size; misses (residual above
 ``FIT_TARGET_RESIDUAL``); unconverged channels (residual above ``CONVERGED_RESIDUAL``,
-on which ``qchansim decompose`` exits 3); the worst residual; the Levenberg-Marquardt
-kernel calls (``_affine_residual``); the LM starts used, mean / max; and the p50 / p90
-wall time of one ``fit_plan`` call in ms.  A corpus with misses adds a line naming
-each missed channel's index and residual, with a ``*`` on the unconverged ones.
+on which ``qchansim decompose`` exits 3, or no plan at all); the worst residual; the
+split starts used, mean / max; and the p50 / p90 wall time of one ``fit_plan`` call in
+ms.  A corpus with misses adds a line naming each missed channel's index and residual,
+with a ``*`` on the unconverged ones.  The exit status is 1 when any channel is
+unconverged.
 
 The corpora, by name:
 
@@ -21,15 +22,22 @@ The corpora, by name:
 - ``depolarizing``: (1 - lam) id + lam (fully depolarizing), lam in linspace(0.05, 1, 20);
 - ``gad``: generalized amplitude damping, gamma and N in linspace(0.1, 0.9, 5);
 - ``near-<eps>``: (1 - eps) of a random Choi-rank-2 channel (seed 30000 + i) plus eps of
-  the fully depolarizing channel; i < 30 at eps = 1e-2 and 1e-4, i < 100 at 1e-5, 1e-6, 1e-7.
+  the fully depolarizing channel; i < 30 at eps = 1e-2 and 1e-4, i < 100 at 1e-5, 1e-6, 1e-7;
+- ``near-wide-<eps>``: the same for i = 100-399 at 1e-5, 1e-6 and 1e-7, listed by i;
+- ``degenerate``: two-Kraus channels whose distortion matrix repeats a singular value where the
+  displacement has a share: 30 rotated resets (i < 30) and 30 rotated T-rank-1 channels
+  (i = 30-59), then 30 rotated mixtures of three Paulis (i = 60-89), seeds 50000 + i;
+- ``rounded``: the ``rank3`` and ``rank4`` channels (i < 100 and i = 100-199) with every
+  Kraus entry rounded to 9 digits, as a Kraus file written by hand would be.
 
-Residuals, starts and kernel calls are deterministic; the times spread with the host.
+Residuals and starts are deterministic; the times spread with the host.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import sys
 import time
 
 import numpy as np
@@ -51,55 +59,80 @@ def _gad(gamma, n):
             b * np.array([[h, 0], [0, 1]]), b * np.array([[0, 0], [g, 0]])]
 
 
-def _near_extreme(eps, count):
-    return lambda: [_mixed_with_depolarizing(random_kraus_ops(np.random.default_rng(30000 + i), 2), eps)
-                    for i in range(count)]
+def _near_extreme(eps, indices):
+    return lambda: {i: _mixed_with_depolarizing(random_kraus_ops(np.random.default_rng(30000 + i), 2), eps)
+                    for i in indices}
+
+
+def _random_unitary(rng):
+    return random_kraus_ops(rng, 1)[0]
+
+
+def _degenerate():
+    """Rotated resets, rotated T-rank-1 two-Kraus channels and rotated three-Pauli mixtures."""
+    corpus = {}
+    for i in range(90):
+        rng = np.random.default_rng(50000 + i)
+        u, v = _random_unitary(rng), _random_unitary(rng)
+        if i < 30:  # reset to |0>, then U: T = 0 and t is U's image of the z axis
+            pair = [np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 0]])]
+        elif i < 60:  # nu = pi/2: T = diag(0, cos mu, 0), t = (0, 0, sin mu)
+            mu = rng.uniform(-np.pi, np.pi)
+            pair = decompose.kraus_from_angles((mu + np.pi / 2) / 2, (mu - np.pi / 2) / 2)
+        else:
+            weights = rng.dirichlet(np.ones(3))
+            pair = [math.sqrt(w) * s for w, s in zip(weights, np.delete(_PAULIS, i % 4, axis=0))]
+        corpus[i] = [u @ k @ v for k in pair]
+    return corpus
+
+
+def _rounded():
+    channels = [*CORPORA["rank3"]().values(), *CORPORA["rank4"]().values()]
+    return {i: [np.round(np.asarray(k), 9) for k in ops] for i, ops in enumerate(channels)}
+
+
+def _listed(build):
+    return lambda: dict(enumerate(build()))
 
 
 CORPORA = {
-    "fit": lambda: [ops for _, ops in fit_corpus()],
-    "rank3": lambda: [random_kraus_ops(np.random.default_rng(10000 + i), 3) for i in range(100)],
-    "rank4": lambda: [random_kraus_ops(np.random.default_rng(20000 + i), 4) for i in range(100)],
-    "pauli": lambda: [[math.sqrt(w) * s for w, s in zip(np.random.default_rng(40000 + i).dirichlet(np.ones(4)), _PAULIS)]
-                      for i in range(50)],
-    "depolarizing": lambda: [_mixed_with_depolarizing([_PAULIS[0]], lam) for lam in np.linspace(0.05, 1.0, 20)],
-    "gad": lambda: [_gad(gamma, n) for gamma in np.linspace(0.1, 0.9, 5) for n in np.linspace(0.1, 0.9, 5)],
-    "near-1e-2": _near_extreme(1e-2, 30),
-    "near-1e-4": _near_extreme(1e-4, 30),
-    "near-1e-5": _near_extreme(1e-5, 100),
-    "near-1e-6": _near_extreme(1e-6, 100),
-    "near-1e-7": _near_extreme(1e-7, 100),
+    "fit": _listed(lambda: [ops for _, ops in fit_corpus()]),
+    "rank3": _listed(lambda: [random_kraus_ops(np.random.default_rng(10000 + i), 3) for i in range(100)]),
+    "rank4": _listed(lambda: [random_kraus_ops(np.random.default_rng(20000 + i), 4) for i in range(100)]),
+    "pauli": _listed(lambda: [[math.sqrt(w) * s for w, s in zip(np.random.default_rng(40000 + i).dirichlet(np.ones(4)),
+                                                                _PAULIS)] for i in range(50)]),
+    "depolarizing": _listed(lambda: [_mixed_with_depolarizing([_PAULIS[0]], lam) for lam in np.linspace(0.05, 1.0, 20)]),
+    "gad": _listed(lambda: [_gad(gamma, n) for gamma in np.linspace(0.1, 0.9, 5) for n in np.linspace(0.1, 0.9, 5)]),
+    "near-1e-2": _near_extreme(1e-2, range(30)),
+    "near-1e-4": _near_extreme(1e-4, range(30)),
+    "near-1e-5": _near_extreme(1e-5, range(100)),
+    "near-1e-6": _near_extreme(1e-6, range(100)),
+    "near-1e-7": _near_extreme(1e-7, range(100)),
+    "near-wide-1e-5": _near_extreme(1e-5, range(100, 400)),
+    "near-wide-1e-6": _near_extreme(1e-6, range(100, 400)),
+    "near-wide-1e-7": _near_extreme(1e-7, range(100, 400)),
+    "degenerate": _degenerate,
+    "rounded": _rounded,
 }
 
 
 def run(name):
-    """Fit every channel of corpus ``name``; return its table row and its miss line, or None."""
-    calls = [0]
-    kernel = decompose._affine_residual
-
-    def counting_kernel(x, target, nulls):
-        calls[0] += 1
-        return kernel(x, target, nulls)
-
-    residuals, starts, ms = [], [], []
-    decompose._affine_residual = counting_kernel
-    try:
-        for i, ops in enumerate(CORPORA[name]()):
-            t0 = time.perf_counter()
-            result = decompose.fit_plan(KrausChannel(tuple(np.asarray(k, dtype=complex) for k in ops), f"{name} {i}"))
-            ms.append(1e3 * (time.perf_counter() - t0))
-            residuals.append(result.residual)
-            starts.append(result.starts_used)
-    finally:
-        decompose._affine_residual = kernel
-    misses = [i for i, r in enumerate(residuals) if r > decompose.FIT_TARGET_RESIDUAL]
+    """Fit every channel of corpus ``name``; return its table row, its miss line or None, and its unconverged count."""
+    residuals, starts, ms = {}, [], []
+    for i, ops in CORPORA[name]().items():
+        t0 = time.perf_counter()
+        result = decompose.fit_plan(KrausChannel(tuple(np.asarray(k, dtype=complex) for k in ops), f"{name} {i}"))
+        ms.append(1e3 * (time.perf_counter() - t0))
+        residuals[i] = result.residual
+        starts.append(result.starts_used)
+    misses = [i for i, r in residuals.items() if r > decompose.FIT_TARGET_RESIDUAL]
     unconverged = sum(residuals[i] > decompose.CONVERGED_RESIDUAL for i in misses)
     p50, p90 = np.percentile(ms, [50, 90])
-    row = (f"| {name} | {len(residuals)} | {len(misses)} | {unconverged} | {max(residuals):.1e} | {calls[0]:,} "
+    row = (f"| {name} | {len(residuals)} | {len(misses)} | {unconverged} | {max(residuals.values()):.1e} "
            f"| {np.mean(starts):.2f} / {max(starts)} | {p50:.1f} / {p90:.1f} |")
     listed = ", ".join(f"{i} ({residuals[i]:.1e}{'*' if residuals[i] > decompose.CONVERGED_RESIDUAL else ''})"
                        for i in misses)
-    return row, f"{name} misses, * unconverged: {listed}" if misses else None
+    return row, f"{name} misses, * unconverged: {listed}" if misses else None, unconverged
 
 
 def main(argv=None):
@@ -109,16 +142,18 @@ def main(argv=None):
     unknown = [name for name in names if name not in CORPORA]
     if unknown:
         parser.error(f"unknown corpus: {', '.join(unknown)}")
-    print("| Corpus | n | Misses | Unconverged | Worst residual | Kernel calls | Starts, mean / max | p50 / p90 ms |")
-    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
-    notes = []
+    print("| Corpus | n | Misses | Unconverged | Worst residual | Starts, mean / max | p50 / p90 ms |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
+    notes, unconverged = [], 0
     for name in names:
-        row, note = run(name)
+        row, note, count = run(name)
         print(row, flush=True)
         notes += [note] if note else []
+        unconverged += count
     for note in notes:
         print(note)
+    return 1 if unconverged else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
