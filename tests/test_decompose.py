@@ -301,10 +301,16 @@ def test_fit_plan_fits_random_rank3_channels_from_the_first_start():
         assert result.residual <= FIT_TARGET_RESIDUAL and result.starts_used == 1, i
 
 
-@pytest.mark.parametrize("rank", [3, 4])
-def test_kraus_split_halves_are_trace_preserving(rank):
-    channels = [random_channel(np.random.default_rng(7000 + 10 * rank + i), rank) for i in range(20)]
-    channels.append(KrausChannel(tuple(0.5 * s for s in (ID2, *PAULIS)), "fully depolarizing"))
+_FULLY_DEPOLARIZING = KrausChannel(tuple(0.5 * s for s in (ID2, *PAULIS)), "fully depolarizing")
+
+
+@pytest.mark.parametrize("kind", ["rank 3", "rank 4", "fully depolarizing"])
+def test_kraus_split_halves_are_trace_preserving(kind):
+    if kind == "fully depolarizing":
+        channels = [_FULLY_DEPOLARIZING]
+    else:
+        rank = int(kind[-1])
+        channels = [random_channel(np.random.default_rng(7000 + 10 * rank + i), rank) for i in range(20)]
     for ch in channels:
         kraus = np.concatenate([np.asarray(ch.ops), np.zeros((4 - len(ch.ops), 2, 2))])  # a rank-3 set padded to four
         p, pair_a, pair_b = _kraus_split(kraus, np.random.default_rng(0))
@@ -320,16 +326,32 @@ def _rotated(pair, rng):
     return KrausChannel(tuple(u @ k @ v for k in pair))
 
 
-def test_stage_one_recognises_two_kraus_channels_with_repeated_singular_values():
+@pytest.mark.parametrize("kind", ["reset", "T-rank-1"])
+def test_stage_one_recognises_two_kraus_channels_with_repeated_singular_values(kind):
     # A rotated reset has T = 0 and a rotated nu = pi/2 branch T = diag(0, cos mu, 0), so the SVD frame is
     # arbitrary where the displacement lies; the scan finds these branches only after the frame is turned.
-    rng = np.random.default_rng(80)
-    channels = [_rotated(kraus_from_angles(PI / 2, 0.0), rng) for _ in range(10)]
-    for mu in rng.uniform(-PI, PI, 10):
-        channels.append(_rotated(kraus_from_angles((mu + PI / 2) / 2, (mu - PI / 2) / 2), rng))
+    rng = np.random.default_rng(80 if kind == "reset" else 81)
+    if kind == "reset":
+        channels = [_rotated(kraus_from_angles(PI / 2, 0.0), rng) for _ in range(10)]
+    else:
+        channels = [_rotated(kraus_from_angles((mu + PI / 2) / 2, (mu - PI / 2) / 2), rng)
+                    for mu in rng.uniform(-PI, PI, 10)]
     for ch in channels:
         result = fit_plan(ch)
         assert result.starts_used == 0 and result.residual <= 1e-14
+
+
+@pytest.mark.parametrize("dropped", range(4))
+def test_fit_plan_fits_rotated_three_pauli_mixtures(dropped):
+    # A mixture of three Paulis has Choi rank 3, and its T repeats a |singular value| wherever two weights agree;
+    # rotated on both sides, as in the probe's degenerate corpus, it is fitted by the split.
+    rng = np.random.default_rng(90 + dropped)
+    paulis = [s for k, s in enumerate((ID2, *PAULIS)) if k != dropped]
+    for weights in (np.full(3, 1.0 / 3.0), np.array([0.5, 0.25, 0.25]), rng.dirichlet(np.ones(3))):
+        ch = _rotated([np.sqrt(w) * s for w, s in zip(weights, paulis)], rng)
+        result = fit_plan(ch)
+        assert result.residual <= FIT_TARGET_RESIDUAL and result.starts_used >= 1
+        assert frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch)) <= 1e-9
 
 
 def test_fit_plan_without_a_split_returns_no_plan(monkeypatch):
@@ -361,17 +383,25 @@ def test_fit_plan_converges_over_every_choi_rank():
     channels = [random_channel(np.random.default_rng(6000 + 100 * rank + i), rank, f"rank {rank}, {i}")
                 for rank in (1, 2, 3, 4) for i in range(20)]
     channels += [_near_extreme(i, 1e-2) for i in range(10)] + [_near_extreme(i, 1e-4) for i in range(30)]
-    channels += [_near_extreme(i, eps) for eps, indices in _LM_UNCONVERGED.items() for i in indices]
     for ch in channels:
         result = fit_plan(ch)
         assert result.residual <= FIT_TARGET_RESIDUAL, ch.label
         assert frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch)) <= 1e-9, ch.label
 
 
-def test_fit_plan_converges_on_a_kraus_set_rounded_to_nine_digits():
+@pytest.mark.parametrize("eps, i", [(eps, i) for eps, indices in _LM_UNCONVERGED.items() for i in indices])
+def test_fit_plan_reaches_the_target_on_the_former_fitters_misses(eps, i):
+    ch = _near_extreme(i, eps)
+    result = fit_plan(ch)
+    assert result.converged and result.residual <= FIT_TARGET_RESIDUAL
+    assert frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch)) <= 1e-9
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_fit_plan_converges_on_a_kraus_set_rounded_to_nine_digits(rank):
     # Rounding leaves sum K^dag K = I + O(1e-9), within the CPTP check; no trace-preserving plan is closer to the
     # target than that, and the first start that reproduces the renormalised Kraus set ends the search.
-    ch = random_channel(np.random.default_rng(10000), 3)
+    ch = random_channel(np.random.default_rng(10000 if rank == 3 else 20000), rank)
     rounded = KrausChannel(tuple(np.round(k, 9) for k in ch.ops))
     result = fit_plan(rounded)
     assert result.converged and result.starts_used == 1
