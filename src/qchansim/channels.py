@@ -35,6 +35,7 @@ ZERO_OP_TOL = 1e-12
 
 # Columns are the row-major vecs of I, sigma_x, sigma_y, sigma_z.
 _PAULI_VECS = np.stack([m.reshape(4) for m in (ID2, *PAULIS)], axis=1)
+_PAULI_VECS_DAG = dagger(_PAULI_VECS)
 
 
 class ChannelKind(str, Enum):
@@ -115,7 +116,11 @@ def builtin_channel(kind: ChannelKind | str, lam: float) -> KrausChannel:
 def transfer(ch: KrausChannel) -> np.ndarray:
     """Superoperator S = sum_i K_i (x) conj(K_i), so vec(E(rho)) = S vec(rho)
     for row-major vec.  Every other form of the channel derives from S."""
-    ops = np.asarray(ch.ops)
+    return kraus_transfer(np.asarray(ch.ops))
+
+
+def kraus_transfer(ops: np.ndarray) -> np.ndarray:
+    """:func:`transfer` of a stack ``(k, 2, 2)`` of Kraus operators, taken as given: no channel object, no checks."""
     return np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
 
 
@@ -156,7 +161,7 @@ def to_affine(ch: KrausChannel) -> AffineRep:
 
 def affine_from_transfer(s) -> AffineRep:
     """T and t as blocks of (1/2) P^dag S P, the transfer matrix S in the Pauli basis."""
-    m = 0.5 * (dagger(_PAULI_VECS) @ s @ _PAULI_VECS).real
+    m = 0.5 * (_PAULI_VECS_DAG @ s @ _PAULI_VECS).real
     return AffineRep(T=m[1:, 1:], t=m[1:, 0])
 
 

@@ -34,9 +34,8 @@ from .matops import (
     PAULI_X,
     assert_density_matrix,
     dagger,
-    phase_invariant_distance,
 )
-from .optics import GateElement, dove_pair_for_ry, euler_from_su2, ry_rotation, waveplates_from_euler
+from .optics import GateElement, dove_pair_for_ry, dressing_euler, ry_rotation, waveplates_from_euler
 
 BASIS_LABELS = ("Hh", "Hv", "Vh", "Vv")
 
@@ -248,9 +247,10 @@ def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
         gates.append(GateElement("DP", dove_pair_for_ry(gamma)))
 
     def add_triple(u):
-        if phase_invariant_distance(u, ID2) <= 1e-12:
+        euler = dressing_euler(u)
+        if euler is None:
             return
-        triple = waveplates_from_euler(euler_from_su2(u))
+        triple = waveplates_from_euler(euler)
         gates.append(GateElement("QWP", triple.eta2))
         gates.append(GateElement("HWP", triple.tau))
         gates.append(GateElement("QWP", triple.eta1))

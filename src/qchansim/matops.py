@@ -52,7 +52,11 @@ def unitarity_residual(u) -> float:
     u = as_cmat(u)
     if u.shape != (2, 2):
         return frob_dist(dagger(u) @ u, np.eye(u.shape[0]))
-    (a, b), (c, d) = u.tolist()
+    return _unitarity_residual_2x2(*u.ravel().tolist())
+
+
+def _unitarity_residual_2x2(a, b, c, d) -> float:
+    """:func:`unitarity_residual` of [[a, b], [c, d]], from Python complex entries."""
     return math.hypot(abs(a) ** 2 + abs(c) ** 2 - 1.0, abs(b) ** 2 + abs(d) ** 2 - 1.0,
                       math.sqrt(2.0) * abs(a.conjugate() * b + c.conjugate() * d))
 
@@ -68,7 +72,12 @@ def phase_invariant_distance(u, v) -> float:
     v = as_cmat(v, u.shape[0])
     if unitarity_residual(u) > 1e-8 or unitarity_residual(v) > 1e-8:
         raise ValueError("phase_invariant_distance requires unitary inputs")
-    pairs = list(zip(u.ravel().tolist(), v.ravel().tolist()))
+    return _phase_distance(u.ravel().tolist(), v.ravel().tolist())
+
+
+def _phase_distance(us, vs) -> float:
+    """:func:`phase_invariant_distance` of two unitaries given as their row-major Python complex entries."""
+    pairs = list(zip(us, vs))
     phase = cmath.exp(-1j * cmath.phase(sum(a.conjugate() * b for a, b in pairs)))
     return math.sqrt(sum(abs(a - phase * b) ** 2 for a, b in pairs))
 
@@ -83,17 +92,21 @@ def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=float)
     if t.shape != (3, 3) or not np.all(np.isfinite(t)):
         raise ValueError("svd3 expects a finite real 3x3 matrix")
-    u, s, vt = np.linalg.svd(t)
-    left = u.copy()
+    left, s, vt = np.linalg.svd(t)
     right = vt.T.copy()
-    s = s.copy()
-    if np.linalg.det(left) < 0:
+    if det3(left.tolist()) < 0:
         left[:, 2] *= -1.0
         s[2] *= -1.0
-    if np.linalg.det(right) < 0:
+    if det3(right.tolist()) < 0:
         right[:, 2] *= -1.0
         s[2] *= -1.0
     return left, s, right
+
+
+def det3(rows) -> float:
+    """Determinant of a 3x3 matrix given as nested lists of its rows, in scalar arithmetic."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def complex_to_pairs(m) -> list:

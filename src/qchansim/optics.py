@@ -25,11 +25,12 @@ from .channels import KrausChannel, to_affine
 from .matops import (
     H0,
     ID2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULIS,
     Q0,
+    _phase_distance,
+    _unitarity_residual_2x2,
     as_cmat,
+    det3,
     unitarity_residual,
 )
 
@@ -102,10 +103,29 @@ def euler_from_su2(u) -> EulerAngles:
     sums/differences phi +- zeta come from atan2 of those pairs, and the
     zeta = 0 gauge is used whenever w vanishes.
     """
-    u = as_cmat(u, 2)
-    if unitarity_residual(u) > 1e-8:
-        raise ValueError("euler_from_su2 requires a unitary input")
-    (u00, u01), (u10, u11) = u.tolist()
+    return _euler_from_entries(_unitary_entries(u, "euler_from_su2"))
+
+
+def dressing_euler(u) -> EulerAngles | None:
+    """:func:`euler_from_su2` of a dressing unitary, or None where :func:`qchansim.matops.phase_invariant_distance`
+    puts it within 1e-12 of the identity; one scalar pass over the entries, with their unitarity check."""
+    entries = _unitary_entries(u, "dressing_euler")
+    return None if _phase_distance(entries, _ID2_ENTRIES) <= 1e-12 else _euler_from_entries(entries)
+
+
+_ID2_ENTRIES = ID2.ravel().tolist()
+
+
+def _unitary_entries(u, caller: str) -> list:
+    """Row-major Python complex entries of a 2x2 unitary; ValueError naming ``caller`` unless unitary within 1e-8."""
+    entries = as_cmat(u, 2).ravel().tolist()
+    if _unitarity_residual_2x2(*entries) > 1e-8:
+        raise ValueError(f"{caller} requires a unitary input")
+    return entries
+
+
+def _euler_from_entries(entries) -> EulerAngles:
+    u00, u01, u10, u11 = entries
     root = cmath.sqrt(u00 * u11 - u01 * u10)
     a, w = u00 / root, u10 / root
     if abs(w) <= 1e-14:
@@ -158,23 +178,31 @@ def su2_from_rotation(r) -> np.ndarray:
     rotations by angles near pi stay well conditioned.
     """
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or np.linalg.norm(r @ r.T - np.eye(3)) > 1e-8 or np.linalg.det(r) < 0:
+    rows = r.tolist()
+    # ||r r^T - I||_F <= 1e-8 (false where r is not finite) and det r > 0, in scalars.
+    if r.shape != (3, 3) or not sum((sum(a * b for a, b in zip(ri, rj)) - (ri is rj)) ** 2
+                                    for ri in rows for rj in rows) <= 1e-16 or det3(rows) < 0:
         raise ValueError("su2_from_rotation requires a proper 3x3 rotation")
-    tr = r[0, 0] + r[1, 1] + r[2, 2]
-    if tr > max(r[0, 0], r[1, 1], r[2, 2]):
-        s = 2.0 * np.sqrt(max(tr + 1.0, 0.0))
-        q = (0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s)
-    elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
-        s = 2.0 * np.sqrt(max(1.0 + r[0, 0] - r[1, 1] - r[2, 2], 0.0))
-        q = ((r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s)
-    elif r[1, 1] >= r[2, 2]:
-        s = 2.0 * np.sqrt(max(1.0 + r[1, 1] - r[0, 0] - r[2, 2], 0.0))
-        q = ((r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    tr = r00 + r11 + r22
+    if tr > max(r00, r11, r22):
+        s = 2.0 * math.sqrt(max(tr + 1.0, 0.0))
+        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
+    elif r00 >= r11 and r00 >= r22:
+        s = 2.0 * math.sqrt(max(1.0 + r00 - r11 - r22, 0.0))
+        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
+    elif r11 >= r22:
+        s = 2.0 * math.sqrt(max(1.0 + r11 - r00 - r22, 0.0))
+        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
     else:
-        s = 2.0 * np.sqrt(max(1.0 + r[2, 2] - r[0, 0] - r[1, 1], 0.0))
-        q = ((r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s)
+        s = 2.0 * math.sqrt(max(1.0 + r22 - r00 - r11, 0.0))
+        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
     w, x, y, z = q
-    return w * ID2 - 1j * (x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
+    # w I - i (x X + y Y + z Z) entry by entry, in numpy's order of operations, so that every signed zero is kept.
+    return np.array([w * e - 1j * (x * ex + y * ey + z * ez) for e, ex, ey, ez in _QUATERNION_BASIS]).reshape(2, 2)
+
+
+_QUATERNION_BASIS = list(zip(*(m.ravel().tolist() for m in (ID2, *PAULIS))))
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,19 @@ def test_gates_for_identity_dressing():
     assert gates[4].angle == pytest.approx(branch.gamma2 / 4.0)
 
 
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2.0, np.pi, 2.718])
+def test_gates_skip_a_dressing_that_is_a_global_phase(phi):
+    phase = np.exp(1j * phi) * np.eye(2)
+    branch = QuasiExtremeBranch.from_alpha_beta(0.4, 0.1, U=phase, Uprime=phase)
+    assert [g.element for g in gates_for_branch(branch)] == ["DP", "DP", "CNOT", "DP", "DP", "TBS", "CONDX"]
+    # diag(e^{-i e / 2}, e^{i e / 2}) is e / sqrt(2) from the identity up to phase: at 1e-10 it gets its triple.
+    eps = np.sqrt(2.0) * 1e-10
+    near = phase @ np.diag([np.exp(-0.5j * eps), np.exp(0.5j * eps)])
+    branch = QuasiExtremeBranch.from_alpha_beta(0.4, 0.1, U=phase, Uprime=near)
+    assert [g.element for g in gates_for_branch(branch)][2:5] == ["QWP", "HWP", "QWP"]
+    assert [g.element for g in gates_for_branch(branch)].count("HWP") == 1
+
+
 def test_gates_respect_conditional_x_flag():
     branch = closed_form_plan("PD", 0.5).branch_a
     kinds = [g.element for g in gates_for_branch(branch)]

@@ -321,6 +321,26 @@ def test_kraus_split_halves_are_trace_preserving(kind):
         assert frob_dist(p * halves[0] + (1.0 - p) * halves[1], transfer(ch)) <= 1e-13, ch.label
 
 
+def test_kraus_split_frame_stays_unitary():
+    # vec L = F^T vec K for the frame F = [Y Z], so F is read back from the halves; the polar update keeps it unitary
+    # without a re-orthonormalisation, and the halves it returns solve g_k = Tr(Y^dag B_k Y) = 0 to 4 eps.
+    for i in range(20):
+        kraus = np.asarray(random_channel(np.random.default_rng(7400 + i), 4).ops)
+        p, pair_a, pair_b = _kraus_split(kraus, np.random.default_rng(i))
+        mixed = np.concatenate([np.sqrt(p) * pair_a, np.sqrt(1.0 - p) * pair_b])
+        frame = np.linalg.solve(kraus.reshape(4, 4).T, mixed.reshape(4, 4).T)
+        assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-14, i
+        g = [np.trace(s @ np.einsum("kba,kbc->ac", mixed[:2].conj(), mixed[:2])).real for s in PAULIS]
+        assert np.linalg.norm(g) <= 4.0 * np.finfo(float).eps, i
+
+
+def test_kraus_split_gives_up_where_the_newton_step_is_singular():
+    # The completely dephasing channel padded to four operators has B_x = B_y = 0, so the step's 3x3 normal equations
+    # are singular at every plane: the start fails, and fit_plan would draw another.
+    kraus = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2))], dtype=complex)
+    assert _kraus_split(kraus, np.random.default_rng(0)) is None
+
+
 def _rotated(pair, rng):
     u, v = (random_channel(rng, 1).ops[0] for _ in range(2))
     return KrausChannel(tuple(u @ k @ v for k in pair))
@@ -350,7 +370,8 @@ def test_fit_plan_fits_rotated_three_pauli_mixtures(dropped):
     for weights in (np.full(3, 1.0 / 3.0), np.array([0.5, 0.25, 0.25]), rng.dirichlet(np.ones(3))):
         ch = _rotated([np.sqrt(w) * s for w, s in zip(weights, paulis)], rng)
         result = fit_plan(ch)
-        assert result.residual <= FIT_TARGET_RESIDUAL and result.starts_used >= 1
+        # An exactly unital half whose first stage-one candidate misses it gets a later candidate, not a new start.
+        assert result.residual <= FIT_TARGET_RESIDUAL and result.starts_used == 1
         assert frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch)) <= 1e-9
 
 
@@ -408,6 +429,18 @@ def test_fit_plan_converges_on_a_kraus_set_rounded_to_nine_digits(rank):
     assert result.residual <= 1e-8
 
 
+@pytest.mark.parametrize("rank", [3, 4])
+def test_fit_plan_reaches_the_trace_preservation_floor_on_rounded_kraus_files(rank):
+    # A Kraus set rounded to 9 digits is off trace preservation by delta = ||Tr_out J - I||, and no trace-preserving
+    # plan is nearer than delta / sqrt(2) (the projection onto Tr_out J = I); the fit lands within 10% of that floor.
+    for i in range(10):
+        ch = random_channel(np.random.default_rng((10000 if rank == 3 else 20000) + i), rank)
+        rounded = KrausChannel(tuple(np.round(k, 9) for k in ch.ops))
+        floor = validate_channel(rounded).trace_residual / np.sqrt(2.0)
+        result = fit_plan(rounded)
+        assert floor * (1.0 - 1e-6) <= result.residual <= 1.1 * floor, i
+
+
 def test_plan_json_round_trip():
     rng = np.random.default_rng(38)
     plans = [closed_form_plan(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 11)]
@@ -422,12 +455,14 @@ def test_fit_plan_stage_one_stops_at_first_exact_candidate(monkeypatch):
     import qchansim.decompose as decompose
 
     calls = []
+    plan_choi = decompose._plan_choi
 
-    def counting_plan_to_channel(plan):
+    def counting_plan_choi(plan):
         calls.append(plan)
-        return plan_to_channel(plan)
+        return plan_choi(plan)
 
-    monkeypatch.setattr(decompose, "plan_to_channel", counting_plan_to_channel)
+    # Every candidate is scored through the plan's Choi matrix.
+    monkeypatch.setattr(decompose, "_plan_choi", counting_plan_choi)
     ch = random_kraus_pair_channel(np.random.default_rng(37))
     result = fit_plan(ch)
     assert result.starts_used == 0 and result.residual <= 1e-9

@@ -73,6 +73,21 @@ def test_svd3_recovers_rotated_diagonal():
         assert np.allclose(np.sort(np.abs(s)), np.sort(np.abs(d)), atol=1e-10)
 
 
+def test_svd3_turns_reflections_into_proper_frames_and_one_negative_value():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        d = rng.uniform(0.05, 1.0, size=3)
+        t = _random_rotation(rng) @ np.diag(d * [1.0, 1.0, -1.0]) @ _random_rotation(rng).T  # det t < 0
+        left, s, right = svd3(t)
+        for frame in (left, right):
+            assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-14
+            assert abs(np.linalg.det(frame) - 1.0) <= 1e-14
+        # |s| descends and the reflection rides on the last, smallest value.
+        assert s[0] >= s[1] >= -s[2] > 0.0
+        assert np.allclose(np.abs(s), np.sort(d)[::-1], rtol=0.0, atol=1e-14)
+        assert np.abs(left @ np.diag(s) @ right.T - t).max() <= 1e-14
+
+
 def test_bloch_round_trip():
     rng = np.random.default_rng(4)
     for _ in range(100):

@@ -165,6 +165,30 @@ def test_bloch_rotation_round_trip():
         assert phase_invariant_distance(su2_from_rotation(r), u) <= 1e-10
 
 
+def _rotation_about(axis, angle):
+    """Rodrigues' rotation by ``angle`` about ``axis``."""
+    x, y, z = axis / np.linalg.norm(axis)
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
+
+
+def test_su2_from_rotation_reproduces_random_rotations_also_near_a_half_turn():
+    # Within 1e-9 of pi the quaternion's scalar part vanishes and the extraction starts from a diagonal entry instead.
+    rng = np.random.default_rng(27)
+    angles = np.concatenate([rng.uniform(-np.pi, np.pi, 100), np.pi - rng.uniform(0.0, 1e-9, 100)])
+    for angle in angles:
+        r = _rotation_about(rng.standard_normal(3), angle)
+        assert np.abs(bloch_rotation(su2_from_rotation(r)) - r).max() <= 1e-14, angle
+
+
+@pytest.mark.parametrize("kind", ["reflection", "not orthogonal", "not finite", "not 3x3"])
+def test_su2_from_rotation_rejects_what_is_not_a_rotation(kind):
+    bad = {"reflection": np.diag([1.0, 1.0, -1.0]), "not orthogonal": np.diag([1.0, 1.0, 1.0 + 1e-7]),
+           "not finite": np.full((3, 3), np.nan), "not 3x3": np.eye(2)}[kind]
+    with pytest.raises(ValueError, match="proper 3x3 rotation"):
+        su2_from_rotation(bad)
+
+
 def test_gate_element_validation():
     with pytest.raises(ValueError):
         GateElement("LENS", 0.0)

@@ -11,7 +11,10 @@ on which ``qchansim decompose`` exits 3, or no plan at all); the worst residual;
 split starts used, mean / max; and the p50 / p90 wall time of one ``fit_plan`` call in
 ms.  A corpus with misses adds a line naming each missed channel's index and residual,
 with a ``*`` on the unconverged ones.  The exit status is 1 when any channel is
-unconverged.
+unconverged, or when any corpus but ``rounded`` has a miss: those fit to round-off, so a
+miss there means a kernel lost digits.  A ``rounded`` channel is off trace preservation, and
+no trace-preserving plan is nearer to it than the floor ``trace_residual / sqrt(2)`` of
+``qchansim.validate_channel``; the worst ratio of residual to floor is printed for that corpus.
 
 The corpora, by name:
 
@@ -43,7 +46,7 @@ import time
 import numpy as np
 
 from perfbench.inputs import fit_corpus, random_kraus_ops
-from qchansim import KrausChannel, decompose
+from qchansim import KrausChannel, decompose, validate_channel
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
@@ -117,14 +120,17 @@ CORPORA = {
 
 
 def run(name):
-    """Fit every channel of corpus ``name``; return its table row, its miss line or None, and its unconverged count."""
-    residuals, starts, ms = {}, [], []
+    """Fit every channel of corpus ``name``; return its table row, note lines, and miss and unconverged counts."""
+    residuals, starts, ms, floor_ratios = {}, [], [], []
     for i, ops in CORPORA[name]().items():
+        ch = KrausChannel(tuple(np.asarray(k, dtype=complex) for k in ops), f"{name} {i}")
         t0 = time.perf_counter()
-        result = decompose.fit_plan(KrausChannel(tuple(np.asarray(k, dtype=complex) for k in ops), f"{name} {i}"))
+        result = decompose.fit_plan(ch)
         ms.append(1e3 * (time.perf_counter() - t0))
         residuals[i] = result.residual
         starts.append(result.starts_used)
+        if name == "rounded":
+            floor_ratios.append(result.residual / (validate_channel(ch).trace_residual / math.sqrt(2.0)))
     misses = [i for i, r in residuals.items() if r > decompose.FIT_TARGET_RESIDUAL]
     unconverged = sum(residuals[i] > decompose.CONVERGED_RESIDUAL for i in misses)
     p50, p90 = np.percentile(ms, [50, 90])
@@ -132,7 +138,10 @@ def run(name):
            f"| {np.mean(starts):.2f} / {max(starts)} | {p50:.1f} / {p90:.1f} |")
     listed = ", ".join(f"{i} ({residuals[i]:.1e}{'*' if residuals[i] > decompose.CONVERGED_RESIDUAL else ''})"
                        for i in misses)
-    return row, f"{name} misses, * unconverged: {listed}" if misses else None, unconverged
+    notes = [f"{name} misses, * unconverged: {listed}"] if misses else []
+    if floor_ratios:
+        notes.append(f"{name} residual / floor: median {np.median(floor_ratios):.2f}, worst {max(floor_ratios):.2f}")
+    return row, notes, len(misses), unconverged
 
 
 def main(argv=None):
@@ -144,15 +153,15 @@ def main(argv=None):
         parser.error(f"unknown corpus: {', '.join(unknown)}")
     print("| Corpus | n | Misses | Unconverged | Worst residual | Starts, mean / max | p50 / p90 ms |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
-    notes, unconverged = [], 0
+    notes, failed = [], False
     for name in names:
-        row, note, count = run(name)
+        row, corpus_notes, misses, unconverged = run(name)
         print(row, flush=True)
-        notes += [note] if note else []
-        unconverged += count
+        notes += corpus_notes
+        failed = failed or unconverged > 0 or (misses > 0 and name != "rounded")
     for note in notes:
         print(note)
-    return 1 if unconverged else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
