@@ -25,7 +25,6 @@ from .matops import (
     assert_density_matrix,
     complex_to_pairs,
     dagger,
-    frob_dist,
     pairs_to_complex,
 )
 
@@ -143,13 +142,13 @@ def choi_from_transfer(s) -> np.ndarray:
 def validate_channel(ch: KrausChannel) -> CPTPReport:
     """CPTP diagnostics: never raises, returns residuals and a verdict."""
     j = to_choi(ch)
-    return cptp_report(j, np.linalg.eigvalsh((j + dagger(j)) / 2.0))
+    return cptp_report(j, np.linalg.eigvalsh((j + j.conj().T) / 2.0))
 
 
 def cptp_report(j, choi_eigenvalues) -> CPTPReport:
-    """:func:`validate_channel`'s report from J and its eigenvalues; TP means Tr_out J = (sum K^dag K)^T = I."""
-    trace_residual = frob_dist(np.trace(j.reshape(2, 2, 2, 2), axis1=1, axis2=3), ID2)
-    min_eig = float(choi_eigenvalues.min())
+    """:func:`validate_channel`'s report from J and its eigenvalues, ascending as ``eigvalsh`` returns them."""
+    trace_residual = float(np.linalg.norm(j[::2, ::2] + j[1::2, 1::2] - ID2))  # TP: Tr_out J = (sum K^dag K)^T = I
+    min_eig = float(choi_eigenvalues[0])
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL
     return CPTPReport(trace_residual=trace_residual, min_choi_eig=min_eig, ok=ok)
 

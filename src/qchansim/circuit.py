@@ -35,7 +35,7 @@ from .matops import (
     assert_density_matrix,
     dagger,
 )
-from .optics import GateElement, dove_pair_for_ry, dressing_euler, ry_rotation, waveplates_from_euler
+from .optics import GateElement, _dressing_euler, dove_pair_for_ry, ry_rotation, waveplates_from_euler
 
 BASIS_LABELS = ("Hh", "Hv", "Vh", "Vv")
 
@@ -233,6 +233,10 @@ def simulate_channel(rho_in, plan, noise: NoiseParams | None = None) -> np.ndarr
     return out[0] if single else out
 
 
+_DP0, _CNOT_GATE, _TBS_GATE = GateElement("DP", 0.0), GateElement("CNOT", None), GateElement("TBS", None)
+_CONDX_GATE = GateElement("CONDX", None)  # the elements with the same angle in every branch, built once (immutable)
+
+
 def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
     """Compile one branch into the ordered optical element list.
 
@@ -240,27 +244,17 @@ def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
     dressing unitaries (skipped when they equal the identity up to phase);
     elements appear in beam order.
     """
-    gates: list[GateElement] = []
-
-    def add_dove_pair(gamma):
-        gates.append(GateElement("DP", 0.0))
-        gates.append(GateElement("DP", dove_pair_for_ry(gamma)))
-
-    def add_triple(u):
-        euler = dressing_euler(u)
-        if euler is None:
-            return
-        triple = waveplates_from_euler(euler)
-        gates.append(GateElement("QWP", triple.eta2))
-        gates.append(GateElement("HWP", triple.tau))
-        gates.append(GateElement("QWP", triple.eta1))
-
-    add_dove_pair(branch.gamma1)
-    add_triple(branch.Uprime)
-    gates.append(GateElement("CNOT", None))
-    add_dove_pair(branch.gamma2)
-    gates.append(GateElement("TBS", None))
+    gates = [_DP0, GateElement("DP", dove_pair_for_ry(branch.gamma1)), *_waveplates(branch.Uprime), _CNOT_GATE,
+             _DP0, GateElement("DP", dove_pair_for_ry(branch.gamma2)), _TBS_GATE]
     if branch.conditional_x:
-        gates.append(GateElement("CONDX", None))
-    add_triple(branch.U)
-    return gates
+        gates.append(_CONDX_GATE)
+    return gates + _waveplates(branch.U)
+
+
+def _waveplates(u) -> list[GateElement]:
+    """Waveplates of a branch's dressing, read-only and checked unitary: none where it is the identity up to phase."""
+    euler = _dressing_euler(u.ravel().tolist())
+    if euler is None:
+        return []
+    triple = waveplates_from_euler(euler)
+    return [GateElement("QWP", triple.eta2), GateElement("HWP", triple.tau), GateElement("QWP", triple.eta1)]

@@ -21,6 +21,8 @@ equivalence tests pin this relation down.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -42,6 +44,7 @@ from .matops import ID2, PAULIS, _unitarity_residual_2x2, as_cmat, complex_to_pa
 from .optics import su2_from_rotation
 
 U_BPF = np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
+U_BPF.flags.writeable = False
 
 ANGLE_TOL = 1e-10
 QE_TOL = 1e-8
@@ -63,13 +66,13 @@ def wrap_angle(a: float) -> float:
     return math.pi if w == -math.pi else w
 
 
-def kraus_from_angles(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
-    """The trace-preserving quasiextreme Kraus pair for angles (alpha, beta); angle arrays give stacks."""
-    zero = np.zeros_like(alpha, dtype=complex)
-    shape = np.shape(zero) + (2, 2)
-    k0 = np.stack([np.cos(beta), zero, zero, np.cos(alpha)], axis=-1).reshape(shape)
-    k1 = np.stack([zero, np.sin(alpha), np.sin(beta), zero], axis=-1).reshape(shape)
-    return k0, k1
+def kraus_from_angles(alpha, beta) -> np.ndarray:
+    """The trace-preserving quasiextreme Kraus pair (K0, K1) for angles (alpha, beta), stacked ``(2, 2, 2)``; angle
+    arrays of shape ``s`` give ``(2, *s, 2, 2)``."""
+    ca, cb, sa, sb = np.cos(alpha), np.cos(beta), np.sin(alpha), np.sin(beta)
+    pair = np.zeros((2, *np.shape(ca), 4), dtype=complex)  # row-major entries
+    pair[0, ..., 0], pair[0, ..., 3], pair[1, ..., 1], pair[1, ..., 2] = cb, ca, sa, sb
+    return pair.reshape(pair.shape[:-1] + (2, 2))
 
 
 def gammas_from_angles(alpha: float, beta: float) -> tuple[float, float]:
@@ -94,10 +97,10 @@ class QuasiExtremeBranch:
     conditional_x: bool = True
 
     def __post_init__(self):
-        u = as_cmat(self.U, 2)
-        up = as_cmat(self.Uprime, 2)
+        u, up = (as_cmat(np.array(m, dtype=complex), 2) for m in (self.U, self.Uprime))  # copies, read-only below
         if max(_unitarity_residual_2x2(*m.ravel().tolist()) for m in (u, up)) > ANGLE_TOL:
             raise ValueError("branch unitaries must be unitary within 1e-10")
+        u.flags.writeable = up.flags.writeable = False
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "Uprime", up)
 
@@ -114,12 +117,12 @@ class QuasiExtremeBranch:
         return cls(alpha=wrap_angle(alpha), beta=wrap_angle(beta), U=ID2 if U is None else U,
                    Uprime=ID2 if Uprime is None else Uprime, conditional_x=conditional_x)
 
-    def kraus_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Effective bare Kraus pair, honouring the conditional-x flag."""
-        k0, k1 = kraus_from_angles(self.alpha, self.beta)
+    def kraus_pair(self) -> np.ndarray:
+        """Effective bare Kraus pair (K0, K1) stacked ``(2, 2, 2)``; without the conditional x, K1 is X K1, diagonal."""
+        pair = kraus_from_angles(self.alpha, self.beta)
         if not self.conditional_x:
-            k1 = np.array([[np.sin(self.beta), 0.0], [0.0, np.sin(self.alpha)]], dtype=complex)
-        return k0, k1
+            pair[1] = pair[1, ::-1]
+        return pair
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,7 @@ def plan_to_channel(plan: DecompositionPlan) -> KrausChannel:
 
 def _plan_kraus(plan: DecompositionPlan) -> np.ndarray:
     """The Kraus operators of :func:`plan_to_channel`, stacked ``(k, 2, 2)``."""
-    ops = np.concatenate([np.sqrt(weight) * (branch.U @ np.array(branch.kraus_pair()) @ branch.Uprime)
+    ops = np.concatenate([np.sqrt(weight) * (branch.U @ branch.kraus_pair() @ branch.Uprime)
                           for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p))
                           if branch is not None])
     return ops[np.linalg.norm(ops, axis=(1, 2)) >= ZERO_OP_TOL]
@@ -256,11 +259,9 @@ class FitResult:
 
 def _signed_permutation_rotations():
     """All 24 signed 3x3 permutation matrices P with determinant +1, as (P, perm, signs): P[perm[i], i] = signs[i]."""
-    from itertools import permutations, product
-
     out = []
-    for perm in permutations(range(3)):
-        for signs in product((1.0, -1.0), repeat=3):
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
             m = np.zeros((3, 3))
             for col, row in enumerate(perm):
                 m[row, col] = signs[col]
@@ -368,36 +369,76 @@ def _polar_turn(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
                      [c * p00 + d * p10, c * p01 + d * p11, q10, q11]])
 
 
-def _kraus_split(kraus, rng):
+def _solve_psd3(a, r):
+    """x with a x = r for a symmetric positive semidefinite 3x3 ``a`` (nested lists), and the number of unknowns left.
+    Symmetric elimination pivoting on the largest remaining diagonal entry, stable however ill-conditioned ``a`` is.
+    A pivot at round-off, at most 8 eps times the first, ends it: the unknowns left are 0, their equations unsolved."""
+    i, j, k = (0, 1, 2) if a[0][0] >= max(a[1][1], a[2][2]) else (1, 0, 2) if a[1][1] >= a[2][2] else (2, 0, 1)
+    tol, x = 8.0 * _EPS * a[i][i], [0.0, 0.0, 0.0]
+    if not a[i][i] > tol:  # a = 0, or not finite
+        return x, 3
+    lj, lk = a[j][i] / a[i][i], a[k][i] / a[i][i]  # eliminate unknown i: s is the Schur complement on (j, k)
+    sjj, skk, sjk = a[j][j] - lj * a[i][j], a[k][k] - lk * a[i][k], a[j][k] - lj * a[i][k]
+    rj, rk = r[j] - lj * r[i], r[k] - lk * r[i]
+    if skk > sjj:
+        j, k, sjj, skk, rj, rk = k, j, skk, sjj, rk, rj
+    left = 2
+    if sjj > tol:  # eliminate unknown j: what is left of s[k][k] is the last pivot
+        lk, left = sjk / sjj, 1
+        if skk - lk * sjk > tol:
+            x[k], left = (rk - lk * rj) / (skk - lk * sjk), 0
+        x[j] = (rj - sjk * x[k]) / sjj
+    x[i] = (r[i] - a[i][j] * x[j] - a[i][k] * x[k]) / a[i][i]
+    return x, left
+
+
+def _start_frames(seed):
+    """Random starts [Y Z] of :func:`_kraus_split` from ``default_rng(seed)``: unitaries of complete QRs of complex
+    Gaussian 4x2 matrices."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)), mode="complete")[0]
+
+
+@functools.cache
+def _first_frame() -> np.ndarray:
+    """fit_plan's first start, ``next(_start_frames(FIT_SEED))``: drawn once per process, on first use, read-only."""
+    frame = next(_start_frames(FIT_SEED))
+    frame.flags.writeable = False
+    return frame
+
+
+def _kraus_split(kraus, frame):
     """Cut a trace-preserving set of four Kraus operators into two weighted trace-preserving pairs.
 
     For an orthonormal 2-plane Y of Kraus space and its complement Z, the operators L_a = sum_i Y[i, a] K_i
     and L'_b = sum_i Z[i, b] K_i are another Kraus set of the same channel.  Each pair sums to a multiple
     of I, sum L^dag L = p I, when Y solves the three real equations g_k = Tr(Y^dag B_k Y) = 0 with
-    B_k[i, j] = Tr(sigma_k K_i^dag K_j).  From a random Y drawn from ``rng``, least-norm Newton steps
-    over the tangent directions Y + Z W solve them until |g| <= 4 eps or 50 steps are taken.  Each step
-    is the polar update Y <- (Y + Z W)(I + W^dag W)^(-1/2), Z <- (Z - Y W^dag)(I + W W^dag)^(-1/2),
-    which keeps [Y Z] unitary and spans the plane a QR of Y + Z W would.  Returns
-    (p, L / sqrt(p), L' / sqrt(1 - p)), or None when a pair has no weight or a step's 3x3 normal
-    equations are singular.
+    B_k[i, j] = Tr(sigma_k K_i^dag K_j).  From the start ``frame`` = [Y Z], a 4x4 unitary, least-norm
+    Newton steps over the tangent directions Y + Z W solve them until |g| <= 4 eps or 50 steps are taken.
+    Each step solves its 3x3 normal equations in floats (:func:`_solve_psd3`) and is the polar update
+    Y <- (Y + Z W)(I + W^dag W)^(-1/2), Z <- (Z - Y W^dag)(I + W W^dag)^(-1/2), which keeps [Y Z]
+    unitary and spans the plane a QR of Y + Z W would.  Near a solution where the equations lose rank
+    (the fully depolarizing channel), the normal equations turn singular at round-off; once |g| <= 1e-6
+    the step leaves out their null direction, and before that the start fails.  Returns
+    (p, L / sqrt(p), L' / sqrt(1 - p)), or None when the start fails or a pair has no weight.
     """
     vecs = kraus.reshape(4, 4)
-    b = vecs.conj() @ (kraus @ _PAULI_STACK[:, None]).reshape(3, 4, 4).swapaxes(1, 2)
-    frame = np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)), mode="complete")[0]
+    b_rows = vecs.conj() @ (kraus @ _PAULI_STACK[:, None]).reshape(12, 4).T  # [B_0 B_1 B_2]
     for _ in range(50):
-        m = frame[:, :2].conj().T @ b @ frame  # Y^dag B_k [Y Z]
-        g = np.trace(m[:, :, :2], axis1=1, axis2=2).real
-        if g @ g <= (4.0 * _EPS) ** 2:
+        m = (frame[:, :2].conj().T @ b_rows).reshape(6, 4) @ frame  # row 3 a + k: row a of Y^dag B_k [Y Z]
+        g = [m_k[0].real + m_3k[1].real for m_k, m_3k in zip(m[:3].tolist(), m[3:].tolist())]
+        gg = g[0] * g[0] + g[1] * g[1] + g[2] * g[2]
+        if gg <= (4.0 * _EPS) ** 2:
             break
         # g_k(Y + Z W) = g_k + 2 Re Tr(C_k W) + O(W^2), C_k = Y^dag B_k Z; W[b, a] pairs with C_k[a, b].  With the
         # rows c_k of the C_k^T, the least-norm W solving 2 Re(c W) = -g is c^dag x, Re(c c^dag) x = -g / 2.
-        c = m[:, :, 2:].swapaxes(1, 2).reshape(3, 4)
-        try:
-            x = np.linalg.solve((c @ c.conj().T).real, -g / 2.0)
-        except np.linalg.LinAlgError:
+        c = m[:, 2:].reshape(2, 3, 2).transpose(1, 2, 0).reshape(3, 4)
+        x, left = _solve_psd3((c @ c.conj().T).real.tolist(), [-0.5 * g_k for g_k in g])
+        if left and gg > 1e-6 ** 2:
             return None
         frame = frame @ _polar_turn(*(c.conj().T @ x).tolist())
-    mixed = np.tensordot(frame.T, kraus, 1)
+    mixed = (frame.T @ vecs).reshape(4, 2, 2)
     p = float(np.vdot(mixed[:2], mixed[:2]).real) / 2.0
     if not 0.0 < p < 1.0:
         return None
@@ -420,11 +461,11 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     preserving, K -> K (sum K^dag K)^(-1/2).  :func:`_kraus_split` mixes it into two pairs that
     are each a weighted trace-preserving channel, and stage one turns each pair into a branch:
     its first candidate, or, where that plan misses, the first candidate that reproduces its
-    pair.  The plan reproduces the target's Choi matrix by construction, so one seeded start
-    (``FIT_SEED``) almost always suffices; further starts are drawn until a plan lands within
-    ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS`` are spent, and the lowest residual, first
-    start on ties, is kept.  The CPTP check and the skip of stage one read the unprojected
-    target.
+    pair.  The plan reproduces the target's Choi matrix by construction, so one seeded start almost
+    always suffices: the first frame from ``FIT_SEED``, drawn once at import.  Further starts continue
+    that stream until a plan lands within ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS`` are spent,
+    and the lowest residual, first start on ties, is kept.  The CPTP check and the skip of stage
+    one read the unprojected target.
 
     Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
     the result, not raised.  When no start yields two branches the result has
@@ -449,16 +490,16 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     projected = hermitian - (off_tp[:, None, :, None] * ID2[:, None, :]).reshape(4, 4) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(projected)
     # Column i of the eigenvectors is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi.
-    kraus = (np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None] * eigenvectors.T).reshape(4, 2, 2).swapaxes(1, 2)
-    (a, b), (_, d) = np.einsum("iba,ibc->ac", kraus.conj(), kraus).tolist()
+    kraus = (np.sqrt(np.maximum(eigenvalues, 0.0))[:, None] * eigenvectors.T).reshape(4, 2, 2).swapaxes(1, 2)
+    (a, b), (_, d) = (kraus.reshape(8, 2).conj().T @ kraus.reshape(8, 2)).tolist()  # sum K^dag K
     kraus = kraus @ np.array(_inv_sqrt_psd(a.real, b, d.real))
     # A start is exact once its plan reproduces this Kraus set.  A target off trace preservation by more than
     # FIT_TARGET_RESIDUAL (a Kraus file rounded by hand) is that far from every plan, and further starts cannot help.
     split_target = choi_from_transfer(kraus_transfer(kraus))
-    rng = np.random.default_rng(FIT_SEED)
     best_plan, best_res = None, math.inf
-    for starts_used in range(1, FIT_MAX_STARTS + 1):
-        split = _kraus_split(kraus, rng)
+    frames = itertools.chain([_first_frame()], itertools.islice(_start_frames(FIT_SEED), 1, None))  # one stream
+    for starts_used, frame in zip(range(1, FIT_MAX_STARTS + 1), frames):
+        split = _kraus_split(kraus, frame)
         if split is None:
             continue
         p, *pairs = split

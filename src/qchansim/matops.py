@@ -22,6 +22,8 @@ _PAULI_STACK = np.array(PAULIS)
 # Jones matrices of a quarter- and half-wave plate with horizontal fast axis.
 Q0 = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 H0 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+for _constant in (ID2, *PAULIS, _PAULI_STACK, Q0, H0):  # shared by every caller, so a write raises
+    _constant.flags.writeable = False
 
 
 def as_cmat(m, dim: int | None = None, stack: bool = False) -> np.ndarray:

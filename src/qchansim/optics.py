@@ -109,7 +109,11 @@ def euler_from_su2(u) -> EulerAngles:
 def dressing_euler(u) -> EulerAngles | None:
     """:func:`euler_from_su2` of a dressing unitary, or None where :func:`qchansim.matops.phase_invariant_distance`
     puts it within 1e-12 of the identity; one scalar pass over the entries, with their unitarity check."""
-    entries = _unitary_entries(u, "dressing_euler")
+    return _dressing_euler(_unitary_entries(u, "dressing_euler"))
+
+
+def _dressing_euler(entries) -> EulerAngles | None:
+    """:func:`dressing_euler` of a unitary given as its row-major Python complex entries, taken as unitary."""
     return None if _phase_distance(entries, _ID2_ENTRIES) <= 1e-12 else _euler_from_entries(entries)
 
 
@@ -180,7 +184,7 @@ def su2_from_rotation(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     rows = r.tolist()
     # ||r r^T - I||_F <= 1e-8 (false where r is not finite) and det r > 0, in scalars.
-    if r.shape != (3, 3) or not sum((sum(a * b for a, b in zip(ri, rj)) - (ri is rj)) ** 2
+    if r.shape != (3, 3) or not sum((ri[0] * rj[0] + ri[1] * rj[1] + ri[2] * rj[2] - (ri is rj)) ** 2
                                     for ri in rows for rj in rows) <= 1e-16 or det3(rows) < 0:
         raise ValueError("su2_from_rotation requires a proper 3x3 rotation")
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows

@@ -14,7 +14,10 @@ from qchansim.decompose import (
     FIT_TARGET_RESIDUAL,
     U_BPF,
     FIT_MAX_STARTS,
+    FIT_SEED,
     _kraus_split,
+    _solve_psd3,
+    _start_frames,
     _single_branch_candidates,
     branch_from_nu_mu,
     closed_form_plan,
@@ -81,6 +84,38 @@ def test_kraus_from_angles_trace_preserving():
         assert np.linalg.norm(acc - ID2) <= 1e-12
         # A stacked call gives the same pairs as one call per angle pair.
         assert np.abs(stacked[0][i] - k0).max() <= 1e-15 and np.abs(stacked[1][i] - k1).max() <= 1e-15
+
+
+def test_kraus_pair_is_kraus_from_angles_bit_for_bit():
+    # One construction for a branch and for a stack of angles, with numpy's cos and sin and every zero +0.
+    grid = np.array([0.0, PI / 2, -PI / 2, PI, -PI, 0.3, -2.1, 1e-300])
+    alpha, beta = (a.ravel() for a in np.meshgrid(grid, grid))
+    stacked = kraus_from_angles(alpha, beta)
+    for i, (a, b) in enumerate(zip(alpha, beta)):
+        assert stacked[:, i].tobytes() == kraus_from_angles(a, b).tobytes()
+        for conditional_x in (True, False):
+            pair = QuasiExtremeBranch(alpha=a, beta=b, U=ID2, Uprime=ID2, conditional_x=conditional_x).kraus_pair()
+            k1 = [[0.0, np.sin(a)], [np.sin(b), 0.0]] if conditional_x else [[np.sin(b), 0.0], [0.0, np.sin(a)]]
+            expected = np.array([[[np.cos(b), 0.0], [0.0, np.cos(a)]], k1], dtype=complex)
+            assert pair.tobytes() == expected.tobytes(), (a, b, conditional_x)
+            if conditional_x:
+                assert pair.tobytes() == kraus_from_angles(a, b).tobytes()
+
+
+def test_branches_hold_read_only_copies_and_shared_constants_are_read_only():
+    # A branch that stored the caller's array would hand out matops.ID2 as from_alpha_beta(...).U, and a write to it
+    # would change every later plan.
+    shared = [ID2, *PAULIS, U_BPF]
+    branches = [QuasiExtremeBranch.from_alpha_beta(0.1, 0.2), closed_form_plan("BPF", 0.5).branch_a]
+    for m in shared + [b.U for b in branches] + [b.Uprime for b in branches]:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 5.0
+    assert not any(np.shares_memory(b.U, m) for b in branches for m in shared)
+    u = su2_from_euler(EulerAngles(0.1, 0.2, 0.3))
+    branch = QuasiExtremeBranch.from_alpha_beta(0.1, 0.2, U=u)
+    u[0, 0] = 5.0  # the caller's array stays writeable; the branch keeps the unitary it checked
+    assert abs(branch.U[0, 0]) <= 1.0
+    assert closed_form_plan("AD", 0.5).branch_a.U.tobytes() == np.eye(2, dtype=complex).tobytes()
 
 
 def test_gammas_from_angles_examples():
@@ -313,7 +348,7 @@ def test_kraus_split_halves_are_trace_preserving(kind):
         channels = [random_channel(np.random.default_rng(7000 + 10 * rank + i), rank) for i in range(20)]
     for ch in channels:
         kraus = np.concatenate([np.asarray(ch.ops), np.zeros((4 - len(ch.ops), 2, 2))])  # a rank-3 set padded to four
-        p, pair_a, pair_b = _kraus_split(kraus, np.random.default_rng(0))
+        p, pair_a, pair_b = _kraus_split(kraus, next(_start_frames(0)))
         for pair in (pair_a, pair_b):
             assert frob_dist(np.einsum("kba,kbc->ac", pair.conj(), pair), ID2) <= 1e-13, ch.label
         # The halves, weighted by p and 1 - p, are the channel itself.
@@ -326,7 +361,7 @@ def test_kraus_split_frame_stays_unitary():
     # without a re-orthonormalisation, and the halves it returns solve g_k = Tr(Y^dag B_k Y) = 0 to 4 eps.
     for i in range(20):
         kraus = np.asarray(random_channel(np.random.default_rng(7400 + i), 4).ops)
-        p, pair_a, pair_b = _kraus_split(kraus, np.random.default_rng(i))
+        p, pair_a, pair_b = _kraus_split(kraus, next(_start_frames(i)))
         mixed = np.concatenate([np.sqrt(p) * pair_a, np.sqrt(1.0 - p) * pair_b])
         frame = np.linalg.solve(kraus.reshape(4, 4).T, mixed.reshape(4, 4).T)
         assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-14, i
@@ -336,9 +371,62 @@ def test_kraus_split_frame_stays_unitary():
 
 def test_kraus_split_gives_up_where_the_newton_step_is_singular():
     # The completely dephasing channel padded to four operators has B_x = B_y = 0, so the step's 3x3 normal equations
-    # are singular at every plane: the start fails, and fit_plan would draw another.
+    # are singular at every plane, with |g| far from 0: the start fails, and fit_plan would draw another.
     kraus = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2))], dtype=complex)
-    assert _kraus_split(kraus, np.random.default_rng(0)) is None
+    assert _kraus_split(kraus, next(_start_frames(0))) is None
+
+
+def test_kraus_split_finishes_a_start_that_converges_to_a_singular_solution():
+    # The fully depolarizing channel in 20 random Kraus frames.  Its equations lose rank at the solution, so the normal
+    # equations turn singular at round-off near it: set 13 does on its fourth step, at |g| = 8e-12.  There the step
+    # leaves out the null direction, and the start finishes.
+    for i in range(20):
+        rng = np.random.default_rng(100 + i)
+        v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        kraus = np.einsum("ij,jab->iab", v, np.array([ID2, *PAULIS])) / 2.0
+        p, pair_a, pair_b = _kraus_split(kraus, next(_start_frames(i)))
+        for pair in (pair_a, pair_b):
+            assert frob_dist(np.einsum("kba,kbc->ac", pair.conj(), pair), ID2) <= 1e-13, i
+        halves = [transfer(KrausChannel(tuple(pair))) for pair in (pair_a, pair_b)]
+        assert frob_dist(p * halves[0] + (1.0 - p) * halves[1], transfer(_FULLY_DEPOLARIZING)) <= 1e-13, i
+
+
+def test_solve_psd3_matches_numpy_and_leaves_out_null_directions():
+    rng = np.random.default_rng(17)
+    for n in range(200):
+        m = rng.standard_normal((3, 8)) * rng.uniform(0.1, 1.0, (3, 1))  # the shape of the split's real Jacobian
+        a, r = m @ m.T, rng.standard_normal(3)
+        x, left = _solve_psd3(a.tolist(), r.tolist())
+        expected = np.linalg.solve(a, r)
+        assert left == 0 and np.linalg.norm(np.subtract(x, expected)) <= 1e-12 * np.linalg.norm(expected), n
+    # A pivot at round-off ends the elimination; the unknowns left are 0.
+    assert _solve_psd3([[4.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-20]], [2.0, 1.0, 1.0]) == ([0.5, 0.0, 0.0], 2)
+    v = [1.0, 2.0, -1.0]
+    x, left = _solve_psd3([[vi * vj for vj in v] for vi in v], [3.0, 6.0, -3.0])  # rank 1, r in its range
+    assert left == 2 and np.allclose(np.outer(v, v) @ x, [3.0, 6.0, -3.0], atol=1e-15)
+    assert _solve_psd3(np.zeros((3, 3)).tolist(), [1.0, 1.0, 1.0]) == ([0.0, 0.0, 0.0], 3)
+
+
+def test_fit_plan_first_start_is_precomputed_and_later_starts_continue_the_seeded_stream(monkeypatch):
+    import qchansim.decompose as decompose
+
+    rng = np.random.default_rng(FIT_SEED)
+    expected = [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)), mode="complete")[0]
+                for _ in range(2)]
+    first = decompose._first_frame()  # drawn on first use, once per process
+    assert first.tobytes() == expected[0].tobytes() and decompose._first_frame() is first
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 0.0
+    frames, split = [], decompose._kraus_split
+
+    def first_start_fails(kraus, frame):
+        frames.append(np.array(frame))
+        return None if len(frames) == 1 else split(kraus, frame)
+
+    monkeypatch.setattr(decompose, "_kraus_split", first_start_fails)
+    result = fit_plan(random_channel(np.random.default_rng(35), 3))
+    assert result.starts_used == 2 and result.residual <= FIT_TARGET_RESIDUAL
+    assert [f.tobytes() for f in frames] == [f.tobytes() for f in expected]
 
 
 def _rotated(pair, rng):
