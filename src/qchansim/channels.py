@@ -159,9 +159,14 @@ def to_affine(ch: KrausChannel) -> AffineRep:
 
 
 def affine_from_transfer(s) -> AffineRep:
-    """T and t as blocks of (1/2) P^dag S P, the transfer matrix S in the Pauli basis."""
-    m = 0.5 * (_PAULI_VECS_DAG @ s @ _PAULI_VECS).real
+    """T and t as blocks of :func:`pauli_transfer`."""
+    m = pauli_transfer(s)
     return AffineRep(T=m[1:, 1:], t=m[1:, 0])
+
+
+def pauli_transfer(s) -> np.ndarray:
+    """(1/2) P^dag S P, the transfer matrix S in the Pauli basis: [[1, 0], [t, T]] for a trace-preserving channel."""
+    return 0.5 * (_PAULI_VECS_DAG @ s @ _PAULI_VECS).real
 
 
 def channel_to_json(ch: KrausChannel) -> str:

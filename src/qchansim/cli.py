@@ -133,6 +133,8 @@ def _parse_lambda_grid(text: str) -> list:
         start = _as_float(parts[0], "lambda grid start")
         stop = _as_float(parts[1], "lambda grid stop")
         count = _as_int(parts[2], "lambda grid count")
+        if count < 1:
+            raise CliError(EXIT_PARSE, f"lambda grid count must be positive, got {parts[2]!r}")
         values = np.linspace(start, stop, count).tolist()
     else:
         values = [_as_float(v, "lambda value") for v in text.split(",") if v.strip()]

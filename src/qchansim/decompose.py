@@ -34,14 +34,24 @@ from .channels import (
     ChannelKind,
     KrausChannel,
     ZERO_OP_TOL,
-    affine_from_transfer,
     choi_from_transfer,
     cptp_report,
     kraus_transfer,
+    pauli_transfer,
     transfer,
 )
-from .matops import ID2, PAULIS, _unitarity_residual_2x2, as_cmat, complex_to_pairs, frob_dist, pairs_to_complex, svd3
-from .optics import su2_from_rotation
+from .matops import (
+    ID2,
+    PAULIS,
+    _svd3,
+    _unitarity_residual_2x2,
+    as_cmat,
+    complex_to_pairs,
+    det3,
+    frob_dist,
+    pairs_to_complex,
+)
+from .optics import _su2_entries
 
 U_BPF = np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
 U_BPF.flags.writeable = False
@@ -98,8 +108,7 @@ class QuasiExtremeBranch:
 
     def __post_init__(self):
         u, up = (as_cmat(np.array(m, dtype=complex), 2) for m in (self.U, self.Uprime))  # copies, read-only below
-        if max(_unitarity_residual_2x2(*m.ravel().tolist()) for m in (u, up)) > ANGLE_TOL:
-            raise ValueError("branch unitaries must be unitary within 1e-10")
+        _check_dressings(u.ravel().tolist(), up.ravel().tolist())
         u.flags.writeable = up.flags.writeable = False
         object.__setattr__(self, "U", u)
         object.__setattr__(self, "Uprime", up)
@@ -123,6 +132,25 @@ class QuasiExtremeBranch:
         if not self.conditional_x:
             pair[1] = pair[1, ::-1]
         return pair
+
+
+def _check_dressings(u: list, uprime: list) -> None:
+    """:class:`QuasiExtremeBranch`'s check of its dressings, given as row-major Python complex entries."""
+    # False also where an entry is not finite.
+    if not (_unitarity_residual_2x2(*u) <= ANGLE_TOL and _unitarity_residual_2x2(*uprime) <= ANGLE_TOL):
+        raise ValueError("branch unitaries must be unitary within 1e-10")
+
+
+def _branch_from_entries(alpha: float, beta: float, u: list, uprime: list) -> QuasiExtremeBranch:
+    """``QuasiExtremeBranch.from_alpha_beta(alpha, beta, U, U')`` for dressings given as row-major Python complex
+    entries, checked on those scalars instead of on arrays."""
+    _check_dressings(u, uprime)
+    pair = np.array(u + uprime).reshape(2, 2, 2)
+    pair.flags.writeable = False
+    branch = object.__new__(QuasiExtremeBranch)  # the fields as __init__ would set them, without its checks on arrays
+    branch.__dict__.update(alpha=wrap_angle(alpha), beta=wrap_angle(beta), U=pair[0], Uprime=pair[1],
+                           conditional_x=True)
+    return branch
 
 
 @dataclass(frozen=True)
@@ -182,20 +210,39 @@ def closed_form_plan(kind: ChannelKind | str, lam: float) -> DecompositionPlan:
 
 def plan_to_channel(plan: DecompositionPlan) -> KrausChannel:
     """Kraus set {sqrt(w) U K_i U'} over both branches, zero operators dropped."""
-    return KrausChannel(tuple(_plan_kraus(plan)))
+    return KrausChannel(tuple(np.array(_plan_vecs(plan)).reshape(-1, 2, 2).swapaxes(1, 2)))
 
 
-def _plan_kraus(plan: DecompositionPlan) -> np.ndarray:
-    """The Kraus operators of :func:`plan_to_channel`, stacked ``(k, 2, 2)``."""
-    ops = np.concatenate([np.sqrt(weight) * (branch.U @ branch.kraus_pair() @ branch.Uprime)
-                          for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p))
-                          if branch is not None])
-    return ops[np.linalg.norm(ops, axis=(1, 2)) >= ZERO_OP_TOL]
+def _plan_vecs(plan: DecompositionPlan) -> list:
+    """The Kraus operators of :func:`plan_to_channel` as their vecs, vec K[2 j + a] = K[a, j] as in to_choi, from
+    scalar entries: one 4-tuple of Python complex numbers per operator.  The unitaries keep ||K||, so an operator
+    is dropped as zero by the norm of its bare K."""
+    vecs = []
+    for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)):
+        if branch is None:
+            continue
+        root = math.sqrt(weight)
+        cb, ca, sa, sb = (root * math.cos(branch.beta), root * math.cos(branch.alpha), root * math.sin(branch.alpha),
+                          root * math.sin(branch.beta))
+        u00, u01, u10, u11 = branch.U.ravel().tolist()
+        v00, v01, v10, v11 = branch.Uprime.ravel().tolist()
+        # U K0 for K0 = diag(cos beta, cos alpha), and U K1 for K1 = [[0, sin alpha], [sin beta, 0]], or for
+        # X K1 = diag(sin beta, sin alpha) without the conditional x; then (U K) U'.
+        uk = []
+        if math.hypot(cb, ca) >= ZERO_OP_TOL:
+            uk.append((u00 * cb, u01 * ca, u10 * cb, u11 * ca))
+        if math.hypot(sa, sb) >= ZERO_OP_TOL:
+            uk.append((u01 * sb, u00 * sa, u11 * sb, u10 * sa) if branch.conditional_x else
+                      (u00 * sb, u01 * sa, u10 * sb, u11 * sa))
+        vecs += [(a * v00 + b * v10, c * v00 + d * v10, a * v01 + b * v11, c * v01 + d * v11) for a, b, c, d in uk]
+    return vecs
 
 
 def _plan_choi(plan: DecompositionPlan) -> np.ndarray:
-    """``to_choi(plan_to_channel(plan))``, from one einsum over the stacked Kraus operators."""
-    return choi_from_transfer(kraus_transfer(_plan_kraus(plan)))
+    """``to_choi(plan_to_channel(plan))`` as one Gram product J = V^T conj(V) of the stacked vecs V: einsum takes
+    to_choi's sums, so the two agree to the last bit."""
+    vecs = np.array(_plan_vecs(plan))
+    return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
 
 def extract_nu_mu(aff: AffineRep) -> AngleNuMu:
@@ -257,74 +304,84 @@ class FitResult:
         return self.residual <= CONVERGED_RESIDUAL
 
 
-def _signed_permutation_rotations():
-    """All 24 signed 3x3 permutation matrices P with determinant +1, as (P, perm, signs): P[perm[i], i] = signs[i]."""
-    out = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            m = np.zeros((3, 3))
-            for col, row in enumerate(perm):
-                m[row, col] = signs[col]
-            if np.linalg.det(m) > 0:
-                out.append((m, perm, signs))
-    return out
-
-_ROT_PERMS = _signed_permutation_rotations()
-_DET1_SIGNS = [(d, np.diag(d)) for d in ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))]
+# The 24 proper signed 3x3 permutation matrices P, P[perm[i], i] = signs[i], as (perm, the 4 signs of that perm), and
+# the 4 diagonal sign matrices S of determinant +1.
+_ROT_PERMS = [(perm, [signs for signs in itertools.product((1.0, -1.0), repeat=3)
+                      if det3([[signs[c] if perm[c] == r else 0.0 for c in range(3)] for r in range(3)]) > 0])
+              for perm in itertools.permutations(range(3))]
+_DET1_SIGNS = [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]
 
 
-def _frame_turned_to_t(left, s, right, t):
-    """The SVD frame (L, R) of T = L diag(s) R^T, turned where |s| repeats so that t's share there is on one axis.
+def _frame_turned_to_t(left, s, right, lt):
+    """The SVD frame of T = L diag(s) R^T, turned where |s| repeats so that t's share there is on one axis.
 
+    ``left`` holds the rows of L, ``right`` the columns of R and ``lt`` = L^T t, all as lists; returns them turned.
     Inside a block of equal |s| (T = 0 of a rotated reset, the zero pair of a T-rank-1 channel) the frame
     is arbitrary, and a share of L^T t spread over the block's axes hides the quasiextreme form from the
     permutation scan.  L turns by the rotation G that puts the share on one axis, R by D G D with D the
-    signs of s, which leaves L diag(s) R^T alone.
+    signs of s, which leaves L diag(s) R^T alone; L^T t becomes G^T L^T t, the share's length on that axis.
     """
-    a, b, c = np.abs(s)  # sorted, so a repeated value is a block of neighbours
+    a, b, c = map(abs, s)  # sorted, so a repeated value is a block of neighbours
     block = [0, 1, 2] if a - c <= QE_TOL else [0, 1] if a - b <= QE_TOL else [1, 2] if b - c <= QE_TOL else []
     if not block:
-        return left, right
-    share = np.zeros(3)
-    share[block] = (left.T @ t)[block]
-    k = np.argmax(np.abs(share))
-    if math.hypot(*np.delete(share, k)) <= 8.0 * _EPS:  # round-off, as t of a unitary channel (<= 2.5 eps)
-        return left, right
-    # The rotation that takes +-e_k to the unit share, about their cross product (Rodrigues).
-    axis = np.zeros(3)
-    axis[k] = math.copysign(1.0, share[k])
-    share /= np.linalg.norm(share)
-    v = np.cross(axis, share)
-    vx = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-    turn = np.eye(3) + vx + vx @ vx / (1.0 + axis @ share)
-    signs = np.where(s < 0.0, -1.0, 1.0)
-    return left @ turn, right @ (signs[:, None] * turn * signs)
+        return left, right, lt
+    share = [lt[i] if i in block else 0.0 for i in range(3)]
+    k = max(range(3), key=lambda i: abs(share[i]))
+    if math.hypot(*(share[i] for i in range(3) if i != k)) <= 8.0 * _EPS:  # round-off, as t of a unitary channel
+        return left, right, lt
+    # The rotation G that takes +-e_k to the unit share, about their cross product v (Rodrigues):
+    # G = I + [v]x + [v]x^2 / (1 + e_k . share), with [v]x^2 = v v^T - |v|^2 I.
+    norm = math.hypot(*share)
+    unit = [x / norm for x in share]
+    sign = math.copysign(1.0, share[k])
+    axis = [sign if i == k else 0.0 for i in range(3)]
+    v = [axis[1] * unit[2] - axis[2] * unit[1], axis[2] * unit[0] - axis[0] * unit[2],
+         axis[0] * unit[1] - axis[1] * unit[0]]
+    vx = [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
+    scale, vv = 1.0 / (1.0 + abs(unit[k])), v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+    turn = [[(i == j) + vx[i][j] + (v[i] * v[j] - (i == j) * vv) * scale for j in range(3)] for i in range(3)]
+    d = [-1.0 if x < 0.0 else 1.0 for x in s]
+    left = [[sum(row[m] * turn[m][j] for m in range(3)) for j in range(3)] for row in left]
+    right = [[sum(right[m][i] * d[m] * turn[m][j] for m in range(3)) * d[j] for i in range(3)] for j in range(3)]
+    lt = [sign * norm if i == k else 0.0 if i in block else lt[i] for i in range(3)]
+    return left, right, lt
 
 
-def _single_branch_candidates(aff: AffineRep):
-    """Closed-form branches of channels that are rotated quasiextreme maps.
+def _single_branch_candidates(s):
+    """Closed-form branches of the channel with transfer matrix ``s``, if it is a rotated quasiextreme map.
 
-    Writes T = L diag(s) R^T (frame turned by :func:`_frame_turned_to_t`),
-    then scans the finite set of axis relabellings P, Q = P S (proper
-    signed permutations) under which P^T diag(s) Q matches the
-    quasiextreme diagonal and L^T t points along z.  Every hit yields the
-    branch of an exact p = 1 plan, generated lazily so that the caller can
-    stop at the first one.  P^T diag(s) Q = diag(s[perm] * S) and
-    (L P)^T t = signs * (L^T t)[perm] are read off as floats, exactly.
+    Reads T and t off :func:`qchansim.channels.pauli_transfer` and writes T = L diag(s) R^T with one LAPACK
+    call, signed to rotations on floats (:func:`qchansim.matops._svd3`), then turns the frame
+    (:func:`_frame_turned_to_t`) and scans the finite set of axis relabellings P, Q = P S (proper signed
+    permutations) under which P^T diag(s) Q matches the quasiextreme diagonal and L^T t points along z.
+    P^T diag(s) Q = diag(s[perm] * S) and (L P)^T t = signs * (L^T t)[perm] are read off as floats, exactly.
+    Every hit yields the branch of an exact p = 1 plan, generated lazily so that the caller can stop at the
+    first one.  Its dressings U = su2(L P) and U' = su2((R Q)^T) come from the signed, permuted columns of L
+    and R, through the float core of :func:`qchansim.optics.su2_from_rotation` with its rotation check, and
+    the branch checks them on those scalars.
     """
-    left, s, right = svd3(aff.T)
-    left, right = _frame_turned_to_t(left, s, right, aff.t)
-    lt, sl = (left.T @ aff.t).tolist(), s.tolist()
-    for perm, axes, signs in _ROT_PERMS:
-        tk = [sign * lt[axis] for axis, sign in zip(axes, signs)]
-        if abs(tk[0]) > QE_TOL or abs(tk[1]) > QE_TOL:
+    m = pauli_transfer(s)
+    left, sv, right = _svd3(m[1:, 1:])
+    lt = (np.array(left).T @ m[1:, 0]).tolist()  # numpy's fused sums: t_z's last bits, so nu and mu, depend on them
+    left, right, lt = _frame_turned_to_t(left, sv, right, lt)
+    for axes, perm_signs in _ROT_PERMS:
+        if abs(lt[axes[0]]) > QE_TOL or abs(lt[axes[1]]) > QE_TOL:  # the signs of P leave |(L P)^T t| alone
             continue
-        for sign, sign_matrix in _DET1_SIGNS:
-            nu_mu = _nu_mu(*(sl[axis] * d for axis, d in zip(axes, sign)), tk[2])
-            if isinstance(nu_mu, str):
-                continue
-            yield branch_from_nu_mu(AngleNuMu(*nu_mu), U=su2_from_rotation(left @ perm),
-                                    Uprime=su2_from_rotation((right @ (perm @ sign_matrix)).T))
+        s0, s1, s2 = (sv[axis] for axis in axes)
+        for signs in perm_signs:
+            tz, u = signs[2] * lt[axes[2]], None
+            for sign in _DET1_SIGNS:
+                nu_mu = _nu_mu(s0 * sign[0], s1 * sign[1], s2 * sign[2], tz)
+                if isinstance(nu_mu, str):
+                    continue
+                # Row i of L P is L[i, perm] * signs, row c of (R P S)^T is R[:, perm[c]] * signs[c] S[c]; + 0.0
+                # gives a zero entry the sign that a matrix product gives it.
+                if u is None:
+                    u = _su2_entries([[row[axis] * sg + 0.0 for axis, sg in zip(axes, signs)] for row in left])
+                up = _su2_entries([[x * (sg * d) + 0.0 for x in right[axis]]
+                                   for axis, sg, d in zip(axes, signs, sign)])
+                nu, mu = nu_mu
+                yield _branch_from_entries((mu + nu) / 2.0, (mu - nu) / 2.0, u, up)
 
 
 def _mixed_plan(p: float, a: QuasiExtremeBranch, b: QuasiExtremeBranch) -> DecompositionPlan:
@@ -339,7 +396,7 @@ def _mixed_plan(p: float, a: QuasiExtremeBranch, b: QuasiExtremeBranch) -> Decom
 def _exact_branch_plan(s: np.ndarray, choi: np.ndarray):
     """The first p = 1 plan of :func:`_single_branch_candidates` within ``FIT_TARGET_RESIDUAL`` of the channel with
     transfer matrix ``s`` and Choi matrix ``choi``, with its Choi distance; None if there is none."""
-    for branch in _single_branch_candidates(affine_from_transfer(s)):
+    for branch in _single_branch_candidates(s):
         plan = DecompositionPlan(branch_a=branch, branch_b=None, p=1.0)
         r = frob_dist(_plan_choi(plan), choi)
         if r <= FIT_TARGET_RESIDUAL:
@@ -462,7 +519,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     are each a weighted trace-preserving channel, and stage one turns each pair into a branch:
     its first candidate, or, where that plan misses, the first candidate that reproduces its
     pair.  The plan reproduces the target's Choi matrix by construction, so one seeded start almost
-    always suffices: the first frame from ``FIT_SEED``, drawn once at import.  Further starts continue
+    always suffices: the first frame from ``FIT_SEED``, drawn once per process, on first use.  Further starts continue
     that stream until a plan lands within ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS`` are spent,
     and the lowest residual, first start on ties, is kept.  The CPTP check and the skip of stage
     one read the unprojected target.
@@ -504,7 +561,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
             continue
         p, *pairs = split
         halves = [kraus_transfer(pair) for pair in pairs]
-        branches = [next(_single_branch_candidates(affine_from_transfer(s)), None) for s in halves]
+        branches = [next(_single_branch_candidates(s), None) for s in halves]
         if None in branches:
             continue
         plan = _mixed_plan(p, *branches)

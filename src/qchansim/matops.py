@@ -92,16 +92,25 @@ def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     negative.
     """
     t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3) or not np.all(np.isfinite(t)):
+    if t.shape != (3, 3):
         raise ValueError("svd3 expects a finite real 3x3 matrix")
-    left, s, vt = np.linalg.svd(t)
-    right = vt.T.copy()
-    if det3(left.tolist()) < 0:
-        left[:, 2] *= -1.0
-        s[2] *= -1.0
-    if det3(right.tolist()) < 0:
-        right[:, 2] *= -1.0
-        s[2] *= -1.0
+    left, s, right = _svd3(t)
+    return np.array(left), np.array(s), np.array(right).T.copy()
+
+
+def _svd3(t: np.ndarray) -> tuple[list, list, list]:
+    """:func:`svd3` of a float 3x3 array as nested lists: the rows of L, s, and the columns of R.  One LAPACK call;
+    the finiteness check and the determinant signs run on floats."""
+    rows = t.tolist()
+    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
+        raise ValueError("svd3 expects a finite real 3x3 matrix")
+    left, s, right = (a.tolist() for a in np.linalg.svd(t))  # right: the rows of R^T
+    if det3(left) < 0:
+        left = [[a, b, -c] for a, b, c in left]
+        s[2] = -s[2]
+    if det3(right) < 0:  # det R^T = det R
+        right[2] = [-x for x in right[2]]
+        s[2] = -s[2]
     return left, s, right
 
 

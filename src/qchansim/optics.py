@@ -182,12 +182,23 @@ def su2_from_rotation(r) -> np.ndarray:
     rotations by angles near pi stay well conditioned.
     """
     r = np.asarray(r, dtype=float)
-    rows = r.tolist()
-    # ||r r^T - I||_F <= 1e-8 (false where r is not finite) and det r > 0, in scalars.
-    if r.shape != (3, 3) or not sum((ri[0] * rj[0] + ri[1] * rj[1] + ri[2] * rj[2] - (ri is rj)) ** 2
-                                    for ri in rows for rj in rows) <= 1e-16 or det3(rows) < 0:
+    if r.shape != (3, 3):
         raise ValueError("su2_from_rotation requires a proper 3x3 rotation")
+    return np.array(_su2_entries(r.tolist())).reshape(2, 2)
+
+
+def _su2_entries(rows) -> list:
+    """:func:`su2_from_rotation` of a 3x3 matrix given as nested lists of its rows: its row-major Python complex
+    entries, with the same checks."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    # ||r r^T - I||_F <= 1e-8 (false where r is not finite) and det r > 0, in scalars.
+    g00, g11, g22 = (r00 * r00 + r01 * r01 + r02 * r02, r10 * r10 + r11 * r11 + r12 * r12,
+                     r20 * r20 + r21 * r21 + r22 * r22)
+    g01, g02, g12 = (r00 * r10 + r01 * r11 + r02 * r12, r00 * r20 + r01 * r21 + r02 * r22,
+                     r10 * r20 + r11 * r21 + r12 * r22)
+    if not ((g00 - 1.0) ** 2 + (g11 - 1.0) ** 2 + (g22 - 1.0) ** 2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12) <= 1e-16
+            and det3(rows) >= 0):
+        raise ValueError("su2_from_rotation requires a proper 3x3 rotation")
     tr = r00 + r11 + r22
     if tr > max(r00, r11, r22):
         s = 2.0 * math.sqrt(max(tr + 1.0, 0.0))
@@ -203,7 +214,7 @@ def su2_from_rotation(r) -> np.ndarray:
         q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
     w, x, y, z = q
     # w I - i (x X + y Y + z Z) entry by entry, in numpy's order of operations, so that every signed zero is kept.
-    return np.array([w * e - 1j * (x * ex + y * ey + z * ez) for e, ex, ey, ez in _QUATERNION_BASIS]).reshape(2, 2)
+    return [w * e - 1j * (x * ex + y * ey + z * ez) for e, ex, ey, ez in _QUATERNION_BASIS]
 
 
 _QUATERNION_BASIS = list(zip(*(m.ravel().tolist() for m in (ID2, *PAULIS))))

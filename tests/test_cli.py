@@ -467,6 +467,20 @@ def test_sweep_rejects_lambda_from_any_source(tmp_path, monkeypatch, capsys):
     rejected("--lambda-grid", "0,1")
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:1:-3", "lambda grid count must be positive, got '-3'"),
+    ("0:1:0", "lambda grid count must be positive, got '0'"),
+    ("0:1:2.5", "lambda grid count must be an integer, got '2.5'"),
+    ("0:1", "bad lambda grid '0:1'; use start:stop:count"),
+    ("0:2:3", "lambda value 2.0 outside [0, 1]"),
+    (",", "empty lambda grid"),
+])
+def test_sweep_rejects_a_bad_lambda_grid_in_its_own_words(grid, message, capsys):
+    assert run(["sweep", "--channel", "AD", "--lambda-grid", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("kind, lam, phi", [("PF", "0.5", "22.5"), ("BPF", "0.25", "30"), ("BPF", "0.5", "22.5")])
 def test_simulate_prints_no_negative_zero(kind, lam, phi, capsys):
     assert run(["simulate", "--channel", kind, "--lambda", lam, "--phi-deg", phi]) == 0

@@ -1,10 +1,22 @@
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_channel, random_kraus_pair_channel
-from qchansim.channels import ChannelKind, KrausChannel, builtin_channel, to_affine, to_choi, transfer, validate_channel
+from qchansim.channels import (
+    AffineRep,
+    ChannelKind,
+    KrausChannel,
+    affine_from_transfer,
+    builtin_channel,
+    to_affine,
+    to_choi,
+    transfer,
+    validate_channel,
+)
 from qchansim.circuit import compile_plan
 from qchansim.decompose import (
     AngleNuMu,
@@ -15,7 +27,9 @@ from qchansim.decompose import (
     U_BPF,
     FIT_MAX_STARTS,
     FIT_SEED,
+    _branch_from_entries,
     _kraus_split,
+    _plan_choi,
     _solve_psd3,
     _start_frames,
     _single_branch_candidates,
@@ -30,8 +44,8 @@ from qchansim.decompose import (
     plan_to_json,
     wrap_angle,
 )
-from qchansim.matops import ID2, PAULIS, PAULI_Z, frob_dist
-from qchansim.optics import EulerAngles, su2_from_euler
+from qchansim.matops import ID2, PAULIS, PAULI_Z, frob_dist, svd3
+from qchansim.optics import EulerAngles, su2_from_euler, su2_from_rotation
 
 PI = np.pi
 
@@ -267,10 +281,11 @@ def _random_branch(rng, conditional_x=True):
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
 def test_fit_plan_recovers_builtins(kind):
-    for lam in (0.25, 0.5, 0.75):
+    # Every named channel has Choi rank <= 2, so stage one fits it in closed form, to round-off.
+    for lam in np.linspace(0.0, 1.0, 11):
         result = fit_plan(builtin_channel(kind, lam))
-        assert result.converged
-        assert result.residual <= 1e-8
+        assert result.starts_used == 0
+        assert result.residual <= 1e-12
 
 
 def test_fit_plan_recovers_random_quasiextreme():
@@ -563,9 +578,9 @@ def test_fit_plan_skips_stage_one_where_no_two_kraus_plan_is_close_enough(monkey
     # A stage-one candidate has Choi rank <= 2, so it is at least the target's two smallest |eigenvalues| away.
     scanned = []
 
-    def recording_candidates(aff):
-        scanned.append(aff)
-        return _single_branch_candidates(aff)
+    def recording_candidates(s):
+        scanned.append(affine_from_transfer(s))
+        return _single_branch_candidates(s)
 
     monkeypatch.setattr(decompose, "_single_branch_candidates", recording_candidates)
     # The split scans its two halves, never the target's own affine map.
@@ -582,3 +597,78 @@ def test_fit_plan_skips_stage_one_where_no_two_kraus_plan_is_close_enough(monkey
     result = fit_plan(_depolarized(random_kraus_pair_channel(np.random.default_rng(37)), 1e-13))
     assert result.starts_used == 0 and result.residual <= FIT_TARGET_RESIDUAL
     assert len(scanned) == 1
+
+
+def _matrix_form_first_candidate(s):
+    """The first stage-one branch as 3x3 matrix products give it: the signed SVD of T, the proper signed permutations
+    P and sign matrices S in the scan's order, U = su2(L P) and U' = su2((R P S)^T); for frames that need no turn."""
+    aff = affine_from_transfer(s)
+    left, sv, right = svd3(aff.T)
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            p = np.zeros((3, 3))
+            p[list(perm), [0, 1, 2]] = signs
+            if np.linalg.det(p) < 0:
+                continue
+            for d in ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)):
+                q = p @ np.diag(d)
+                try:
+                    nm = extract_nu_mu(AffineRep(T=p.T @ np.diag(sv) @ q, t=p.T @ (left.T @ aff.t)))
+                except NotQuasiExtremeError:
+                    continue
+                return branch_from_nu_mu(nm, U=su2_from_rotation(left @ p), Uprime=su2_from_rotation((right @ q).T))
+    return None
+
+
+def test_stage_one_on_floats_gives_the_matrix_form_branch_bit_for_bit():
+    # Random rank-1/2 channels, so the frame needs no turn; the float scan reads the same LAPACK frames.  300 of
+    # them, because L^T t summed in Python instead of numpy moves the branch of only 4 of these by an ulp.
+    for i in range(300):
+        s = transfer(random_channel(np.random.default_rng(800 + i), 2 - i % 2))
+        branch, reference = next(_single_branch_candidates(s)), _matrix_form_first_candidate(s)
+        assert (branch.alpha, branch.beta, branch.conditional_x) == (reference.alpha, reference.beta, True)
+        assert np.array_equal(branch.U, reference.U) and np.array_equal(branch.Uprime, reference.Uprime)
+        assert not branch.U.flags.writeable and not branch.Uprime.flags.writeable
+
+
+def test_stage_one_rejects_a_transfer_matrix_with_nan_without_a_numpy_warning():
+    s = transfer(random_kraus_pair_channel(np.random.default_rng(39))).copy()
+    s[1, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            next(_single_branch_candidates(s))
+
+
+def test_branch_from_entries_is_the_public_constructor_with_its_checks():
+    u = su2_from_euler(EulerAngles(0.1, 0.2, 0.3))
+    up = su2_from_euler(EulerAngles(-0.4, 1.1, 2.0))
+    branch = _branch_from_entries(7.0, -0.2, u.ravel().tolist(), up.ravel().tolist())
+    reference = QuasiExtremeBranch.from_alpha_beta(7.0, -0.2, U=u, Uprime=up)
+    assert (branch.alpha, branch.beta, branch.conditional_x) == (reference.alpha, reference.beta, True)
+    assert np.array_equal(branch.U, u) and np.array_equal(branch.Uprime, up)
+    assert not branch.U.flags.writeable and not branch.Uprime.flags.writeable
+    assert (branch.gamma1, branch.gamma2) == (reference.gamma1, reference.gamma2)
+    for bad in (1.5 * u, np.where(np.eye(2, dtype=bool), np.nan, u), np.where(np.eye(2, dtype=bool), np.inf, u)):
+        with pytest.raises(ValueError):
+            QuasiExtremeBranch.from_alpha_beta(0.1, 0.2, U=u, Uprime=bad)
+        with pytest.raises(ValueError, match="unitary"):
+            _branch_from_entries(0.1, 0.2, u.ravel().tolist(), bad.ravel().tolist())
+
+
+def test_plan_choi_is_to_choi_of_plan_to_channel_bit_for_bit():
+    rng = np.random.default_rng(41)
+    plans = [closed_form_plan(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 11)]
+    plans += [DecompositionPlan(_random_branch(rng, conditional_x=bool(rng.integers(2))),
+                                _random_branch(rng, conditional_x=bool(rng.integers(2))), rng.uniform(0.0, 1.0))
+              for _ in range(40)]
+    plans += [DecompositionPlan(_random_branch(rng, conditional_x=bool(i % 2)), None, 1.0) for i in range(10)]
+    for plan in plans:
+        assert np.array_equal(_plan_choi(plan), to_choi(plan_to_channel(plan)))
+    # The Kraus set is sqrt(w) U K_i U' over both branches, without its zero operators.
+    for plan in plans[-50:]:
+        expected = [np.sqrt(w) * (b.U @ k @ b.Uprime)
+                    for b, w in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)) if b is not None
+                    for k in b.kraus_pair()]
+        assert np.allclose(plan_to_channel(plan).ops, expected, rtol=0.0, atol=1e-15)
+    assert len(plan_to_channel(closed_form_plan("AD", 0.0)).ops) == 1

@@ -52,6 +52,12 @@ def test_svd3_identity_and_diagonal():
     assert np.allclose(np.sort(np.abs(s)), [0.5, 0.5, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]), np.eye(2), np.eye(4)[:3]])
+def test_svd3_rejects_what_is_not_a_finite_3x3_matrix(bad):
+    with pytest.raises(ValueError, match="finite real 3x3"):
+        svd3(bad)
+
+
 def _random_rotation(rng):
     m = rng.standard_normal((3, 3))
     q, r = np.linalg.qr(m)
