@@ -10,6 +10,7 @@ vectors as ``r -> T r + t``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,8 +120,9 @@ def transfer(ch: KrausChannel) -> np.ndarray:
 
 
 def kraus_transfer(ops: np.ndarray) -> np.ndarray:
-    """:func:`transfer` of a stack ``(k, 2, 2)`` of Kraus operators, taken as given: no channel object, no checks."""
-    return np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
+    """:func:`transfer` of a stack ``(k, 2, 2)`` of Kraus operators, taken as given: no channel object, no checks; a
+    stack ``(n, k, 2, 2)`` of Kraus sets gives ``(n, 4, 4)``."""
+    return np.einsum("...kac,...kbd->...abcd", ops, ops.conj()).reshape(ops.shape[:-3] + (4, 4))
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
@@ -140,14 +142,35 @@ def choi_from_transfer(s) -> np.ndarray:
 
 
 def validate_channel(ch: KrausChannel) -> CPTPReport:
-    """CPTP diagnostics: never raises, returns residuals and a verdict."""
-    j = to_choi(ch)
-    return cptp_report(j, np.linalg.eigvalsh((j + j.conj().T) / 2.0))
+    """CPTP diagnostics: never raises, returns residuals and a verdict.  A channel whose transfer matrix overflows
+    (Kraus entries past ~1e154) is not CPTP, with an infinite trace residual and a NaN eigenvalue."""
+    return _cptp_parts(ch)[-1]
+
+
+def _cptp_parts(ch: KrausChannel) -> tuple:
+    """What :func:`validate_channel` computes, for callers that go on with it: the transfer matrix S, the Choi matrix
+    J, its Hermitian part H, H's eigenvalues ascending (one ``eigvalsh`` call) and the :class:`CPTPReport`.  Where S
+    is not finite, H and the eigenvalues are None and no LAPACK call is made: LAPACK fails on such a matrix, and
+    numpy warns on the way.  H is J / 2 + (J / 2)^dag: the numbers of (J + J^dag) / 2, up to the sign of a zero and
+    round-off in the subnormal range, without its overflow for entries near the largest float."""
+    s = transfer(ch)
+    j = choi_from_transfer(s)
+    if not np.isfinite(s).all():
+        return s, j, None, None, CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
+    half = j / 2.0
+    hermitian = half + half.conj().T
+    eigenvalues = np.linalg.eigvalsh(hermitian)
+    return s, j, hermitian, eigenvalues, cptp_report(j, eigenvalues)
 
 
 def cptp_report(j, choi_eigenvalues) -> CPTPReport:
-    """:func:`validate_channel`'s report from J and its eigenvalues, ascending as ``eigvalsh`` returns them."""
-    trace_residual = float(np.linalg.norm(j[::2, ::2] + j[1::2, 1::2] - ID2))  # TP: Tr_out J = (sum K^dag K)^T = I
+    """:func:`validate_channel`'s report from J and its eigenvalues, ascending as ``eigvalsh`` returns them.
+
+    The trace residual ||Tr_out J - I||_F (TP: Tr_out J = (sum K^dag K)^T = I) is read from the eight entries of J
+    it needs, as Python numbers."""
+    (j00, _, j02, _), (_, j11, _, j13), (j20, _, j22, _), (_, j31, _, j33) = j.tolist()
+    d00, d01, d10, d11 = j00 + j11 - 1.0, j02 + j13, j20 + j31, j22 + j33 - 1.0
+    trace_residual = math.hypot(d00.real, d00.imag, d01.real, d01.imag, d10.real, d10.imag, d11.real, d11.imag)
     min_eig = float(choi_eigenvalues[0])
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL
     return CPTPReport(trace_residual=trace_residual, min_choi_eig=min_eig, ok=ok)

@@ -34,11 +34,10 @@ from .channels import (
     ChannelKind,
     KrausChannel,
     ZERO_OP_TOL,
+    _cptp_parts,
     choi_from_transfer,
-    cptp_report,
     kraus_transfer,
     pauli_transfer,
-    transfer,
 )
 from .matops import (
     ID2,
@@ -62,7 +61,7 @@ FIT_MAX_STARTS = 32
 FIT_SEED = 7
 FIT_TARGET_RESIDUAL = 1e-9
 CONVERGED_RESIDUAL = 1e-4
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)  # a Python float: the Newton loop compares against it on every step
 _PAULI_STACK = np.array(PAULIS)
 
 
@@ -347,23 +346,34 @@ def _frame_turned_to_t(left, s, right, lt):
     return left, right, lt
 
 
-def _single_branch_candidates(s):
-    """Closed-form branches of the channel with transfer matrix ``s``, if it is a rotated quasiextreme map.
+def _single_branch_candidates(s) -> list:
+    """Closed-form branches of each channel of a stack ``(n, 4, 4)`` of transfer matrices that is a rotated
+    quasiextreme map: one lazy scan per member, in stack order.
 
-    Reads T and t off :func:`qchansim.channels.pauli_transfer` and writes T = L diag(s) R^T with one LAPACK
-    call, signed to rotations on floats (:func:`qchansim.matops._svd3`), then turns the frame
-    (:func:`_frame_turned_to_t`) and scans the finite set of axis relabellings P, Q = P S (proper signed
-    permutations) under which P^T diag(s) Q matches the quasiextreme diagonal and L^T t points along z.
-    P^T diag(s) Q = diag(s[perm] * S) and (L P)^T t = signs * (L^T t)[perm] are read off as floats, exactly.
-    Every hit yields the branch of an exact p = 1 plan, generated lazily so that the caller can stop at the
-    first one.  Its dressings U = su2(L P) and U' = su2((R Q)^T) come from the signed, permuted columns of L
-    and R, through the float core of :func:`qchansim.optics.su2_from_rotation` with its rotation check, and
-    the branch checks them on those scalars.
+    The numpy head runs once on the whole stack: T and t are read off :func:`qchansim.channels.pauli_transfer`,
+    T = L diag(s) R^T takes one LAPACK call for the stack, signed to rotations on floats
+    (:func:`qchansim.matops._svd3`), and L^T t is one stacked product.  Each member then turns its frame
+    (:func:`_frame_turned_to_t`) and goes through :func:`_branch_scan`.
     """
     m = pauli_transfer(s)
-    left, sv, right = _svd3(m[1:, 1:])
-    lt = (np.array(left).T @ m[1:, 0]).tolist()  # numpy's fused sums: t_z's last bits, so nu and mu, depend on them
-    left, right, lt = _frame_turned_to_t(left, sv, right, lt)
+    frames = _svd3(m[:, 1:, 1:])
+    # t^T L, one row per member: numpy's fused sums, as the 3x3 product L^T t gives them.  t_z's last bits, so nu
+    # and mu, depend on them.
+    lts = np.matmul(m[:, None, 1:, 0], np.array([left for left, _, _ in frames])).tolist()
+    return [_branch_scan(sv, *_frame_turned_to_t(left, sv, right, lt)) for (left, sv, right), (lt,) in zip(frames, lts)]
+
+
+def _branch_scan(sv, left, right, lt):
+    """The branches of one member of :func:`_single_branch_candidates`, from its signed singular values ``sv`` and
+    its turned frame: the rows of L, the columns of R and L^T t, as lists.
+
+    Scans the finite set of axis relabellings P, Q = P S (proper signed permutations) under which P^T diag(s) Q
+    matches the quasiextreme diagonal and L^T t points along z.  P^T diag(s) Q = diag(s[perm] * S) and
+    (L P)^T t = signs * (L^T t)[perm] are read off as floats, exactly.  Every hit yields the branch of an exact
+    p = 1 plan, lazily, so that the caller can stop at the first one.  Its dressings U = su2(L P) and
+    U' = su2((R Q)^T) come from the signed, permuted columns of L and R, through the float core of
+    :func:`qchansim.optics.su2_from_rotation` with its rotation check, and the branch checks them on those scalars.
+    """
     for axes, perm_signs in _ROT_PERMS:
         if abs(lt[axes[0]]) > QE_TOL or abs(lt[axes[1]]) > QE_TOL:  # the signs of P leave |(L P)^T t| alone
             continue
@@ -393,10 +403,10 @@ def _mixed_plan(p: float, a: QuasiExtremeBranch, b: QuasiExtremeBranch) -> Decom
     return DecompositionPlan(branch_a=a, branch_b=b, p=p)
 
 
-def _exact_branch_plan(s: np.ndarray, choi: np.ndarray):
-    """The first p = 1 plan of :func:`_single_branch_candidates` within ``FIT_TARGET_RESIDUAL`` of the channel with
-    transfer matrix ``s`` and Choi matrix ``choi``, with its Choi distance; None if there is none."""
-    for branch in _single_branch_candidates(s):
+def _exact_branch_plan(candidates, choi: np.ndarray):
+    """The first p = 1 plan of the branches ``candidates`` within ``FIT_TARGET_RESIDUAL`` of the channel with Choi
+    matrix ``choi``, with its Choi distance; None if there is none."""
+    for branch in candidates:
         plan = DecompositionPlan(branch_a=branch, branch_b=None, p=1.0)
         r = frob_dist(_plan_choi(plan), choi)
         if r <= FIT_TARGET_RESIDUAL:
@@ -404,26 +414,31 @@ def _exact_branch_plan(s: np.ndarray, choi: np.ndarray):
     return None
 
 
-def _inv_sqrt_psd(a: float, b: complex, d: float):
-    """M^(-1/2) of the positive definite M = [[a, b], [conj b, d]], as nested lists: with s = sqrt(det M),
+def _inv_sqrt_psd(a: float, b: complex, d: float) -> tuple:
+    """M^(-1/2) of the positive definite M = [[a, b], [conj b, d]], as its row-major entries: with s = sqrt(det M),
     sqrt(M) = (M + s I) / sqrt(Tr M + 2 s)."""
     s = math.sqrt(a * d - abs(b) ** 2)
     st = s * math.sqrt(a + d + 2.0 * s)
-    return [[(d + s) / st, -b / st], [-b.conjugate() / st, (a + s) / st]]
+    return (d + s) / st, -b / st, -b.conjugate() / st, (a + s) / st
 
 
 def _polar_turn(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
     """[[P, -W^dag Q], [W P, Q]] for W = [[a, b], [c, d]], P = (I + W^dag W)^(-1/2) and Q = (I + W W^dag)^(-1/2): a
     4x4 unitary, and [Y Z] times it is [(Y + Z W) P, (Z - Y W^dag) Q]."""
-    (p00, p01), (p10, p11) = _inv_sqrt_psd(1.0 + abs(a) ** 2 + abs(c) ** 2, a.conjugate() * b + c.conjugate() * d,
-                                           1.0 + abs(b) ** 2 + abs(d) ** 2)
-    (q00, q01), (q10, q11) = _inv_sqrt_psd(1.0 + abs(a) ** 2 + abs(b) ** 2, a * c.conjugate() + b * d.conjugate(),
-                                           1.0 + abs(c) ** 2 + abs(d) ** 2)
+    aa, bb, cc, dd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
     a_, b_, c_, d_ = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    return np.array([[p00, p01, -(a_ * q00 + c_ * q10), -(a_ * q01 + c_ * q11)],
-                     [p10, p11, -(b_ * q00 + d_ * q10), -(b_ * q01 + d_ * q11)],
-                     [a * p00 + b * p10, a * p01 + b * p11, q00, q01],
-                     [c * p00 + d * p10, c * p01 + d * p11, q10, q11]])
+    p00, p01, p10, p11 = _inv_sqrt_psd(1.0 + aa + cc, a_ * b + c_ * d, 1.0 + bb + dd)
+    q00, q01, q10, q11 = _inv_sqrt_psd(1.0 + aa + bb, a * c_ + b * d_, 1.0 + cc + dd)
+    return np.array([p00, p01, -(a_ * q00 + c_ * q10), -(a_ * q01 + c_ * q11),
+                     p10, p11, -(b_ * q00 + d_ * q10), -(b_ * q01 + d_ * q11),
+                     a * p00 + b * p10, a * p01 + b * p11, q00, q01,
+                     c * p00 + d * p10, c * p01 + d * p11, q10, q11]).reshape(4, 4)
+
+
+def _re_inner(u, v) -> float:
+    """Re(u . conj v) of two 4-vectors of Python complex numbers."""
+    return (u[0] * v[0].conjugate() + u[1] * v[1].conjugate() + u[2] * v[2].conjugate()
+            + u[3] * v[3].conjugate()).real
 
 
 def _solve_psd3(a, r):
@@ -473,37 +488,50 @@ def _kraus_split(kraus, frame):
     of I, sum L^dag L = p I, when Y solves the three real equations g_k = Tr(Y^dag B_k Y) = 0 with
     B_k[i, j] = Tr(sigma_k K_i^dag K_j).  From the start ``frame`` = [Y Z], a 4x4 unitary, least-norm
     Newton steps over the tangent directions Y + Z W solve them until |g| <= 4 eps or 50 steps are taken.
-    Each step solves its 3x3 normal equations in floats (:func:`_solve_psd3`) and is the polar update
-    Y <- (Y + Z W)(I + W^dag W)^(-1/2), Z <- (Z - Y W^dag)(I + W W^dag)^(-1/2), which keeps [Y Z]
-    unitary and spans the plane a QR of Y + Z W would.  Near a solution where the equations lose rank
-    (the fully depolarizing channel), the normal equations turn singular at round-off; once |g| <= 1e-6
-    the step leaves out their null direction, and before that the start fails.  Returns
-    (p, L / sqrt(p), L' / sqrt(1 - p)), or None when the start fails or a pair has no weight.
+    A step takes one product (Y^dag [B_0 B_1 B_2]) [Y Z] and reads it once as Python numbers: g, the rows
+    c_k of the C_k^T for C_k = Y^dag B_k Z, the 3x3 normal equations Re(c c^dag) x = -g / 2 and
+    W = c^dag x are scalar arithmetic, and the normal equations are solved in floats (:func:`_solve_psd3`).
+    The step is the polar update Y <- (Y + Z W)(I + W^dag W)^(-1/2), Z <- (Z - Y W^dag)(I + W W^dag)^(-1/2)
+    (:func:`_polar_turn`), which keeps [Y Z] unitary and spans the plane a QR of Y + Z W would; ``frame.dot(turn)``
+    is the step's other array product.  Near a solution where the equations lose rank (the fully depolarizing
+    channel), the normal equations turn singular at round-off; once |g| <= 1e-6 the step leaves out their null
+    direction, and before that the start fails.  Returns (p, pairs) with the stack ``pairs`` =
+    [L / sqrt(p), L' / sqrt(1 - p)] of shape ``(2, 2, 2, 2)``, or None when the start fails or a pair has no weight.
     """
     vecs = kraus.reshape(4, 4)
     b_rows = vecs.conj() @ (kraus @ _PAULI_STACK[:, None]).reshape(12, 4).T  # [B_0 B_1 B_2]
     for _ in range(50):
-        m = (frame[:, :2].conj().T @ b_rows).reshape(6, 4) @ frame  # row 3 a + k: row a of Y^dag B_k [Y Z]
-        g = [m_k[0].real + m_3k[1].real for m_k, m_3k in zip(m[:3].tolist(), m[3:].tolist())]
+        # Row 3 a + k is row a of Y^dag B_k [Y Z]: Tr(Y^dag B_k Y) from columns 0-1, C_k = Y^dag B_k Z in columns 2-3.
+        t0, t1, t2, b0, b1, b2 = frame[:, :2].conj().T.dot(b_rows).reshape(6, 4).dot(frame).tolist()
+        g = [t0[0].real + b0[1].real, t1[0].real + b1[1].real, t2[0].real + b2[1].real]
         gg = g[0] * g[0] + g[1] * g[1] + g[2] * g[2]
         if gg <= (4.0 * _EPS) ** 2:
             break
-        # g_k(Y + Z W) = g_k + 2 Re Tr(C_k W) + O(W^2), C_k = Y^dag B_k Z; W[b, a] pairs with C_k[a, b].  With the
-        # rows c_k of the C_k^T, the least-norm W solving 2 Re(c W) = -g is c^dag x, Re(c c^dag) x = -g / 2.
-        c = m[:, 2:].reshape(2, 3, 2).transpose(1, 2, 0).reshape(3, 4)
-        x, left = _solve_psd3((c @ c.conj().T).real.tolist(), [-0.5 * g_k for g_k in g])
+        # g_k(Y + Z W) = g_k + 2 Re Tr(C_k W) + O(W^2); W[b, a] pairs with C_k[a, b].  With the rows
+        # c_k = (C_k[0, 0], C_k[1, 0], C_k[0, 1], C_k[1, 1]), the least-norm W solving 2 Re(c W) = -g is c^dag x,
+        # with Re(c c^dag) x = -g / 2.
+        c0, c1, c2 = (t0[2], b0[2], t0[3], b0[3]), (t1[2], b1[2], t1[3], b1[3]), (t2[2], b2[2], t2[3], b2[3])
+        n01, n02, n12 = _re_inner(c0, c1), _re_inner(c0, c2), _re_inner(c1, c2)
+        x, left = _solve_psd3([[_re_inner(c0, c0), n01, n02], [n01, _re_inner(c1, c1), n12],
+                               [n02, n12, _re_inner(c2, c2)]], [-0.5 * g[0], -0.5 * g[1], -0.5 * g[2]])
         if left and gg > 1e-6 ** 2:
             return None
-        frame = frame @ _polar_turn(*(c.conj().T @ x).tolist())
-    mixed = (frame.T @ vecs).reshape(4, 2, 2)
-    p = float(np.vdot(mixed[:2], mixed[:2]).real) / 2.0
+        x0, x1, x2 = x
+        frame = frame.dot(_polar_turn(*((x0 * u + x1 * v + x2 * w).conjugate() for u, v, w in zip(c0, c1, c2))))
+    pairs = frame.T.dot(vecs).reshape(2, 2, 2, 2)
+    p = float(np.vdot(pairs[0], pairs[0]).real) / 2.0
     if not 0.0 < p < 1.0:
         return None
-    return p, mixed[:2] / math.sqrt(p), mixed[2:] / math.sqrt(1.0 - p)
+    pairs[0] /= math.sqrt(p)
+    pairs[1] /= math.sqrt(1.0 - p)
+    return p, pairs
 
 
 def fit_plan(ch: KrausChannel) -> FitResult:
     """Two-branch plan of an arbitrary CPTP channel.
+
+    The CPTP check is :func:`qchansim.channels.validate_channel`'s, and its transfer matrix, Choi matrix and
+    eigenvalues serve the rest of the fit.
 
     Stage one recognizes rotated single-branch channels in closed form from the
     signed SVD of the distortion matrix; any two-Kraus channel lands here with
@@ -516,10 +544,11 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     matrix to a target that is slightly off (a Kraus file rounded by hand).  Its eigenvectors
     scaled by the square roots of their eigenvalues are a Kraus set of four, made exactly trace
     preserving, K -> K (sum K^dag K)^(-1/2).  :func:`_kraus_split` mixes it into two pairs that
-    are each a weighted trace-preserving channel, and stage one turns each pair into a branch:
-    its first candidate, or, where that plan misses, the first candidate that reproduces its
-    pair.  The plan reproduces the target's Choi matrix by construction, so one seeded start almost
-    always suffices: the first frame from ``FIT_SEED``, drawn once per process, on first use.  Further starts continue
+    are each a weighted trace-preserving channel, and stage one turns both pairs into branches
+    as one stack: each pair's first candidate, or, where that plan misses, the first candidate of
+    each pair's scan that reproduces that pair.  The plan reproduces the target's Choi matrix by
+    construction, so one seeded start almost always suffices: the first frame from ``FIT_SEED``,
+    drawn once per process, on first use.  Further starts continue
     that stream until a plan lands within ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS`` are spent,
     and the lowest residual, first start on ties, is kept.  The CPTP check and the skip of stage
     one read the unprojected target.
@@ -528,28 +557,25 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     the result, not raised.  When no start yields two branches the result has
     ``plan=None`` and an infinite residual.
     """
-    transfer_matrix = transfer(ch)
-    target = choi_from_transfer(transfer_matrix)
-    hermitian = (target + target.conj().T) / 2.0
-    eigenvalues = np.linalg.eigvalsh(hermitian)
-    if not cptp_report(target, eigenvalues).ok:
+    transfer_matrix, target, hermitian, eigenvalues, report = _cptp_parts(ch)
+    if not report.ok:
         raise ValueError("fit_plan requires a CPTP channel")
 
     # A candidate has two Kraus operators, so Choi rank <= 2: by Eckart-Young it is at least the root-sum-square
     # of the target's two smallest |eigenvalues| away, and stage one cannot succeed when that exceeds the target.
-    if math.hypot(*np.sort(np.abs(eigenvalues))[:2]) <= FIT_TARGET_RESIDUAL:
-        found = _exact_branch_plan(transfer_matrix, target)
+    if math.hypot(*sorted(map(abs, eigenvalues.tolist()))[:2]) <= FIT_TARGET_RESIDUAL:
+        found = _exact_branch_plan(_single_branch_candidates(transfer_matrix[None])[0], target)
         if found is not None:
             return FitResult(plan=found[0], residual=float(found[1]), starts_used=0)
 
     # Subtract (Tr_out J - I) (x) I / 2, whose entry [(i, a), (j, b)] is (Tr_out J - I)[i, j] I[a, b] / 2.
-    off_tp = np.trace(hermitian.reshape(2, 2, 2, 2), axis1=1, axis2=3) - ID2
+    off_tp = hermitian[::2, ::2] + hermitian[1::2, 1::2] - ID2
     projected = hermitian - (off_tp[:, None, :, None] * ID2[:, None, :]).reshape(4, 4) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(projected)
     # Column i of the eigenvectors is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi.
     kraus = (np.sqrt(np.maximum(eigenvalues, 0.0))[:, None] * eigenvectors.T).reshape(4, 2, 2).swapaxes(1, 2)
     (a, b), (_, d) = (kraus.reshape(8, 2).conj().T @ kraus.reshape(8, 2)).tolist()  # sum K^dag K
-    kraus = kraus @ np.array(_inv_sqrt_psd(a.real, b, d.real))
+    kraus = kraus @ np.array(_inv_sqrt_psd(a.real, b, d.real)).reshape(2, 2)
     # A start is exact once its plan reproduces this Kraus set.  A target off trace preservation by more than
     # FIT_TARGET_RESIDUAL (a Kraus file rounded by hand) is that far from every plan, and further starts cannot help.
     split_target = choi_from_transfer(kraus_transfer(kraus))
@@ -559,18 +585,20 @@ def fit_plan(ch: KrausChannel) -> FitResult:
         split = _kraus_split(kraus, frame)
         if split is None:
             continue
-        p, *pairs = split
-        halves = [kraus_transfer(pair) for pair in pairs]
-        branches = [next(_single_branch_candidates(s), None) for s in halves]
-        if None in branches:
+        p, pairs = split
+        halves = kraus_transfer(pairs)
+        scans = _single_branch_candidates(halves)
+        firsts = [next(scan, None) for scan in scans]
+        if None in firsts:
             continue
-        plan = _mixed_plan(p, *branches)
+        plan = _mixed_plan(p, *firsts)
         choi = _plan_choi(plan)
         exact = frob_dist(choi, split_target) <= FIT_TARGET_RESIDUAL
         if not exact:
             # A half's first candidate can miss it by ~1e-9 (an exactly unital half: extract_nu_mu's nu comes from an
             # arccos near 0), where a later candidate of the same scan reproduces it; that is tried before a new start.
-            found = [_exact_branch_plan(s, choi_from_transfer(s)) for s in halves]
+            found = [_exact_branch_plan(itertools.chain([first], scan), choi_from_transfer(s))
+                     for first, scan, s in zip(firsts, scans, halves)]
             if None not in found:
                 plan = _mixed_plan(p, found[0][0].branch_a, found[1][0].branch_a)
                 choi = _plan_choi(plan)

@@ -45,8 +45,9 @@ def dagger(m) -> np.ndarray:
 
 
 def frob_dist(a, b) -> float:
-    """Frobenius distance between two same-shape matrices."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)))
+    """Frobenius distance between two same-shape matrices: one ``vdot`` of their difference."""
+    d = np.subtract(a, b, dtype=complex)
+    return math.sqrt(np.vdot(d, d).real)
 
 
 def unitarity_residual(u) -> float:
@@ -94,24 +95,26 @@ def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=float)
     if t.shape != (3, 3):
         raise ValueError("svd3 expects a finite real 3x3 matrix")
-    left, s, right = _svd3(t)
+    left, s, right = _svd3(t[None])[0]
     return np.array(left), np.array(s), np.array(right).T.copy()
 
 
-def _svd3(t: np.ndarray) -> tuple[list, list, list]:
-    """:func:`svd3` of a float 3x3 array as nested lists: the rows of L, s, and the columns of R.  One LAPACK call;
-    the finiteness check and the determinant signs run on floats."""
-    rows = t.tolist()
-    if not all(map(math.isfinite, rows[0] + rows[1] + rows[2])):
+def _svd3(t: np.ndarray) -> list:
+    """:func:`svd3` of each member of a float stack ``(n, 3, 3)``, as nested lists: per member the rows of L, s, and
+    the columns of R.  One LAPACK call for the whole stack; the finiteness check and the determinant signs run on
+    floats."""
+    if not all(map(math.isfinite, t.ravel().tolist())):
         raise ValueError("svd3 expects a finite real 3x3 matrix")
-    left, s, right = (a.tolist() for a in np.linalg.svd(t))  # right: the rows of R^T
-    if det3(left) < 0:
-        left = [[a, b, -c] for a, b, c in left]
-        s[2] = -s[2]
-    if det3(right) < 0:  # det R^T = det R
-        right[2] = [-x for x in right[2]]
-        s[2] = -s[2]
-    return left, s, right
+    frames = []
+    for left, s, right in zip(*(a.tolist() for a in np.linalg.svd(t))):  # right: the rows of R^T
+        if det3(left) < 0:
+            left = [[a, b, -c] for a, b, c in left]
+            s[2] = -s[2]
+        if det3(right) < 0:  # det R^T = det R
+            right[2] = [-x for x in right[2]]
+            s[2] = -s[2]
+        frames.append((left, s, right))
+    return frames
 
 
 def det3(rows) -> float:

@@ -14,6 +14,7 @@ from qchansim.channels import (
     transfer,
     validate_channel,
 )
+from qchansim.decompose import fit_plan
 from qchansim.matops import ID2, PAULIS, bloch_vector, dagger, density_from_bloch
 
 H = np.array([1.0, 0.0], dtype=complex)
@@ -66,6 +67,58 @@ def test_validate_flags_incomplete_kraus_set():
     report = validate_channel(KrausChannel((k0,), "half"))
     assert not report.ok
     assert report.trace_residual > 0.2
+
+
+def test_trace_residual_is_the_norm_of_tr_out_j_minus_identity_within_an_ulp():
+    # The report reads the eight entries of J it needs as Python numbers; numpy's norm sums the same squares in
+    # another order.  The fit benchmark's corpus, the named channels and Kraus sets rounded to 9 digits, as a
+    # hand-written Kraus file would be.
+    rng = np.random.default_rng(2008)
+    channels = [random_channel(rng, rank) for rank, count in zip((1, 2, 3, 4), (8, 8, 6, 6)) for _ in range(count)]
+    channels += [builtin_channel(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 11)]
+    channels += [KrausChannel(tuple(np.round(k, 9) for k in random_channel(np.random.default_rng(10000 + i), 3).ops))
+                 for i in range(20)]
+    for ch in channels:
+        j = to_choi(ch)
+        expected = np.linalg.norm(j[::2, ::2] + j[1::2, 1::2] - ID2)
+        assert abs(validate_channel(ch).trace_residual - expected) <= np.spacing(expected), ch.label
+
+
+def test_validate_and_fit_plan_take_one_eigenvalue_call_each(monkeypatch):
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counting_eigvalsh(a):
+        calls.append(a)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for rank in (1, 3):
+        ch = random_channel(np.random.default_rng(50 + rank), rank)
+        calls.clear()
+        assert validate_channel(ch).ok and len(calls) == 1
+        fit_plan(ch)
+        assert len(calls) == 2
+
+
+def test_validate_reports_an_overflowing_transfer_matrix_without_an_eigenvalue_call(monkeypatch):
+    # Kraus entries of 1e160 are finite, but their products overflow the transfer matrix to inf.  The report says so
+    # without LAPACK, which would warn and fail on it, and fit_plan refuses the channel.
+    def no_eigvalsh(_):
+        raise AssertionError("no eigenvalue solver on a matrix that is not finite")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    for ch in (KrausChannel((1e160 * ID2,), "huge"), KrausChannel((np.diag([1e160, 0.0]), np.diag([0.0, 1.0])))):
+        report = validate_channel(ch)
+        assert not report.ok and report.trace_residual == np.inf and np.isnan(report.min_choi_eig)
+        with pytest.raises(ValueError, match="requires a CPTP channel"):
+            fit_plan(ch)
+
+
+def test_validate_reports_a_finite_transfer_matrix_near_overflow():
+    # Entries of 1.3e154 keep the transfer matrix finite near 1.7e308, where J + J^dag would overflow; the Hermitian
+    # part is taken as J / 2 + (J / 2)^dag, so its eigenvalues are computed, and no numpy warning is raised.
+    report = validate_channel(KrausChannel((1.3e154 * ID2,), "near overflow"))
+    assert not report.ok and report.trace_residual == np.inf and report.min_choi_eig == 0.0
 
 
 def test_apply_deterministic_flip():

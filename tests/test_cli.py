@@ -244,6 +244,20 @@ def test_validate_unparseable_file(tmp_path):
     assert run(["validate", "--kraus-file", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+def test_kraus_file_whose_transfer_matrix_overflows_is_not_cptp(command, tmp_path, capsys):
+    # Entries of 1e160 overflow the transfer matrix: validate prints a failing report and decompose its one-line
+    # message, both with exit 1; no numpy warning or LAPACK error leaks (warnings are errors in this suite).
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"label": "huge", "kraus": [[[[1e160, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e160, 0.0]]]]}))
+    assert run([command, "--kraus-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    if command == "validate":
+        assert (out, err) == ("trace_residual: inf\nmin_choi_eig: nan\nok: false\n", "")
+    else:
+        assert (out, err) == ("", "error: channel is not CPTP (trace residual inf, min Choi eigenvalue nan)\n")
+
+
 @pytest.mark.parametrize("command", ["validate", "decompose", "simulate"])
 @pytest.mark.parametrize("payload", [
     {"kraus": [[1, 0], [0, 1]]},

@@ -363,7 +363,7 @@ def test_kraus_split_halves_are_trace_preserving(kind):
         channels = [random_channel(np.random.default_rng(7000 + 10 * rank + i), rank) for i in range(20)]
     for ch in channels:
         kraus = np.concatenate([np.asarray(ch.ops), np.zeros((4 - len(ch.ops), 2, 2))])  # a rank-3 set padded to four
-        p, pair_a, pair_b = _kraus_split(kraus, next(_start_frames(0)))
+        p, (pair_a, pair_b) = _kraus_split(kraus, next(_start_frames(0)))
         for pair in (pair_a, pair_b):
             assert frob_dist(np.einsum("kba,kbc->ac", pair.conj(), pair), ID2) <= 1e-13, ch.label
         # The halves, weighted by p and 1 - p, are the channel itself.
@@ -376,7 +376,7 @@ def test_kraus_split_frame_stays_unitary():
     # without a re-orthonormalisation, and the halves it returns solve g_k = Tr(Y^dag B_k Y) = 0 to 4 eps.
     for i in range(20):
         kraus = np.asarray(random_channel(np.random.default_rng(7400 + i), 4).ops)
-        p, pair_a, pair_b = _kraus_split(kraus, next(_start_frames(i)))
+        p, (pair_a, pair_b) = _kraus_split(kraus, next(_start_frames(i)))
         mixed = np.concatenate([np.sqrt(p) * pair_a, np.sqrt(1.0 - p) * pair_b])
         frame = np.linalg.solve(kraus.reshape(4, 4).T, mixed.reshape(4, 4).T)
         assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-14, i
@@ -399,7 +399,7 @@ def test_kraus_split_finishes_a_start_that_converges_to_a_singular_solution():
         rng = np.random.default_rng(100 + i)
         v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
         kraus = np.einsum("ij,jab->iab", v, np.array([ID2, *PAULIS])) / 2.0
-        p, pair_a, pair_b = _kraus_split(kraus, next(_start_frames(i)))
+        p, (pair_a, pair_b) = _kraus_split(kraus, next(_start_frames(i)))
         for pair in (pair_a, pair_b):
             assert frob_dist(np.einsum("kba,kbc->ac", pair.conj(), pair), ID2) <= 1e-13, i
         halves = [transfer(KrausChannel(tuple(pair))) for pair in (pair_a, pair_b)]
@@ -579,7 +579,7 @@ def test_fit_plan_skips_stage_one_where_no_two_kraus_plan_is_close_enough(monkey
     scanned = []
 
     def recording_candidates(s):
-        scanned.append(affine_from_transfer(s))
+        scanned.extend(affine_from_transfer(member) for member in s)
         return _single_branch_candidates(s)
 
     monkeypatch.setattr(decompose, "_single_branch_candidates", recording_candidates)
@@ -625,10 +625,60 @@ def test_stage_one_on_floats_gives_the_matrix_form_branch_bit_for_bit():
     # them, because L^T t summed in Python instead of numpy moves the branch of only 4 of these by an ulp.
     for i in range(300):
         s = transfer(random_channel(np.random.default_rng(800 + i), 2 - i % 2))
-        branch, reference = next(_single_branch_candidates(s)), _matrix_form_first_candidate(s)
+        branch, reference = next(_single_branch_candidates(s[None])[0]), _matrix_form_first_candidate(s)
         assert (branch.alpha, branch.beta, branch.conditional_x) == (reference.alpha, reference.beta, True)
         assert np.array_equal(branch.U, reference.U) and np.array_equal(branch.Uprime, reference.Uprime)
         assert not branch.U.flags.writeable and not branch.Uprime.flags.writeable
+
+
+def _fit_corpus(rank):
+    """The channels of one Choi rank in the ``fit`` benchmark corpus (perfbench/inputs.py ``fit_corpus``: seed 2008,
+    ranks 1-4 drawn 8/8/6/6 in turn from one stream)."""
+    rng = np.random.default_rng(2008)
+    by_rank = {r: [random_channel(rng, r) for _ in range(count)] for r, count in zip((1, 2, 3, 4), (8, 8, 6, 6))}
+    return by_rank[rank]
+
+
+def test_stacked_stage_one_gives_each_half_the_branch_of_a_call_per_half(monkeypatch):
+    import qchansim.decompose as decompose
+
+    # The halves of the 12 rank-3/4 fit-corpus channels and of the convergence probe's rank3 and rank4 corpora.  The
+    # stacked head makes one SVD call and one t^T L product for both halves; each half alone gives the same branch,
+    # bit for bit: LAPACK and the product work member by member.
+    stacks = []
+
+    def recording_candidates(s):
+        stacks.append(np.array(s))
+        return _single_branch_candidates(s)
+
+    monkeypatch.setattr(decompose, "_single_branch_candidates", recording_candidates)
+    channels = _fit_corpus(3) + _fit_corpus(4)
+    channels += [random_channel(np.random.default_rng(10000 + i), 3) for i in range(100)]
+    channels += [random_channel(np.random.default_rng(20000 + i), 4) for i in range(100)]
+    for n, ch in enumerate(channels):
+        stacks.clear()
+        assert fit_plan(ch).starts_used == 1
+        (halves,) = stacks
+        assert halves.shape == (2, 4, 4)
+        for branch, half in zip([next(scan) for scan in _single_branch_candidates(halves)], halves):
+            alone = next(_single_branch_candidates(half[None])[0])
+            assert (branch.alpha, branch.beta) == (alone.alpha, alone.beta), n
+            assert np.array_equal(branch.U, alone.U) and np.array_equal(branch.Uprime, alone.Uprime), n
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_fit_plan_makes_one_svd_call_per_stage_one_stack(monkeypatch, rank):
+    svd, shapes = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    result = fit_plan(random_channel(np.random.default_rng(40 + rank), rank))
+    # The target itself at rank 1-2, both halves of the split at rank 3-4.
+    assert shapes == [(1, 3, 3) if rank <= 2 else (2, 3, 3)]
+    assert result.residual <= FIT_TARGET_RESIDUAL
 
 
 def test_stage_one_rejects_a_transfer_matrix_with_nan_without_a_numpy_warning():
@@ -637,7 +687,7 @@ def test_stage_one_rejects_a_transfer_matrix_with_nan_without_a_numpy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
-            next(_single_branch_candidates(s))
+            next(_single_branch_candidates(s[None])[0])
 
 
 def test_branch_from_entries_is_the_public_constructor_with_its_checks():
