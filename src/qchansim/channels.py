@@ -149,18 +149,19 @@ def validate_channel(ch: KrausChannel) -> CPTPReport:
 
 def _cptp_parts(ch: KrausChannel) -> tuple:
     """What :func:`validate_channel` computes, for callers that go on with it: the transfer matrix S, the Choi matrix
-    J, its Hermitian part H, H's eigenvalues ascending (one ``eigvalsh`` call) and the :class:`CPTPReport`.  Where S
-    is not finite, H and the eigenvalues are None and no LAPACK call is made: LAPACK fails on such a matrix, and
-    numpy warns on the way.  H is J / 2 + (J / 2)^dag: the numbers of (J + J^dag) / 2, up to the sign of a zero and
-    round-off in the subnormal range, without its overflow for entries near the largest float."""
-    s = transfer(ch)
-    j = choi_from_transfer(s)
-    if not np.isfinite(s).all():
-        return s, j, None, None, CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
-    half = j / 2.0
-    hermitian = half + half.conj().T
-    eigenvalues = np.linalg.eigvalsh(hermitian)
-    return s, j, hermitian, eigenvalues, cptp_report(j, eigenvalues)
+    J, its eigenvalues ascending (one ``eigvalsh`` call) and the :class:`CPTPReport`.
+
+    J is one Gram product ``sum_k vec K_k vec K_k^dag`` of the stacked column-major vecs, vec K[2 j + a] = K[a, j]: the
+    products and sums of ``choi_from_transfer(transfer(ch))``, so the same bits, and exactly Hermitian.  S is J's
+    reshuffle.  Where J is not finite (Kraus entries past ~1e154) the eigenvalues are None and no LAPACK call is made:
+    LAPACK fails on such a matrix, and numpy warns on the way."""
+    vecs = np.array(ch.ops).swapaxes(1, 2).reshape(-1, 4)
+    j = np.einsum("ki,kj->ij", vecs, vecs.conj())
+    s = j.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
+    if not np.isfinite(j).all():
+        return s, j, None, CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
+    eigenvalues = np.linalg.eigvalsh(j)
+    return s, j, eigenvalues, cptp_report(j, eigenvalues)
 
 
 def cptp_report(j, choi_eigenvalues) -> CPTPReport:
@@ -168,12 +169,18 @@ def cptp_report(j, choi_eigenvalues) -> CPTPReport:
 
     The trace residual ||Tr_out J - I||_F (TP: Tr_out J = (sum K^dag K)^T = I) is read from the eight entries of J
     it needs, as Python numbers."""
-    (j00, _, j02, _), (_, j11, _, j13), (j20, _, j22, _), (_, j31, _, j33) = j.tolist()
-    d00, d01, d10, d11 = j00 + j11 - 1.0, j02 + j13, j20 + j31, j22 + j33 - 1.0
+    (d00, d01), (d10, d11) = _tp_defect(j.tolist())
     trace_residual = math.hypot(d00.real, d00.imag, d01.real, d01.imag, d10.real, d10.imag, d11.real, d11.imag)
     min_eig = float(choi_eigenvalues[0])
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL
     return CPTPReport(trace_residual=trace_residual, min_choi_eig=min_eig, ok=ok)
+
+
+def _tp_defect(rows) -> tuple:
+    """Tr_out J - I, as the rows of Python complex numbers, of a Choi matrix J given as the rows of its entries
+    (``J.tolist()``); zero for a trace-preserving channel."""
+    (j00, _, j02, _), (_, j11, _, j13), (j20, _, j22, _), (_, j31, _, j33) = rows
+    return (j00 + j11 - 1.0, j02 + j13), (j20 + j31, j22 + j33 - 1.0)
 
 
 def to_affine(ch: KrausChannel) -> AffineRep:

@@ -35,7 +35,7 @@ from .matops import (
     assert_density_matrix,
     dagger,
 )
-from .optics import GateElement, _dressing_euler, dove_pair_for_ry, ry_rotation, waveplates_from_euler
+from .optics import GateElement, _gate, _waveplate_angles, dove_pair_for_ry, ry_rotation
 
 BASIS_LABELS = ("Hh", "Hv", "Vh", "Vv")
 
@@ -244,17 +244,19 @@ def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
     dressing unitaries (skipped when they equal the identity up to phase);
     elements appear in beam order.
     """
-    gates = [_DP0, GateElement("DP", dove_pair_for_ry(branch.gamma1)), *_waveplates(branch.Uprime), _CNOT_GATE,
-             _DP0, GateElement("DP", dove_pair_for_ry(branch.gamma2)), _TBS_GATE]
+    gates = [_DP0, _gate("DP", dove_pair_for_ry(branch.gamma1)), *_waveplates(branch.Uprime), _CNOT_GATE,
+             _DP0, _gate("DP", dove_pair_for_ry(branch.gamma2)), _TBS_GATE]
     if branch.conditional_x:
         gates.append(_CONDX_GATE)
     return gates + _waveplates(branch.U)
 
 
 def _waveplates(u) -> list[GateElement]:
-    """Waveplates of a branch's dressing, read-only and checked unitary: none where it is the identity up to phase."""
-    euler = _dressing_euler(u.ravel().tolist())
-    if euler is None:
+    """Waveplates of a branch's dressing, read-only and checked unitary, in beam order: none where it is the identity
+    up to phase.  The dressing is read once as four Python complex numbers, and the phase test and the angles of
+    ``waveplates_from_euler(dressing_euler(u))`` are float arithmetic on them."""
+    angles = _waveplate_angles(u.ravel().tolist())
+    if angles is None:
         return []
-    triple = waveplates_from_euler(euler)
-    return [GateElement("QWP", triple.eta2), GateElement("HWP", triple.tau), GateElement("QWP", triple.eta1)]
+    eta1, tau, eta2 = angles
+    return [_gate("QWP", eta2), _gate("HWP", tau), _gate("QWP", eta1)]

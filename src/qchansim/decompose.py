@@ -35,6 +35,7 @@ from .channels import (
     KrausChannel,
     ZERO_OP_TOL,
     _cptp_parts,
+    _tp_defect,
     choi_from_transfer,
     kraus_transfer,
     pauli_transfer,
@@ -60,9 +61,12 @@ QE_TOL = 1e-8
 FIT_MAX_STARTS = 32
 FIT_SEED = 7
 FIT_TARGET_RESIDUAL = 1e-9
+FIT_ROUNDOFF_RESIDUAL = 1e-11
 CONVERGED_RESIDUAL = 1e-4
 _EPS = float(np.finfo(float).eps)  # a Python float: the Newton loop compares against it on every step
-_PAULI_STACK = np.array(PAULIS)
+# vec(K sigma_k) = vec K (I (x) sigma_k) for row-major vec: column 6 a + 2 k + b of vec K times this 4x12 is
+# vec(K sigma_k)[2 a + b].
+_RIGHT_PAULIS = np.kron(ID2, np.hstack(PAULIS))
 
 
 class NotQuasiExtremeError(ValueError):
@@ -403,15 +407,17 @@ def _mixed_plan(p: float, a: QuasiExtremeBranch, b: QuasiExtremeBranch) -> Decom
     return DecompositionPlan(branch_a=a, branch_b=b, p=p)
 
 
-def _exact_branch_plan(candidates, choi: np.ndarray):
-    """The first p = 1 plan of the branches ``candidates`` within ``FIT_TARGET_RESIDUAL`` of the channel with Choi
-    matrix ``choi``, with its Choi distance; None if there is none."""
+def _nearest_branch(candidates, choi: np.ndarray, bound: float):
+    """The first of the branches ``candidates`` whose p = 1 plan is within ``bound`` of the channel with Choi matrix
+    ``choi``, else the nearest, first on ties; with its Choi distance.  (None, inf) if there are no candidates."""
+    best, best_r = None, math.inf
     for branch in candidates:
-        plan = DecompositionPlan(branch_a=branch, branch_b=None, p=1.0)
-        r = frob_dist(_plan_choi(plan), choi)
-        if r <= FIT_TARGET_RESIDUAL:
-            return plan, r
-    return None
+        r = frob_dist(_plan_choi(DecompositionPlan(branch_a=branch, branch_b=None, p=1.0)), choi)
+        if r < best_r:
+            best, best_r = branch, r
+        if r <= bound:
+            break
+    return best, best_r
 
 
 def _inv_sqrt_psd(a: float, b: complex, d: float) -> tuple:
@@ -499,7 +505,9 @@ def _kraus_split(kraus, frame):
     [L / sqrt(p), L' / sqrt(1 - p)] of shape ``(2, 2, 2, 2)``, or None when the start fails or a pair has no weight.
     """
     vecs = kraus.reshape(4, 4)
-    b_rows = vecs.conj() @ (kraus @ _PAULI_STACK[:, None]).reshape(12, 4).T  # [B_0 B_1 B_2]
+    # [B_0 B_1 B_2] with B_k[i, j] = vec K_i^* . vec(K_j sigma_k): one product gives every vec(K_j sigma_k), which
+    # is laid out as rows m, columns (k, j).
+    b_rows = vecs.conj().dot(vecs.dot(_RIGHT_PAULIS).reshape(4, 2, 3, 2).transpose(1, 3, 2, 0).reshape(4, 12))
     for _ in range(50):
         # Row 3 a + k is row a of Y^dag B_k [Y Z]: Tr(Y^dag B_k Y) from columns 0-1, C_k = Y^dag B_k Z in columns 2-3.
         t0, t1, t2, b0, b1, b2 = frame[:, :2].conj().T.dot(b_rows).reshape(6, 4).dot(frame).tolist()
@@ -530,8 +538,8 @@ def _kraus_split(kraus, frame):
 def fit_plan(ch: KrausChannel) -> FitResult:
     """Two-branch plan of an arbitrary CPTP channel.
 
-    The CPTP check is :func:`qchansim.channels.validate_channel`'s, and its transfer matrix, Choi matrix and
-    eigenvalues serve the rest of the fit.
+    The CPTP check is :func:`qchansim.channels.validate_channel`'s, and its transfer matrix, Choi matrix (one Gram
+    product of the Kraus vecs) and eigenvalues serve the rest of the fit.
 
     Stage one recognizes rotated single-branch channels in closed form from the
     signed SVD of the distortion matrix; any two-Kraus channel lands here with
@@ -541,14 +549,18 @@ def fit_plan(ch: KrausChannel) -> FitResult:
 
     Stage two splits the target's own Kraus set in two.  The Choi matrix is first projected onto
     the trace-preserving subspace, J - (Tr_out J - I) (x) I / 2, the nearest trace-preserving
-    matrix to a target that is slightly off (a Kraus file rounded by hand).  Its eigenvectors
-    scaled by the square roots of their eigenvalues are a Kraus set of four, made exactly trace
-    preserving, K -> K (sum K^dag K)^(-1/2).  :func:`_kraus_split` mixes it into two pairs that
-    are each a weighted trace-preserving channel, and stage one turns both pairs into branches
-    as one stack: each pair's first candidate, or, where that plan misses, the first candidate of
-    each pair's scan that reproduces that pair.  The plan reproduces the target's Choi matrix by
-    construction, so one seeded start almost always suffices: the first frame from ``FIT_SEED``,
-    drawn once per process, on first use.  Further starts continue
+    matrix to a target that is slightly off (a Kraus file rounded by hand); the four entries of
+    Tr_out J - I are read as Python numbers.  Its eigenvectors scaled by the square roots of their
+    eigenvalues are a Kraus set of four, made exactly trace preserving, K -> K (sum K^dag K)^(-1/2),
+    with sum K^dag K and the renormalisation in Python complex arithmetic; the split target is the
+    Choi matrix of that set, the same Gram product.  :func:`_kraus_split` mixes it into two pairs
+    that are each a weighted trace-preserving channel, and stage one turns both pairs into branches
+    as one stack.  Where the plan of each pair's first candidate misses the split target by more
+    than ``FIT_ROUNDOFF_RESIDUAL``, each pair reads on through its scan to the first candidate that
+    reproduces it to round-off, else takes its nearest, and the closer of the two plans is kept.
+    The plan reproduces the target's Choi matrix by construction, so one seeded start almost always
+    suffices: the first frame from ``FIT_SEED``, drawn once per process, on first use.  Only a plan
+    that still misses by more than ``FIT_TARGET_RESIDUAL`` draws a further start; starts continue
     that stream until a plan lands within ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS`` are spent,
     and the lowest residual, first start on ties, is kept.  The CPTP check and the skip of stage
     one read the unprojected target.
@@ -557,28 +569,39 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     the result, not raised.  When no start yields two branches the result has
     ``plan=None`` and an infinite residual.
     """
-    transfer_matrix, target, hermitian, eigenvalues, report = _cptp_parts(ch)
+    transfer_matrix, target, eigenvalues, report = _cptp_parts(ch)
     if not report.ok:
         raise ValueError("fit_plan requires a CPTP channel")
 
     # A candidate has two Kraus operators, so Choi rank <= 2: by Eckart-Young it is at least the root-sum-square
     # of the target's two smallest |eigenvalues| away, and stage one cannot succeed when that exceeds the target.
     if math.hypot(*sorted(map(abs, eigenvalues.tolist()))[:2]) <= FIT_TARGET_RESIDUAL:
-        found = _exact_branch_plan(_single_branch_candidates(transfer_matrix[None])[0], target)
-        if found is not None:
-            return FitResult(plan=found[0], residual=float(found[1]), starts_used=0)
+        branch, r = _nearest_branch(_single_branch_candidates(transfer_matrix[None])[0], target, FIT_TARGET_RESIDUAL)
+        if r <= FIT_TARGET_RESIDUAL:
+            return FitResult(plan=DecompositionPlan(branch_a=branch, branch_b=None, p=1.0), residual=r, starts_used=0)
 
-    # Subtract (Tr_out J - I) (x) I / 2, whose entry [(i, a), (j, b)] is (Tr_out J - I)[i, j] I[a, b] / 2.
-    off_tp = hermitian[::2, ::2] + hermitian[1::2, 1::2] - ID2
-    projected = hermitian - (off_tp[:, None, :, None] * ID2[:, None, :]).reshape(4, 4) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(projected)
-    # Column i of the eigenvectors is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi.
-    kraus = (np.sqrt(np.maximum(eigenvalues, 0.0))[:, None] * eigenvectors.T).reshape(4, 2, 2).swapaxes(1, 2)
-    (a, b), (_, d) = (kraus.reshape(8, 2).conj().T @ kraus.reshape(8, 2)).tolist()  # sum K^dag K
-    kraus = kraus @ np.array(_inv_sqrt_psd(a.real, b, d.real)).reshape(2, 2)
+    # Subtract (Tr_out J - I) (x) I / 2: row (i, a) loses (Tr_out J - I)[i, j] / 2 in column (j, a).
+    rows = target.tolist()
+    for i, (d0, d1) in enumerate(_tp_defect(rows)):
+        for a in (0, 1):
+            rows[2 * i + a][a] -= d0 / 2.0
+            rows[2 * i + a][2 + a] -= d1 / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(np.array(rows))
+    # Row i is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi.
+    vecs = (np.sqrt(np.maximum(eigenvalues, 0.0))[:, None] * eigenvectors.T).tolist()
+    a = b = d = 0.0  # sum K^dag K = [[a, b], [conj b, d]]
+    for v0, v1, v2, v3 in vecs:
+        a += (v0.conjugate() * v0 + v1.conjugate() * v1).real
+        b += v0.conjugate() * v2 + v1.conjugate() * v3
+        d += (v2.conjugate() * v2 + v3.conjugate() * v3).real
+    # K -> K M for M = (sum K^dag K)^(-1/2): (K M)[a, j] = K[a, 0] M[0, j] + K[a, 1] M[1, j].
+    m00, m01, m10, m11 = _inv_sqrt_psd(a, b, d)
+    vecs = np.array([(v0 * m00 + v2 * m10, v1 * m00 + v3 * m10, v0 * m01 + v2 * m11, v1 * m01 + v3 * m11)
+                     for v0, v1, v2, v3 in vecs])
+    kraus = vecs.reshape(4, 2, 2).swapaxes(1, 2)
     # A start is exact once its plan reproduces this Kraus set.  A target off trace preservation by more than
     # FIT_TARGET_RESIDUAL (a Kraus file rounded by hand) is that far from every plan, and further starts cannot help.
-    split_target = choi_from_transfer(kraus_transfer(kraus))
+    split_target = np.einsum("ki,kj->ij", vecs, vecs.conj())
     best_plan, best_res = None, math.inf
     frames = itertools.chain([_first_frame()], itertools.islice(_start_frames(FIT_SEED), 1, None))  # one stream
     for starts_used, frame in zip(range(1, FIT_MAX_STARTS + 1), frames):
@@ -593,20 +616,22 @@ def fit_plan(ch: KrausChannel) -> FitResult:
             continue
         plan = _mixed_plan(p, *firsts)
         choi = _plan_choi(plan)
-        exact = frob_dist(choi, split_target) <= FIT_TARGET_RESIDUAL
-        if not exact:
-            # A half's first candidate can miss it by ~1e-9 (an exactly unital half: extract_nu_mu's nu comes from an
-            # arccos near 0), where a later candidate of the same scan reproduces it; that is tried before a new start.
-            found = [_exact_branch_plan(itertools.chain([first], scan), choi_from_transfer(s))
-                     for first, scan, s in zip(firsts, scans, halves)]
-            if None not in found:
-                plan = _mixed_plan(p, found[0][0].branch_a, found[1][0].branch_a)
-                choi = _plan_choi(plan)
-                exact = frob_dist(choi, split_target) <= FIT_TARGET_RESIDUAL
+        miss = frob_dist(choi, split_target)
+        if miss > FIT_ROUNDOFF_RESIDUAL:
+            # A half's first candidate can be off by up to ~1e-9 (an exactly unital half: extract_nu_mu's nu comes from
+            # an arccos near 0), where a later candidate of the same scan reproduces it: each half takes the first of
+            # its candidates at round-off, else its nearest, and the closer plan is kept.
+            nearest = [_nearest_branch(itertools.chain([first], scan), choi_from_transfer(s), FIT_ROUNDOFF_RESIDUAL)[0]
+                       for first, scan, s in zip(firsts, scans, halves)]
+            retry = _mixed_plan(p, *nearest)
+            retry_choi = _plan_choi(retry)
+            retry_miss = frob_dist(retry_choi, split_target)
+            if retry_miss < miss:
+                plan, choi, miss = retry, retry_choi, retry_miss
         r = frob_dist(choi, target)
         if r < best_res:
             best_plan, best_res = plan, r
-        if exact:
+        if miss <= FIT_TARGET_RESIDUAL:
             break
 
     return FitResult(plan=best_plan, residual=float(best_res), starts_used=starts_used)

@@ -27,7 +27,6 @@ from .matops import (
     ID2,
     PAULIS,
     Q0,
-    _phase_distance,
     _unitarity_residual_2x2,
     as_cmat,
     det3,
@@ -103,21 +102,29 @@ def euler_from_su2(u) -> EulerAngles:
     sums/differences phi +- zeta come from atan2 of those pairs, and the
     zeta = 0 gauge is used whenever w vanishes.
     """
-    return _euler_from_entries(_unitary_entries(u, "euler_from_su2"))
+    return EulerAngles(*_euler_floats(_unitary_entries(u, "euler_from_su2")))
 
 
 def dressing_euler(u) -> EulerAngles | None:
     """:func:`euler_from_su2` of a dressing unitary, or None where :func:`qchansim.matops.phase_invariant_distance`
     puts it within 1e-12 of the identity; one scalar pass over the entries, with their unitarity check."""
-    return _dressing_euler(_unitary_entries(u, "dressing_euler"))
+    entries = _unitary_entries(u, "dressing_euler")
+    return None if _is_identity_up_to_phase(*entries) else EulerAngles(*_euler_floats(entries))
 
 
-def _dressing_euler(entries) -> EulerAngles | None:
-    """:func:`dressing_euler` of a unitary given as its row-major Python complex entries, taken as unitary."""
-    return None if _phase_distance(entries, _ID2_ENTRIES) <= 1e-12 else _euler_from_entries(entries)
+def _waveplate_angles(entries) -> tuple | None:
+    """``waveplates_from_euler(dressing_euler(u))`` as the floats (eta1, tau, eta2), or None, for a unitary given as
+    its row-major Python complex entries, taken as unitary: the same arithmetic, without the records."""
+    if _is_identity_up_to_phase(*entries):
+        return None
+    return _triple_angles(*_euler_floats(entries))
 
 
-_ID2_ENTRIES = ID2.ravel().tolist()
+def _is_identity_up_to_phase(u00: complex, u01: complex, u10: complex, u11: complex) -> bool:
+    """``phase_invariant_distance(u, I) <= 1e-12`` for u = [[u00, u01], [u10, u11]], taken as unitary: the formula
+    of :func:`qchansim.matops.phase_invariant_distance` with the identity's entries written in."""
+    phase = cmath.exp(-1j * cmath.phase(u00.conjugate() + u11.conjugate()))
+    return math.sqrt(abs(u00 - phase) ** 2 + abs(u01) ** 2 + abs(u10) ** 2 + abs(u11 - phase) ** 2) <= 1e-12
 
 
 def _unitary_entries(u, caller: str) -> list:
@@ -128,28 +135,30 @@ def _unitary_entries(u, caller: str) -> list:
     return entries
 
 
-def _euler_from_entries(entries) -> EulerAngles:
+def _euler_floats(entries) -> tuple:
+    """:func:`euler_from_su2`'s (phi, xi, zeta) of a unitary given as its row-major Python complex entries."""
     u00, u01, u10, u11 = entries
     root = cmath.sqrt(u00 * u11 - u01 * u10)
     a, w = u00 / root, u10 / root
     if abs(w) <= 1e-14:
-        return EulerAngles(phi=0.0, xi=cmath.phase(a), zeta=0.0)
+        return 0.0, cmath.phase(a), 0.0
     if abs(a) <= 1e-14:
-        return EulerAngles(phi=np.pi / 2.0, xi=cmath.phase(w), zeta=0.0)
+        return math.pi / 2.0, cmath.phase(w), 0.0
     xi = math.atan2(math.hypot(a.imag, w.imag), math.hypot(a.real, w.real))
     ssum = math.atan2(w.real, a.real)
     sdiff = math.atan2(w.imag, a.imag)
-    return EulerAngles(phi=(ssum + sdiff) / 2.0, xi=xi, zeta=(ssum - sdiff) / 2.0)
+    return (ssum + sdiff) / 2.0, xi, (ssum - sdiff) / 2.0
 
 
 def waveplates_from_euler(e: EulerAngles) -> WaveplateTriple:
     """Waveplate angles eta1 = phi - pi/4, eta2 = -zeta - pi/4,
     tau = (phi + xi - zeta)/2 - pi/4 realizing su2_from_euler(e)."""
-    return WaveplateTriple(
-        eta1=e.phi - np.pi / 4.0,
-        tau=(e.phi + e.xi - e.zeta) / 2.0 - np.pi / 4.0,
-        eta2=-e.zeta - np.pi / 4.0,
-    )
+    return WaveplateTriple(*_triple_angles(e.phi, e.xi, e.zeta))
+
+
+def _triple_angles(phi, xi, zeta) -> tuple:
+    """:func:`waveplates_from_euler`'s (eta1, tau, eta2)."""
+    return phi - math.pi / 4.0, (phi + xi - zeta) / 2.0 - math.pi / 4.0, -zeta - math.pi / 4.0
 
 
 def ry_rotation(gamma) -> np.ndarray:
@@ -234,6 +243,14 @@ class GateElement:
     @property
     def target(self) -> str:
         return GATE_TARGETS[self.element]
+
+
+def _gate(element: str, angle: float | None) -> GateElement:
+    """``GateElement(element, angle)`` for an element known to be valid: the fields as ``__init__`` would set them,
+    without the frozen dataclass's per-field ``object.__setattr__`` and the check."""
+    gate = object.__new__(GateElement)
+    gate.__dict__.update(element=element, angle=angle)
+    return gate
 
 
 def gate_list_to_json(gates) -> str:

@@ -5,10 +5,13 @@ from conftest import random_channel, random_density, random_kraus_pair_channel
 from qchansim.channels import (
     ChannelKind,
     KrausChannel,
+    _cptp_parts,
     apply_channel,
     builtin_channel,
     channel_from_json,
     channel_to_json,
+    choi_from_transfer,
+    cptp_report,
     to_affine,
     to_choi,
     transfer,
@@ -115,10 +118,34 @@ def test_validate_reports_an_overflowing_transfer_matrix_without_an_eigenvalue_c
 
 
 def test_validate_reports_a_finite_transfer_matrix_near_overflow():
-    # Entries of 1.3e154 keep the transfer matrix finite near 1.7e308, where J + J^dag would overflow; the Hermitian
-    # part is taken as J / 2 + (J / 2)^dag, so its eigenvalues are computed, and no numpy warning is raised.
+    # Entries of 1.3e154 keep the transfer matrix finite near 1.7e308, where J + J^dag would overflow; J is exactly
+    # Hermitian, so its eigenvalues are computed without that sum, and no numpy warning is raised.
     report = validate_channel(KrausChannel((1.3e154 * ID2,), "near overflow"))
     assert not report.ok and report.trace_residual == np.inf and report.min_choi_eig == 0.0
+
+
+def test_cptp_parts_give_the_forms_of_separate_calls_bit_for_bit():
+    # J as one Gram product of the Kraus vecs against transfer, its reshuffle and eigvalsh of the Hermitian part
+    # J / 2 + (J / 2)^dag: the fit benchmark's corpus, the 55 named channel / lambda pairs, seeded Kraus sets of Choi
+    # rank 1-4, a set of five operators and entries of 1.3e154, whose J is finite near the largest float.
+    rng = np.random.default_rng(2008)
+    channels = [random_channel(rng, rank) for rank, count in zip((1, 2, 3, 4), (8, 8, 6, 6)) for _ in range(count)]
+    channels += [builtin_channel(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 11)]
+    channels += [random_channel(np.random.default_rng(70000 + 100 * rank + i), rank)
+                 for rank in (1, 2, 3, 4) for i in range(25)]
+    channels += [random_channel(np.random.default_rng(70500), 5),
+                 KrausChannel((1.3e154 * ID2,), "near overflow"),
+                 KrausChannel((1.3e154 * np.array([[0.6, 0.8j], [0.0, 0.0]]),
+                               1.3e154 * np.array([[0.0, 0.0], [0.8, 0.6]])))]
+    for ch in channels:
+        s, j, eigenvalues, report = _cptp_parts(ch)
+        s_ref = transfer(ch)
+        j_ref = choi_from_transfer(s_ref)
+        half = j_ref / 2.0
+        assert s.tobytes() == s_ref.tobytes() and j.tobytes() == j_ref.tobytes(), ch.label
+        assert np.array_equal(j, j.conj().T), ch.label  # exactly Hermitian
+        assert eigenvalues.tobytes() == np.linalg.eigvalsh(half + half.conj().T).tobytes(), ch.label
+        assert report == cptp_report(j_ref, eigenvalues) == validate_channel(ch)
 
 
 def test_apply_deterministic_flip():

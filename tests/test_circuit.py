@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, random_density, random_pure
+from conftest import haar_unitary, random_channel, random_density, random_pure
 from qchansim.channels import ChannelKind, apply_channel, builtin_channel, to_choi, transfer
 from qchansim.circuit import (
     _CNOT,
     NoiseParams,
     _branch_stages,
+    _waveplates,
     apply_noise,
     compile_plan,
     gates_for_branch,
@@ -15,9 +16,16 @@ from qchansim.circuit import (
     simulate_channel,
     tbs_transfer,
 )
-from qchansim.decompose import DecompositionPlan, QuasiExtremeBranch, U_BPF, closed_form_plan, plan_to_channel
-from qchansim.matops import dagger
-from qchansim.optics import gate_list_from_json, gate_list_to_json
+from qchansim.decompose import (
+    DecompositionPlan,
+    QuasiExtremeBranch,
+    U_BPF,
+    closed_form_plan,
+    fit_plan,
+    plan_to_channel,
+)
+from qchansim.matops import ID2, PAULIS, dagger, phase_invariant_distance
+from qchansim.optics import dressing_euler, gate_list_from_json, gate_list_to_json, waveplates_from_euler
 from qchansim.tomography import fidelity
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -235,6 +243,37 @@ def test_gates_include_waveplates_for_dressed_branch():
     kinds = [g.element for g in gates]
     assert kinds == ["DP", "DP", "CNOT", "DP", "DP", "TBS", "CONDX", "QWP", "HWP", "QWP"]
     assert gate_list_from_json(gate_list_to_json(gates)) == gates
+
+
+def test_waveplates_are_the_angles_of_dressing_euler_bit_for_bit():
+    # _waveplates reads the dressing as four Python numbers; the public path builds the EulerAngles and the
+    # WaveplateTriple records.  Haar unitaries, the dressings of fitted plans, diagonal and Pauli unitaries times a
+    # phase, and exp(-i t n.sigma) times a phase, e = sqrt(2) t from the identity up to phase, around the 1e-12 bound.
+    rng = np.random.default_rng(91)
+    unitaries = [haar_unitary(rng) for _ in range(200)]
+    for i in range(20):
+        plan = fit_plan(random_channel(np.random.default_rng(92000 + i), 1 + i % 4)).plan
+        unitaries += [m for b in (plan.branch_a, plan.branch_b) if b is not None for m in (b.U, b.Uprime)]
+    phases = [np.exp(1j * phi) for phi in (0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi, 2.718)]
+    unitaries += [z * m for z in phases for m in (ID2, U_BPF, *PAULIS, np.diag([1.0, 1.0j]))]
+    for e in (1e-13, 9.9e-13, 0.999e-12, 1e-12, 1.001e-12, 1.01e-12, 2e-12, 1e-11):
+        n = rng.standard_normal(3)
+        t = e / np.sqrt(2.0)
+        turn = np.cos(t) * ID2 - 1j * np.sin(t) * np.einsum("k,kab->ab", n / np.linalg.norm(n), np.array(PAULIS))
+        unitaries += [z * turn for z in phases]
+    skipped = 0
+    for u in unitaries:
+        u = np.array(u, dtype=complex)
+        gates, euler = _waveplates(u), dressing_euler(u)
+        assert (euler is None) == (phase_invariant_distance(u, ID2) <= 1e-12) == (gates == [])
+        if euler is None:
+            skipped += 1
+            continue
+        triple = waveplates_from_euler(euler)
+        assert [g.element for g in gates] == ["QWP", "HWP", "QWP"]
+        expected = [triple.eta2, triple.tau, triple.eta1]
+        assert np.array([g.angle for g in gates]).tobytes() == np.array(expected).tobytes()
+    assert 0 < skipped < len(unitaries)
 
 
 def test_spin_orbit_state_validation():

@@ -554,6 +554,40 @@ def test_plan_json_round_trip():
         assert plan_to_json(plan_from_json(text)) == text
 
 
+def test_fit_plan_looks_past_a_first_candidate_that_misses_by_less_than_the_target(monkeypatch):
+    import qchansim.decompose as decompose
+
+    # The first half's scan yields its first branch with alpha off by 1e-10 ahead of its own candidates: a plan that
+    # misses the split target by less than FIT_TARGET_RESIDUAL but more than round-off.  The half reads on to the
+    # branch that reproduces it, within the same start.
+    scan, scans, misses = decompose._branch_scan, [], []
+
+    def scan_with_a_near_miss_first(*frame):
+        scans.append(frame)
+        if len(scans) == 1:
+            first = next(scan(*frame))
+            yield QuasiExtremeBranch.from_alpha_beta(first.alpha + 1e-10, first.beta, U=first.U, Uprime=first.Uprime)
+        yield from scan(*frame)
+
+    plan_choi = decompose._plan_choi
+
+    def recording_plan_choi(plan):
+        choi = plan_choi(plan)
+        if plan.branch_b is not None:
+            misses.append(frob_dist(choi, to_choi(ch)))
+        return choi
+
+    monkeypatch.setattr(decompose, "_branch_scan", scan_with_a_near_miss_first)
+    monkeypatch.setattr(decompose, "_plan_choi", recording_plan_choi)
+    for rank in (3, 4):
+        ch = random_channel(np.random.default_rng(10000 * rank), rank)
+        scans.clear()
+        misses.clear()
+        result = fit_plan(ch)
+        assert decompose.FIT_ROUNDOFF_RESIDUAL < misses[0] < FIT_TARGET_RESIDUAL  # the plan of the two firsts
+        assert result.starts_used == 1 and result.residual <= 1e-13
+
+
 def test_fit_plan_stage_one_stops_at_first_exact_candidate(monkeypatch):
     import qchansim.decompose as decompose
 

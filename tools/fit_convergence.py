@@ -11,9 +11,11 @@ on which ``qchansim decompose`` exits 3, or no plan at all); the worst residual;
 split starts used, mean / max; and the p50 / p90 wall time of one ``fit_plan`` call in
 ms.  A corpus with misses adds a line naming each missed channel's index and residual,
 with a ``*`` on the unconverged ones.  The exit status is 1 when any channel is
-unconverged, when any corpus but ``rounded`` has a miss (those fit to round-off, so a
-miss there means a kernel lost digits), or when any fit takes more than one split start
-(one suffices on every corpus, so a second means a start failed that should not have).
+unconverged, when any corpus but ``rounded`` has a miss or a worst residual above
+``FIT_ROUNDOFF_RESIDUAL`` (1e-11: those corpora fit to round-off, at most a few 1e-12, so
+a residual above it means a kernel lost digits, though the plan still passes), or when
+any fit takes more than one split start (one suffices on every corpus, so a second means
+a start failed that should not have).
 A ``rounded`` channel is off trace preservation, and
 no trace-preserving plan is nearer to it than the floor ``trace_residual / sqrt(2)`` of
 ``qchansim.validate_channel``; the worst ratio of residual to floor is printed for that corpus.
@@ -122,8 +124,8 @@ CORPORA = {
 
 
 def run(name):
-    """Fit every channel of corpus ``name``; return its table row, note lines, miss and unconverged counts, and the
-    most split starts one fit took."""
+    """Fit every channel of corpus ``name``; return its table row, note lines, miss and unconverged counts, the
+    worst residual, and the most split starts one fit took."""
     residuals, starts, ms, floor_ratios = {}, [], [], []
     for i, ops in CORPORA[name]().items():
         ch = KrausChannel(tuple(np.asarray(k, dtype=complex) for k in ops), f"{name} {i}")
@@ -144,7 +146,7 @@ def run(name):
     notes = [f"{name} misses, * unconverged: {listed}"] if misses else []
     if floor_ratios:
         notes.append(f"{name} residual / floor: median {np.median(floor_ratios):.2f}, worst {max(floor_ratios):.2f}")
-    return row, notes, len(misses), unconverged, max(starts)
+    return row, notes, len(misses), unconverged, max(residuals.values()), max(starts)
 
 
 def main(argv=None):
@@ -158,10 +160,11 @@ def main(argv=None):
     print("| --- | --- | --- | --- | --- | --- | --- |")
     notes, failed = [], False
     for name in names:
-        row, corpus_notes, misses, unconverged, starts = run(name)
+        row, corpus_notes, misses, unconverged, worst, starts = run(name)
         print(row, flush=True)
         notes += corpus_notes
-        failed = failed or unconverged > 0 or (misses > 0 and name != "rounded") or starts > 1
+        lost_digits = name != "rounded" and (misses > 0 or worst > decompose.FIT_ROUNDOFF_RESIDUAL)
+        failed = failed or unconverged > 0 or lost_digits or starts > 1
     for note in notes:
         print(note)
     return 1 if failed else 0
