@@ -21,6 +21,7 @@ equivalence tests pin this relation down.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
@@ -307,6 +308,81 @@ class FitResult:
         return self.residual <= CONVERGED_RESIDUAL
 
 
+def _offdiagonal_frame(a0, a1, a2, a3, b0, b1, b2, b3) -> tuple:
+    """(c, w) of an SU(2) frame [[c, -conj w], [w, c]] in which the traceless part of B adj(A) is off-diagonal, for
+    A = [[a0, a1], [a2, a3]] and B given as row-major Python complex entries.
+
+    With q the Pauli components of that part (up to a common factor), v^dag (q . sigma) v = q . n for a column v of
+    Bloch vector n, so the first column's n (or -n; nz >= 0 is taken, so c >= 1/sqrt 2) is a unit normal to Re q and
+    Im q: n = e1 x e2, with e1 the unit vector of the longer of the two and e2 the unit remainder of the other after
+    its e1 part is taken out twice, so that n is normal to e1 to round-off however close to parallel the two are.
+    Where they are parallel, or q = 0, every normal serves: e1 x the axis e1 leans on least, or the z axis."""
+    m00, m01, m10, m11 = b0 * a3 - b1 * a2, b1 * a0 - b0 * a1, b2 * a3 - b3 * a2, b3 * a0 - b2 * a1  # B adj(A)
+    qx, qy, qz = m01 + m10, 1j * (m01 - m10), m00 - m11
+    ax, ay, az, bx, by, bz = qx.real, qy.real, qz.real, qx.imag, qy.imag, qz.imag
+    aa, bb = ax * ax + ay * ay + az * az, bx * bx + by * by + bz * bz
+    if bb > aa:
+        ax, ay, az, bx, by, bz, aa = bx, by, bz, ax, ay, az, bb
+    if not aa > 0.0:
+        return 1.0, 0j
+    norm = math.sqrt(aa)
+    ax, ay, az = ax / norm, ay / norm, az / norm
+    for _ in range(2):
+        d = bx * ax + by * ay + bz * az
+        bx, by, bz = bx - d * ax, by - d * ay, bz - d * az
+    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx  # e1 x (e2 |b|)
+    nn = nx * nx + ny * ny + nz * nz
+    if not nn >= 0.25 * (bx * bx + by * by + bz * bz) > 0.0:  # b was round-off along e1
+        k = min((abs(ax), 0), (abs(ay), 1), (abs(az), 2))[1]
+        nx, ny, nz = (0.0, az, -ay) if k == 0 else (-az, 0.0, ax) if k == 1 else (ay, -ax, 0.0)
+        nn = nx * nx + ny * ny + nz * nz
+    norm = math.copysign(math.sqrt(nn), nz)
+    nx, ny, nz = nx / norm, ny / norm, nz / norm
+    c = math.sqrt((1.0 + nz) / 2.0)
+    return c, complex(nx, ny) / (2.0 * c)
+
+
+def _pair_branch(pair) -> QuasiExtremeBranch:
+    """The branch of a trace-preserving Kraus pair (L_0, L_1), given as the 8 row-major Python complex entries of L_0
+    then L_1, read off the pair in closed form.
+
+    A branch's pair is L_k = sum_a V[k, a] U K_a U' for a Kraus mix V and K_0 = diag(cos beta, cos alpha),
+    K_1 = [[0, sin alpha], [sin beta, 0]].  The traceless part of B adj(A) is antisymmetric and bilinear in (A, B), so
+    a mix only scales it by det V: that of L_1 adj(L_0) is U (K_1 adj K_0) U^dag up to a factor, off-diagonal in the
+    output frame U.  Likewise, with N_j the 2x2 matrix of rows j of L_0 and L_1, that of N_1 adj(N_0) is
+    V [[0, cos alpha cos beta], [sin alpha sin beta, 0]] V^dag up to a factor, off-diagonal in the Kraus frame V.  Both
+    frames come from these two products (:func:`_offdiagonal_frame`), with no eigenvalue gap to lose digits on.  Then,
+    with Lt = V^dag L, row a of U^dag Lt_k is c_ka times row a (k = 0) or row 1 - a (k = 1) of U'.  Row 0 of U' is
+    the longer of rows 0 of U^dag Lt_0 and 1 of U^dag Lt_1, made a unit row, and row 1 its SU(2) partner; the c_ka are
+    projections on them.  beta = atan2(|c_11|, |c_00|) and alpha = atan2(|c_10|, |c_01|), at full precision.  The
+    phases of the c_ka go into the dressings: the invariant arg c_00 + arg c_11 - arg c_01 - arg c_10 into the second
+    row of U', the rest into the columns of U, and both keep determinant 1.  This is exact also where a frame is
+    arbitrary: for a unitary pair (L_1 adj L_0 = 0), a reset (N_1 adj N_0 = 0) or complete dephasing (q real up to a
+    phase)."""
+    l0, l1, l2, l3, m0, m1, m2, m3 = pair
+    c, w = _offdiagonal_frame(*pair)  # U = [[c, -conj w], [w, c]]
+    cv, wv = _offdiagonal_frame(l0, l1, m0, m1, l2, l3, m2, m3)  # V, likewise
+    wc, wvc = w.conjugate(), wv.conjugate()
+    # Lt_0 = conj(V[0, 0]) L_0 + conj(V[1, 0]) L_1 = t and Lt_1 = conj(V[0, 1]) L_0 + conj(V[1, 1]) L_1 = s; r_ka is
+    # row a of U^dag Lt_k, U^dag = [[c, conj w], [-w, c]].
+    t0, t1, t2, t3 = cv * l0 + wvc * m0, cv * l1 + wvc * m1, cv * l2 + wvc * m2, cv * l3 + wvc * m3
+    s0, s1, s2, s3 = cv * m0 - wv * l0, cv * m1 - wv * l1, cv * m2 - wv * l2, cv * m3 - wv * l3
+    r00, r01 = (c * t0 + wc * t2, c * t1 + wc * t3), (c * t2 - w * t0, c * t3 - w * t1)
+    r10, r11 = (c * s0 + wc * s2, c * s1 + wc * s3), (c * s2 - w * s0, c * s3 - w * s1)
+    x0, x1 = r00 if abs(r00[0]) ** 2 + abs(r00[1]) ** 2 >= abs(r11[0]) ** 2 + abs(r11[1]) ** 2 else r11
+    norm = math.sqrt(abs(x0) ** 2 + abs(x1) ** 2)  # > 0 for a trace-preserving pair: cos^2 beta + sin^2 beta = 1
+    p0, p1 = x0 / norm, x1 / norm  # row 0 of U'; row 1 is (-conj p1, conj p0)
+    p0c, p1c = p0.conjugate(), p1.conjugate()
+    c00, c11 = r00[0] * p0c + r00[1] * p1c, r11[0] * p0c + r11[1] * p1c
+    c01, c10 = r01[1] * p0 - r01[0] * p1, r10[1] * p0 - r10[0] * p1
+    f00, f01, f10, f11 = cmath.phase(c00), cmath.phase(c01), cmath.phase(c10), cmath.phase(c11)
+    d = cmath.exp(0.25j * (f00 - f01 + f10 - f11))  # U -> U diag(d, conj d)
+    e = cmath.exp(0.25j * (f00 - f01 - f10 + f11))  # U' -> diag(e, conj e) U'
+    dc, ec = d.conjugate(), e.conjugate()
+    return _branch_from_entries(math.atan2(abs(c10), abs(c01)), math.atan2(abs(c11), abs(c00)),
+                                [c * d, -wc * dc, w * d, c * dc], [p0 * e, p1 * e, -p1c * ec, p0c * ec])
+
+
 # The 24 proper signed 3x3 permutation matrices P, P[perm[i], i] = signs[i], as (perm, the 4 signs of that perm), and
 # the 4 diagonal sign matrices S of determinant +1.
 _ROT_PERMS = [(perm, [signs for signs in itertools.product((1.0, -1.0), repeat=3)
@@ -396,6 +472,11 @@ def _branch_scan(sv, left, right, lt):
                                    for axis, sg, d in zip(axes, signs, sign)])
                 nu, mu = nu_mu
                 yield _branch_from_entries((mu + nu) / 2.0, (mu - nu) / 2.0, u, up)
+
+
+def _lazy_scan(s):
+    """The scan of :func:`_single_branch_candidates` for one transfer matrix ``s``, its head run on first use."""
+    yield from _single_branch_candidates(s[None])[0]
 
 
 def _mixed_plan(p: float, a: QuasiExtremeBranch, b: QuasiExtremeBranch) -> DecompositionPlan:
@@ -541,11 +622,13 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     The CPTP check is :func:`qchansim.channels.validate_channel`'s, and its transfer matrix, Choi matrix (one Gram
     product of the Kraus vecs) and eigenvalues serve the rest of the fit.
 
-    Stage one recognizes rotated single-branch channels in closed form from the
-    signed SVD of the distortion matrix; any two-Kraus channel lands here with
-    residual at the arithmetic floor, and the first candidate within
-    ``FIT_TARGET_RESIDUAL`` is kept.  It is skipped when the target's two smallest
-    Choi eigenvalues already put every two-Kraus channel farther away.
+    Stage one recognizes rotated single-branch channels: a Kraus pair of the target (its own operators when it has at
+    most two, else its top two Choi eigenvectors times the square roots of their eigenvalues) is read in closed form
+    (:func:`_pair_branch`), so any two-Kraus channel lands here with residual at the arithmetic floor.  Only where that
+    branch misses the target by more than ``FIT_ROUNDOFF_RESIDUAL`` does the scan of the signed SVD of the distortion
+    matrix run (:func:`_single_branch_candidates`), to its first candidate at round-off, else the nearest of all; the
+    plan is kept within ``FIT_TARGET_RESIDUAL``.  Stage one is skipped when the target's two smallest Choi eigenvalues
+    already put every two-Kraus channel farther away.
 
     Stage two splits the target's own Kraus set in two.  The Choi matrix is first projected onto
     the trace-preserving subspace, J - (Tr_out J - I) (x) I / 2, the nearest trace-preserving
@@ -554,9 +637,9 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     eigenvalues are a Kraus set of four, made exactly trace preserving, K -> K (sum K^dag K)^(-1/2),
     with sum K^dag K and the renormalisation in Python complex arithmetic; the split target is the
     Choi matrix of that set, the same Gram product.  :func:`_kraus_split` mixes it into two pairs
-    that are each a weighted trace-preserving channel, and stage one turns both pairs into branches
-    as one stack.  Where the plan of each pair's first candidate misses the split target by more
-    than ``FIT_ROUNDOFF_RESIDUAL``, each pair reads on through its scan to the first candidate that
+    that are each a weighted trace-preserving channel, and each pair is read in closed form.  Where
+    the plan of the two branches misses the split target by more than ``FIT_ROUNDOFF_RESIDUAL``,
+    each pair reads on through the scan of its transfer matrix to the first candidate that
     reproduces it to round-off, else takes its nearest, and the closer of the two plans is kept.
     The plan reproduces the target's Choi matrix by construction, so one seeded start almost always
     suffices: the first frame from ``FIT_SEED``, drawn once per process, on first use.  Only a plan
@@ -576,7 +659,13 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     # A candidate has two Kraus operators, so Choi rank <= 2: by Eckart-Young it is at least the root-sum-square
     # of the target's two smallest |eigenvalues| away, and stage one cannot succeed when that exceeds the target.
     if math.hypot(*sorted(map(abs, eigenvalues.tolist()))[:2]) <= FIT_TARGET_RESIDUAL:
-        branch, r = _nearest_branch(_single_branch_candidates(transfer_matrix[None])[0], target, FIT_TARGET_RESIDUAL)
+        if len(ch.ops) <= 2:
+            pair = np.array(ch.ops).ravel().tolist() + [0j] * (8 - 4 * len(ch.ops))
+        else:  # the top two Choi eigenvectors times sqrt(lambda): vec K[2 j + a] = K[a, j], as in to_choi
+            w, v = (a.tolist() for a in np.linalg.eigh(target))
+            pair = [math.sqrt(max(w[i], 0.0)) * v[m][i] for i in (3, 2) for m in (0, 2, 1, 3)]
+        branch, r = _nearest_branch(itertools.chain([_pair_branch(pair)], _lazy_scan(transfer_matrix)), target,
+                                    FIT_ROUNDOFF_RESIDUAL)
         if r <= FIT_TARGET_RESIDUAL:
             return FitResult(plan=DecompositionPlan(branch_a=branch, branch_b=None, p=1.0), residual=r, starts_used=0)
 
@@ -609,20 +698,16 @@ def fit_plan(ch: KrausChannel) -> FitResult:
         if split is None:
             continue
         p, pairs = split
-        halves = kraus_transfer(pairs)
-        scans = _single_branch_candidates(halves)
-        firsts = [next(scan, None) for scan in scans]
-        if None in firsts:
-            continue
+        firsts = [_pair_branch(half) for half in pairs.reshape(2, 8).tolist()]
         plan = _mixed_plan(p, *firsts)
         choi = _plan_choi(plan)
         miss = frob_dist(choi, split_target)
         if miss > FIT_ROUNDOFF_RESIDUAL:
-            # A half's first candidate can be off by up to ~1e-9 (an exactly unital half: extract_nu_mu's nu comes from
-            # an arccos near 0), where a later candidate of the same scan reproduces it: each half takes the first of
-            # its candidates at round-off, else its nearest, and the closer plan is kept.
+            # Where the closed form misses, each half reads on through the scan of its transfer matrix to the first
+            # candidate at round-off, else takes its nearest, and the closer plan is kept.
+            halves = kraus_transfer(pairs)
             nearest = [_nearest_branch(itertools.chain([first], scan), choi_from_transfer(s), FIT_ROUNDOFF_RESIDUAL)[0]
-                       for first, scan, s in zip(firsts, scans, halves)]
+                       for first, scan, s in zip(firsts, _single_branch_candidates(halves), halves)]
             retry = _mixed_plan(p, *nearest)
             retry_choi = _plan_choi(retry)
             retry_miss = frob_dist(retry_choi, split_target)

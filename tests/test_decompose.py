@@ -29,6 +29,7 @@ from qchansim.decompose import (
     FIT_SEED,
     _branch_from_entries,
     _kraus_split,
+    _pair_branch,
     _plan_choi,
     _solve_psd3,
     _start_frames,
@@ -44,7 +45,7 @@ from qchansim.decompose import (
     plan_to_json,
     wrap_angle,
 )
-from qchansim.matops import ID2, PAULIS, PAULI_Z, frob_dist, svd3
+from qchansim.matops import ID2, PAULIS, PAULI_Z, frob_dist, svd3, unitarity_residual
 from qchansim.optics import EulerAngles, su2_from_euler, su2_from_rotation
 
 PI = np.pi
@@ -310,7 +311,7 @@ def test_fit_plan_handles_every_choi_rank(rank):
     result = fit_plan(ch)
     assert result.converged
     assert result.residual <= 1e-9
-    # Ranks 1-2 end in the closed-form SVD stage, ranks 3-4 on the first split start.
+    # Ranks 1-2 end in stage one, read off the Kraus pair in closed form, ranks 3-4 on the first split start.
     assert result.starts_used == (0 if rank <= 2 else 1)
     assert np.abs(compile_plan(result.plan) - transfer(ch)).max() <= 1e-8
     # A second fit in the same process returns the identical plan.
@@ -464,6 +465,55 @@ def test_stage_one_recognises_two_kraus_channels_with_repeated_singular_values(k
         assert result.starts_used == 0 and result.residual <= 1e-14
 
 
+def _mixed_and_dressed(pair, rng):
+    """V-mixed pair (sum_a V[k, a] U K_a U')_k of a Kraus pair K, for random unitaries U, U' and V."""
+    u, up, v = (random_channel(rng, 1).ops[0] for _ in range(3))
+    dressed = np.array([u @ k @ up for k in pair])
+    return np.einsum("ka,aij->kij", v, dressed)
+
+
+def _special_angles(rng):
+    """(alpha, beta) where a two-Kraus frame is arbitrary or ill-determined: unital alpha = +-beta, T-rank-1
+    alpha - beta = +-pi/2, resets, rank-1 unitaries, the grid alpha, beta in {0, pi/4, pi/2}, and complete dephasing
+    approached off the unital line."""
+    q = PI / 4
+    angles = [(a, b) for a in (0.0, q, 2 * q) for b in (0.0, q, 2 * q)]
+    angles += [(a, s * a) for a in rng.uniform(-PI, PI, 10) for s in (1.0, -1.0)]
+    angles += [(b + s * PI / 2, b) for b in rng.uniform(-PI, PI, 10) for s in (1.0, -1.0)]
+    angles += [(PI / 2, 0.0), (0.0, PI / 2), (-PI / 2, 0.0), (0.0, 0.0), (PI / 2, PI / 2), (PI, 0.0)]
+    angles += [(q + d1, q + d2) for d1 in (1e-10, -1e-7, 1e-4) for d2 in (0.0, 2e-10, -3e-8, 1e-5)]
+    return angles
+
+
+def test_pair_branch_reproduces_random_and_special_kraus_pairs():
+    # Seeded property test of the closed form: 1,000 random trace-preserving pairs (an isometry cut in two), then
+    # special angles under 20 random Kraus mixes and dressings each.  The dressings are unitary within 1e-12 and the
+    # branch reproduces the pair's Choi matrix within 1e-13.
+    rng = np.random.default_rng(2020)
+    pairs = [np.array(random_channel(rng, 2).ops) for _ in range(1000)]
+    pairs += [_mixed_and_dressed(kraus_from_angles(a, b), rng) for a, b in _special_angles(rng) for _ in range(20)]
+    assert len(pairs) >= 2000
+    for n, pair in enumerate(pairs):
+        branch = _pair_branch(pair.ravel().tolist())
+        assert unitarity_residual(branch.U) <= 1e-12 and unitarity_residual(branch.Uprime) <= 1e-12, n
+        choi = to_choi(KrausChannel(tuple(pair)))
+        assert frob_dist(_plan_choi(DecompositionPlan(branch, None, 1.0)), choi) <= 1e-13, n
+
+
+def test_fit_plan_fits_two_kraus_channels_at_and_near_complete_dephasing_without_the_scan(monkeypatch):
+    import qchansim.decompose as decompose
+
+    # Where the Kraus Gram matrix and sum L L^dag are both flat or nearly so (alpha, beta at or near pi/4), no
+    # eigenvector fixes a frame; the closed form's frames come from products that a Kraus mix only scales.
+    monkeypatch.setattr(decompose, "_branch_scan", lambda *args: pytest.fail("the scan was reached"))
+    rng = np.random.default_rng(2021)
+    for d1, d2 in [(0.0, 0.0), (0.0, PI / 2), (1e-10, 0.0), (-1e-6, -3e-8), (1e-10, 1e-6), (1e-4, 2e-10)]:
+        for _ in range(5):
+            ch = KrausChannel(tuple(_mixed_and_dressed(kraus_from_angles(PI / 4 + d1, PI / 4 + d2), rng)))
+            result = fit_plan(ch)
+            assert result.starts_used == 0 and result.residual <= 1e-13, (d1, d2)
+
+
 @pytest.mark.parametrize("dropped", range(4))
 def test_fit_plan_fits_rotated_three_pauli_mixtures(dropped):
     # A mixture of three Paulis has Choi rank 3, and its T repeats a |singular value| wherever two weights agree;
@@ -557,16 +607,21 @@ def test_plan_json_round_trip():
 def test_fit_plan_looks_past_a_first_candidate_that_misses_by_less_than_the_target(monkeypatch):
     import qchansim.decompose as decompose
 
-    # The first half's scan yields its first branch with alpha off by 1e-10 ahead of its own candidates: a plan that
-    # misses the split target by less than FIT_TARGET_RESIDUAL but more than round-off.  The half reads on to the
+    # The first half's closed form is given alpha off by 1e-10: a plan that misses the split target by less than
+    # FIT_TARGET_RESIDUAL but more than round-off.  The half reads on through the scan of its transfer matrix to the
     # branch that reproduces it, within the same start.
-    scan, scans, misses = decompose._branch_scan, [], []
+    pair_branch, scan, calls, scans, misses = decompose._pair_branch, decompose._branch_scan, [], [], []
 
-    def scan_with_a_near_miss_first(*frame):
+    def closed_form_with_a_near_miss_first(pair):
+        calls.append(pair)
+        branch = pair_branch(pair)
+        if len(calls) == 1:
+            return QuasiExtremeBranch.from_alpha_beta(branch.alpha + 1e-10, branch.beta, U=branch.U,
+                                                      Uprime=branch.Uprime)
+        return branch
+
+    def recording_scan(*frame):
         scans.append(frame)
-        if len(scans) == 1:
-            first = next(scan(*frame))
-            yield QuasiExtremeBranch.from_alpha_beta(first.alpha + 1e-10, first.beta, U=first.U, Uprime=first.Uprime)
         yield from scan(*frame)
 
     plan_choi = decompose._plan_choi
@@ -577,14 +632,17 @@ def test_fit_plan_looks_past_a_first_candidate_that_misses_by_less_than_the_targ
             misses.append(frob_dist(choi, to_choi(ch)))
         return choi
 
-    monkeypatch.setattr(decompose, "_branch_scan", scan_with_a_near_miss_first)
+    monkeypatch.setattr(decompose, "_pair_branch", closed_form_with_a_near_miss_first)
+    monkeypatch.setattr(decompose, "_branch_scan", recording_scan)
     monkeypatch.setattr(decompose, "_plan_choi", recording_plan_choi)
     for rank in (3, 4):
         ch = random_channel(np.random.default_rng(10000 * rank), rank)
+        calls.clear()
         scans.clear()
         misses.clear()
         result = fit_plan(ch)
-        assert decompose.FIT_ROUNDOFF_RESIDUAL < misses[0] < FIT_TARGET_RESIDUAL  # the plan of the two firsts
+        assert decompose.FIT_ROUNDOFF_RESIDUAL < misses[0] < FIT_TARGET_RESIDUAL  # the plan of the two closed forms
+        assert len(calls) == 2 and len(scans) == 1  # the other half's closed form is at round-off: it reads no scan
         assert result.starts_used == 1 and result.residual <= 1e-13
 
 
@@ -610,27 +668,28 @@ def test_fit_plan_skips_stage_one_where_no_two_kraus_plan_is_close_enough(monkey
     import qchansim.decompose as decompose
 
     # A stage-one candidate has Choi rank <= 2, so it is at least the target's two smallest |eigenvalues| away.
-    scanned = []
+    read = []
 
-    def recording_candidates(s):
-        scanned.extend(affine_from_transfer(member) for member in s)
-        return _single_branch_candidates(s)
+    def recording_pair_branch(pair):
+        read.append(to_choi(KrausChannel(tuple(np.array(pair).reshape(2, 2, 2)))))
+        return _pair_branch(pair)
 
-    monkeypatch.setattr(decompose, "_single_branch_candidates", recording_candidates)
-    # The split scans its two halves, never the target's own affine map.
+    monkeypatch.setattr(decompose, "_pair_branch", recording_pair_branch)
+    # The split reads its two halves, never a pair of the target's own.
     for rank in (3, 4):
         for i in range(5):
             ch = random_channel(np.random.default_rng(50 + 10 * rank + i), rank)
-            scanned.clear()
+            read.clear()
             assert fit_plan(ch).starts_used >= 1
-            target = to_affine(ch)
-            assert len(scanned) == 2
-            assert not any(np.allclose(aff.T, target.T) and np.allclose(aff.t, target.t) for aff in scanned)
-    scanned.clear()
-    # 1e-13 of the fully depolarizing channel keeps a rank-2 channel within reach of stage one.
-    result = fit_plan(_depolarized(random_kraus_pair_channel(np.random.default_rng(37)), 1e-13))
+            assert len(read) == 2
+            assert not any(np.allclose(choi, to_choi(ch)) for choi in read)
+    read.clear()
+    # 1e-13 of the fully depolarizing channel keeps a rank-2 channel within reach of stage one: its top two Choi
+    # eigenvectors are the pair.
+    ch = _depolarized(random_kraus_pair_channel(np.random.default_rng(37)), 1e-13)
+    result = fit_plan(ch)
     assert result.starts_used == 0 and result.residual <= FIT_TARGET_RESIDUAL
-    assert len(scanned) == 1
+    assert len(read) == 1 and frob_dist(read[0], to_choi(ch)) <= 1e-12
 
 
 def _matrix_form_first_candidate(s):
@@ -673,46 +732,53 @@ def _fit_corpus(rank):
     return by_rank[rank]
 
 
-def test_stacked_stage_one_gives_each_half_the_branch_of_a_call_per_half(monkeypatch):
+def test_stage_one_gives_each_half_the_branch_of_its_own_closed_form(monkeypatch):
     import qchansim.decompose as decompose
 
-    # The halves of the 12 rank-3/4 fit-corpus channels and of the convergence probe's rank3 and rank4 corpora.  The
-    # stacked head makes one SVD call and one t^T L product for both halves; each half alone gives the same branch,
-    # bit for bit: LAPACK and the product work member by member.
-    stacks = []
+    # The halves of the 12 rank-3/4 fit-corpus channels and of the convergence probe's rank3 and rank4 corpora.  Each
+    # half is read once, in closed form; its branch reproduces the half to round-off, and the same pair read again
+    # gives the same branch, bit for bit.
+    halves, branches = [], []
 
-    def recording_candidates(s):
-        stacks.append(np.array(s))
-        return _single_branch_candidates(s)
+    def recording_pair_branch(pair):
+        halves.append(list(pair))
+        branches.append(_pair_branch(pair))
+        return branches[-1]
 
-    monkeypatch.setattr(decompose, "_single_branch_candidates", recording_candidates)
+    monkeypatch.setattr(decompose, "_pair_branch", recording_pair_branch)
     channels = _fit_corpus(3) + _fit_corpus(4)
     channels += [random_channel(np.random.default_rng(10000 + i), 3) for i in range(100)]
     channels += [random_channel(np.random.default_rng(20000 + i), 4) for i in range(100)]
     for n, ch in enumerate(channels):
-        stacks.clear()
-        assert fit_plan(ch).starts_used == 1
-        (halves,) = stacks
-        assert halves.shape == (2, 4, 4)
-        for branch, half in zip([next(scan) for scan in _single_branch_candidates(halves)], halves):
-            alone = next(_single_branch_candidates(half[None])[0])
-            assert (branch.alpha, branch.beta) == (alone.alpha, alone.beta), n
-            assert np.array_equal(branch.U, alone.U) and np.array_equal(branch.Uprime, alone.Uprime), n
+        halves.clear()
+        branches.clear()
+        plan = fit_plan(ch).plan
+        assert len(halves) == 2 and {id(plan.branch_a), id(plan.branch_b)} == set(map(id, branches)), n
+        for half, branch in zip(halves, branches):
+            choi = to_choi(KrausChannel(tuple(np.array(half).reshape(2, 2, 2))))
+            assert frob_dist(_plan_choi(DecompositionPlan(branch, None, 1.0)), choi) <= 1e-13, n
+            again = _pair_branch(half)
+            assert (branch.alpha, branch.beta) == (again.alpha, again.beta), n
+            assert np.array_equal(branch.U, again.U) and np.array_equal(branch.Uprime, again.Uprime), n
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_fit_plan_makes_one_svd_call_per_stage_one_stack(monkeypatch, rank):
-    svd, shapes = np.linalg.svd, []
+def test_fit_plan_makes_no_svd_call(monkeypatch, rank):
+    import qchansim.decompose as decompose
+
+    # Every branch comes from the closed form of its Kraus pair: no SVD, no Pauli-basis transfer matrix and no scan.
+    svd, calls = np.linalg.svd, []
 
     def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
+        calls.append("svd")
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for name in ("pauli_transfer", "kraus_transfer", "_branch_scan"):
+        monkeypatch.setattr(decompose, name, lambda *args, name=name: calls.append(name))
     result = fit_plan(random_channel(np.random.default_rng(40 + rank), rank))
-    # The target itself at rank 1-2, both halves of the split at rank 3-4.
-    assert shapes == [(1, 3, 3) if rank <= 2 else (2, 3, 3)]
-    assert result.residual <= FIT_TARGET_RESIDUAL
+    assert calls == []
+    assert result.starts_used == (0 if rank <= 2 else 1) and result.residual <= 1e-13
 
 
 def test_stage_one_rejects_a_transfer_matrix_with_nan_without_a_numpy_warning():

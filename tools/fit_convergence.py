@@ -12,7 +12,7 @@ split starts used, mean / max; and the p50 / p90 wall time of one ``fit_plan`` c
 ms.  A corpus with misses adds a line naming each missed channel's index and residual,
 with a ``*`` on the unconverged ones.  The exit status is 1 when any channel is
 unconverged, when any corpus but ``rounded`` has a miss or a worst residual above
-``FIT_ROUNDOFF_RESIDUAL`` (1e-11: those corpora fit to round-off, at most a few 1e-12, so
+``FIT_ROUNDOFF_RESIDUAL`` (1e-11: those corpora fit to round-off, at most a few 1e-15, so
 a residual above it means a kernel lost digits, though the plan still passes), or when
 any fit takes more than one split start (one suffices on every corpus, so a second means
 a start failed that should not have).
@@ -34,6 +34,10 @@ The corpora, by name:
 - ``degenerate``: two-Kraus channels whose distortion matrix repeats a singular value where the
   displacement has a share: 30 rotated resets (i < 30) and 30 rotated T-rank-1 channels
   (i = 30-59), then 30 rotated mixtures of three Paulis (i = 60-89), seeds 50000 + i;
+- ``near-flat``: named-channel Kraus sets close to where a two-Kraus frame is ill-determined: AD at
+  lam = 1 - {1e-12, 1e-10, 1e-8} (near a reset), PD at lam = 1 - {0, 1e-9, 1e-7} and BF, PF and BPF at
+  lam = 0.5 + {0, +-1e-9, +-1e-5} (at or near complete dephasing), each under 20 two-sided rotations
+  U K V: channel c, rotation j is i = 20 c + j, seed 70000 + i;
 - ``rounded``: the ``rank3`` and ``rank4`` channels (i < 100 and i = 100-199) with every
   Kraus entry rounded to 9 digits, as a Kraus file written by hand would be.
 
@@ -50,7 +54,7 @@ import time
 import numpy as np
 
 from perfbench.inputs import fit_corpus, random_kraus_ops
-from qchansim import KrausChannel, decompose, validate_channel
+from qchansim import KrausChannel, builtin_channel, decompose, validate_channel
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
@@ -93,6 +97,20 @@ def _degenerate():
     return corpus
 
 
+_NEAR_FLAT = ([("AD", 1.0 - d) for d in (1e-12, 1e-10, 1e-8)] + [("PD", 1.0 - d) for d in (0.0, 1e-9, 1e-7)]
+              + [(kind, 0.5 + d) for kind in ("BF", "PF", "BPF") for d in (0.0, 1e-9, -1e-9, 1e-5, -1e-5)])
+
+
+def _near_flat():
+    corpus = {}
+    for c, (kind, lam) in enumerate(_NEAR_FLAT):
+        for i in range(20 * c, 20 * c + 20):
+            rng = np.random.default_rng(70000 + i)
+            u, v = _random_unitary(rng), _random_unitary(rng)
+            corpus[i] = [u @ k @ v for k in builtin_channel(kind, lam).ops]
+    return corpus
+
+
 def _rounded():
     channels = [*CORPORA["rank3"]().values(), *CORPORA["rank4"]().values()]
     return {i: [np.round(np.asarray(k), 9) for k in ops] for i, ops in enumerate(channels)}
@@ -119,6 +137,7 @@ CORPORA = {
     "near-wide-1e-6": _near_extreme(1e-6, range(100, 400)),
     "near-wide-1e-7": _near_extreme(1e-7, range(100, 400)),
     "degenerate": _degenerate,
+    "near-flat": _near_flat,
     "rounded": _rounded,
 }
 
