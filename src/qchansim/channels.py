@@ -116,13 +116,8 @@ def builtin_channel(kind: ChannelKind | str, lam: float) -> KrausChannel:
 def transfer(ch: KrausChannel) -> np.ndarray:
     """Superoperator S = sum_i K_i (x) conj(K_i), so vec(E(rho)) = S vec(rho)
     for row-major vec.  Every other form of the channel derives from S."""
-    return kraus_transfer(np.asarray(ch.ops))
-
-
-def kraus_transfer(ops: np.ndarray) -> np.ndarray:
-    """:func:`transfer` of a stack ``(k, 2, 2)`` of Kraus operators, taken as given: no channel object, no checks; a
-    stack ``(n, k, 2, 2)`` of Kraus sets gives ``(n, 4, 4)``."""
-    return np.einsum("...kac,...kbd->...abcd", ops, ops.conj()).reshape(ops.shape[:-3] + (4, 4))
+    ops = np.asarray(ch.ops)
+    return np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:

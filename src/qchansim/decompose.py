@@ -37,22 +37,16 @@ from .channels import (
     ZERO_OP_TOL,
     _cptp_parts,
     _tp_defect,
-    choi_from_transfer,
-    kraus_transfer,
-    pauli_transfer,
 )
 from .matops import (
     ID2,
     PAULIS,
-    _svd3,
     _unitarity_residual_2x2,
     as_cmat,
     complex_to_pairs,
-    det3,
     frob_dist,
     pairs_to_complex,
 )
-from .optics import _su2_entries
 
 U_BPF = np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
 U_BPF.flags.writeable = False
@@ -62,7 +56,7 @@ QE_TOL = 1e-8
 FIT_MAX_STARTS = 32
 FIT_SEED = 7
 FIT_TARGET_RESIDUAL = 1e-9
-FIT_ROUNDOFF_RESIDUAL = 1e-11
+FIT_ROUNDOFF_RESIDUAL = 1e-11  # what fit_plan reaches on an exactly trace-preserving target, with margin
 CONVERGED_RESIDUAL = 1e-4
 _EPS = float(np.finfo(float).eps)  # a Python float: the Newton loop compares against it on every step
 # vec(K sigma_k) = vec K (I (x) sigma_k) for row-major vec: column 6 a + 2 k + b of vec K times this 4x12 is
@@ -262,17 +256,9 @@ def extract_nu_mu(aff: AffineRep) -> AngleNuMu:
         raise NotQuasiExtremeError("distortion matrix is not diagonal")
     if abs(t[0]) > QE_TOL or abs(t[1]) > QE_TOL:
         raise NotQuasiExtremeError("displacement is not along z")
-    nu_mu = _nu_mu(float(T[0, 0]), float(T[1, 1]), float(T[2, 2]), float(t[2]))
-    if isinstance(nu_mu, str):
-        raise NotQuasiExtremeError(nu_mu)
-    return AngleNuMu(*nu_mu)
-
-
-def _nu_mu(cnu: float, cmu: float, prod: float, tz: float) -> tuple[float, float] | str:
-    """The rest of :func:`extract_nu_mu` on floats: (nu, mu), or why there is none.  nu and mu come from numpy's
-    arccos and arctan2, whose last bits can differ from the math module's."""
+    cnu, cmu, prod, tz = float(T[0, 0]), float(T[1, 1]), float(T[2, 2]), float(t[2])
     if abs(cnu) > 1.0 + QE_TOL or abs(cmu) > 1.0 + QE_TOL:
-        return "diagonal entries exceed unit magnitude"
+        raise NotQuasiExtremeError("diagonal entries exceed unit magnitude")
     nu = float(np.arccos(min(max(cnu, -1.0), 1.0)))
     snu = math.sin(nu)
     if snu > QE_TOL:
@@ -280,10 +266,10 @@ def _nu_mu(cnu: float, cmu: float, prod: float, tz: float) -> tuple[float, float
     else:
         mu = float(np.arccos(min(max(cmu, -1.0), 1.0)))
     if abs(math.cos(nu) * math.cos(mu) - prod) > QE_TOL or abs(snu * math.sin(mu) - tz) > QE_TOL:
-        return "diagonal and displacement are mutually inconsistent"
+        raise NotQuasiExtremeError("diagonal and displacement are mutually inconsistent")
     if abs(math.cos(mu) - cmu) > QE_TOL:
-        return "second diagonal entry is not a cosine consistent with t_z"
-    return nu, mu
+        raise NotQuasiExtremeError("second diagonal entry is not a cosine consistent with t_z")
+    return AngleNuMu(nu, mu)
 
 
 def branch_from_nu_mu(nm: AngleNuMu, U=None, Uprime=None) -> QuasiExtremeBranch:
@@ -383,102 +369,6 @@ def _pair_branch(pair) -> QuasiExtremeBranch:
                                 [c * d, -wc * dc, w * d, c * dc], [p0 * e, p1 * e, -p1c * ec, p0c * ec])
 
 
-# The 24 proper signed 3x3 permutation matrices P, P[perm[i], i] = signs[i], as (perm, the 4 signs of that perm), and
-# the 4 diagonal sign matrices S of determinant +1.
-_ROT_PERMS = [(perm, [signs for signs in itertools.product((1.0, -1.0), repeat=3)
-                      if det3([[signs[c] if perm[c] == r else 0.0 for c in range(3)] for r in range(3)]) > 0])
-              for perm in itertools.permutations(range(3))]
-_DET1_SIGNS = [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)]
-
-
-def _frame_turned_to_t(left, s, right, lt):
-    """The SVD frame of T = L diag(s) R^T, turned where |s| repeats so that t's share there is on one axis.
-
-    ``left`` holds the rows of L, ``right`` the columns of R and ``lt`` = L^T t, all as lists; returns them turned.
-    Inside a block of equal |s| (T = 0 of a rotated reset, the zero pair of a T-rank-1 channel) the frame
-    is arbitrary, and a share of L^T t spread over the block's axes hides the quasiextreme form from the
-    permutation scan.  L turns by the rotation G that puts the share on one axis, R by D G D with D the
-    signs of s, which leaves L diag(s) R^T alone; L^T t becomes G^T L^T t, the share's length on that axis.
-    """
-    a, b, c = map(abs, s)  # sorted, so a repeated value is a block of neighbours
-    block = [0, 1, 2] if a - c <= QE_TOL else [0, 1] if a - b <= QE_TOL else [1, 2] if b - c <= QE_TOL else []
-    if not block:
-        return left, right, lt
-    share = [lt[i] if i in block else 0.0 for i in range(3)]
-    k = max(range(3), key=lambda i: abs(share[i]))
-    if math.hypot(*(share[i] for i in range(3) if i != k)) <= 8.0 * _EPS:  # round-off, as t of a unitary channel
-        return left, right, lt
-    # The rotation G that takes +-e_k to the unit share, about their cross product v (Rodrigues):
-    # G = I + [v]x + [v]x^2 / (1 + e_k . share), with [v]x^2 = v v^T - |v|^2 I.
-    norm = math.hypot(*share)
-    unit = [x / norm for x in share]
-    sign = math.copysign(1.0, share[k])
-    axis = [sign if i == k else 0.0 for i in range(3)]
-    v = [axis[1] * unit[2] - axis[2] * unit[1], axis[2] * unit[0] - axis[0] * unit[2],
-         axis[0] * unit[1] - axis[1] * unit[0]]
-    vx = [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    scale, vv = 1.0 / (1.0 + abs(unit[k])), v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    turn = [[(i == j) + vx[i][j] + (v[i] * v[j] - (i == j) * vv) * scale for j in range(3)] for i in range(3)]
-    d = [-1.0 if x < 0.0 else 1.0 for x in s]
-    left = [[sum(row[m] * turn[m][j] for m in range(3)) for j in range(3)] for row in left]
-    right = [[sum(right[m][i] * d[m] * turn[m][j] for m in range(3)) * d[j] for i in range(3)] for j in range(3)]
-    lt = [sign * norm if i == k else 0.0 if i in block else lt[i] for i in range(3)]
-    return left, right, lt
-
-
-def _single_branch_candidates(s) -> list:
-    """Closed-form branches of each channel of a stack ``(n, 4, 4)`` of transfer matrices that is a rotated
-    quasiextreme map: one lazy scan per member, in stack order.
-
-    The numpy head runs once on the whole stack: T and t are read off :func:`qchansim.channels.pauli_transfer`,
-    T = L diag(s) R^T takes one LAPACK call for the stack, signed to rotations on floats
-    (:func:`qchansim.matops._svd3`), and L^T t is one stacked product.  Each member then turns its frame
-    (:func:`_frame_turned_to_t`) and goes through :func:`_branch_scan`.
-    """
-    m = pauli_transfer(s)
-    frames = _svd3(m[:, 1:, 1:])
-    # t^T L, one row per member: numpy's fused sums, as the 3x3 product L^T t gives them.  t_z's last bits, so nu
-    # and mu, depend on them.
-    lts = np.matmul(m[:, None, 1:, 0], np.array([left for left, _, _ in frames])).tolist()
-    return [_branch_scan(sv, *_frame_turned_to_t(left, sv, right, lt)) for (left, sv, right), (lt,) in zip(frames, lts)]
-
-
-def _branch_scan(sv, left, right, lt):
-    """The branches of one member of :func:`_single_branch_candidates`, from its signed singular values ``sv`` and
-    its turned frame: the rows of L, the columns of R and L^T t, as lists.
-
-    Scans the finite set of axis relabellings P, Q = P S (proper signed permutations) under which P^T diag(s) Q
-    matches the quasiextreme diagonal and L^T t points along z.  P^T diag(s) Q = diag(s[perm] * S) and
-    (L P)^T t = signs * (L^T t)[perm] are read off as floats, exactly.  Every hit yields the branch of an exact
-    p = 1 plan, lazily, so that the caller can stop at the first one.  Its dressings U = su2(L P) and
-    U' = su2((R Q)^T) come from the signed, permuted columns of L and R, through the float core of
-    :func:`qchansim.optics.su2_from_rotation` with its rotation check, and the branch checks them on those scalars.
-    """
-    for axes, perm_signs in _ROT_PERMS:
-        if abs(lt[axes[0]]) > QE_TOL or abs(lt[axes[1]]) > QE_TOL:  # the signs of P leave |(L P)^T t| alone
-            continue
-        s0, s1, s2 = (sv[axis] for axis in axes)
-        for signs in perm_signs:
-            tz, u = signs[2] * lt[axes[2]], None
-            for sign in _DET1_SIGNS:
-                nu_mu = _nu_mu(s0 * sign[0], s1 * sign[1], s2 * sign[2], tz)
-                if isinstance(nu_mu, str):
-                    continue
-                # Row i of L P is L[i, perm] * signs, row c of (R P S)^T is R[:, perm[c]] * signs[c] S[c]; + 0.0
-                # gives a zero entry the sign that a matrix product gives it.
-                if u is None:
-                    u = _su2_entries([[row[axis] * sg + 0.0 for axis, sg in zip(axes, signs)] for row in left])
-                up = _su2_entries([[x * (sg * d) + 0.0 for x in right[axis]]
-                                   for axis, sg, d in zip(axes, signs, sign)])
-                nu, mu = nu_mu
-                yield _branch_from_entries((mu + nu) / 2.0, (mu - nu) / 2.0, u, up)
-
-
-def _lazy_scan(s):
-    """The scan of :func:`_single_branch_candidates` for one transfer matrix ``s``, its head run on first use."""
-    yield from _single_branch_candidates(s[None])[0]
-
-
 def _mixed_plan(p: float, a: QuasiExtremeBranch, b: QuasiExtremeBranch) -> DecompositionPlan:
     """p a + (1 - p) b with the heavier branch first and the weight snapped to the boundary."""
     if p < 0.5:
@@ -486,19 +376,6 @@ def _mixed_plan(p: float, a: QuasiExtremeBranch, b: QuasiExtremeBranch) -> Decom
     if p > 1.0 - 1e-12:
         return DecompositionPlan(branch_a=a, branch_b=None, p=1.0)
     return DecompositionPlan(branch_a=a, branch_b=b, p=p)
-
-
-def _nearest_branch(candidates, choi: np.ndarray, bound: float):
-    """The first of the branches ``candidates`` whose p = 1 plan is within ``bound`` of the channel with Choi matrix
-    ``choi``, else the nearest, first on ties; with its Choi distance.  (None, inf) if there are no candidates."""
-    best, best_r = None, math.inf
-    for branch in candidates:
-        r = frob_dist(_plan_choi(DecompositionPlan(branch_a=branch, branch_b=None, p=1.0)), choi)
-        if r < best_r:
-            best, best_r = branch, r
-        if r <= bound:
-            break
-    return best, best_r
 
 
 def _inv_sqrt_psd(a: float, b: complex, d: float) -> tuple:
@@ -619,16 +496,14 @@ def _kraus_split(kraus, frame):
 def fit_plan(ch: KrausChannel) -> FitResult:
     """Two-branch plan of an arbitrary CPTP channel.
 
-    The CPTP check is :func:`qchansim.channels.validate_channel`'s, and its transfer matrix, Choi matrix (one Gram
-    product of the Kraus vecs) and eigenvalues serve the rest of the fit.
+    The CPTP check is :func:`qchansim.channels.validate_channel`'s, and its Choi matrix (one Gram product of the Kraus
+    vecs) and eigenvalues serve the rest of the fit.
 
     Stage one recognizes rotated single-branch channels: a Kraus pair of the target (its own operators when it has at
     most two, else its top two Choi eigenvectors times the square roots of their eigenvalues) is read in closed form
-    (:func:`_pair_branch`), so any two-Kraus channel lands here with residual at the arithmetic floor.  Only where that
-    branch misses the target by more than ``FIT_ROUNDOFF_RESIDUAL`` does the scan of the signed SVD of the distortion
-    matrix run (:func:`_single_branch_candidates`), to its first candidate at round-off, else the nearest of all; the
-    plan is kept within ``FIT_TARGET_RESIDUAL``.  Stage one is skipped when the target's two smallest Choi eigenvalues
-    already put every two-Kraus channel farther away.
+    (:func:`_pair_branch`), so any two-Kraus channel lands here with residual at the arithmetic floor.  Its plan is
+    kept within ``FIT_TARGET_RESIDUAL``.  Stage one is skipped when the target's two smallest Choi eigenvalues already
+    put every two-Kraus channel farther away.
 
     Stage two splits the target's own Kraus set in two.  The Choi matrix is first projected onto
     the trace-preserving subspace, J - (Tr_out J - I) (x) I / 2, the nearest trace-preserving
@@ -637,10 +512,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     eigenvalues are a Kraus set of four, made exactly trace preserving, K -> K (sum K^dag K)^(-1/2),
     with sum K^dag K and the renormalisation in Python complex arithmetic; the split target is the
     Choi matrix of that set, the same Gram product.  :func:`_kraus_split` mixes it into two pairs
-    that are each a weighted trace-preserving channel, and each pair is read in closed form.  Where
-    the plan of the two branches misses the split target by more than ``FIT_ROUNDOFF_RESIDUAL``,
-    each pair reads on through the scan of its transfer matrix to the first candidate that
-    reproduces it to round-off, else takes its nearest, and the closer of the two plans is kept.
+    that are each a weighted trace-preserving channel, and each pair is read in closed form.
     The plan reproduces the target's Choi matrix by construction, so one seeded start almost always
     suffices: the first frame from ``FIT_SEED``, drawn once per process, on first use.  Only a plan
     that still misses by more than ``FIT_TARGET_RESIDUAL`` draws a further start; starts continue
@@ -652,7 +524,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     the result, not raised.  When no start yields two branches the result has
     ``plan=None`` and an infinite residual.
     """
-    transfer_matrix, target, eigenvalues, report = _cptp_parts(ch)
+    _, target, eigenvalues, report = _cptp_parts(ch)
     if not report.ok:
         raise ValueError("fit_plan requires a CPTP channel")
 
@@ -664,10 +536,10 @@ def fit_plan(ch: KrausChannel) -> FitResult:
         else:  # the top two Choi eigenvectors times sqrt(lambda): vec K[2 j + a] = K[a, j], as in to_choi
             w, v = (a.tolist() for a in np.linalg.eigh(target))
             pair = [math.sqrt(max(w[i], 0.0)) * v[m][i] for i in (3, 2) for m in (0, 2, 1, 3)]
-        branch, r = _nearest_branch(itertools.chain([_pair_branch(pair)], _lazy_scan(transfer_matrix)), target,
-                                    FIT_ROUNDOFF_RESIDUAL)
+        plan = DecompositionPlan(branch_a=_pair_branch(pair), branch_b=None, p=1.0)
+        r = frob_dist(_plan_choi(plan), target)
         if r <= FIT_TARGET_RESIDUAL:
-            return FitResult(plan=DecompositionPlan(branch_a=branch, branch_b=None, p=1.0), residual=r, starts_used=0)
+            return FitResult(plan=plan, residual=r, starts_used=0)
 
     # Subtract (Tr_out J - I) (x) I / 2: row (i, a) loses (Tr_out J - I)[i, j] / 2 in column (j, a).
     rows = target.tolist()
@@ -698,25 +570,12 @@ def fit_plan(ch: KrausChannel) -> FitResult:
         if split is None:
             continue
         p, pairs = split
-        firsts = [_pair_branch(half) for half in pairs.reshape(2, 8).tolist()]
-        plan = _mixed_plan(p, *firsts)
+        plan = _mixed_plan(p, *(_pair_branch(half) for half in pairs.reshape(2, 8).tolist()))
         choi = _plan_choi(plan)
-        miss = frob_dist(choi, split_target)
-        if miss > FIT_ROUNDOFF_RESIDUAL:
-            # Where the closed form misses, each half reads on through the scan of its transfer matrix to the first
-            # candidate at round-off, else takes its nearest, and the closer plan is kept.
-            halves = kraus_transfer(pairs)
-            nearest = [_nearest_branch(itertools.chain([first], scan), choi_from_transfer(s), FIT_ROUNDOFF_RESIDUAL)[0]
-                       for first, scan, s in zip(firsts, _single_branch_candidates(halves), halves)]
-            retry = _mixed_plan(p, *nearest)
-            retry_choi = _plan_choi(retry)
-            retry_miss = frob_dist(retry_choi, split_target)
-            if retry_miss < miss:
-                plan, choi, miss = retry, retry_choi, retry_miss
         r = frob_dist(choi, target)
         if r < best_res:
             best_plan, best_res = plan, r
-        if miss <= FIT_TARGET_RESIDUAL:
+        if frob_dist(choi, split_target) <= FIT_TARGET_RESIDUAL:
             break
 
     return FitResult(plan=best_plan, residual=float(best_res), starts_used=starts_used)

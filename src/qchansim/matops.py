@@ -93,28 +93,17 @@ def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     negative.
     """
     t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3):
+    if t.shape != (3, 3) or not np.isfinite(t).all():
         raise ValueError("svd3 expects a finite real 3x3 matrix")
-    left, s, right = _svd3(t[None])[0]
-    return np.array(left), np.array(s), np.array(right).T.copy()
-
-
-def _svd3(t: np.ndarray) -> list:
-    """:func:`svd3` of each member of a float stack ``(n, 3, 3)``, as nested lists: per member the rows of L, s, and
-    the columns of R.  One LAPACK call for the whole stack; the finiteness check and the determinant signs run on
-    floats."""
-    if not all(map(math.isfinite, t.ravel().tolist())):
-        raise ValueError("svd3 expects a finite real 3x3 matrix")
-    frames = []
-    for left, s, right in zip(*(a.tolist() for a in np.linalg.svd(t))):  # right: the rows of R^T
-        if det3(left) < 0:
-            left = [[a, b, -c] for a, b, c in left]
-            s[2] = -s[2]
-        if det3(right) < 0:  # det R^T = det R
-            right[2] = [-x for x in right[2]]
-            s[2] = -s[2]
-        frames.append((left, s, right))
-    return frames
+    left, s, vt = np.linalg.svd(t)
+    right = vt.T.copy()
+    if det3(left.tolist()) < 0:
+        left[:, 2] *= -1.0
+        s[2] *= -1.0
+    if det3(right.tolist()) < 0:
+        right[:, 2] *= -1.0
+        s[2] *= -1.0
+    return left, s, right
 
 
 def det3(rows) -> float:
