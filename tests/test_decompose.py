@@ -447,8 +447,8 @@ def _rotated(pair, rng):
 
 @pytest.mark.parametrize("kind", ["reset", "T-rank-1"])
 def test_stage_one_recognises_two_kraus_channels_with_repeated_singular_values(kind):
-    # A rotated reset has T = 0 and a rotated nu = pi/2 branch T = diag(0, cos mu, 0), so the SVD frame is
-    # arbitrary where the displacement lies; the scan finds these branches only after the frame is turned.
+    # A rotated reset has T = 0 and a rotated nu = pi/2 branch T = diag(0, cos mu, 0): a repeated singular value,
+    # so no SVD frame of T fixes where the displacement lies.  The closed form reads them off the Kraus pair.
     rng = np.random.default_rng(80 if kind == "reset" else 81)
     if kind == "reset":
         channels = [_rotated(kraus_from_angles(PI / 2, 0.0), rng) for _ in range(10)]
