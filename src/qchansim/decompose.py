@@ -22,8 +22,6 @@ equivalence tests pin this relation down.
 from __future__ import annotations
 
 import cmath
-import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -53,15 +51,9 @@ U_BPF.flags.writeable = False
 
 ANGLE_TOL = 1e-10
 QE_TOL = 1e-8
-FIT_MAX_STARTS = 32
-FIT_SEED = 7
 FIT_TARGET_RESIDUAL = 1e-9
 FIT_ROUNDOFF_RESIDUAL = 1e-11  # what fit_plan reaches on an exactly trace-preserving target, with margin
 CONVERGED_RESIDUAL = 1e-4
-_EPS = float(np.finfo(float).eps)  # a Python float: the Newton loop compares against it on every step
-# vec(K sigma_k) = vec K (I (x) sigma_k) for row-major vec: column 6 a + 2 k + b of vec K times this 4x12 is
-# vec(K sigma_k)[2 a + b].
-_RIGHT_PAULIS = np.kron(ID2, np.hstack(PAULIS))
 
 
 class NotQuasiExtremeError(ValueError):
@@ -280,12 +272,11 @@ def branch_from_nu_mu(nm: AngleNuMu, U=None, Uprime=None) -> QuasiExtremeBranch:
 class FitResult:
     """Outcome of :func:`fit_plan`.
 
-    ``starts_used`` is 0 for a plan from the closed-form stage, else the number of
-    seeded split starts drawn.  ``plan`` is None, with an infinite residual, only
-    when no start yielded two branches.
+    ``starts_used`` marks the stage that made the plan: 0 for stage one, which reads
+    a Kraus pair of the target, 1 for stage two, the split of its Kraus set.
     """
 
-    plan: DecompositionPlan | None
+    plan: DecompositionPlan
     residual: float
     starts_used: int
 
@@ -369,15 +360,6 @@ def _pair_branch(pair) -> QuasiExtremeBranch:
                                 [c * d, -wc * dc, w * d, c * dc], [p0 * e, p1 * e, -p1c * ec, p0c * ec])
 
 
-def _mixed_plan(p: float, a: QuasiExtremeBranch, b: QuasiExtremeBranch) -> DecompositionPlan:
-    """p a + (1 - p) b with the heavier branch first and the weight snapped to the boundary."""
-    if p < 0.5:
-        a, b, p = b, a, 1.0 - p
-    if p > 1.0 - 1e-12:
-        return DecompositionPlan(branch_a=a, branch_b=None, p=1.0)
-    return DecompositionPlan(branch_a=a, branch_b=b, p=p)
-
-
 def _inv_sqrt_psd(a: float, b: complex, d: float) -> tuple:
     """M^(-1/2) of the positive definite M = [[a, b], [conj b, d]], as its row-major entries: with s = sqrt(det M),
     sqrt(M) = (M + s I) / sqrt(Tr M + 2 s)."""
@@ -386,111 +368,31 @@ def _inv_sqrt_psd(a: float, b: complex, d: float) -> tuple:
     return (d + s) / st, -b / st, -b.conjugate() / st, (a + s) / st
 
 
-def _polar_turn(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
-    """[[P, -W^dag Q], [W P, Q]] for W = [[a, b], [c, d]], P = (I + W^dag W)^(-1/2) and Q = (I + W W^dag)^(-1/2): a
-    4x4 unitary, and [Y Z] times it is [(Y + Z W) P, (Z - Y W^dag) Q]."""
-    aa, bb, cc, dd = abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2
-    a_, b_, c_, d_ = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    p00, p01, p10, p11 = _inv_sqrt_psd(1.0 + aa + cc, a_ * b + c_ * d, 1.0 + bb + dd)
-    q00, q01, q10, q11 = _inv_sqrt_psd(1.0 + aa + bb, a * c_ + b * d_, 1.0 + cc + dd)
-    return np.array([p00, p01, -(a_ * q00 + c_ * q10), -(a_ * q01 + c_ * q11),
-                     p10, p11, -(b_ * q00 + d_ * q10), -(b_ * q01 + d_ * q11),
-                     a * p00 + b * p10, a * p01 + b * p11, q00, q01,
-                     c * p00 + d * p10, c * p01 + d * p11, q10, q11]).reshape(4, 4)
+# Gamma_1..Gamma_5 = sigma_x (x) I, sigma_y (x) I and sigma_z (x) sigma_{x,y,z}: five anticommuting Hermitian 4x4
+# matrices (the Euclidean Dirac matrices of Cl(5)), so R = sum_g n_g Gamma_g squares to |n|^2 I and is traceless.
+_DIRAC = np.array([np.kron(PAULIS[0], ID2), np.kron(PAULIS[1], ID2), *(np.kron(PAULIS[2], s) for s in PAULIS)])
+_SIGMAS = np.array([ID2, *PAULIS])  # sigma_0 = I, then sigma_x, sigma_y, sigma_z
 
 
-def _re_inner(u, v) -> float:
-    """Re(u . conj v) of two 4-vectors of Python complex numbers."""
-    return (u[0] * v[0].conjugate() + u[1] * v[1].conjugate() + u[2] * v[2].conjugate()
-            + u[3] * v[3].conjugate()).real
+def _kraus_split(kraus):
+    """Cut a trace-preserving set of four Kraus operators, stacked ``(4, 2, 2)``, into two trace-preserving pairs
+    whose equal mix is the same channel.
 
+    For an orthonormal 2-plane Y of Kraus space, L_a = sum_i Y[i, a] K_i has sum_a L_a^dag L_a = sum_ij P[j, i]
+    K_i^dag K_j with P = Y Y^dag, so Tr(sigma_k sum_a L_a^dag L_a) = Tr(P B_k) for B_k[i, j] = Tr(sigma_k K_i^dag K_j),
+    sigma_0 = I.  For a unit n in R^5, P = (I + R) / 2 with R = sum_g n_g Gamma_g is a rank-2 projector, and trace
+    preservation (Tr B_0 = 2, Tr B_k = 0 for k = 1..3) gives Tr(P B_k) = delta_k0 + (M n)_k / 2 with the real 4x5
+    M_kg = Tr(B_k Gamma_g) (each B_k is Hermitian).  So for a null vector n of M, sqrt 2 L over the +1 eigenspace Y
+    of R, and likewise over the -1 eigenspace Z, is a trace-preserving pair, and p = 1/2.  The last column of a
+    complete QR of M^T is such an n whatever the rank of M (M = 0 for the fully depolarizing channel).
 
-def _solve_psd3(a, r):
-    """x with a x = r for a symmetric positive semidefinite 3x3 ``a`` (nested lists), and the number of unknowns left.
-    Symmetric elimination pivoting on the largest remaining diagonal entry, stable however ill-conditioned ``a`` is.
-    A pivot at round-off, at most 8 eps times the first, ends it: the unknowns left are 0, their equations unsolved."""
-    i, j, k = (0, 1, 2) if a[0][0] >= max(a[1][1], a[2][2]) else (1, 0, 2) if a[1][1] >= a[2][2] else (2, 0, 1)
-    tol, x = 8.0 * _EPS * a[i][i], [0.0, 0.0, 0.0]
-    if not a[i][i] > tol:  # a = 0, or not finite
-        return x, 3
-    lj, lk = a[j][i] / a[i][i], a[k][i] / a[i][i]  # eliminate unknown i: s is the Schur complement on (j, k)
-    sjj, skk, sjk = a[j][j] - lj * a[i][j], a[k][k] - lk * a[i][k], a[j][k] - lj * a[i][k]
-    rj, rk = r[j] - lj * r[i], r[k] - lk * r[i]
-    if skk > sjj:
-        j, k, sjj, skk, rj, rk = k, j, skk, sjj, rk, rj
-    left = 2
-    if sjj > tol:  # eliminate unknown j: what is left of s[k][k] is the last pivot
-        lk, left = sjk / sjj, 1
-        if skk - lk * sjk > tol:
-            x[k], left = (rk - lk * rj) / (skk - lk * sjk), 0
-        x[j] = (rj - sjk * x[k]) / sjj
-    x[i] = (r[i] - a[i][j] * x[j] - a[i][k] * x[k]) / a[i][i]
-    return x, left
-
-
-def _start_frames(seed):
-    """Random starts [Y Z] of :func:`_kraus_split` from ``default_rng(seed)``: unitaries of complete QRs of complex
-    Gaussian 4x2 matrices."""
-    rng = np.random.default_rng(seed)
-    while True:
-        yield np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)), mode="complete")[0]
-
-
-@functools.cache
-def _first_frame() -> np.ndarray:
-    """fit_plan's first start, ``next(_start_frames(FIT_SEED))``: drawn once per process, on first use, read-only."""
-    frame = next(_start_frames(FIT_SEED))
-    frame.flags.writeable = False
-    return frame
-
-
-def _kraus_split(kraus, frame):
-    """Cut a trace-preserving set of four Kraus operators into two weighted trace-preserving pairs.
-
-    For an orthonormal 2-plane Y of Kraus space and its complement Z, the operators L_a = sum_i Y[i, a] K_i
-    and L'_b = sum_i Z[i, b] K_i are another Kraus set of the same channel.  Each pair sums to a multiple
-    of I, sum L^dag L = p I, when Y solves the three real equations g_k = Tr(Y^dag B_k Y) = 0 with
-    B_k[i, j] = Tr(sigma_k K_i^dag K_j).  From the start ``frame`` = [Y Z], a 4x4 unitary, least-norm
-    Newton steps over the tangent directions Y + Z W solve them until |g| <= 4 eps or 50 steps are taken.
-    A step takes one product (Y^dag [B_0 B_1 B_2]) [Y Z] and reads it once as Python numbers: g, the rows
-    c_k of the C_k^T for C_k = Y^dag B_k Z, the 3x3 normal equations Re(c c^dag) x = -g / 2 and
-    W = c^dag x are scalar arithmetic, and the normal equations are solved in floats (:func:`_solve_psd3`).
-    The step is the polar update Y <- (Y + Z W)(I + W^dag W)^(-1/2), Z <- (Z - Y W^dag)(I + W W^dag)^(-1/2)
-    (:func:`_polar_turn`), which keeps [Y Z] unitary and spans the plane a QR of Y + Z W would; ``frame.dot(turn)``
-    is the step's other array product.  Near a solution where the equations lose rank (the fully depolarizing
-    channel), the normal equations turn singular at round-off; once |g| <= 1e-6 the step leaves out their null
-    direction, and before that the start fails.  Returns (p, pairs) with the stack ``pairs`` =
-    [L / sqrt(p), L' / sqrt(1 - p)] of shape ``(2, 2, 2, 2)``, or None when the start fails or a pair has no weight.
+    Returns the 4x4 unitary [Z Y] of eigenvectors of R and the two halves, over Z then Y, stacked ``(2, 2, 2, 2)``.
     """
-    vecs = kraus.reshape(4, 4)
-    # [B_0 B_1 B_2] with B_k[i, j] = vec K_i^* . vec(K_j sigma_k): one product gives every vec(K_j sigma_k), which
-    # is laid out as rows m, columns (k, j).
-    b_rows = vecs.conj().dot(vecs.dot(_RIGHT_PAULIS).reshape(4, 2, 3, 2).transpose(1, 3, 2, 0).reshape(4, 12))
-    for _ in range(50):
-        # Row 3 a + k is row a of Y^dag B_k [Y Z]: Tr(Y^dag B_k Y) from columns 0-1, C_k = Y^dag B_k Z in columns 2-3.
-        t0, t1, t2, b0, b1, b2 = frame[:, :2].conj().T.dot(b_rows).reshape(6, 4).dot(frame).tolist()
-        g = [t0[0].real + b0[1].real, t1[0].real + b1[1].real, t2[0].real + b2[1].real]
-        gg = g[0] * g[0] + g[1] * g[1] + g[2] * g[2]
-        if gg <= (4.0 * _EPS) ** 2:
-            break
-        # g_k(Y + Z W) = g_k + 2 Re Tr(C_k W) + O(W^2); W[b, a] pairs with C_k[a, b].  With the rows
-        # c_k = (C_k[0, 0], C_k[1, 0], C_k[0, 1], C_k[1, 1]), the least-norm W solving 2 Re(c W) = -g is c^dag x,
-        # with Re(c c^dag) x = -g / 2.
-        c0, c1, c2 = (t0[2], b0[2], t0[3], b0[3]), (t1[2], b1[2], t1[3], b1[3]), (t2[2], b2[2], t2[3], b2[3])
-        n01, n02, n12 = _re_inner(c0, c1), _re_inner(c0, c2), _re_inner(c1, c2)
-        x, left = _solve_psd3([[_re_inner(c0, c0), n01, n02], [n01, _re_inner(c1, c1), n12],
-                               [n02, n12, _re_inner(c2, c2)]], [-0.5 * g[0], -0.5 * g[1], -0.5 * g[2]])
-        if left and gg > 1e-6 ** 2:
-            return None
-        x0, x1, x2 = x
-        frame = frame.dot(_polar_turn(*((x0 * u + x1 * v + x2 * w).conjugate() for u, v, w in zip(c0, c1, c2))))
-    pairs = frame.T.dot(vecs).reshape(2, 2, 2, 2)
-    p = float(np.vdot(pairs[0], pairs[0]).real) / 2.0
-    if not 0.0 < p < 1.0:
-        return None
-    pairs[0] /= math.sqrt(p)
-    pairs[1] /= math.sqrt(1.0 - p)
-    return p, pairs
+    b = np.einsum("kca,iba,jbc->kij", _SIGMAS, kraus.conj(), kraus)
+    m = np.einsum("kij,gji->kg", b, _DIRAC).real
+    n = np.linalg.qr(m.T, mode="complete")[0][:, 4]
+    frame = np.linalg.eigh(np.einsum("g,gij->ij", n, _DIRAC))[1]
+    return frame, math.sqrt(2.0) * np.einsum("ia,ibc->abc", frame, kraus).reshape(2, 2, 2, 2)
 
 
 def fit_plan(ch: KrausChannel) -> FitResult:
@@ -510,19 +412,14 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     matrix to a target that is slightly off (a Kraus file rounded by hand); the four entries of
     Tr_out J - I are read as Python numbers.  Its eigenvectors scaled by the square roots of their
     eigenvalues are a Kraus set of four, made exactly trace preserving, K -> K (sum K^dag K)^(-1/2),
-    with sum K^dag K and the renormalisation in Python complex arithmetic; the split target is the
-    Choi matrix of that set, the same Gram product.  :func:`_kraus_split` mixes it into two pairs
-    that are each a weighted trace-preserving channel, and each pair is read in closed form.
-    The plan reproduces the target's Choi matrix by construction, so one seeded start almost always
-    suffices: the first frame from ``FIT_SEED``, drawn once per process, on first use.  Only a plan
-    that still misses by more than ``FIT_TARGET_RESIDUAL`` draws a further start; starts continue
-    that stream until a plan lands within ``FIT_TARGET_RESIDUAL`` or ``FIT_MAX_STARTS`` are spent,
-    and the lowest residual, first start on ties, is kept.  The CPTP check and the skip of stage
-    one read the unprojected target.
+    with sum K^dag K and the renormalisation in Python complex arithmetic.  :func:`_kraus_split`
+    cuts that set, in closed form, into two trace-preserving pairs whose equal mix is the channel,
+    and each pair is read in closed form: the plan mixes the two branches at p = 1/2 and reproduces
+    the renormalised set's Choi matrix by construction, with no seed and no retry.  The CPTP check,
+    the skip of stage one and the residual read the unprojected target.
 
     Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
-    the result, not raised.  When no start yields two branches the result has
-    ``plan=None`` and an infinite residual.
+    the result, not raised.
     """
     _, target, eigenvalues, report = _cptp_parts(ch)
     if not report.ok:
@@ -559,26 +456,9 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     m00, m01, m10, m11 = _inv_sqrt_psd(a, b, d)
     vecs = np.array([(v0 * m00 + v2 * m10, v1 * m00 + v3 * m10, v0 * m01 + v2 * m11, v1 * m01 + v3 * m11)
                      for v0, v1, v2, v3 in vecs])
-    kraus = vecs.reshape(4, 2, 2).swapaxes(1, 2)
-    # A start is exact once its plan reproduces this Kraus set.  A target off trace preservation by more than
-    # FIT_TARGET_RESIDUAL (a Kraus file rounded by hand) is that far from every plan, and further starts cannot help.
-    split_target = np.einsum("ki,kj->ij", vecs, vecs.conj())
-    best_plan, best_res = None, math.inf
-    frames = itertools.chain([_first_frame()], itertools.islice(_start_frames(FIT_SEED), 1, None))  # one stream
-    for starts_used, frame in zip(range(1, FIT_MAX_STARTS + 1), frames):
-        split = _kraus_split(kraus, frame)
-        if split is None:
-            continue
-        p, pairs = split
-        plan = _mixed_plan(p, *(_pair_branch(half) for half in pairs.reshape(2, 8).tolist()))
-        choi = _plan_choi(plan)
-        r = frob_dist(choi, target)
-        if r < best_res:
-            best_plan, best_res = plan, r
-        if frob_dist(choi, split_target) <= FIT_TARGET_RESIDUAL:
-            break
-
-    return FitResult(plan=best_plan, residual=float(best_res), starts_used=starts_used)
+    halves = _kraus_split(vecs.reshape(4, 2, 2).swapaxes(1, 2))[1]
+    plan = DecompositionPlan(*(_pair_branch(half) for half in halves.reshape(2, 8).tolist()), p=0.5)
+    return FitResult(plan=plan, residual=frob_dist(_plan_choi(plan), target), starts_used=1)
 
 
 def _unitary_to_json(u) -> list | None:

@@ -85,27 +85,6 @@ def _phase_distance(us, vs) -> float:
     return math.sqrt(sum(abs(a - phase * b) ** 2 for a, b in pairs))
 
 
-def svd3(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signed SVD of a real 3x3 matrix: t = L diag(s) R^T with L, R rotations.
-
-    Both factors are forced to determinant +1; any reflection is absorbed
-    into the sign of the last singular value, so entries of ``s`` may be
-    negative.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (3, 3) or not np.isfinite(t).all():
-        raise ValueError("svd3 expects a finite real 3x3 matrix")
-    left, s, vt = np.linalg.svd(t)
-    right = vt.T.copy()
-    if det3(left.tolist()) < 0:
-        left[:, 2] *= -1.0
-        s[2] *= -1.0
-    if det3(right.tolist()) < 0:
-        right[:, 2] *= -1.0
-        s[2] *= -1.0
-    return left, s, right
-
-
 def det3(rows) -> float:
     """Determinant of a 3x3 matrix given as nested lists of its rows, in scalar arithmetic."""
     (a, b, c), (d, e, f), (g, h, i) = rows

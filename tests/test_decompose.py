@@ -21,14 +21,10 @@ from qchansim.decompose import (
     QuasiExtremeBranch,
     FIT_TARGET_RESIDUAL,
     U_BPF,
-    FIT_MAX_STARTS,
-    FIT_SEED,
     _branch_from_entries,
     _kraus_split,
     _pair_branch,
     _plan_choi,
-    _solve_psd3,
-    _start_frames,
     branch_from_nu_mu,
     closed_form_plan,
     extract_nu_mu,
@@ -306,7 +302,7 @@ def test_fit_plan_handles_every_choi_rank(rank):
     result = fit_plan(ch)
     assert result.converged
     assert result.residual <= 1e-9
-    # Ranks 1-2 end in stage one, read off the Kraus pair in closed form, ranks 3-4 on the first split start.
+    # Ranks 1-2 end in stage one, read off the Kraus pair in closed form, ranks 3-4 in the split.
     assert result.starts_used == (0 if rank <= 2 else 1)
     assert np.abs(compile_plan(result.plan) - transfer(ch)).max() <= 1e-8
     # A second fit in the same process returns the identical plan.
@@ -325,20 +321,12 @@ def test_fit_plan_reports_choi_distance():
     assert result.residual == pytest.approx(recomputed, abs=1e-12)
 
 
-def test_fit_plan_residual_describes_the_returned_plan(monkeypatch):
-    import qchansim.decompose as decompose
-
+def test_fit_plan_residual_describes_the_returned_plan():
     for rank in (3, 4):
         ch = random_channel(np.random.default_rng(35), rank)
         result = fit_plan(ch)
         assert result.starts_used == 1
         assert result.residual == frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch))
-    # A split weighted 1 - 1e-14: the returned plan drops branch b, and the residual is that of the returned plan.
-    split = decompose._kraus_split
-    monkeypatch.setattr(decompose, "_kraus_split", lambda kraus, rng: (1.0 - 1e-14, *split(kraus, rng)[1:]))
-    result = fit_plan(ch)
-    assert result.plan.branch_b is None
-    assert result.residual == frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch))
 
 
 def test_fit_plan_fits_random_rank3_channels_from_the_first_start():
@@ -350,94 +338,35 @@ def test_fit_plan_fits_random_rank3_channels_from_the_first_start():
 _FULLY_DEPOLARIZING = KrausChannel(tuple(0.5 * s for s in (ID2, *PAULIS)), "fully depolarizing")
 
 
-@pytest.mark.parametrize("kind", ["rank 3", "rank 4", "fully depolarizing"])
+def _kraus_split_inputs(kind):
+    """(channel, its Kraus set of four) pairs for :func:`test_kraus_split_halves_are_trace_preserving`."""
+    if kind == "fully depolarizing":  # in its Pauli frame and 20 random Kraus frames
+        frames = [np.eye(4)] + [np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+                                for rng in map(np.random.default_rng, range(100, 120))]
+        return [(_FULLY_DEPOLARIZING, np.einsum("ij,jab->iab", v, np.array([ID2, *PAULIS])) / 2.0) for v in frames]
+    if kind == "completely dephasing":  # padded to four operators
+        ops = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        return [(KrausChannel(tuple(ops)), np.array(ops + [np.zeros((2, 2))] * 2, dtype=complex))]
+    rank = int(kind[-1])
+    channels = [random_channel(np.random.default_rng(7000 + 10 * rank + i), rank) for i in range(20)]
+    return [(ch, np.concatenate([np.asarray(ch.ops), np.zeros((4 - rank, 2, 2))])) for ch in channels]
+
+
+@pytest.mark.parametrize("kind", ["rank 3", "rank 4", "fully depolarizing", "completely dephasing"])
 def test_kraus_split_halves_are_trace_preserving(kind):
-    if kind == "fully depolarizing":
-        channels = [_FULLY_DEPOLARIZING]
-    else:
-        rank = int(kind[-1])
-        channels = [random_channel(np.random.default_rng(7000 + 10 * rank + i), rank) for i in range(20)]
-    for ch in channels:
-        kraus = np.concatenate([np.asarray(ch.ops), np.zeros((4 - len(ch.ops), 2, 2))])  # a rank-3 set padded to four
-        p, (pair_a, pair_b) = _kraus_split(kraus, next(_start_frames(0)))
-        for pair in (pair_a, pair_b):
-            assert frob_dist(np.einsum("kba,kbc->ac", pair.conj(), pair), ID2) <= 1e-13, ch.label
-        # The halves, weighted by p and 1 - p, are the channel itself.
-        halves = [transfer(KrausChannel(tuple(pair))) for pair in (pair_a, pair_b)]
-        assert frob_dist(p * halves[0] + (1.0 - p) * halves[1], transfer(ch)) <= 1e-13, ch.label
-
-
-def test_kraus_split_frame_stays_unitary():
-    # vec L = F^T vec K for the frame F = [Y Z], so F is read back from the halves; the polar update keeps it unitary
-    # without a re-orthonormalisation, and the halves it returns solve g_k = Tr(Y^dag B_k Y) = 0 to 4 eps.
-    for i in range(20):
-        kraus = np.asarray(random_channel(np.random.default_rng(7400 + i), 4).ops)
-        p, (pair_a, pair_b) = _kraus_split(kraus, next(_start_frames(i)))
-        mixed = np.concatenate([np.sqrt(p) * pair_a, np.sqrt(1.0 - p) * pair_b])
-        frame = np.linalg.solve(kraus.reshape(4, 4).T, mixed.reshape(4, 4).T)
-        assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-14, i
-        g = [np.trace(s @ np.einsum("kba,kbc->ac", mixed[:2].conj(), mixed[:2])).real for s in PAULIS]
-        assert np.linalg.norm(g) <= 4.0 * np.finfo(float).eps, i
-
-
-def test_kraus_split_gives_up_where_the_newton_step_is_singular():
-    # The completely dephasing channel padded to four operators has B_x = B_y = 0, so the step's 3x3 normal equations
-    # are singular at every plane, with |g| far from 0: the start fails, and fit_plan would draw another.
-    kraus = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2))], dtype=complex)
-    assert _kraus_split(kraus, next(_start_frames(0))) is None
-
-
-def test_kraus_split_finishes_a_start_that_converges_to_a_singular_solution():
-    # The fully depolarizing channel in 20 random Kraus frames.  Its equations lose rank at the solution, so the normal
-    # equations turn singular at round-off near it: set 13 does on its fourth step, at |g| = 8e-12.  There the step
-    # leaves out the null direction, and the start finishes.
-    for i in range(20):
-        rng = np.random.default_rng(100 + i)
-        v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-        kraus = np.einsum("ij,jab->iab", v, np.array([ID2, *PAULIS])) / 2.0
-        p, (pair_a, pair_b) = _kraus_split(kraus, next(_start_frames(i)))
-        for pair in (pair_a, pair_b):
-            assert frob_dist(np.einsum("kba,kbc->ac", pair.conj(), pair), ID2) <= 1e-13, i
-        halves = [transfer(KrausChannel(tuple(pair))) for pair in (pair_a, pair_b)]
-        assert frob_dist(p * halves[0] + (1.0 - p) * halves[1], transfer(_FULLY_DEPOLARIZING)) <= 1e-13, i
-
-
-def test_solve_psd3_matches_numpy_and_leaves_out_null_directions():
-    rng = np.random.default_rng(17)
-    for n in range(200):
-        m = rng.standard_normal((3, 8)) * rng.uniform(0.1, 1.0, (3, 1))  # the shape of the split's real Jacobian
-        a, r = m @ m.T, rng.standard_normal(3)
-        x, left = _solve_psd3(a.tolist(), r.tolist())
-        expected = np.linalg.solve(a, r)
-        assert left == 0 and np.linalg.norm(np.subtract(x, expected)) <= 1e-12 * np.linalg.norm(expected), n
-    # A pivot at round-off ends the elimination; the unknowns left are 0.
-    assert _solve_psd3([[4.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-20]], [2.0, 1.0, 1.0]) == ([0.5, 0.0, 0.0], 2)
-    v = [1.0, 2.0, -1.0]
-    x, left = _solve_psd3([[vi * vj for vj in v] for vi in v], [3.0, 6.0, -3.0])  # rank 1, r in its range
-    assert left == 2 and np.allclose(np.outer(v, v) @ x, [3.0, 6.0, -3.0], atol=1e-15)
-    assert _solve_psd3(np.zeros((3, 3)).tolist(), [1.0, 1.0, 1.0]) == ([0.0, 0.0, 0.0], 3)
-
-
-def test_fit_plan_first_start_is_precomputed_and_later_starts_continue_the_seeded_stream(monkeypatch):
-    import qchansim.decompose as decompose
-
-    rng = np.random.default_rng(FIT_SEED)
-    expected = [np.linalg.qr(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)), mode="complete")[0]
-                for _ in range(2)]
-    first = decompose._first_frame()  # drawn on first use, once per process
-    assert first.tobytes() == expected[0].tobytes() and decompose._first_frame() is first
-    with pytest.raises(ValueError, match="read-only"):
-        first[0, 0] = 0.0
-    frames, split = [], decompose._kraus_split
-
-    def first_start_fails(kraus, frame):
-        frames.append(np.array(frame))
-        return None if len(frames) == 1 else split(kraus, frame)
-
-    monkeypatch.setattr(decompose, "_kraus_split", first_start_fails)
-    result = fit_plan(random_channel(np.random.default_rng(35), 3))
-    assert result.starts_used == 2 and result.residual <= FIT_TARGET_RESIDUAL
-    assert [f.tobytes() for f in frames] == [f.tobytes() for f in expected]
+    # The fully depolarizing channel has M = 0 and the padded completely dephasing set B_x = B_y = 0; both split
+    # exactly.  Whichever plane Y of the frame a half spans, P = Y Y^dag solves Tr(P B_k) = delta_k0, with
+    # B_k[i, j] = Tr(sigma_k K_i^dag K_j) summed here term by term.
+    for n, (ch, kraus) in enumerate(_kraus_split_inputs(kind)):
+        frame, halves = _kraus_split(kraus)
+        for half in halves:
+            assert frob_dist(np.einsum("kba,kbc->ac", half.conj(), half), ID2) <= 1e-13, n
+        mix = 0.5 * transfer(KrausChannel(tuple(halves[0]))) + 0.5 * transfer(KrausChannel(tuple(halves[1])))
+        assert frob_dist(mix, transfer(ch)) <= 1e-13, n
+        b = np.array([[[np.trace(s @ ki.conj().T @ kj) for kj in kraus] for ki in kraus] for s in (ID2, *PAULIS)])
+        for y in (frame[:, :2], frame[:, 2:]):
+            traces = [np.trace(y @ y.conj().T @ bk) for bk in b]
+            assert np.abs(np.subtract(traces, [1.0, 0.0, 0.0, 0.0])).max() <= 1e-13, n
 
 
 def _rotated(pair, rng):
@@ -519,15 +448,6 @@ def test_fit_plan_fits_rotated_three_pauli_mixtures(dropped):
         assert frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch)) <= 1e-9
 
 
-def test_fit_plan_without_a_split_returns_no_plan(monkeypatch):
-    import qchansim.decompose as decompose
-
-    monkeypatch.setattr(decompose, "_kraus_split", lambda kraus, rng: None)
-    result = fit_plan(random_channel(np.random.default_rng(35), 3))
-    assert result.plan is None and result.residual == np.inf and not result.converged
-    assert result.starts_used == FIT_MAX_STARTS
-
-
 def _depolarized(ch, eps, label=""):
     """(1 - eps) of ``ch`` plus eps of the fully depolarizing channel."""
     ops = [np.sqrt(1.0 - eps) * k for k in ch.ops] + [np.sqrt(eps) / 2.0 * s for s in (ID2, *PAULIS)]
@@ -565,7 +485,7 @@ def test_fit_plan_reaches_the_target_on_the_former_fitters_misses(eps, i):
 @pytest.mark.parametrize("rank", [3, 4])
 def test_fit_plan_converges_on_a_kraus_set_rounded_to_nine_digits(rank):
     # Rounding leaves sum K^dag K = I + O(1e-9), within the CPTP check; no trace-preserving plan is closer to the
-    # target than that, and the first start that reproduces the renormalised Kraus set ends the search.
+    # target than that, and the split reproduces the renormalised Kraus set.
     ch = random_channel(np.random.default_rng(10000 if rank == 3 else 20000), rank)
     rounded = KrausChannel(tuple(np.round(k, 9) for k in ch.ops))
     result = fit_plan(rounded)
@@ -589,7 +509,7 @@ def test_fit_plan_scores_one_plan_at_stage_one_on_rounded_two_kraus_files(monkey
     import qchansim.decompose as decompose
 
     # A rank-1/2 Kraus set rounded to 9 digits is off trace preservation by about 1e-9.  Stage one scores one plan,
-    # that of its pair, and keeps it within FIT_TARGET_RESIDUAL; else one start of the split ends near the floor.
+    # that of its pair, and keeps it within FIT_TARGET_RESIDUAL; else the split scores one more and ends near the floor.
     calls = []
     plan_choi = decompose._plan_choi
 
@@ -621,8 +541,8 @@ def test_plan_json_round_trip():
 def test_fit_plan_keeps_a_split_plan_that_misses_by_less_than_the_target(monkeypatch):
     import qchansim.decompose as decompose
 
-    # The first half's closed form is given alpha off by 1e-10: a plan that misses the split target by less than
-    # FIT_TARGET_RESIDUAL but more than round-off.  It is kept, with no further read and no further start.
+    # The first half's closed form is given alpha off by 1e-10: a plan that misses the target by less than
+    # FIT_TARGET_RESIDUAL but more than round-off.  It is kept, with no further read.
     pair_branch, calls = decompose._pair_branch, []
 
     def closed_form_with_a_near_miss_first(pair):

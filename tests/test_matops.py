@@ -12,7 +12,6 @@ from qchansim.matops import (
     dagger,
     density_from_bloch,
     phase_invariant_distance,
-    svd3,
 )
 
 
@@ -41,57 +40,6 @@ def test_phase_invariant_distance_kills_global_phase():
 def test_phase_invariant_distance_rejects_nonunitary():
     with pytest.raises(ValueError):
         phase_invariant_distance(ID2, 1.1 * ID2)
-
-
-def test_svd3_identity_and_diagonal():
-    left, s, right = svd3(np.eye(3))
-    assert np.allclose(left @ np.diag(s) @ right.T, np.eye(3), atol=1e-12)
-    assert np.allclose(np.sort(np.abs(s)), [1.0, 1.0, 1.0])
-    left, s, right = svd3(np.diag([0.5, 0.5, 1.0]))
-    assert np.allclose(left @ np.diag(s) @ right.T, np.diag([0.5, 0.5, 1.0]), atol=1e-12)
-    assert np.allclose(np.sort(np.abs(s)), [0.5, 0.5, 1.0])
-
-
-@pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), np.diag([1.0, np.inf, 1.0]), np.eye(2), np.eye(4)[:3]])
-def test_svd3_rejects_what_is_not_a_finite_3x3_matrix(bad):
-    with pytest.raises(ValueError, match="finite real 3x3"):
-        svd3(bad)
-
-
-def _random_rotation(rng):
-    m = rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(m)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] *= -1.0
-    return q
-
-
-def test_svd3_recovers_rotated_diagonal():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        d = rng.uniform(-1.0, 1.0, size=3)
-        t = _random_rotation(rng) @ np.diag(d) @ _random_rotation(rng).T
-        left, s, right = svd3(t)
-        assert np.linalg.norm(left @ np.diag(s) @ right.T - t) <= 1e-10
-        assert abs(np.linalg.det(left) - 1.0) <= 1e-10
-        assert abs(np.linalg.det(right) - 1.0) <= 1e-10
-        assert np.allclose(np.sort(np.abs(s)), np.sort(np.abs(d)), atol=1e-10)
-
-
-def test_svd3_turns_reflections_into_proper_frames_and_one_negative_value():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        d = rng.uniform(0.05, 1.0, size=3)
-        t = _random_rotation(rng) @ np.diag(d * [1.0, 1.0, -1.0]) @ _random_rotation(rng).T  # det t < 0
-        left, s, right = svd3(t)
-        for frame in (left, right):
-            assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-14
-            assert abs(np.linalg.det(frame) - 1.0) <= 1e-14
-        # |s| descends and the reflection rides on the last, smallest value.
-        assert s[0] >= s[1] >= -s[2] > 0.0
-        assert np.allclose(np.abs(s), np.sort(d)[::-1], rtol=0.0, atol=1e-14)
-        assert np.abs(left @ np.diag(s) @ right.T - t).max() <= 1e-14
 
 
 def test_bloch_round_trip():

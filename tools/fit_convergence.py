@@ -7,15 +7,15 @@ Run from the repository root, with numpy installed and no other dependency::
 
 Each corpus prints one markdown table row: its size; misses (residual above
 ``FIT_TARGET_RESIDUAL``); unconverged channels (residual above ``CONVERGED_RESIDUAL``,
-on which ``qchansim decompose`` exits 3, or no plan at all); the worst residual; the
-split starts used, mean / max; and the p50 / p90 wall time of one ``fit_plan`` call in
-ms.  A corpus with misses adds a line naming each missed channel's index and residual,
-with a ``*`` on the unconverged ones.  The exit status is 1 when any channel is
+on which ``qchansim decompose`` exits 3); the worst residual; the stage marker
+``FitResult.starts_used`` (0 for a stage-one plan, 1 for the closed-form split), mean / max,
+so the mean is the share of the corpus that the split fits; and the p50 / p90 wall time of
+one ``fit_plan`` call in ms.  A corpus with misses adds a line naming each missed channel's
+index and residual, with a ``*`` on the unconverged ones.  The exit status is 1 when any channel is
 unconverged, when any corpus but ``rounded`` has a miss or a worst residual above
 ``FIT_ROUNDOFF_RESIDUAL`` (1e-11: those corpora fit to round-off, at most a few 1e-15, so
 a residual above it means a kernel lost digits, though the plan still passes), or when
-any fit takes more than one split start (one suffices on every corpus, so a second means
-a start failed that should not have).
+any fit reports a stage marker above 1.
 A ``rounded`` channel is off trace preservation, and
 no trace-preserving plan is nearer to it than the floor ``trace_residual / sqrt(2)`` of
 ``qchansim.validate_channel``; the worst ratio of residual to floor is printed for that corpus.
@@ -41,7 +41,7 @@ The corpora, by name:
 - ``rounded``: the ``rank3`` and ``rank4`` channels (i < 100 and i = 100-199) with every
   Kraus entry rounded to 9 digits, as a Kraus file written by hand would be.
 
-Residuals and starts are deterministic; the times spread with the host.
+Residuals and stage markers are deterministic; the times spread with the host.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ CORPORA = {
 
 def run(name):
     """Fit every channel of corpus ``name``; return its table row, note lines, miss and unconverged counts, the
-    worst residual, and the most split starts one fit took."""
+    worst residual, and the largest stage marker."""
     residuals, starts, ms, floor_ratios = {}, [], [], []
     for i, ops in CORPORA[name]().items():
         ch = KrausChannel(tuple(np.asarray(k, dtype=complex) for k in ops), f"{name} {i}")
