@@ -70,6 +70,28 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_and_a_split_fit_load_no_numpy_random():
+    # The fit is deterministic linear algebra: importing the CLI and fitting a Choi-rank-4 channel, generalized
+    # amplitude damping at gamma = 0.3, N = 0.4, loads no numpy.random module that numpy itself did not.
+    code = """if True:
+        import sys, numpy as np
+        before = set(sys.modules)
+        import qchansim.cli
+        from qchansim import KrausChannel, fit_plan
+        g, n = 0.3, 0.4
+        ops = [np.sqrt(1 - n) * np.array([[1, 0], [0, np.sqrt(1 - g)]]),
+               np.sqrt(1 - n) * np.array([[0, np.sqrt(g)], [0, 0]]),
+               np.sqrt(n) * np.array([[np.sqrt(1 - g), 0], [0, 1]]),
+               np.sqrt(n) * np.array([[0, 0], [np.sqrt(g), 0]])]
+        fit = fit_plan(KrausChannel(tuple(ops)))
+        loaded = sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random'))
+        print(fit.starts_used, fit.converged, loaded)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "1 True []"
+
+
 def test_decompose_requires_channel_source():
     assert run(["decompose"]) == 2
 
@@ -368,6 +390,31 @@ def test_fit_nonconvergence_maps_to_exit_three(tmp_path, monkeypatch, capsys):
     assert run(["decompose", "--kraus-file", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1 and "did not converge" in captured.err
+
+
+def test_fit_whose_split_misses_exits_three_with_one_line(tmp_path, monkeypatch, capsys):
+    import qchansim.decompose as decompose
+
+    # A split whose halves are the identity channel: the real fit_plan scores the plan it makes against the rank-3
+    # target, finds it far off, and the CLI reports that in one line.
+    identity_halves = np.array([[np.eye(2), np.zeros((2, 2))]] * 2, dtype=complex)
+    monkeypatch.setattr(decompose, "_kraus_split", lambda kraus: (np.eye(4), identity_halves))
+    path = tmp_path / "ch.json"
+    path.write_text(channel_to_json(random_channel(np.random.default_rng(62), 3)))
+    assert run(["decompose", "--kraus-file", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "did not converge" in captured.err
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_decompose_writes_an_equal_mix_for_a_full_rank_kraus_file(tmp_path, rank):
+    ch = random_channel(np.random.default_rng(64 + rank), rank)
+    path = tmp_path / "ch.json"
+    path.write_text(channel_to_json(ch))
+    assert run(["decompose", "--kraus-file", str(path), "--outdir", str(tmp_path / "out")]) == 0
+    plan = plan_from_json((tmp_path / "out" / "plan.json").read_text())
+    assert plan.p == 0.5 and plan.branch_b is not None
+    assert frob_dist(to_choi(plan_to_channel(plan)), to_choi(ch)) <= 1e-12
 
 
 def test_decompose_fits_a_near_extreme_kraus_file(tmp_path, capsys):

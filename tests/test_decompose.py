@@ -19,8 +19,11 @@ from qchansim.decompose import (
     DecompositionPlan,
     NotQuasiExtremeError,
     QuasiExtremeBranch,
+    FIT_ROUNDOFF_RESIDUAL,
     FIT_TARGET_RESIDUAL,
     U_BPF,
+    _DIRAC,
+    _SIGMAS,
     _branch_from_entries,
     _kraus_split,
     _pair_branch,
@@ -367,6 +370,72 @@ def test_kraus_split_halves_are_trace_preserving(kind):
         for y in (frame[:, :2], frame[:, 2:]):
             traces = [np.trace(y @ y.conj().T @ bk) for bk in b]
             assert np.abs(np.subtract(traces, [1.0, 0.0, 0.0, 0.0])).max() <= 1e-13, n
+
+
+@pytest.mark.parametrize("kind", ["rank 3", "rank 4", "fully depolarizing", "completely dephasing"])
+def test_kraus_split_frame_stays_unitary(kind):
+    # The frame is the eigenvector matrix of R, unitary to round-off, and the halves are sqrt 2 times the Kraus set
+    # read in it: vec L = sqrt 2 F^T vec K, so K = F^* L / sqrt 2 recovers the set operator by operator.
+    for n, (_, kraus) in enumerate(_kraus_split_inputs(kind)):
+        frame, halves = _kraus_split(kraus)
+        assert frame.shape == (4, 4) and halves.shape == (2, 2, 2, 2), n
+        assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-14, n
+        recovered = np.einsum("ia,abc->ibc", frame.conj(), halves.reshape(4, 2, 2)) / np.sqrt(2.0)
+        assert np.abs(recovered - kraus).max() <= 1e-14, n
+
+
+def test_dirac_matrices_make_every_unit_combination_a_reflection_with_two_plus_one_eigenvalues():
+    # The split rests on the five Gamma_g being Hermitian and pairwise anticommuting with Gamma_g^2 = I: then
+    # R = sum n_g Gamma_g squares to |n|^2 I and is traceless, so (I + R) / 2 is a rank-2 projector for a unit n.
+    assert _DIRAC.shape == (5, 4, 4) and np.array_equal(_SIGMAS, np.array([ID2, *PAULIS]))
+    for g, gamma_g in enumerate(_DIRAC):
+        assert np.array_equal(gamma_g, gamma_g.conj().T) and np.trace(gamma_g) == 0, g
+        for h, gamma_h in enumerate(_DIRAC):
+            assert np.array_equal(gamma_g @ gamma_h + gamma_h @ gamma_g, 2.0 * (g == h) * np.eye(4)), (g, h)
+    rng = np.random.default_rng(5)
+    for i in range(20):
+        n = rng.standard_normal(5)
+        r = np.einsum("g,gij->ij", n / np.linalg.norm(n), _DIRAC)
+        assert np.allclose(np.linalg.eigvalsh(r), [-1.0, -1.0, 1.0, 1.0], rtol=0.0, atol=1e-14), i
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_fit_plan_split_is_an_equal_mix_of_two_quasiextreme_branches(rank):
+    for i in range(10):
+        ch = random_channel(np.random.default_rng(7200 + 10 * rank + i), rank)
+        result = fit_plan(ch)
+        plan = result.plan
+        assert result.starts_used == 1 and plan.p == 0.5 and plan.branch_b is not None, i
+        for branch in (plan.branch_a, plan.branch_b):
+            choi = _plan_choi(DecompositionPlan(branch, None, 1.0))
+            assert np.linalg.eigvalsh(choi)[:2].max() <= 1e-13, i  # Choi rank <= 2: a two-Kraus branch
+            half = to_choi(KrausChannel(tuple(branch.kraus_pair())))
+            assert frob_dist(np.einsum("iaja->ij", half.reshape(2, 2, 2, 2)), ID2) <= 1e-13, i
+        assert result.residual <= 1e-13, i
+
+
+def _pauli_channel(weights):
+    return KrausChannel(tuple(np.sqrt(w) * s for w, s in zip(weights, (ID2, *PAULIS)) if w > 0.0))
+
+
+def _generalized_amplitude_damping(g, n):
+    return KrausChannel((np.sqrt(1.0 - n) * np.diag([1.0, np.sqrt(1.0 - g)]),
+                         np.sqrt(1.0 - n) * np.array([[0.0, np.sqrt(g)], [0.0, 0.0]]),
+                         np.sqrt(n) * np.diag([np.sqrt(1.0 - g), 1.0]),
+                         np.sqrt(n) * np.array([[0.0, 0.0], [np.sqrt(g), 0.0]])))
+
+
+@pytest.mark.parametrize("ch", [
+    _generalized_amplitude_damping(0.3, 0.4),
+    _pauli_channel([0.7, 0.1, 0.1, 0.1]),
+    _pauli_channel([0.4, 0.3, 0.2, 0.1]),
+    _pauli_channel([0.5, 0.25, 0.25, 0.0]),
+], ids=["GAD", "depolarizing", "Pauli", "three Paulis"])
+def test_fit_plan_splits_named_full_rank_channels_to_round_off(ch):
+    result = fit_plan(ch)
+    assert result.starts_used == 1 and result.plan.p == 0.5
+    assert result.residual <= FIT_ROUNDOFF_RESIDUAL
+    assert frob_dist(to_choi(plan_to_channel(result.plan)), to_choi(ch)) <= FIT_ROUNDOFF_RESIDUAL
 
 
 def _rotated(pair, rng):
