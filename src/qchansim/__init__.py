@@ -36,14 +36,11 @@ from .circuit import (
     tbs_transfer,
 )
 from .decompose import (
-    AngleNuMu,
     DecompositionPlan,
     FitResult,
-    NotQuasiExtremeError,
     QuasiExtremeBranch,
     U_BPF,
     closed_form_plan,
-    extract_nu_mu,
     fit_plan,
     gammas_from_angles,
     kraus_from_angles,

@@ -179,13 +179,9 @@ def _tp_defect(rows) -> tuple:
 
 
 def to_affine(ch: KrausChannel) -> AffineRep:
-    """Distortion matrix and displacement: T_ij = Tr[s_i E(s_j)]/2, t_i = Tr[s_i E(I)]/2."""
-    return affine_from_transfer(transfer(ch))
-
-
-def affine_from_transfer(s) -> AffineRep:
-    """T and t as blocks of :func:`pauli_transfer`."""
-    m = pauli_transfer(s)
+    """Distortion matrix and displacement: T_ij = Tr[s_i E(s_j)]/2, t_i = Tr[s_i E(I)]/2, as blocks of
+    :func:`pauli_transfer`."""
+    m = pauli_transfer(transfer(ch))
     return AffineRep(T=m[1:, 1:], t=m[1:, 0])
 
 

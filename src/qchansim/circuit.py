@@ -253,8 +253,9 @@ def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
 
 def _waveplates(u) -> list[GateElement]:
     """Waveplates of a branch's dressing, read-only and checked unitary, in beam order: none where it is the identity
-    up to phase.  The dressing is read once as four Python complex numbers, and the phase test and the angles of
-    ``waveplates_from_euler(dressing_euler(u))`` are float arithmetic on them."""
+    up to phase.  The dressing is read once as four Python complex numbers, and the phase test
+    (``phase_invariant_distance(u, I) <= 1e-12``) and the angles of ``waveplates_from_euler(euler_from_su2(u))`` are
+    float arithmetic on them."""
     angles = _waveplate_angles(u.ravel().tolist())
     if angles is None:
         return []

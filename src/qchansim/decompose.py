@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    AffineRep,
     ChannelKind,
     KrausChannel,
     ZERO_OP_TOL,
@@ -50,14 +49,9 @@ U_BPF = np.array([[-1.0j, 0.0], [0.0, 1.0j]], dtype=complex)
 U_BPF.flags.writeable = False
 
 ANGLE_TOL = 1e-10
-QE_TOL = 1e-8
 FIT_TARGET_RESIDUAL = 1e-9
 FIT_ROUNDOFF_RESIDUAL = 1e-11  # what fit_plan reaches on an exactly trace-preserving target, with margin
 CONVERGED_RESIDUAL = 1e-4
-
-
-class NotQuasiExtremeError(ValueError):
-    """Raised when an affine map lacks the quasiextreme diagonal structure."""
 
 
 def wrap_angle(a: float) -> float:
@@ -144,14 +138,6 @@ def _branch_from_entries(alpha: float, beta: float, u: list, uprime: list) -> Qu
 
 
 @dataclass(frozen=True)
-class AngleNuMu:
-    """Bloch-distortion angles of a quasiextreme channel."""
-
-    nu: float
-    mu: float
-
-
-@dataclass(frozen=True)
 class DecompositionPlan:
     """Convex mix p * branch_a + (1 - p) * branch_b; branch_b may be absent only at p = 1."""
 
@@ -233,39 +219,6 @@ def _plan_choi(plan: DecompositionPlan) -> np.ndarray:
     to_choi's sums, so the two agree to the last bit."""
     vecs = np.array(_plan_vecs(plan))
     return np.einsum("ki,kj->ij", vecs, vecs.conj())
-
-
-def extract_nu_mu(aff: AffineRep) -> AngleNuMu:
-    """Recover (nu, mu) from a quasiextreme affine map.
-
-    Requires T diagonal with T = diag(cos nu, cos mu, cos nu cos mu) and
-    t = (0, 0, sin nu sin mu); nu is taken in [0, pi] and mu in (-pi, pi].
-    Raises :class:`NotQuasiExtremeError` when the structure is absent.
-    """
-    T, t = aff.T, aff.t
-    off = T - np.diag(np.diag(T))
-    if np.abs(off).max() > QE_TOL:
-        raise NotQuasiExtremeError("distortion matrix is not diagonal")
-    if abs(t[0]) > QE_TOL or abs(t[1]) > QE_TOL:
-        raise NotQuasiExtremeError("displacement is not along z")
-    cnu, cmu, prod, tz = float(T[0, 0]), float(T[1, 1]), float(T[2, 2]), float(t[2])
-    if abs(cnu) > 1.0 + QE_TOL or abs(cmu) > 1.0 + QE_TOL:
-        raise NotQuasiExtremeError("diagonal entries exceed unit magnitude")
-    nu = float(np.arccos(min(max(cnu, -1.0), 1.0)))
-    snu = math.sin(nu)
-    if snu > QE_TOL:
-        mu = float(np.arctan2(tz / snu, cmu))
-    else:
-        mu = float(np.arccos(min(max(cmu, -1.0), 1.0)))
-    if abs(math.cos(nu) * math.cos(mu) - prod) > QE_TOL or abs(snu * math.sin(mu) - tz) > QE_TOL:
-        raise NotQuasiExtremeError("diagonal and displacement are mutually inconsistent")
-    if abs(math.cos(mu) - cmu) > QE_TOL:
-        raise NotQuasiExtremeError("second diagonal entry is not a cosine consistent with t_z")
-    return AngleNuMu(nu, mu)
-
-
-def branch_from_nu_mu(nm: AngleNuMu, U=None, Uprime=None) -> QuasiExtremeBranch:
-    return QuasiExtremeBranch.from_alpha_beta((nm.mu + nm.nu) / 2.0, (nm.mu - nm.nu) / 2.0, U=U, Uprime=Uprime)
 
 
 @dataclass(frozen=True)

@@ -75,20 +75,9 @@ def phase_invariant_distance(u, v) -> float:
     v = as_cmat(v, u.shape[0])
     if unitarity_residual(u) > 1e-8 or unitarity_residual(v) > 1e-8:
         raise ValueError("phase_invariant_distance requires unitary inputs")
-    return _phase_distance(u.ravel().tolist(), v.ravel().tolist())
-
-
-def _phase_distance(us, vs) -> float:
-    """:func:`phase_invariant_distance` of two unitaries given as their row-major Python complex entries."""
-    pairs = list(zip(us, vs))
+    pairs = list(zip(u.ravel().tolist(), v.ravel().tolist()))
     phase = cmath.exp(-1j * cmath.phase(sum(a.conjugate() * b for a, b in pairs)))
     return math.sqrt(sum(abs(a - phase * b) ** 2 for a, b in pairs))
-
-
-def det3(rows) -> float:
-    """Determinant of a 3x3 matrix given as nested lists of its rows, in scalar arithmetic."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def complex_to_pairs(m) -> list:

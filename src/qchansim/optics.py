@@ -21,17 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, to_affine
-from .matops import (
-    H0,
-    ID2,
-    PAULIS,
-    Q0,
-    _unitarity_residual_2x2,
-    as_cmat,
-    det3,
-    unitarity_residual,
-)
+from .matops import H0, Q0, _unitarity_residual_2x2, as_cmat
 
 # The qubit each optical element acts on: polarization, transverse mode or both.
 GATE_TARGETS = {"QWP": "pol", "HWP": "pol", "DP": "mode", "TBS": "mode", "CNOT": "both", "CONDX": "both"}
@@ -102,19 +92,16 @@ def euler_from_su2(u) -> EulerAngles:
     sums/differences phi +- zeta come from atan2 of those pairs, and the
     zeta = 0 gauge is used whenever w vanishes.
     """
-    return EulerAngles(*_euler_floats(_unitary_entries(u, "euler_from_su2")))
-
-
-def dressing_euler(u) -> EulerAngles | None:
-    """:func:`euler_from_su2` of a dressing unitary, or None where :func:`qchansim.matops.phase_invariant_distance`
-    puts it within 1e-12 of the identity; one scalar pass over the entries, with their unitarity check."""
-    entries = _unitary_entries(u, "dressing_euler")
-    return None if _is_identity_up_to_phase(*entries) else EulerAngles(*_euler_floats(entries))
+    entries = as_cmat(u, 2).ravel().tolist()
+    if _unitarity_residual_2x2(*entries) > 1e-8:
+        raise ValueError("euler_from_su2 requires a unitary input")
+    return EulerAngles(*_euler_floats(entries))
 
 
 def _waveplate_angles(entries) -> tuple | None:
-    """``waveplates_from_euler(dressing_euler(u))`` as the floats (eta1, tau, eta2), or None, for a unitary given as
-    its row-major Python complex entries, taken as unitary: the same arithmetic, without the records."""
+    """``waveplates_from_euler(euler_from_su2(u))`` as the floats (eta1, tau, eta2), or None where
+    :func:`_is_identity_up_to_phase` holds, for a unitary given as its row-major Python complex entries, taken as
+    unitary: the same arithmetic, without the records."""
     if _is_identity_up_to_phase(*entries):
         return None
     return _triple_angles(*_euler_floats(entries))
@@ -125,14 +112,6 @@ def _is_identity_up_to_phase(u00: complex, u01: complex, u10: complex, u11: comp
     of :func:`qchansim.matops.phase_invariant_distance` with the identity's entries written in."""
     phase = cmath.exp(-1j * cmath.phase(u00.conjugate() + u11.conjugate()))
     return math.sqrt(abs(u00 - phase) ** 2 + abs(u01) ** 2 + abs(u10) ** 2 + abs(u11 - phase) ** 2) <= 1e-12
-
-
-def _unitary_entries(u, caller: str) -> list:
-    """Row-major Python complex entries of a 2x2 unitary; ValueError naming ``caller`` unless unitary within 1e-8."""
-    entries = as_cmat(u, 2).ravel().tolist()
-    if _unitarity_residual_2x2(*entries) > 1e-8:
-        raise ValueError(f"{caller} requires a unitary input")
-    return entries
 
 
 def _euler_floats(entries) -> tuple:
@@ -174,59 +153,6 @@ def dove_pair_for_ry(gamma: float) -> float:
     rotation by gamma needs d = gamma / 4.
     """
     return gamma / 4.0
-
-
-def bloch_rotation(u) -> np.ndarray:
-    """SO(3) rotation of Bloch vectors under rho -> u rho u^dag."""
-    u = as_cmat(u, 2)
-    if unitarity_residual(u) > 1e-8:
-        raise ValueError("bloch_rotation requires a unitary input")
-    return to_affine(KrausChannel((u,))).T
-
-
-def su2_from_rotation(r) -> np.ndarray:
-    """SU(2) element (unique up to sign) whose Bloch action is the rotation ``r``.
-
-    Quaternion extraction picks the numerically largest component first, so
-    rotations by angles near pi stay well conditioned.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError("su2_from_rotation requires a proper 3x3 rotation")
-    return np.array(_su2_entries(r.tolist())).reshape(2, 2)
-
-
-def _su2_entries(rows) -> list:
-    """:func:`su2_from_rotation` of a 3x3 matrix given as nested lists of its rows: its row-major Python complex
-    entries, with the same checks."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    # ||r r^T - I||_F <= 1e-8 (false where r is not finite) and det r > 0, in scalars.
-    g00, g11, g22 = (r00 * r00 + r01 * r01 + r02 * r02, r10 * r10 + r11 * r11 + r12 * r12,
-                     r20 * r20 + r21 * r21 + r22 * r22)
-    g01, g02, g12 = (r00 * r10 + r01 * r11 + r02 * r12, r00 * r20 + r01 * r21 + r02 * r22,
-                     r10 * r20 + r11 * r21 + r12 * r22)
-    if not ((g00 - 1.0) ** 2 + (g11 - 1.0) ** 2 + (g22 - 1.0) ** 2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12) <= 1e-16
-            and det3(rows) >= 0):
-        raise ValueError("su2_from_rotation requires a proper 3x3 rotation")
-    tr = r00 + r11 + r22
-    if tr > max(r00, r11, r22):
-        s = 2.0 * math.sqrt(max(tr + 1.0, 0.0))
-        q = (0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s)
-    elif r00 >= r11 and r00 >= r22:
-        s = 2.0 * math.sqrt(max(1.0 + r00 - r11 - r22, 0.0))
-        q = ((r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s)
-    elif r11 >= r22:
-        s = 2.0 * math.sqrt(max(1.0 + r11 - r00 - r22, 0.0))
-        q = ((r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s)
-    else:
-        s = 2.0 * math.sqrt(max(1.0 + r22 - r00 - r11, 0.0))
-        q = ((r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s)
-    w, x, y, z = q
-    # w I - i (x X + y Y + z Z) entry by entry, in numpy's order of operations, so that every signed zero is kept.
-    return [w * e - 1j * (x * ex + y * ey + z * ez) for e, ex, ey, ez in _QUATERNION_BASIS]
-
-
-_QUATERNION_BASIS = list(zip(*(m.ravel().tolist() for m in (ID2, *PAULIS))))
 
 
 @dataclass(frozen=True)

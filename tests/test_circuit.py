@@ -25,7 +25,7 @@ from qchansim.decompose import (
     plan_to_channel,
 )
 from qchansim.matops import ID2, PAULIS, dagger, phase_invariant_distance
-from qchansim.optics import dressing_euler, gate_list_from_json, gate_list_to_json, waveplates_from_euler
+from qchansim.optics import euler_from_su2, gate_list_from_json, gate_list_to_json, waveplates_from_euler
 from qchansim.tomography import fidelity
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -245,7 +245,7 @@ def test_gates_include_waveplates_for_dressed_branch():
     assert gate_list_from_json(gate_list_to_json(gates)) == gates
 
 
-def test_waveplates_are_the_angles_of_dressing_euler_bit_for_bit():
+def test_waveplates_are_the_angles_of_euler_from_su2_bit_for_bit():
     # _waveplates reads the dressing as four Python numbers; the public path builds the EulerAngles and the
     # WaveplateTriple records.  Haar unitaries, the dressings of fitted plans, diagonal and Pauli unitaries times a
     # phase, and exp(-i t n.sigma) times a phase, e = sqrt(2) t from the identity up to phase, around the 1e-12 bound.
@@ -264,8 +264,9 @@ def test_waveplates_are_the_angles_of_dressing_euler_bit_for_bit():
     skipped = 0
     for u in unitaries:
         u = np.array(u, dtype=complex)
-        gates, euler = _waveplates(u), dressing_euler(u)
-        assert (euler is None) == (phase_invariant_distance(u, ID2) <= 1e-12) == (gates == [])
+        euler = None if phase_invariant_distance(u, ID2) <= 1e-12 else euler_from_su2(u)
+        gates = _waveplates(u)
+        assert (euler is None) == (gates == [])
         if euler is None:
             skipped += 1
             continue

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_channel, random_kraus_pair_channel
+from conftest import haar_unitary, random_channel, random_kraus_pair_channel
 from qchansim.channels import (
     ChannelKind,
     KrausChannel,
@@ -15,9 +15,7 @@ from qchansim.channels import (
 )
 from qchansim.circuit import compile_plan
 from qchansim.decompose import (
-    AngleNuMu,
     DecompositionPlan,
-    NotQuasiExtremeError,
     QuasiExtremeBranch,
     FIT_ROUNDOFF_RESIDUAL,
     FIT_TARGET_RESIDUAL,
@@ -28,9 +26,7 @@ from qchansim.decompose import (
     _kraus_split,
     _pair_branch,
     _plan_choi,
-    branch_from_nu_mu,
     closed_form_plan,
-    extract_nu_mu,
     fit_plan,
     gammas_from_angles,
     kraus_from_angles,
@@ -233,35 +229,29 @@ def test_wrap_angle_edges():
     assert wrap_angle(0.3 - 2 * PI) == pytest.approx(0.3)
 
 
-@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9])
-def test_extract_nu_mu_amplitude_damping(lam):
-    nm = extract_nu_mu(to_affine(builtin_channel("AD", lam)))
-    expected = np.arcsin(np.sqrt(lam))
-    assert nm.nu == pytest.approx(expected, abs=1e-10)
-    assert nm.mu == pytest.approx(expected, abs=1e-10)
+def _assert_quasiextreme_form(ch, alpha, beta):
+    # The module docstring's form, with nu = alpha - beta and mu = alpha + beta.
+    nu, mu = alpha - beta, alpha + beta
+    aff = to_affine(ch)
+    assert np.abs(aff.T - np.diag([np.cos(nu), np.cos(mu), np.cos(nu) * np.cos(mu)])).max() <= 1e-12
+    assert np.abs(aff.t - [0.0, 0.0, np.sin(nu) * np.sin(mu)]).max() <= 1e-12
 
 
-def test_extract_nu_mu_identity():
-    nm = extract_nu_mu(to_affine(builtin_channel("AD", 0.0)))
-    assert nm.nu == pytest.approx(0.0, abs=1e-12)
-    assert nm.mu == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
-def test_extract_nu_mu_rejects_phase_damping(lam):
-    with pytest.raises(NotQuasiExtremeError):
-        extract_nu_mu(to_affine(builtin_channel("PD", lam)))
-
-
-def test_extract_nu_mu_round_trip():
+def test_bare_branch_distorts_the_bloch_ball_in_the_quasiextreme_form():
     rng = np.random.default_rng(32)
     for _ in range(200):
-        nm = AngleNuMu(nu=rng.uniform(0.0, PI), mu=rng.uniform(-PI, PI))
-        branch = branch_from_nu_mu(nm)
-        aff = to_affine(plan_to_channel(DecompositionPlan(branch, None, 1.0)))
-        back = extract_nu_mu(aff)
-        assert back.nu == pytest.approx(nm.nu, abs=1e-8)
-        assert abs(wrap_angle(back.mu - nm.mu)) <= 1e-8
+        alpha, beta = rng.uniform(-PI, PI, 2)
+        branch = QuasiExtremeBranch.from_alpha_beta(alpha, beta)
+        _assert_quasiextreme_form(plan_to_channel(DecompositionPlan(branch, None, 1.0)), alpha, beta)
+        _assert_quasiextreme_form(KrausChannel(tuple(kraus_from_angles(alpha, beta))), alpha, beta)
+    for lam in (0.0, 0.1, 0.5, 0.9):
+        # Amplitude damping is the bare branch at alpha = arcsin(sqrt(lam)), beta = 0.
+        _assert_quasiextreme_form(builtin_channel("AD", lam), np.arcsin(np.sqrt(lam)), 0.0)
+    for _ in range(200):
+        aff = to_affine(KrausChannel((haar_unitary(rng),)))
+        assert np.abs(aff.T @ aff.T.T - np.eye(3)).max() <= 1e-12
+        assert np.linalg.det(aff.T) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(aff.t).max() <= 1e-12
 
 
 def _random_branch(rng, conditional_x=True):

@@ -11,7 +11,6 @@ from qchansim.matops import (
     bloch_vector,
     dagger,
     density_from_bloch,
-    det3,
     phase_invariant_distance,
 )
 
@@ -41,26 +40,6 @@ def test_phase_invariant_distance_kills_global_phase():
 def test_phase_invariant_distance_rejects_nonunitary():
     with pytest.raises(ValueError):
         phase_invariant_distance(ID2, 1.1 * ID2)
-
-
-def test_det3_matches_numpy_on_random_matrices():
-    rng = np.random.default_rng(3)
-    for i in range(100):
-        m = rng.standard_normal((3, 3))
-        assert det3(m.tolist()) == pytest.approx(np.linalg.det(m), rel=1e-12, abs=1e-14), i
-    assert det3(np.eye(3).tolist()) == 1.0
-    assert det3([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]) == 0.0  # rank 2, exact in floats
-
-
-def test_det3_signs_rotations_and_reflections():
-    # The sign is what the rotation check in the optics reads: +1 on a proper rotation, -1 once a row is flipped.
-    rng = np.random.default_rng(4)
-    for i in range(50):
-        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-        q = q @ np.diag(np.sign(np.diag(r)))
-        q = q if np.linalg.det(q) > 0 else -q
-        assert det3(q.tolist()) == pytest.approx(1.0, abs=1e-14), i
-        assert det3((q * [[1.0], [1.0], [-1.0]]).tolist()) == pytest.approx(-1.0, abs=1e-14), i
 
 
 def test_bloch_round_trip():

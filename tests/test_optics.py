@@ -7,7 +7,6 @@ from qchansim.optics import (
     EulerAngles,
     GateElement,
     WaveplateTriple,
-    bloch_rotation,
     dove,
     dove_pair_for_ry,
     euler_from_su2,
@@ -18,7 +17,6 @@ from qchansim.optics import (
     rot2,
     ry_rotation,
     su2_from_euler,
-    su2_from_rotation,
     triple_to_unitary,
     waveplates_from_euler,
 )
@@ -154,39 +152,6 @@ def test_waveplates_square_to_identity_up_to_phase():
         assert phase_invariant_distance(hwp(angle) @ hwp(angle), ID2) <= 1e-12
         q4 = np.linalg.matrix_power(qwp(angle), 4)
         assert phase_invariant_distance(q4, ID2) <= 1e-12
-
-
-def test_bloch_rotation_round_trip():
-    rng = np.random.default_rng(25)
-    for _ in range(200):
-        u = haar_unitary(rng)
-        r = bloch_rotation(u)
-        assert np.linalg.norm(r @ r.T - np.eye(3)) <= 1e-10
-        assert phase_invariant_distance(su2_from_rotation(r), u) <= 1e-10
-
-
-def _rotation_about(axis, angle):
-    """Rodrigues' rotation by ``angle`` about ``axis``."""
-    x, y, z = axis / np.linalg.norm(axis)
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
-
-
-def test_su2_from_rotation_reproduces_random_rotations_also_near_a_half_turn():
-    # Within 1e-9 of pi the quaternion's scalar part vanishes and the extraction starts from a diagonal entry instead.
-    rng = np.random.default_rng(27)
-    angles = np.concatenate([rng.uniform(-np.pi, np.pi, 100), np.pi - rng.uniform(0.0, 1e-9, 100)])
-    for angle in angles:
-        r = _rotation_about(rng.standard_normal(3), angle)
-        assert np.abs(bloch_rotation(su2_from_rotation(r)) - r).max() <= 1e-14, angle
-
-
-@pytest.mark.parametrize("kind", ["reflection", "not orthogonal", "not finite", "not 3x3"])
-def test_su2_from_rotation_rejects_what_is_not_a_rotation(kind):
-    bad = {"reflection": np.diag([1.0, 1.0, -1.0]), "not orthogonal": np.diag([1.0, 1.0, 1.0 + 1e-7]),
-           "not finite": np.full((3, 3), np.nan), "not 3x3": np.eye(2)}[kind]
-    with pytest.raises(ValueError, match="proper 3x3 rotation"):
-        su2_from_rotation(bad)
 
 
 def test_gate_element_validation():
