@@ -244,9 +244,27 @@ def test_bare_branch_distorts_the_bloch_ball_in_the_quasiextreme_form():
         branch = QuasiExtremeBranch.from_alpha_beta(alpha, beta)
         _assert_quasiextreme_form(plan_to_channel(DecompositionPlan(branch, None, 1.0)), alpha, beta)
         _assert_quasiextreme_form(KrausChannel(tuple(kraus_from_angles(alpha, beta))), alpha, beta)
-    for lam in (0.0, 0.1, 0.5, 0.9):
-        # Amplitude damping is the bare branch at alpha = arcsin(sqrt(lam)), beta = 0.
-        _assert_quasiextreme_form(builtin_channel("AD", lam), np.arcsin(np.sqrt(lam)), 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.9])
+def test_amplitude_damping_is_the_bare_branch_in_the_quasiextreme_form(lam):
+    # alpha = arcsin(sqrt(lam)), beta = 0, so nu = mu = arcsin(sqrt(lam)).
+    _assert_quasiextreme_form(builtin_channel("AD", lam), np.arcsin(np.sqrt(lam)), 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+def test_phase_damping_is_no_bare_branch_but_one_dressed_branch(lam):
+    # PD keeps T_zz = 1 while T_xx T_yy = 1 - lam, so no bare branch has its affine form ...
+    aff = to_affine(builtin_channel("PD", lam))
+    assert aff.T[2, 2] - aff.T[0, 0] * aff.T[1, 1] == pytest.approx(lam, abs=1e-12)
+    # ... but it has two Kraus operators, so stage one reads it as one dressed branch.
+    result = fit_plan(builtin_channel("PD", lam))
+    assert result.starts_used == 0 and result.plan.branch_b is None and result.plan.p == 1.0
+    assert result.residual <= FIT_ROUNDOFF_RESIDUAL
+
+
+def test_to_affine_of_a_unitary_is_a_proper_rotation():
+    rng = np.random.default_rng(25)
     for _ in range(200):
         aff = to_affine(KrausChannel((haar_unitary(rng),)))
         assert np.abs(aff.T @ aff.T.T - np.eye(3)).max() <= 1e-12

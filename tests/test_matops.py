@@ -37,6 +37,18 @@ def test_phase_invariant_distance_kills_global_phase():
         assert phase_invariant_distance(u, np.exp(1j * phi) * u) <= 1e-10
 
 
+def test_phase_invariant_distance_is_the_minimum_over_global_phases():
+    # Against a scan of 3600 phases, refined at its best point by the closed form sqrt(2 d - 2 |Tr(u^dag v)|).
+    rng = np.random.default_rng(2)
+    phis = np.linspace(-np.pi, np.pi, 3600, endpoint=False)
+    for _ in range(50):
+        u, v = haar_unitary(rng), haar_unitary(rng)
+        scan = np.linalg.norm(u[None] - np.exp(1j * phis)[:, None, None] * v[None], axis=(1, 2)).min()
+        got = phase_invariant_distance(u, v)
+        assert got == pytest.approx(np.sqrt(max(4.0 - 2.0 * abs(np.trace(u.conj().T @ v)), 0.0)), abs=1e-12)
+        assert got <= scan + 1e-12 and scan - got <= 2e-3
+
+
 def test_phase_invariant_distance_rejects_nonunitary():
     with pytest.raises(ValueError):
         phase_invariant_distance(ID2, 1.1 * ID2)

@@ -127,6 +127,31 @@ def test_euler_round_trip_random_unitaries():
         assert phase_invariant_distance(su2_from_euler(e), u) <= 1e-10
 
 
+@pytest.mark.parametrize("edge", ["w vanishes", "u vanishes", "w near zero"])
+def test_euler_from_su2_round_trips_at_its_gauge_edges(edge):
+    # |w| <= 1e-14 and |u| <= 1e-14 take their own branches; just above that the general atan2 branch runs.
+    rng = np.random.default_rng(28)
+    for _ in range(100):
+        theta, phase = rng.uniform(-np.pi, np.pi, 2)
+        c, s = np.exp(1j * theta), {"w vanishes": 0.0, "u vanishes": 1.0, "w near zero": 1e-13}[edge]
+        u = np.exp(1j * phase) * np.array([[np.sqrt(1.0 - s * s) * c, -s], [s, np.sqrt(1.0 - s * s) * np.conj(c)]])
+        e = euler_from_su2(u)
+        if edge != "w near zero":
+            assert e.zeta == 0.0
+        assert phase_invariant_distance(su2_from_euler(e), u) <= 1e-12
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1.1 * ID2, "euler_from_su2 requires a unitary input"),
+    (np.full((2, 2), np.nan), "non-finite"),
+    (np.eye(3), "expected a 2x2 matrix"),
+    (np.ones((2, 3)), "expected a square matrix"),
+], ids=["not unitary", "not finite", "not 2x2", "not square"])
+def test_euler_from_su2_rejects_what_is_not_a_2x2_unitary(bad, message):
+    with pytest.raises(ValueError, match=message):
+        euler_from_su2(bad)
+
+
 def test_ry_rotation_examples():
     assert np.allclose(ry_rotation(0.0), ID2, atol=1e-15)
     assert np.allclose(ry_rotation(np.pi) @ np.array([1.0, 0.0]), [0.0, 1.0], atol=1e-12)
