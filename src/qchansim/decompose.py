@@ -325,6 +325,38 @@ def _inv_sqrt_psd(a: float, b: complex, d: float) -> tuple:
 # matrices (the Euclidean Dirac matrices of Cl(5)), so R = sum_g n_g Gamma_g squares to |n|^2 I and is traceless.
 _DIRAC = np.array([np.kron(PAULIS[0], ID2), np.kron(PAULIS[1], ID2), *(np.kron(PAULIS[2], s) for s in PAULIS)])
 _SIGMAS = np.array([ID2, *PAULIS])  # sigma_0 = I, then sigma_x, sigma_y, sigma_z
+# M_kg = Re sum W[(k, g), (i, a, j, c)] G[(i, a), (j, c)] for the Gram matrix G[(i, a), (j, c)] = (K_i^dag K_j)[a, c]
+# of the Kraus columns: W[(k, g), (i, a, j, c)] = sigma_k[c, a] Gamma_g[j, i].
+_SPLIT_W = np.einsum("kca,gji->kgiajc", _SIGMAS, _DIRAC).reshape(20, 64)
+
+
+def _top_eigenvector(z: float, w: complex) -> tuple:
+    """Unit eigenvector (x, y) of the Hermitian [[z, conj w], [w, -z]] for its eigenvalue r = sqrt(z^2 + |w|^2), as
+    two Python numbers: (r + z, w) for z >= 0, else (conj w, r - z), normalised, so no entry cancels and the squared
+    norm is >= r^2.  (1, 0) where z = w = 0.  Its partner (-conj y, conj x) is the unit eigenvector for -r."""
+    r = math.hypot(z, abs(w))
+    x, y = (r + z, w) if z >= 0.0 else (w.conjugate(), r - z)
+    norm = math.hypot(abs(x), abs(y))
+    return (x / norm, y / norm) if norm > 0.0 else (1.0, 0.0)
+
+
+def _dirac_frame(n1: float, n2: float, n3: float, n4: float, n5: float) -> np.ndarray:
+    """The 4x4 unitary of eigenvectors of R = sum_g n_g Gamma_g for a unit n, columns ordered for the eigenvalues
+    -1, -1, 1, 1, in closed form.
+
+    R = [[A, conj c I], [c I, -A]] with A = n_3 sigma_x + n_4 sigma_y + n_5 sigma_z and c = n_1 + i n_2.  For a unit
+    eigenvector u of A, A u = a u with a = +-|(n_3, n_4, n_5)|, R acts on the plane (x u, y u) as the 2x2
+    [[a, conj c], [c, -a]], whose eigenvalues are +-1.  So each column is the Kronecker product of a unit
+    eigenvector of that 2x2 (:func:`_top_eigenvector` and its partner) with u."""
+    c = complex(n1, n2)
+    u0, u1 = _top_eigenvector(n5, complex(n3, n4))  # A = [[n5, n3 - i n4], [n3 + i n4, -n5]]: A u = |m| u
+    v0, v1 = -u1.conjugate(), u0.conjugate()  # A v = -|m| v
+    r = math.hypot(n5, math.hypot(n3, n4))
+    x0, y0 = _top_eigenvector(r, c)  # +1 on (x u, y u)
+    x1, y1 = _top_eigenvector(-r, c)  # +1 on (x v, y v)
+    return np.array([(x * p, x * q, y * p, y * q) for x, y, p, q in (
+        (-y0.conjugate(), x0.conjugate(), u0, u1), (-y1.conjugate(), x1.conjugate(), v0, v1),
+        (x0, y0, u0, u1), (x1, y1, v0, v1))]).T
 
 
 def _kraus_split(kraus):
@@ -336,16 +368,20 @@ def _kraus_split(kraus):
     sigma_0 = I.  For a unit n in R^5, P = (I + R) / 2 with R = sum_g n_g Gamma_g is a rank-2 projector, and trace
     preservation (Tr B_0 = 2, Tr B_k = 0 for k = 1..3) gives Tr(P B_k) = delta_k0 + (M n)_k / 2 with the real 4x5
     M_kg = Tr(B_k Gamma_g) (each B_k is Hermitian).  So for a null vector n of M, sqrt 2 L over the +1 eigenspace Y
-    of R, and likewise over the -1 eigenspace Z, is a trace-preserving pair, and p = 1/2.  The last column of a
-    complete QR of M^T is such an n whatever the rank of M (M = 0 for the fully depolarizing channel).
+    of R, and likewise over the -1 eigenspace Z, is a trace-preserving pair, and p = 1/2.
 
-    Returns the 4x4 unitary [Z Y] of eigenvectors of R and the two halves, over Z then Y, stacked ``(2, 2, 2, 2)``.
+    M is one contraction of the module constant ``_SPLIT_W`` with the Gram matrix C^dag C of the Kraus columns,
+    C[b, (i, a)] = K_i[b, a].  The last column of a complete QR of M^T is a null vector n whatever the rank of M
+    (M = 0 for the fully depolarizing channel).  The eigenframe of R is in closed form (:func:`_dirac_frame`), and
+    the halves are sqrt 2 frame^T times the Kraus set, one matrix product.
+
+    Returns the 4x4 unitary [Z Y] of eigenvectors of R, columns ordered for eigenvalues -1, -1, 1, 1, and the two
+    halves, over Z then Y, stacked ``(2, 2, 2, 2)``.
     """
-    b = np.einsum("kca,iba,jbc->kij", _SIGMAS, kraus.conj(), kraus)
-    m = np.einsum("kij,gji->kg", b, _DIRAC).real
-    n = np.linalg.qr(m.T, mode="complete")[0][:, 4]
-    frame = np.linalg.eigh(np.einsum("g,gij->ij", n, _DIRAC))[1]
-    return frame, math.sqrt(2.0) * np.einsum("ia,ibc->abc", frame, kraus).reshape(2, 2, 2, 2)
+    columns = kraus.transpose(1, 0, 2).reshape(2, 8)
+    m = (_SPLIT_W @ (columns.conj().T @ columns).ravel()).real.reshape(4, 5)
+    frame = _dirac_frame(*np.linalg.qr(m.T, mode="complete")[0][:, 4].tolist())
+    return frame, math.sqrt(2.0) * (frame.T @ kraus.reshape(4, 4)).reshape(2, 2, 2, 2)
 
 
 def fit_plan(ch: KrausChannel) -> FitResult:
@@ -365,7 +401,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     matrix to a target that is slightly off (a Kraus file rounded by hand); the four entries of
     Tr_out J - I are read as Python numbers.  Its eigenvectors scaled by the square roots of their
     eigenvalues are a Kraus set of four, made exactly trace preserving, K -> K (sum K^dag K)^(-1/2),
-    with sum K^dag K and the renormalisation in Python complex arithmetic.  :func:`_kraus_split`
+    with sum K^dag K one 2x8 product and the renormalisation another.  :func:`_kraus_split`
     cuts that set, in closed form, into two trace-preserving pairs whose equal mix is the channel,
     and each pair is read in closed form: the plan mixes the two branches at p = 1/2 and reproduces
     the renormalised set's Choi matrix by construction, with no seed and no retry.  The CPTP check,
@@ -398,18 +434,13 @@ def fit_plan(ch: KrausChannel) -> FitResult:
             rows[2 * i + a][a] -= d0 / 2.0
             rows[2 * i + a][2 + a] -= d1 / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(np.array(rows))
-    # Row i is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi.
-    vecs = (np.sqrt(np.maximum(eigenvalues, 0.0))[:, None] * eigenvectors.T).tolist()
-    a = b = d = 0.0  # sum K^dag K = [[a, b], [conj b, d]]
-    for v0, v1, v2, v3 in vecs:
-        a += (v0.conjugate() * v0 + v1.conjugate() * v1).real
-        b += v0.conjugate() * v2 + v1.conjugate() * v3
-        d += (v2.conjugate() * v2 + v3.conjugate() * v3).real
-    # K -> K M for M = (sum K^dag K)^(-1/2): (K M)[a, j] = K[a, 0] M[0, j] + K[a, 1] M[1, j].
-    m00, m01, m10, m11 = _inv_sqrt_psd(a, b, d)
-    vecs = np.array([(v0 * m00 + v2 * m10, v1 * m00 + v3 * m10, v0 * m01 + v2 * m11, v1 * m01 + v3 * m11)
-                     for v0, v1, v2, v3 in vecs])
-    halves = _kraus_split(vecs.reshape(4, 2, 2).swapaxes(1, 2))[1]
+    # Column i is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi, so x[j, (a, i)] = K_i[a, j].
+    x = (eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0))).reshape(2, 8)
+    # K -> K M for M = (sum K^dag K)^(-1/2), that is x -> M^T x, with sum K^dag K = [[a, b], [conj b, d]] = conj(x) x^T.
+    (a, b), (_, d) = (x.conj() @ x.T).tolist()
+    m00, m01, m10, m11 = _inv_sqrt_psd(a.real, b, d.real)
+    kraus = (np.array(((m00, m10), (m01, m11))) @ x).reshape(2, 2, 4).T
+    halves = _kraus_split(kraus)[1]
     plan = DecompositionPlan(*(_pair_branch(half) for half in halves.reshape(2, 8).tolist()), p=0.5)
     return FitResult(plan=plan, residual=frob_dist(_plan_choi(plan), target), starts_used=1)
 

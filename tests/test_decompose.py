@@ -23,6 +23,7 @@ from qchansim.decompose import (
     _DIRAC,
     _SIGMAS,
     _branch_from_entries,
+    _dirac_frame,
     _kraus_split,
     _pair_branch,
     _plan_choi,
@@ -405,6 +406,22 @@ def test_dirac_matrices_make_every_unit_combination_a_reflection_with_two_plus_o
         n = rng.standard_normal(5)
         r = np.einsum("g,gij->ij", n / np.linalg.norm(n), _DIRAC)
         assert np.allclose(np.linalg.eigvalsh(r), [-1.0, -1.0, 1.0, 1.0], rtol=0.0, atol=1e-14), i
+    # The split reads R's eigenframe in closed form: unitary, with R F = F diag(-1, -1, 1, 1).  Besides random unit n,
+    # the inputs are the edges of the two 2x2 eigenvector choices: +-e_g, n in the (n_1, n_2) plane (m = 0), n_5 < 0,
+    # c = n_1 + i n_2 = 0, and n within 1e-4 to 1e-12 of +-e_g, where the wrong choice of form cancels.
+    plane = np.zeros((24, 5))
+    plane[:, 0], plane[:, 1] = np.cos(np.arange(24) * PI / 12), np.sin(np.arange(24) * PI / 12)
+    below, real = rng.standard_normal((2, 200, 5))
+    below[:, 4] = -np.abs(below[:, 4])
+    real[:, :2] = 0.0
+    axes = np.concatenate([np.eye(5), -np.eye(5)])
+    near = np.concatenate([axes + eps * rng.standard_normal((10, 5)) for eps in (1e-4, 1e-8, 1e-12)])
+    units = np.concatenate([rng.standard_normal((1000, 5)), axes, plane, below, real, near])
+    for i, n in enumerate(units / np.linalg.norm(units, axis=1, keepdims=True)):
+        frame = _dirac_frame(*n.tolist())
+        assert np.abs(frame.conj().T @ frame - np.eye(4)).max() <= 1e-14, i
+        r = np.einsum("g,gij->ij", n, _DIRAC)
+        assert np.abs(r @ frame - frame * [-1.0, -1.0, 1.0, 1.0]).max() <= 1e-14, i
 
 
 @pytest.mark.parametrize("rank", [3, 4])
@@ -595,7 +612,7 @@ def test_fit_plan_scores_one_plan_at_stage_one_on_rounded_two_kraus_files(monkey
         return plan_choi(plan)
 
     monkeypatch.setattr(decompose, "_plan_choi", counting_plan_choi)
-    for i in range(20):
+    for i in range(40):
         ch = random_channel(np.random.default_rng(64000 + i), 1 + i % 2)
         rounded = KrausChannel(tuple(np.round(k, 9) for k in ch.ops))
         floor = validate_channel(rounded).trace_residual / np.sqrt(2.0)
@@ -727,18 +744,23 @@ def test_stage_one_gives_each_half_the_branch_of_its_own_closed_form(monkeypatch
 def test_fit_plan_makes_no_svd_call(monkeypatch, rank):
     import qchansim.channels as channels
 
-    # Every branch comes from the closed form of its Kraus pair: no SVD and no transfer matrix.
-    svd, calls = np.linalg.svd, []
+    # Every branch comes from the closed form of its Kraus pair: no SVD and no transfer matrix.  A split makes one
+    # eigh (of the projected Choi matrix) and one QR (for the null vector; R's eigenframe is in closed form), and a fit
+    # of at most two operators neither.
+    ch, calls = random_channel(np.random.default_rng(40 + rank), rank), []
 
-    def recording_svd(a, *args, **kwargs):
-        calls.append("svd")
-        return svd(a, *args, **kwargs)
+    def recording(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for name in ("svd", "eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
     for name in ("transfer", "pauli_transfer"):
         monkeypatch.setattr(channels, name, lambda *args, name=name: calls.append(name))
-    result = fit_plan(random_channel(np.random.default_rng(40 + rank), rank))
-    assert calls == []
+    result = fit_plan(ch)
+    assert sorted(calls) == ([] if rank <= 2 else ["eigh", "qr"])
     assert result.starts_used == (0 if rank <= 2 else 1) and result.residual <= 1e-13
 
 
