@@ -137,45 +137,38 @@ def choi_from_transfer(s) -> np.ndarray:
 
 
 def validate_channel(ch: KrausChannel) -> CPTPReport:
-    """CPTP diagnostics: never raises, returns residuals and a verdict.  A channel whose transfer matrix overflows
-    (Kraus entries past ~1e154) is not CPTP, with an infinite trace residual and a NaN eigenvalue."""
-    return _cptp_parts(ch)[-1]
-
-
-def _cptp_parts(ch: KrausChannel) -> tuple:
-    """What :func:`validate_channel` computes, for callers that go on with it: the transfer matrix S, the Choi matrix
-    J, its eigenvalues ascending (one ``eigvalsh`` call) and the :class:`CPTPReport`.
-
-    J is one Gram product ``sum_k vec K_k vec K_k^dag`` of the stacked column-major vecs, vec K[2 j + a] = K[a, j]: the
-    products and sums of ``choi_from_transfer(transfer(ch))``, so the same bits, and exactly Hermitian.  S is J's
-    reshuffle.  Where J is not finite (Kraus entries past ~1e154) the eigenvalues are None and no LAPACK call is made:
-    LAPACK fails on such a matrix, and numpy warns on the way."""
-    vecs = np.array(ch.ops).swapaxes(1, 2).reshape(-1, 4)
-    j = np.einsum("ki,kj->ij", vecs, vecs.conj())
-    s = j.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
+    """CPTP diagnostics from J (:func:`_gram_choi`) and one ``eigvalsh``; never raises.  J is positive semidefinite,
+    so ``ok`` is ``trace_residual <= TRACE_TOL``.  A J that is not finite (Kraus entries past ~1e154) gets an infinite
+    residual and a NaN eigenvalue with no LAPACK call: LAPACK fails on it, and numpy warns on the way."""
+    j = _gram_choi(ch)
     if not np.isfinite(j).all():
-        return s, j, None, CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
-    eigenvalues = np.linalg.eigvalsh(j)
-    return s, j, eigenvalues, cptp_report(j, eigenvalues)
+        return CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
+    return cptp_report(j, np.linalg.eigvalsh(j))
+
+
+def _gram_choi(ch: KrausChannel) -> np.ndarray:
+    """J as one Gram product ``sum_k vec K_k vec K_k^dag`` of the stacked column-major vecs, vec K[2 j + a] = K[a, j]:
+    the products and sums of ``choi_from_transfer(transfer(ch))``, so the same bits, and exactly Hermitian."""
+    vecs = np.array(ch.ops).swapaxes(1, 2).reshape(-1, 4)
+    return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
 
 def cptp_report(j, choi_eigenvalues) -> CPTPReport:
-    """:func:`validate_channel`'s report from J and its eigenvalues, ascending as ``eigvalsh`` returns them.
-
-    The trace residual ||Tr_out J - I||_F (TP: Tr_out J = (sum K^dag K)^T = I) is read from the eight entries of J
-    it needs, as Python numbers."""
-    (d00, d01), (d10, d11) = _tp_defect(j.tolist())
-    trace_residual = math.hypot(d00.real, d00.imag, d01.real, d01.imag, d10.real, d10.imag, d11.real, d11.imag)
+    """:func:`validate_channel`'s report from J and its eigenvalues, ascending as ``eigvalsh`` returns them; the
+    trace residual is :func:`_tp_defect`'s."""
+    trace_residual = _tp_defect(j.tolist())[1]
     min_eig = float(choi_eigenvalues[0])
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL
     return CPTPReport(trace_residual=trace_residual, min_choi_eig=min_eig, ok=ok)
 
 
 def _tp_defect(rows) -> tuple:
-    """Tr_out J - I, as the rows of Python complex numbers, of a Choi matrix J given as the rows of its entries
-    (``J.tolist()``); zero for a trace-preserving channel."""
+    """Tr_out J - I (TP: Tr_out J = (sum K^dag K)^T = I) as rows of Python complex numbers, and its Frobenius norm,
+    the trace residual, from the eight entries it needs of J given as its rows (``J.tolist()``)."""
     (j00, _, j02, _), (_, j11, _, j13), (j20, _, j22, _), (_, j31, _, j33) = rows
-    return (j00 + j11 - 1.0, j02 + j13), (j20 + j31, j22 + j33 - 1.0)
+    d00, d01, d10, d11 = j00 + j11 - 1.0, j02 + j13, j20 + j31, j22 + j33 - 1.0
+    residual = math.hypot(d00.real, d00.imag, d01.real, d01.imag, d10.real, d10.imag, d11.real, d11.imag)
+    return ((d00, d01), (d10, d11)), residual
 
 
 def to_affine(ch: KrausChannel) -> AffineRep:

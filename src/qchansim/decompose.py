@@ -31,8 +31,9 @@ import numpy as np
 from .channels import (
     ChannelKind,
     KrausChannel,
+    TRACE_TOL,
     ZERO_OP_TOL,
-    _cptp_parts,
+    _gram_choi,
     _tp_defect,
 )
 from .matops import (
@@ -384,56 +385,62 @@ def _kraus_split(kraus):
     return frame, math.sqrt(2.0) * (frame.T @ kraus.reshape(4, 4)).reshape(2, 2, 2, 2)
 
 
+def _projected_eigh(rows, defect) -> tuple:
+    """``eigh`` of J - (Tr_out J - I) (x) I / 2 for J given as its rows (changed in place) and its trace defect: row
+    (i, a) loses (Tr_out J - I)[i, j] / 2 in column (j, a)."""
+    for i, (d0, d1) in enumerate(defect):
+        for a in (0, 1):
+            rows[2 * i + a][a] -= d0 / 2.0
+            rows[2 * i + a][2 + a] -= d1 / 2.0
+    return np.linalg.eigh(np.array(rows))
+
+
 def fit_plan(ch: KrausChannel) -> FitResult:
     """Two-branch plan of an arbitrary CPTP channel.
 
-    The CPTP check is :func:`qchansim.channels.validate_channel`'s, and its Choi matrix (one Gram product of the Kraus
-    vecs) and eigenvalues serve the rest of the fit.
+    The CPTP verdict is :func:`qchansim.channels.validate_channel`'s, from the trace residual alone: the target's Choi
+    matrix J (one Gram product of the Kraus vecs) is positive semidefinite, so no eigenvalue call can change it.  One
+    ``eigh`` serves the rest: of J' = J - (Tr_out J - I) (x) I / 2, J projected onto the trace-preserving subspace,
+    the nearest trace-preserving matrix to a target that is slightly off (a Kraus file rounded by hand).
 
     Stage one recognizes rotated single-branch channels: a Kraus pair of the target (its own operators when it has at
-    most two, else its top two Choi eigenvectors times the square roots of their eigenvalues) is read in closed form
-    (:func:`_pair_branch`), so any two-Kraus channel lands here with residual at the arithmetic floor.  Its plan is
-    kept within ``FIT_TARGET_RESIDUAL``.  Stage one is skipped when the target's two smallest Choi eigenvalues already
-    put every two-Kraus channel farther away.
+    most two, with no eigh, else the top two eigenvectors of J' times the square roots of their eigenvalues) is read
+    in closed form (:func:`_pair_branch`), so any two-Kraus channel lands here with residual at the arithmetic floor.
+    Its plan is kept within ``FIT_TARGET_RESIDUAL``.  For more operators, stage one is skipped when the two smallest
+    eigenvalues of J' (within half the trace residual of J's, by Weyl) put every two-Kraus channel farther away.
 
-    Stage two splits the target's own Kraus set in two.  The Choi matrix is first projected onto
-    the trace-preserving subspace, J - (Tr_out J - I) (x) I / 2, the nearest trace-preserving
-    matrix to a target that is slightly off (a Kraus file rounded by hand); the four entries of
-    Tr_out J - I are read as Python numbers.  Its eigenvectors scaled by the square roots of their
+    Stage two splits the target's own Kraus set in two.  The eigenvectors of J' scaled by the square roots of their
     eigenvalues are a Kraus set of four, made exactly trace preserving, K -> K (sum K^dag K)^(-1/2),
     with sum K^dag K one 2x8 product and the renormalisation another.  :func:`_kraus_split`
     cuts that set, in closed form, into two trace-preserving pairs whose equal mix is the channel,
     and each pair is read in closed form: the plan mixes the two branches at p = 1/2 and reproduces
-    the renormalised set's Choi matrix by construction, with no seed and no retry.  The CPTP check,
-    the skip of stage one and the residual read the unprojected target.
+    the renormalised set's Choi matrix by construction, with no seed and no retry.  The residual
+    reads the unprojected target.
 
     Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
     the result, not raised.
     """
-    _, target, eigenvalues, report = _cptp_parts(ch)
-    if not report.ok:
+    target = _gram_choi(ch)
+    rows = target.tolist()
+    defect, trace_residual = _tp_defect(rows)
+    if not trace_residual <= TRACE_TOL:  # False also where J is not finite
         raise ValueError("fit_plan requires a CPTP channel")
 
     # A candidate has two Kraus operators, so Choi rank <= 2: by Eckart-Young it is at least the root-sum-square
     # of the target's two smallest |eigenvalues| away, and stage one cannot succeed when that exceeds the target.
-    if math.hypot(*sorted(map(abs, eigenvalues.tolist()))[:2]) <= FIT_TARGET_RESIDUAL:
-        if len(ch.ops) <= 2:
+    projected = None if len(ch.ops) <= 2 else _projected_eigh(rows, defect)
+    if projected is None or math.hypot(*sorted(map(abs, projected[0].tolist()))[:2]) <= FIT_TARGET_RESIDUAL:
+        if projected is None:
             pair = np.array(ch.ops).ravel().tolist() + [0j] * (8 - 4 * len(ch.ops))
-        else:  # the top two Choi eigenvectors times sqrt(lambda): vec K[2 j + a] = K[a, j], as in to_choi
-            w, v = (a.tolist() for a in np.linalg.eigh(target))
+        else:  # the top two eigenvectors of J' times sqrt(lambda): vec K[2 j + a] = K[a, j], as in to_choi
+            w, v = (a.tolist() for a in projected)
             pair = [math.sqrt(max(w[i], 0.0)) * v[m][i] for i in (3, 2) for m in (0, 2, 1, 3)]
         plan = DecompositionPlan(branch_a=_pair_branch(pair), branch_b=None, p=1.0)
         r = frob_dist(_plan_choi(plan), target)
         if r <= FIT_TARGET_RESIDUAL:
             return FitResult(plan=plan, residual=r, starts_used=0)
 
-    # Subtract (Tr_out J - I) (x) I / 2: row (i, a) loses (Tr_out J - I)[i, j] / 2 in column (j, a).
-    rows = target.tolist()
-    for i, (d0, d1) in enumerate(_tp_defect(rows)):
-        for a in (0, 1):
-            rows[2 * i + a][a] -= d0 / 2.0
-            rows[2 * i + a][2 + a] -= d1 / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(np.array(rows))
+    eigenvalues, eigenvectors = _projected_eigh(rows, defect) if projected is None else projected
     # Column i is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi, so x[j, (a, i)] = K_i[a, j].
     x = (eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0))).reshape(2, 8)
     # K -> K M for M = (sum K^dag K)^(-1/2), that is x -> M^T x, with sum K^dag K = [[a, b], [conj b, d]] = conj(x) x^T.

@@ -5,7 +5,8 @@ from conftest import random_channel, random_density, random_kraus_pair_channel
 from qchansim.channels import (
     ChannelKind,
     KrausChannel,
-    _cptp_parts,
+    TRACE_TOL,
+    _gram_choi,
     apply_channel,
     builtin_channel,
     channel_from_json,
@@ -17,8 +18,8 @@ from qchansim.channels import (
     transfer,
     validate_channel,
 )
-from qchansim.decompose import fit_plan
-from qchansim.matops import ID2, PAULIS, bloch_vector, dagger, density_from_bloch
+from qchansim.decompose import fit_plan, plan_to_channel
+from qchansim.matops import ID2, PAULIS, bloch_vector, dagger, density_from_bloch, frob_dist
 
 H = np.array([1.0, 0.0], dtype=complex)
 V = np.array([0.0, 1.0], dtype=complex)
@@ -88,19 +89,66 @@ def test_trace_residual_is_the_norm_of_tr_out_j_minus_identity_within_an_ulp():
 
 
 def test_validate_and_fit_plan_take_one_eigenvalue_call_each(monkeypatch):
-    eigvalsh, calls = np.linalg.eigvalsh, []
+    # validate_channel makes one eigvalsh.  fit_plan makes none: J is positive semidefinite, so its verdict is the
+    # trace residual's.  A stage-one fit of at most two operators reads their pair with no eigh; every other fit makes
+    # one eigh, of the trace-preserving projection, for the skip test and both stages: a split of rank 3 and 4, a
+    # six-operator channel within reach of stage one, and a two-operator file rounded to 9 digits that reaches the
+    # split (the 40 files of test_fit_plan_scores_one_plan_at_stage_one_on_rounded_two_kraus_files, i = 1).
+    near = random_channel(np.random.default_rng(37), 2)
+    cases = [(random_channel(np.random.default_rng(50 + rank), rank), 0 if rank <= 2 else 1) for rank in (1, 2, 3, 4)]
+    cases += [(KrausChannel(tuple(np.sqrt(1.0 - 1e-13) * k for k in near.ops)
+                            + tuple(np.sqrt(1e-13) / 2.0 * s for s in (ID2, *PAULIS))), 0),
+              (KrausChannel(tuple(np.round(k, 9) for k in random_channel(np.random.default_rng(64001), 2).ops)), 1)]
+    counts = {}
 
-    def counting_eigvalsh(a):
-        calls.append(a)
-        return eigvalsh(a)
+    def counting(name, function):
+        def wrapper(a):
+            counts[name] += 1
+            return function(a)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    for rank in (1, 3):
-        ch = random_channel(np.random.default_rng(50 + rank), rank)
-        calls.clear()
-        assert validate_channel(ch).ok and len(calls) == 1
-        fit_plan(ch)
-        assert len(calls) == 2
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    for ch, starts_used in cases:
+        counts.update(eigvalsh=0, eigh=0)
+        assert validate_channel(ch).ok and counts == {"eigvalsh": 1, "eigh": 0}
+        counts.update(eigvalsh=0)
+        assert fit_plan(ch).starts_used == starts_used
+        assert counts == {"eigvalsh": 0, "eigh": 0 if len(ch.ops) <= 2 and starts_used == 0 else 1}
+
+
+def test_fit_plan_refuses_exactly_what_validate_channel_refuses():
+    # fit_plan's verdict is the trace residual's alone; validate_channel's also asks for min_choi_eig >= -1e-8.  They
+    # agree because J = sum vec K vec K^dag is positive semidefinite for every Kraus set.  Seeded sets of 1-6
+    # operators: trace preserving, scaled so that the trace residual |s^2 - 1| sqrt 2 lands just below and just above
+    # TRACE_TOL, and not trace preserving at all; then the two overflowing channels and the one near overflow.
+    rng = np.random.default_rng(7100)
+    channels, scaled = [], []
+    for n in range(1, 7):
+        for _ in range(20):
+            ch = random_channel(rng, n)
+            channels.append(ch)
+            for side in (-1.0, 1.0):
+                for margin in (0.99, 1.01):
+                    s = np.sqrt(1.0 + side * margin * TRACE_TOL / np.sqrt(2.0))
+                    scaled.append((KrausChannel(tuple(s * k for k in ch.ops)), margin < 1.0))
+            ops = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+            channels.append(KrausChannel(tuple(ops * rng.uniform(0.1, 1.0))))
+    channels += [KrausChannel((1e160 * ID2,)), KrausChannel((np.diag([1e160, 0.0]), np.diag([0.0, 1.0]))),
+                 KrausChannel((1.3e154 * ID2,))]
+    for ch, below in scaled:
+        assert (validate_channel(ch).trace_residual <= TRACE_TOL) == below
+    accepted = 0
+    for ch in channels + [ch for ch, _ in scaled]:
+        report = validate_channel(ch)
+        if report.ok:
+            accepted += 1
+            assert report.min_choi_eig >= -1e-14
+            fit_plan(ch)
+        else:
+            with pytest.raises(ValueError, match="requires a CPTP channel"):
+                fit_plan(ch)
+    assert accepted == 120 + 2 * 120
 
 
 def test_validate_reports_an_overflowing_transfer_matrix_without_an_eigenvalue_call(monkeypatch):
@@ -124,10 +172,12 @@ def test_validate_reports_a_finite_transfer_matrix_near_overflow():
     assert not report.ok and report.trace_residual == np.inf and report.min_choi_eig == 0.0
 
 
-def test_cptp_parts_give_the_forms_of_separate_calls_bit_for_bit():
-    # J as one Gram product of the Kraus vecs against transfer, its reshuffle and eigvalsh of the Hermitian part
-    # J / 2 + (J / 2)^dag: the fit benchmark's corpus, the 55 named channel / lambda pairs, seeded Kraus sets of Choi
-    # rank 1-4, a set of five operators and entries of 1.3e154, whose J is finite near the largest float.
+def test_validate_and_fit_plan_give_the_forms_of_separate_calls_bit_for_bit():
+    # J as one Gram product of the Kraus vecs against the reshuffle of transfer, and the report against cptp_report of
+    # that J and eigvalsh of its Hermitian part J / 2 + (J / 2)^dag; fit_plan's residual against the Choi distance of
+    # separate calls, so its own J has to_choi's bits too.  The fit benchmark's corpus, the 55 named channel / lambda
+    # pairs, seeded Kraus sets of Choi rank 1-4, a set of five operators and entries of 1.3e154, whose J is finite
+    # near the largest float.
     rng = np.random.default_rng(2008)
     channels = [random_channel(rng, rank) for rank, count in zip((1, 2, 3, 4), (8, 8, 6, 6)) for _ in range(count)]
     channels += [builtin_channel(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 11)]
@@ -137,15 +187,18 @@ def test_cptp_parts_give_the_forms_of_separate_calls_bit_for_bit():
                  KrausChannel((1.3e154 * ID2,), "near overflow"),
                  KrausChannel((1.3e154 * np.array([[0.6, 0.8j], [0.0, 0.0]]),
                                1.3e154 * np.array([[0.0, 0.0], [0.8, 0.6]])))]
+    fitted = 0
     for ch in channels:
-        s, j, eigenvalues, report = _cptp_parts(ch)
-        s_ref = transfer(ch)
-        j_ref = choi_from_transfer(s_ref)
+        j, j_ref = _gram_choi(ch), choi_from_transfer(transfer(ch))
         half = j_ref / 2.0
-        assert s.tobytes() == s_ref.tobytes() and j.tobytes() == j_ref.tobytes(), ch.label
-        assert np.array_equal(j, j.conj().T), ch.label  # exactly Hermitian
-        assert eigenvalues.tobytes() == np.linalg.eigvalsh(half + half.conj().T).tobytes(), ch.label
-        assert report == cptp_report(j_ref, eigenvalues) == validate_channel(ch)
+        assert j.tobytes() == j_ref.tobytes() and np.array_equal(j, j.conj().T), ch.label  # exactly Hermitian
+        report = validate_channel(ch)
+        assert report == cptp_report(j_ref, np.linalg.eigvalsh(half + half.conj().T)), ch.label
+        if report.ok:
+            fit = fit_plan(ch)
+            assert fit.residual == frob_dist(to_choi(plan_to_channel(fit.plan)), to_choi(ch)), ch.label
+            fitted += 1
+    assert fitted == len(channels) - 2
 
 
 def test_apply_deterministic_flip():

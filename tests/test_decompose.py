@@ -7,6 +7,8 @@ from conftest import haar_unitary, random_channel, random_kraus_pair_channel
 from qchansim.channels import (
     ChannelKind,
     KrausChannel,
+    _gram_choi,
+    _tp_defect,
     builtin_channel,
     to_affine,
     to_choi,
@@ -27,6 +29,7 @@ from qchansim.decompose import (
     _kraus_split,
     _pair_branch,
     _plan_choi,
+    _projected_eigh,
     closed_form_plan,
     fit_plan,
     gammas_from_angles,
@@ -620,6 +623,30 @@ def test_fit_plan_scores_one_plan_at_stage_one_on_rounded_two_kraus_files(monkey
         result = fit_plan(rounded)
         assert result.starts_used <= 1 and len(calls) == 1 + result.starts_used, i
         assert result.residual <= max(FIT_TARGET_RESIDUAL, 2.0 * floor), i
+
+
+def test_rounded_two_kraus_splits_exceed_the_floor_by_what_the_projection_clips():
+    # The split's plan P is trace preserving and J' (the projection of J onto that affine subspace) is J's nearest
+    # point there, so ||P - J||^2 = ||J - J'||^2 + ||P - J'||^2, with ||J - J'|| the floor.  P is also positive
+    # semidefinite, so ||P - J'|| is at least the norm of the negative eigenvalues of J' that the split clips, and the
+    # renormalisation after the clip keeps it within twice their mass: a file whose J' clips nothing lands on its
+    # floor.  The rounded two-Kraus files that reach the split (33 of the 40).
+    split = 0
+    for i in range(40):
+        ch = random_channel(np.random.default_rng(64000 + i), 1 + i % 2)
+        rounded = KrausChannel(tuple(np.round(k, 9) for k in ch.ops))
+        result = fit_plan(rounded)
+        if result.starts_used == 0:
+            continue
+        split += 1
+        rows = _gram_choi(rounded).tolist()
+        defect, trace_residual = _tp_defect(rows)
+        eigenvalues = _projected_eigh(rows, defect)[0]
+        floor, off = trace_residual / np.sqrt(2.0), frob_dist(_plan_choi(result.plan), np.array(rows))
+        clipped = np.minimum(eigenvalues, 0.0)
+        assert abs(result.residual ** 2 - floor ** 2 - off ** 2) <= 1e-5 * floor ** 2, i
+        assert np.linalg.norm(clipped) * (1.0 - 1e-6) <= off <= 2.0 * -clipped.sum() + 1e-3 * floor, (i, off / floor)
+    assert split == 33
 
 
 def test_plan_json_round_trip():
