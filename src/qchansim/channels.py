@@ -121,8 +121,8 @@ def transfer(ch: KrausChannel) -> np.ndarray:
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
-    """sum_i K_i rho K_i^dag for a valid density matrix ``rho``."""
-    rho = assert_density_matrix(rho)
+    """sum_i K_i rho K_i^dag for a valid 2x2 density matrix ``rho``."""
+    rho = assert_density_matrix(rho, dim=2, stack=False)
     return (transfer(ch) @ rho.reshape(4)).reshape(2, 2)
 
 

@@ -196,8 +196,9 @@ def _readout(rho_in, branches, noise: NoiseParams | None) -> np.ndarray:
 
 
 def run_branch(rho_in, branch: QuasiExtremeBranch, noise: NoiseParams | None = None) -> np.ndarray:
-    """Run one branch; returns the 2x2 system state after ancilla readout."""
-    return _readout(assert_density_matrix(rho_in), [branch], noise)[0]
+    """Run one branch; returns the 2x2 system state after ancilla readout, or
+    the stack ``(m, 2, 2)`` of outputs of a stack of states."""
+    return _readout(assert_density_matrix(rho_in, dim=2), [branch], noise)[0]
 
 
 def compile_plan(plan, noise: NoiseParams | None = None) -> np.ndarray:
@@ -227,7 +228,7 @@ def compile_plan(plan, noise: NoiseParams | None = None) -> np.ndarray:
 def simulate_channel(rho_in, plan, noise: NoiseParams | None = None) -> np.ndarray:
     """Apply the compiled circuit, p * branch_a + (1 - p) * branch_b, of one
     plan; a sequence of n plans gives the stack ``(n, 2, 2)`` of outputs."""
-    rho_in = assert_density_matrix(rho_in, dim=2)
+    rho_in = assert_density_matrix(rho_in, dim=2, stack=False)
     single = isinstance(plan, DecompositionPlan)
     out = (compile_plan([plan] if single else plan, noise) @ rho_in.reshape(4)).reshape(-1, 2, 2)
     return out[0] if single else out

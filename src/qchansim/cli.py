@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -147,15 +146,19 @@ def _parse_lambda_grid(text: str) -> list:
 
 
 def _fmt_angle(x: float) -> str:
-    """Render simple rational multiples of pi symbolically."""
-    frac = Fraction(x / np.pi).limit_denominator(24)
-    if abs(x - float(frac) * np.pi) < 1e-9:
-        if frac == 0:
-            return "0"
-        sign = "-" if frac < 0 else ""
-        num, den = abs(frac.numerator), frac.denominator
-        head = "pi" if num == 1 else f"{num}pi"
-        return f"{sign}{head}/{den}" if den != 1 else f"{sign}{head}"
+    """Render simple rational multiples of pi, k pi / q with q <= 24, symbolically.
+
+    Two such fractions lie at least 1 / 576 apart, so the one within 1e-9 of
+    ``x / pi`` is also the closest, and the smallest q finds it in lowest terms.
+    """
+    for den in range(1, 25):
+        num = round(float(x) / np.pi * den)  # a Python int, also for a numpy x
+        if abs(x - num / den * np.pi) < 1e-9:
+            if num == 0:
+                return "0"
+            sign = "-" if num < 0 else ""
+            head = "pi" if abs(num) == 1 else f"{abs(num)}pi"
+            return f"{sign}{head}/{den}" if den != 1 else f"{sign}{head}"
     return f"{x:.10g}"
 
 

@@ -18,6 +18,7 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_STACK = np.array(PAULIS)
+_SQRT_HALF = math.sqrt(0.5)
 
 # Jones matrices of a quarter- and half-wave plate with horizontal fast axis.
 Q0 = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
@@ -30,8 +31,10 @@ def as_cmat(m, dim: int | None = None, stack: bool = False) -> np.ndarray:
     """Coerce to a square complex array with finite entries; with ``stack``,
     to a stack ``(..., d, d)`` of them."""
     a = np.asarray(m, dtype=complex)
-    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not stack and a.ndim != 2:
+        raise ValueError(f"expected one matrix, not a stack of shape {a.shape}")
     if dim is not None and a.shape[-1] != dim:
         raise ValueError(f"expected a {dim}x{dim} matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -118,20 +121,49 @@ def density_from_bloch(r) -> np.ndarray:
     return (ID2 + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0
 
 
-def assert_density_matrix(rho, tol: float = 1e-8, dim: int | None = None) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a state or of every
-    member of a stack ``(..., d, d)``; return the coerced array.
+def assert_density_matrix(rho, tol: float = 1e-8, dim: int | None = None, stack: bool = True) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a state or, unless
+    ``stack`` is false, of every member of a stack ``(..., d, d)``; return the
+    coerced array.  One bad member rejects a stack.
 
-    A stack takes one ``eigvalsh`` call, and one bad member rejects it.
+    Qubit states are checked in closed form from their entries a, b, c, d:
+    ||rho - rho^dag||_F = sqrt(4 Im^2 a + 4 Im^2 d + 2 |b - conj c|^2), the
+    trace a + d, and the least eigenvalue of the Hermitian part,
+    (Re a + Re d) / 2 - hypot((Re a - Re d) / 2, |b + conj c| / 2).  Other
+    sizes take one ``eigvalsh`` call.
     """
-    rho = as_cmat(rho, dim, stack=True)
-    rho_dag = dagger(rho)
-    if np.linalg.norm(rho - rho_dag, axis=(-2, -1)).max() > tol:
+    rho = as_cmat(rho, dim, stack=stack)
+    if rho.shape[-1] == 2:
+        herm, trace_defect, w = _qubit_defects(rho)
+    else:
+        rho_dag = dagger(rho)
+        herm = np.linalg.norm(rho - rho_dag, axis=(-2, -1)).max()
+        trace = np.trace(rho, axis1=-2, axis2=-1)
+        trace_defect = max(abs(trace.real - 1.0).max(), abs(trace.imag).max())
+        w = np.linalg.eigvalsh((rho + rho_dag) / 2.0).min()
+    if herm > tol:
         raise ValueError("density matrix must be Hermitian")
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    if abs(trace.real - 1.0).max() > tol or abs(trace.imag).max() > tol:
+    if trace_defect > tol:
         raise ValueError("density matrix must have unit trace")
-    w = np.linalg.eigvalsh((rho + rho_dag) / 2.0).min()
     if w < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {w:.3g}")
     return rho
+
+
+def _qubit_defects(rho: np.ndarray) -> tuple:
+    """The worst ||rho - rho^dag||_F, |Re Tr rho - 1| and least eigenvalue of
+    the Hermitian part over a stack of 2x2 states, as floats.  Im Tr rho needs
+    no term: ||rho - rho^dag||_F >= sqrt 2 |Im Tr rho|, so a state whose trace
+    is off in its imaginary part has already failed the Hermitian check.
+
+    They are read off the entries of rho / 8, which is exact above the
+    subnormal range, so that no sum or ``hypot`` here can overflow; the
+    worst values are scaled back on Python floats, which round an
+    out-of-range value to inf without a warning.
+    """
+    a, b, c, d = (rho.reshape(-1, 4) * 0.125).T
+    c_bar = c.conj()
+    herm = np.hypot(np.hypot(a.imag, d.imag), np.abs(b - c_bar) * _SQRT_HALF)  # ||rho - rho^dag||_F / 16
+    trace = a.real + d.real  # Re Tr rho / 8
+    least = trace - np.hypot(a.real - d.real, np.abs(b + c_bar))  # the least eigenvalue / 4
+    return 16.0 * float(herm.max()), 8.0 * float(abs(trace - 0.125).max()), 4.0 * float(least.min())

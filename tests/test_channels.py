@@ -225,6 +225,15 @@ def test_apply_rejects_invalid_state():
         apply_channel(builtin_channel("AD", 0.5), np.diag([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("rho, message", [
+    (np.eye(3) / 3.0, r"expected a 2x2 matrix, got shape \(3, 3\)"),
+    (np.array([ID2 / 2.0] * 3), r"expected one matrix, not a stack of shape \(3, 2, 2\)"),
+])
+def test_apply_rejects_a_non_qubit_or_stacked_state_in_one_line(rho, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_channel(builtin_channel("AD", 0.5), rho)
+
+
 def _affine_oracle(ch):
     """Independent affine extraction through Bloch vectors of channel outputs."""
     t = bloch_vector(apply_channel(ch, ID2 / 2.0))

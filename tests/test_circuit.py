@@ -286,6 +286,24 @@ def test_spin_orbit_state_validation():
         apply_noise(PLUS, 1.0)  # a 2x2 system state, not polarization (x) mode
 
 
+@pytest.mark.parametrize("rho, message", [
+    (np.eye(3) / 3.0, r"expected a 2x2 matrix, got shape \(3, 3\)"),
+    (np.array([PLUS] * 3), r"expected one matrix, not a stack of shape \(3, 2, 2\)"),
+])
+def test_simulate_channel_rejects_a_non_qubit_or_stacked_state_in_one_line(rho, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate_channel(rho, closed_form_plan("AD", 0.5))
+
+
+def test_run_branch_rejects_a_non_qubit_state_in_one_line_and_runs_a_stack():
+    branch = closed_form_plan("AD", 0.5).branch_a
+    with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
+        run_branch(np.eye(3) / 3.0, branch)
+    out = run_branch(np.array([PLUS, KET_V]), branch)
+    assert out.shape == (2, 2, 2)
+    assert np.array_equal(out[1], run_branch(KET_V, branch))
+
+
 def test_run_branch_oracle_on_pure_states():
     rng = np.random.default_rng(47)
     plan = closed_form_plan("AD", 0.35)

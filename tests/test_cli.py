@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from conftest import random_channel, random_kraus_pair_channel
 from qchansim import cli
 from qchansim.channels import KrausChannel, apply_channel, builtin_channel, channel_to_json, to_choi
-from qchansim.circuit import NoiseParams, prepare_initial, simulate_channel
+from qchansim.circuit import NoiseParams, apply_noise, prepare_initial, simulate_channel
 from qchansim.cli import main
 from qchansim.decompose import closed_form_plan, plan_from_json, plan_to_channel
 from qchansim.matops import PAULIS, frob_dist
@@ -68,6 +69,68 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    # _fmt_angle finds its fraction of pi by a loop over denominators, so a cold CLI call pays for neither module.
+    code = "import sys; before = set(sys.modules); import qchansim.cli; " \
+           "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def _fraction_fmt_angle(x):
+    """The angle echo as the nearest fraction of pi with denominator at most 24, read by Fraction."""
+    frac = Fraction(x / np.pi).limit_denominator(24)
+    if abs(x - float(frac) * np.pi) < 1e-9:
+        if frac == 0:
+            return "0"
+        sign = "-" if frac < 0 else ""
+        num, den = abs(frac.numerator), frac.denominator
+        head = "pi" if num == 1 else f"{num}pi"
+        return f"{sign}{head}/{den}" if den != 1 else f"{sign}{head}"
+    return f"{x:.10g}"
+
+
+def test_fmt_angle_matches_the_fraction_reference():
+    # Every k pi / q with q <= 24 and |k| <= 48, its negative, +-0.0 and 200 random angles, also as numpy floats.
+    rng = np.random.default_rng(2525)
+    angles = [k * np.pi / q for q in range(1, 25) for k in range(-48, 49)]
+    angles += [-x for x in angles] + [0.0, -0.0] + rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 200).tolist()
+    for x in angles + [np.float64(x) for x in angles[::7]]:
+        assert cli._fmt_angle(x) == _fraction_fmt_angle(x), x
+    assert [cli._fmt_angle(x) for x in (np.pi / 4, -3 * np.pi / 8, 2 * np.pi, -0.0, 0.5)] == [
+        "pi/4", "-3pi/8", "2pi", "0", "0.5"]
+
+
+def test_measured_points_and_a_sweep_block_make_no_eigenvalue_call(monkeypatch):
+    # Every qubit state check is in closed form: a clean and a noisy measured point (circuit, Kraus oracle,
+    # tomography, fidelity and coherence) and a stacked sweep block make no eigvalsh or eigh call.  The 4x4 check of
+    # apply_noise keeps its one eigvalsh.
+    counts = {"eigvalsh": 0, "eigh": 0}
+
+    def counting(name, function):
+        def wrapper(a):
+            counts[name] += 1
+            return function(a)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    rho_in = prepare_initial(np.deg2rad(31.0))
+    plan, oracle = closed_form_plan("BPF", 0.3), builtin_channel("BPF", 0.3)
+    noise = NoiseParams(visibility=0.9, intensity_sigma=0.01, rng_seed=17)
+    for point_noise in (None, noise):
+        rho_sim = simulate_channel(rho_in, plan, noise=point_noise)
+        rho_oracle = apply_channel(oracle, rho_in)
+        recon = reconstruct(forward_intensities(rho_sim, noise=point_noise))
+        fidelity(recon.rho, rho_oracle)
+        coherence(recon.rho)
+    rows = cli._sweep_rows("AD", np.linspace(0.0, 1.0, cli.SWEEP_BLOCK).tolist(), rho_in, noise)
+    assert len(rows) == cli.SWEEP_BLOCK and counts == {"eigvalsh": 0, "eigh": 0}
+    apply_noise(np.kron(rho_in, np.diag([1.0, 0.0])), 0.9)
+    assert counts == {"eigvalsh": 1, "eigh": 0}
 
 
 def test_cli_import_and_a_split_fit_load_no_numpy_random():
