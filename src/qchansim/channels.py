@@ -137,13 +137,15 @@ def choi_from_transfer(s) -> np.ndarray:
 
 
 def validate_channel(ch: KrausChannel) -> CPTPReport:
-    """CPTP diagnostics from J (:func:`_gram_choi`) and one ``eigvalsh``; never raises.  J is positive semidefinite,
-    so ``ok`` is ``trace_residual <= TRACE_TOL``.  A J that is not finite (Kraus entries past ~1e154) gets an infinite
-    residual and a NaN eigenvalue with no LAPACK call: LAPACK fails on it, and numpy warns on the way."""
+    """CPTP diagnostics from J (:func:`_gram_choi`); never raises.  J is positive semidefinite, so ``ok`` is
+    ``trace_residual <= TRACE_TOL``.  J = sum_k vec K_k vec K_k^dag has rank at most the number of operators, so below
+    four its least eigenvalue is exactly 0 and needs no LAPACK call; four or more take one ``eigvalsh``.  A J that is
+    not finite (Kraus entries past ~1e154) gets an infinite residual and a NaN eigenvalue with no LAPACK call: LAPACK
+    fails on it, and numpy warns on the way."""
     j = _gram_choi(ch)
     if not np.isfinite(j).all():
         return CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
-    return cptp_report(j, np.linalg.eigvalsh(j))
+    return cptp_report(j, (0.0,) if len(ch.ops) < 4 else np.linalg.eigvalsh(j))
 
 
 def _gram_choi(ch: KrausChannel) -> np.ndarray:
@@ -154,8 +156,8 @@ def _gram_choi(ch: KrausChannel) -> np.ndarray:
 
 
 def cptp_report(j, choi_eigenvalues) -> CPTPReport:
-    """:func:`validate_channel`'s report from J and its eigenvalues, ascending as ``eigvalsh`` returns them; the
-    trace residual is :func:`_tp_defect`'s."""
+    """:func:`validate_channel`'s report from J and its eigenvalues, ascending as ``eigvalsh`` returns them (only the
+    least is read); the trace residual is :func:`_tp_defect`'s."""
     trace_residual = _tp_defect(j.tolist())[1]
     min_eig = float(choi_eigenvalues[0])
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL

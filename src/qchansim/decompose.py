@@ -360,6 +360,38 @@ def _dirac_frame(n1: float, n2: float, n3: float, n4: float, n5: float) -> np.nd
         (x0, y0, u0, u1), (x1, y1, v0, v1))]).T
 
 
+_NULL_TOL = 1e-15  # the largest |(M n)_k| kept from the minors: each half L has Tr(sigma_k (sum L^dag L - I)) = (M n)_k
+
+
+def _null_vector(m) -> list:
+    """A unit null vector of the real 4x5 M, as five Python floats.
+
+    The five signed 4x4 minors n_g = (-1)^g det(M without column g) give (M n)_k = the determinant of M with row k
+    repeated on top, zero.  Each minor is a Laplace expansion over the 2x2 minors t_pq of rows 0-1 and u_pq of rows
+    2-3 on columns p < q: for columns c0 < c1 < c2 < c3 it is t_c0c1 u_c2c3 - t_c0c2 u_c1c3 + t_c0c3 u_c1c2
+    + t_c1c2 u_c0c3 - t_c1c3 u_c0c2 + t_c2c3 u_c0c1.  They are kept where M n is within ``_NULL_TOL`` of zero.  Where rank M < 4 they vanish
+    (M = 0 for the fully depolarizing channel, a zero row for a Pauli channel in its Pauli frame) and fix no
+    direction, and near it they lose the digits the condition of M costs: there the null vector is the last column
+    of a complete QR of M^T, exact whatever the rank of M."""
+    rows = m.tolist()
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), (d0, d1, d2, d3, d4) = rows
+    t01, t02, t03, t04, t12 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0, a0 * b4 - a4 * b0, a1 * b2 - a2 * b1
+    t13, t14, t23, t24, t34 = a1 * b3 - a3 * b1, a1 * b4 - a4 * b1, a2 * b3 - a3 * b2, a2 * b4 - a4 * b2, a3 * b4 - a4 * b3
+    u01, u02, u03, u04, u12 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0, c0 * d4 - c4 * d0, c1 * d2 - c2 * d1
+    u13, u14, u23, u24, u34 = c1 * d3 - c3 * d1, c1 * d4 - c4 * d1, c2 * d3 - c3 * d2, c2 * d4 - c4 * d2, c3 * d4 - c4 * d3
+    n = [t12 * u34 - t13 * u24 + t14 * u23 + t23 * u14 - t24 * u13 + t34 * u12,
+         -(t02 * u34 - t03 * u24 + t04 * u23 + t23 * u04 - t24 * u03 + t34 * u02),
+         t01 * u34 - t03 * u14 + t04 * u13 + t13 * u04 - t14 * u03 + t34 * u01,
+         -(t01 * u24 - t02 * u14 + t04 * u12 + t12 * u04 - t14 * u02 + t24 * u01),
+         t01 * u23 - t02 * u13 + t03 * u12 + t12 * u03 - t13 * u02 + t23 * u01]
+    norm = math.hypot(*n)
+    if norm > 0.0:
+        n = [g / norm for g in n]
+        if max(abs(sum(x * g for x, g in zip(row, n))) for row in rows) <= _NULL_TOL:
+            return n
+    return np.linalg.qr(m.T, mode="complete")[0][:, 4].tolist()
+
+
 def _kraus_split(kraus):
     """Cut a trace-preserving set of four Kraus operators, stacked ``(4, 2, 2)``, into two trace-preserving pairs
     whose equal mix is the same channel.
@@ -372,50 +404,71 @@ def _kraus_split(kraus):
     of R, and likewise over the -1 eigenspace Z, is a trace-preserving pair, and p = 1/2.
 
     M is one contraction of the module constant ``_SPLIT_W`` with the Gram matrix C^dag C of the Kraus columns,
-    C[b, (i, a)] = K_i[b, a].  The last column of a complete QR of M^T is a null vector n whatever the rank of M
-    (M = 0 for the fully depolarizing channel).  The eigenframe of R is in closed form (:func:`_dirac_frame`), and
-    the halves are sqrt 2 frame^T times the Kraus set, one matrix product.
+    C[b, (i, a)] = K_i[b, a], and n is read off its minors (:func:`_null_vector`).  The eigenframe of R is in closed
+    form (:func:`_dirac_frame`), and the halves are sqrt 2 frame^T times the Kraus set, one matrix product.
 
     Returns the 4x4 unitary [Z Y] of eigenvectors of R, columns ordered for eigenvalues -1, -1, 1, 1, and the two
     halves, over Z then Y, stacked ``(2, 2, 2, 2)``.
     """
     columns = kraus.transpose(1, 0, 2).reshape(2, 8)
     m = (_SPLIT_W @ (columns.conj().T @ columns).ravel()).real.reshape(4, 5)
-    frame = _dirac_frame(*np.linalg.qr(m.T, mode="complete")[0][:, 4].tolist())
+    frame = _dirac_frame(*_null_vector(m))
     return frame, math.sqrt(2.0) * (frame.T @ kraus.reshape(4, 4)).reshape(2, 2, 2, 2)
 
 
-def _projected_eigh(rows, defect) -> tuple:
-    """``eigh`` of J - (Tr_out J - I) (x) I / 2 for J given as its rows (changed in place) and its trace defect: row
-    (i, a) loses (Tr_out J - I)[i, j] / 2 in column (j, a)."""
+def _project(rows, defect) -> list:
+    """The rows of J' = J - (Tr_out J - I) (x) I / 2, for J given as its rows (changed in place and returned) and its
+    trace defect: row (i, a) loses (Tr_out J - I)[i, j] / 2 in column (j, a)."""
     for i, (d0, d1) in enumerate(defect):
         for a in (0, 1):
             rows[2 * i + a][a] -= d0 / 2.0
             rows[2 * i + a][2 + a] -= d1 / 2.0
-    return np.linalg.eigh(np.array(rows))
+    return rows
+
+
+_E3_ROUNDOFF = 1e-13  # e3's round-off: sums of terms up to (Tr J')^3 = 8 land within a few 1e-15 of it
+
+
+def _stage_one_out_of_reach(rows) -> bool:
+    """True where the eigenvalues of the Hermitian, positive semidefinite J', given as its rows, prove with no
+    eigenvalue call that the root-sum-square of the two smallest exceeds ``FIT_TARGET_RESIDUAL`` = t.
+
+    For lambda_1 >= ... >= lambda_4 >= 0, the elementary symmetric functions obey e3 = lambda_1 lambda_2 (lambda_3 +
+    lambda_4) + lambda_3 lambda_4 (lambda_1 + lambda_2) <= (lambda_3 + lambda_4) e2, so e3 > sqrt 2 t e2 gives
+    lambda_3 + lambda_4 > sqrt 2 t and hypot(lambda_3, lambda_4) > t.  The test asks for 4 times that, and for e3 to
+    clear its round-off.  e2 and e3 are the sums of the principal 2x2 and 3x3 minors of J'."""
+    d = [rows[i][i].real for i in range(4)]
+    s = {(i, k): abs(rows[i][k]) ** 2 for i, k in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
+    e2 = sum(d[i] * d[k] - s_ik for (i, k), s_ik in s.items())
+    e3 = sum(d[i] * (d[k] * d[l] - s[k, l]) - d[k] * s[i, l] - d[l] * s[i, k]
+             + 2.0 * (rows[i][k] * rows[k][l] * rows[i][l].conjugate()).real
+             for i, k, l in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+    return e3 > 4.0 * math.sqrt(2.0) * FIT_TARGET_RESIDUAL * e2 + _E3_ROUNDOFF
 
 
 def fit_plan(ch: KrausChannel) -> FitResult:
     """Two-branch plan of an arbitrary CPTP channel.
 
     The CPTP verdict is :func:`qchansim.channels.validate_channel`'s, from the trace residual alone: the target's Choi
-    matrix J (one Gram product of the Kraus vecs) is positive semidefinite, so no eigenvalue call can change it.  One
-    ``eigh`` serves the rest: of J' = J - (Tr_out J - I) (x) I / 2, J projected onto the trace-preserving subspace,
-    the nearest trace-preserving matrix to a target that is slightly off (a Kraus file rounded by hand).
+    matrix J (one Gram product of the Kraus vecs) is positive semidefinite, so no eigenvalue call can change it.  J is
+    projected onto the trace-preserving subspace, J' = J - (Tr_out J - I) (x) I / 2, the nearest trace-preserving
+    matrix to a target that is slightly off (a Kraus file rounded by hand).
 
     Stage one recognizes rotated single-branch channels: a Kraus pair of the target (its own operators when it has at
-    most two, with no eigh, else the top two eigenvectors of J' times the square roots of their eigenvalues) is read
-    in closed form (:func:`_pair_branch`), so any two-Kraus channel lands here with residual at the arithmetic floor.
-    Its plan is kept within ``FIT_TARGET_RESIDUAL``.  For more operators, stage one is skipped when the two smallest
-    eigenvalues of J' (within half the trace residual of J's, by Weyl) put every two-Kraus channel farther away.
+    most two, else the top two eigenvectors of J' times the square roots of their eigenvalues, from one ``eigh``) is
+    read in closed form (:func:`_pair_branch`), so any two-Kraus channel lands here with residual at the arithmetic
+    floor.  Its plan is kept within ``FIT_TARGET_RESIDUAL``.  For more operators, stage one is skipped when the two
+    smallest eigenvalues of J' (within half the trace residual of J's, by Weyl) put every two-Kraus channel farther
+    away.  For three or four operators trace preserving to ``FIT_ROUNDOFF_RESIDUAL``, J''s elementary symmetric
+    functions prove most skips with no ``eigh`` (:func:`_stage_one_out_of_reach`).
 
-    Stage two splits the target's own Kraus set in two.  The eigenvectors of J' scaled by the square roots of their
-    eigenvalues are a Kraus set of four, made exactly trace preserving, K -> K (sum K^dag K)^(-1/2),
-    with sum K^dag K one 2x8 product and the renormalisation another.  :func:`_kraus_split`
-    cuts that set, in closed form, into two trace-preserving pairs whose equal mix is the channel,
-    and each pair is read in closed form: the plan mixes the two branches at p = 1/2 and reproduces
-    the renormalised set's Choi matrix by construction, with no seed and no retry.  The residual
-    reads the unprojected target.
+    Stage two splits a Kraus set of four in two.  It is the target's own operators, padded with zeros, when it has at
+    most four and is trace preserving to ``FIT_ROUNDOFF_RESIDUAL``; else the eigenvectors of J' scaled by the square
+    roots of their eigenvalues.  The set is made exactly trace preserving, K -> K (sum K^dag K)^(-1/2), with
+    sum K^dag K one 2x8 product and the renormalisation another.  :func:`_kraus_split` cuts it, in closed form, into
+    two trace-preserving pairs whose equal mix is the channel, and each pair is read in closed form: the plan mixes
+    the two branches at p = 1/2 and reproduces the renormalised set's Choi matrix by construction, with no seed and
+    no retry.  The residual reads the unprojected target.
 
     Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
     the result, not raised.
@@ -425,24 +478,34 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     defect, trace_residual = _tp_defect(rows)
     if not trace_residual <= TRACE_TOL:  # False also where J is not finite
         raise ValueError("fit_plan requires a CPTP channel")
+    projected = _project(rows, defect)
+    own = len(ch.ops) <= 4 and trace_residual <= FIT_ROUNDOFF_RESIDUAL  # the split takes the target's operators
 
     # A candidate has two Kraus operators, so Choi rank <= 2: by Eckart-Young it is at least the root-sum-square
     # of the target's two smallest |eigenvalues| away, and stage one cannot succeed when that exceeds the target.
-    projected = None if len(ch.ops) <= 2 else _projected_eigh(rows, defect)
-    if projected is None or math.hypot(*sorted(map(abs, projected[0].tolist()))[:2]) <= FIT_TARGET_RESIDUAL:
-        if projected is None:
-            pair = np.array(ch.ops).ravel().tolist() + [0j] * (8 - 4 * len(ch.ops))
-        else:  # the top two eigenvectors of J' times sqrt(lambda): vec K[2 j + a] = K[a, j], as in to_choi
-            w, v = (a.tolist() for a in projected)
+    spectrum, pair = None, None
+    if len(ch.ops) <= 2:
+        pair = np.array(ch.ops).ravel().tolist() + [0j] * (8 - 4 * len(ch.ops))
+    elif not (own and _stage_one_out_of_reach(projected)):
+        spectrum = np.linalg.eigh(np.array(projected))
+        w, v = (a.tolist() for a in spectrum)
+        if math.hypot(*sorted(map(abs, w))[:2]) <= FIT_TARGET_RESIDUAL:
+            # the top two eigenvectors of J' times sqrt(lambda): vec K[2 j + a] = K[a, j], as in to_choi
             pair = [math.sqrt(max(w[i], 0.0)) * v[m][i] for i in (3, 2) for m in (0, 2, 1, 3)]
+    if pair is not None:
         plan = DecompositionPlan(branch_a=_pair_branch(pair), branch_b=None, p=1.0)
         r = frob_dist(_plan_choi(plan), target)
         if r <= FIT_TARGET_RESIDUAL:
             return FitResult(plan=plan, residual=r, starts_used=0)
 
-    eigenvalues, eigenvectors = _projected_eigh(rows, defect) if projected is None else projected
-    # Column i is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi, so x[j, (a, i)] = K_i[a, j].
-    x = (eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0))).reshape(2, 8)
+    # x[j, (a, i)] = K_i[a, j] for the set K_i to split.
+    if own:
+        x = np.zeros((2, 2, 4), dtype=complex)
+        x[..., :len(ch.ops)] = np.array(ch.ops).T
+        x = x.reshape(2, 8)
+    else:  # column i of the eigenvectors is vec K_i, vec K[2 j + a] = K[a, j], as in to_choi
+        eigenvalues, eigenvectors = np.linalg.eigh(np.array(projected)) if spectrum is None else spectrum
+        x = (eigenvectors * np.sqrt(np.maximum(eigenvalues, 0.0))).reshape(2, 8)
     # K -> K M for M = (sum K^dag K)^(-1/2), that is x -> M^T x, with sum K^dag K = [[a, b], [conj b, d]] = conj(x) x^T.
     (a, b), (_, d) = (x.conj() @ x.T).tolist()
     m00, m01, m10, m11 = _inv_sqrt_psd(a.real, b, d.real)

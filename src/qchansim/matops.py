@@ -124,7 +124,8 @@ def density_from_bloch(r) -> np.ndarray:
 def assert_density_matrix(rho, tol: float = 1e-8, dim: int | None = None, stack: bool = True) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a state or, unless
     ``stack`` is false, of every member of a stack ``(..., d, d)``; return the
-    coerced array.  One bad member rejects a stack.
+    coerced array.  One bad member rejects a stack, and so does a stack with
+    no members.
 
     Qubit states are checked in closed form from their entries a, b, c, d:
     ||rho - rho^dag||_F = sqrt(4 Im^2 a + 4 Im^2 d + 2 |b - conj c|^2), the
@@ -133,6 +134,8 @@ def assert_density_matrix(rho, tol: float = 1e-8, dim: int | None = None, stack:
     sizes take one ``eigvalsh`` call.
     """
     rho = as_cmat(rho, dim, stack=stack)
+    if rho.size == 0:
+        raise ValueError(f"expected at least one density matrix, got shape {rho.shape}")
     if rho.shape[-1] == 2:
         herm, trace_defect, w = _qubit_defects(rho)
     else:

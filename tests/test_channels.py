@@ -89,11 +89,13 @@ def test_trace_residual_is_the_norm_of_tr_out_j_minus_identity_within_an_ulp():
 
 
 def test_validate_and_fit_plan_take_one_eigenvalue_call_each(monkeypatch):
-    # validate_channel makes one eigvalsh.  fit_plan makes none: J is positive semidefinite, so its verdict is the
-    # trace residual's.  A stage-one fit of at most two operators reads their pair with no eigh; every other fit makes
-    # one eigh, of the trace-preserving projection, for the skip test and both stages: a split of rank 3 and 4, a
-    # six-operator channel within reach of stage one, and a two-operator file rounded to 9 digits that reaches the
-    # split (the 40 files of test_fit_plan_scores_one_plan_at_stage_one_on_rounded_two_kraus_files, i = 1).
+    # validate_channel makes one eigvalsh for four or more operators and none below four, where J has rank < 4 and
+    # min_choi_eig is 0.  fit_plan makes none for its verdict: J is positive semidefinite, so it is the trace
+    # residual's.  A stage-one fit of at most two operators reads their pair with no eigh, and a trace-preserving split
+    # of rank 3 and 4 proves its skip of stage one and splits its own operators with none.  The rest make one eigh, of
+    # the trace-preserving projection, for the skip test and both stages: a six-operator channel within reach of stage
+    # one, and a two-operator file rounded to 9 digits that reaches the split (the 40 files of
+    # test_fit_plan_scores_one_plan_at_stage_one_on_rounded_two_kraus_files, i = 1).
     near = random_channel(np.random.default_rng(37), 2)
     cases = [(random_channel(np.random.default_rng(50 + rank), rank), 0 if rank <= 2 else 1) for rank in (1, 2, 3, 4)]
     cases += [(KrausChannel(tuple(np.sqrt(1.0 - 1e-13) * k for k in near.ops)
@@ -111,10 +113,10 @@ def test_validate_and_fit_plan_take_one_eigenvalue_call_each(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     for ch, starts_used in cases:
         counts.update(eigvalsh=0, eigh=0)
-        assert validate_channel(ch).ok and counts == {"eigvalsh": 1, "eigh": 0}
+        assert validate_channel(ch).ok and counts == {"eigvalsh": int(len(ch.ops) >= 4), "eigh": 0}
         counts.update(eigvalsh=0)
         assert fit_plan(ch).starts_used == starts_used
-        assert counts == {"eigvalsh": 0, "eigh": 0 if len(ch.ops) <= 2 and starts_used == 0 else 1}
+        assert counts == {"eigvalsh": 0, "eigh": int(len(ch.ops) > 4 or starts_used > 0 and len(ch.ops) <= 2)}
 
 
 def test_fit_plan_refuses_exactly_what_validate_channel_refuses():
@@ -165,6 +167,31 @@ def test_validate_reports_an_overflowing_transfer_matrix_without_an_eigenvalue_c
             fit_plan(ch)
 
 
+def test_validate_makes_no_linalg_call_below_four_operators(monkeypatch):
+    # J = sum_k vec K_k vec K_k^dag has rank at most the number of operators, so below four its least eigenvalue is 0
+    # and validate_channel reports exactly that, with no eigh, eigvalsh, qr, svd or det.  The verdict is the one that
+    # eigvalsh's round-off gives: the named channels on a 0.01 grid of lambda, seeded sets of 1-3 operators, the
+    # same scaled off trace preservation, and a stretch.
+    channels = [builtin_channel(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 101)]
+    rng = np.random.default_rng(7300)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            ch = random_channel(rng, n)
+            channels += [ch, KrausChannel(tuple(1.001 * k for k in ch.ops))]
+    channels.append(KrausChannel((np.diag([1.0, 1.1]),), "stretch"))
+    expected = [cptp_report(to_choi(ch), np.linalg.eigvalsh(to_choi(ch))).ok for ch in channels]
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("numpy.linalg call")
+
+    for name in ("eigh", "eigvalsh", "qr", "svd", "det"):
+        monkeypatch.setattr(np.linalg, name, no_call)
+    for ch, ok in zip(channels, expected):
+        report = validate_channel(ch)
+        assert report.min_choi_eig == 0.0 and report.ok == ok, ch.label
+    assert sum(expected) == 505 + 30
+
+
 def test_validate_reports_a_finite_transfer_matrix_near_overflow():
     # Entries of 1.3e154 keep the transfer matrix finite near 1.7e308, where J + J^dag would overflow; J is exactly
     # Hermitian, so its eigenvalues are computed without that sum, and no numpy warning is raised.
@@ -174,8 +201,8 @@ def test_validate_reports_a_finite_transfer_matrix_near_overflow():
 
 def test_validate_and_fit_plan_give_the_forms_of_separate_calls_bit_for_bit():
     # J as one Gram product of the Kraus vecs against the reshuffle of transfer, and the report against cptp_report of
-    # that J and eigvalsh of its Hermitian part J / 2 + (J / 2)^dag; fit_plan's residual against the Choi distance of
-    # separate calls, so its own J has to_choi's bits too.  The fit benchmark's corpus, the 55 named channel / lambda
+    # that J and eigvalsh of its Hermitian part J / 2 + (J / 2)^dag, or of the eigenvalue 0 below four operators;
+    # fit_plan's residual against the Choi distance of separate calls, so its own J has to_choi's bits too.  The fit benchmark's corpus, the 55 named channel / lambda
     # pairs, seeded Kraus sets of Choi rank 1-4, a set of five operators and entries of 1.3e154, whose J is finite
     # near the largest float.
     rng = np.random.default_rng(2008)
@@ -193,7 +220,8 @@ def test_validate_and_fit_plan_give_the_forms_of_separate_calls_bit_for_bit():
         half = j_ref / 2.0
         assert j.tobytes() == j_ref.tobytes() and np.array_equal(j, j.conj().T), ch.label  # exactly Hermitian
         report = validate_channel(ch)
-        assert report == cptp_report(j_ref, np.linalg.eigvalsh(half + half.conj().T)), ch.label
+        least = np.linalg.eigvalsh(half + half.conj().T) if len(ch.ops) >= 4 else (0.0,)
+        assert report == cptp_report(j_ref, least), ch.label
         if report.ok:
             fit = fit_plan(ch)
             assert fit.residual == frob_dist(to_choi(plan_to_channel(fit.plan)), to_choi(ch)), ch.label

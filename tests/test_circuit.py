@@ -94,6 +94,21 @@ def test_tbs_pi_phase_swaps_ports():
     assert np.allclose(lpi, k0, atol=1e-12)
 
 
+def test_tbs_piezo_phase_rides_the_transmitted_arm_as_exp_i_delta():
+    # The transmitted arm, net I (x) H0, is the difference K - L of the ports and carries exp(+i delta); the reflected
+    # arm, K + L, carries none.  So a mode-v photon, on which H0 is -1, leaves the even port with amplitude
+    # (1 - exp(i delta)) / 2 and the odd port with (1 + exp(i delta)) / 2.
+    k0, l0 = tbs_transfer(0.0)
+    hv = np.array([0.0, 1.0, 0.0, 0.0])
+    for delta in (0.3, np.pi / 2, 2.0, -1.1):
+        k_op, l_op = tbs_transfer(delta)
+        phase = np.exp(1j * delta)
+        assert np.abs(k_op - l_op - phase * (k0 - l0)).max() <= 1e-15
+        assert np.abs(k_op + l_op - (k0 + l0)).max() <= 1e-15
+        assert np.abs(k_op @ hv - (1.0 - phase) / 2.0 * hv).max() <= 1e-15
+        assert np.abs(l_op @ hv - (1.0 + phase) / 2.0 * hv).max() <= 1e-15
+
+
 def test_tbs_port_completeness():
     for delta in np.linspace(0.0, 2 * np.pi, 9):
         k_op, l_op = tbs_transfer(delta)

@@ -27,9 +27,11 @@ from qchansim.decompose import (
     _branch_from_entries,
     _dirac_frame,
     _kraus_split,
+    _null_vector,
     _pair_branch,
     _plan_choi,
-    _projected_eigh,
+    _project,
+    _stage_one_out_of_reach,
     closed_form_plan,
     fit_plan,
     gammas_from_angles,
@@ -396,6 +398,39 @@ def test_kraus_split_frame_stays_unitary(kind):
         assert np.abs(recovered - kraus).max() <= 1e-14, n
 
 
+def test_null_vector_reads_the_signed_minors_and_keeps_qr_where_they_vanish(monkeypatch):
+    # An M of rank 4 and of the split's scale takes its null vector from its five signed 4x4 minors with no QR: n_g is
+    # (-1)^g det(M without column g), normalised, so a wrong Laplace sign would leave M n off zero and reach the QR.
+    # Where the minors vanish (M = 0, a zero row as for a Pauli channel in its Pauli frame, rank 3) or lose digits
+    # (rank 4 within 1e-10 of rank 3), the null vector is the QR's: one call, and M n within round-off of zero.
+    qr, qr_calls = np.linalg.qr, []
+
+    def counting_qr(a, mode):
+        qr_calls.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    rng = np.random.default_rng(4100)
+    for i in range(200):  # singular values in [0.1, 2], as for the split of a trace-preserving set
+        u, _, vt = np.linalg.svd(rng.standard_normal((4, 5)), full_matrices=False)
+        m = (u * rng.uniform(0.1, 2.0, 4)) @ vt
+        n = _null_vector(m)
+        minors = [(-1) ** g * np.linalg.det(np.delete(m, g, axis=1)) for g in range(5)]
+        assert qr_calls == [] and abs(np.linalg.norm(n) - 1.0) <= 1e-15, i
+        assert np.abs(m @ n).max() <= 1e-15 and np.allclose(n, minors / np.linalg.norm(minors), rtol=0.0,
+                                                           atol=1e-13), i
+    zero_row = rng.standard_normal((4, 5))
+    zero_row[3] = 0.0
+    u, _, vt = np.linalg.svd(rng.standard_normal((4, 5)), full_matrices=False)
+    deficient = [np.zeros((4, 5)), zero_row, rng.standard_normal((4, 3)) @ rng.standard_normal((3, 5)),
+                 (u * [1.0, 0.7, 0.4, 1e-10]) @ vt]
+    for i, m in enumerate(deficient):
+        qr_calls.clear()
+        n = _null_vector(m)
+        assert qr_calls == ["complete"] and abs(np.linalg.norm(n) - 1.0) <= 1e-15, i
+        assert np.abs(m @ n).max() <= 1e-15, i
+
+
 def test_dirac_matrices_make_every_unit_combination_a_reflection_with_two_plus_one_eigenvalues():
     # The split rests on the five Gamma_g being Hermitian and pairwise anticommuting with Gamma_g^2 = I: then
     # R = sum n_g Gamma_g squares to |n|^2 I and is traceless, so (I + R) / 2 is a rank-2 projector for a unit n.
@@ -641,7 +676,7 @@ def test_rounded_two_kraus_splits_exceed_the_floor_by_what_the_projection_clips(
         split += 1
         rows = _gram_choi(rounded).tolist()
         defect, trace_residual = _tp_defect(rows)
-        eigenvalues = _projected_eigh(rows, defect)[0]
+        eigenvalues = np.linalg.eigvalsh(np.array(_project(rows, defect)))
         floor, off = trace_residual / np.sqrt(2.0), frob_dist(_plan_choi(result.plan), np.array(rows))
         clipped = np.minimum(eigenvalues, 0.0)
         assert abs(result.residual ** 2 - floor ** 2 - off ** 2) <= 1e-5 * floor ** 2, i
@@ -729,6 +764,56 @@ def test_fit_plan_skips_stage_one_where_no_two_kraus_plan_is_close_enough(monkey
     assert len(read) == 1 and frob_dist(read[0], to_choi(ch)) <= 1e-12
 
 
+def _near_the_skip_threshold(ops_a, ops_b, ratio):
+    """(1 - delta) of the two-Kraus channel ``ops_a`` plus delta of ``ops_b`` (one or two operators), exactly trace
+    preserving, with delta set so that the root-sum-square of the two smallest eigenvalues of J' is ``ratio`` times
+    FIT_TARGET_RESIDUAL; and J''s rows and eigenvalues."""
+    delta = 1e-9
+    for _ in range(4):  # that root-sum-square grows about linearly in delta
+        ch = KrausChannel(tuple(np.sqrt(1.0 - delta) * k for k in ops_a) + tuple(np.sqrt(delta) * k for k in ops_b))
+        rows = _gram_choi(ch).tolist()
+        rows = _project(rows, _tp_defect(rows)[0])
+        eigenvalues = np.linalg.eigvalsh(np.array(rows))
+        delta *= ratio * FIT_TARGET_RESIDUAL / np.hypot(*sorted(np.abs(eigenvalues))[:2])
+    return ch, rows, eigenvalues
+
+
+def test_stage_one_skip_at_its_threshold_matches_the_eigh_decision(monkeypatch):
+    import qchansim.decompose as decompose
+
+    # Exactly trace-preserving sets of three and four operators whose two smallest eigenvalues of J' have a
+    # root-sum-square of 0.5-16 times FIT_TARGET_RESIDUAL = t.  Stage one is tried exactly where that is at most t;
+    # the closed-form skip (from e2 and e3) claims none of those and proves the skip from 8 t on; and the plan and
+    # stage marker are those of the eigh decision alone, bit for bit.  At 0.5 t stage one keeps its plan; from 0.9 t
+    # on its plan misses, or it is skipped, and the split serves.
+    scored = []
+    plan_choi = decompose._plan_choi
+
+    def counting_plan_choi(plan):
+        scored.append(plan)
+        return plan_choi(plan)
+
+    monkeypatch.setattr(decompose, "_plan_choi", counting_plan_choi)
+    for n_b in (1, 2):
+        for seed in range(3):
+            rng = np.random.default_rng(4200 + 10 * n_b + seed)
+            ops_a, ops_b = random_channel(rng, 2).ops, random_channel(rng, n_b).ops
+            for ratio in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 4.0, 8.0, 16.0):
+                ch, rows, eigenvalues = _near_the_skip_threshold(ops_a, ops_b, ratio)
+                tries = np.hypot(*sorted(np.abs(eigenvalues))[:2]) <= FIT_TARGET_RESIDUAL
+                assert len(ch.ops) == 2 + n_b and validate_channel(ch).trace_residual <= FIT_ROUNDOFF_RESIDUAL
+                assert tries == (ratio < 1.0) and _stage_one_out_of_reach(rows) == (ratio >= 8.0), (n_b, seed, ratio)
+                scored.clear()
+                result = fit_plan(ch)
+                tried = result.starts_used == 0 or len(scored) == 2
+                assert tried == tries and result.starts_used == (ratio > 0.5), (n_b, seed, ratio)
+                with monkeypatch.context() as eigh_only:
+                    eigh_only.setattr(decompose, "_stage_one_out_of_reach", lambda rows: False)
+                    reference = fit_plan(ch)
+                assert (result.starts_used, result.residual) == (reference.starts_used, reference.residual)
+                assert plan_to_json(result.plan) == plan_to_json(reference.plan), (n_b, seed, ratio)
+
+
 def _fit_corpus(rank):
     """The channels of one Choi rank in the ``fit`` benchmark corpus (perfbench/inputs.py ``fit_corpus``: seed 2008,
     ranks 1-4 drawn 8/8/6/6 in turn from one stream)."""
@@ -771,9 +856,9 @@ def test_stage_one_gives_each_half_the_branch_of_its_own_closed_form(monkeypatch
 def test_fit_plan_makes_no_svd_call(monkeypatch, rank):
     import qchansim.channels as channels
 
-    # Every branch comes from the closed form of its Kraus pair: no SVD and no transfer matrix.  A split makes one
-    # eigh (of the projected Choi matrix) and one QR (for the null vector; R's eigenframe is in closed form), and a fit
-    # of at most two operators neither.
+    # Every branch comes from the closed form of its Kraus pair: no SVD and no transfer matrix.  A trace-preserving
+    # split of three or four operators proves its skip of stage one and reads M's null vector off its minors, so it
+    # makes no eigh and no QR either (R's eigenframe is in closed form), and neither does a fit of at most two.
     ch, calls = random_channel(np.random.default_rng(40 + rank), rank), []
 
     def recording(name, function):
@@ -787,8 +872,25 @@ def test_fit_plan_makes_no_svd_call(monkeypatch, rank):
     for name in ("transfer", "pauli_transfer"):
         monkeypatch.setattr(channels, name, lambda *args, name=name: calls.append(name))
     result = fit_plan(ch)
-    assert sorted(calls) == ([] if rank <= 2 else ["eigh", "qr"])
+    assert calls == []
     assert result.starts_used == (0 if rank <= 2 else 1) and result.residual <= 1e-13
+
+
+def test_fit_plan_of_a_trace_preserving_three_or_four_operator_set_makes_no_linalg_call(monkeypatch):
+    # Far from rank 2, the skip of stage one is proven from e2 and e3 of J', the split takes the set's own operators,
+    # and M has rank 4, so its null vector is read off its minors: no eigh, eigvalsh, qr, svd or det.  The split is an
+    # equal mix that reproduces the target to round-off.
+    channels = [random_channel(np.random.default_rng(4300 + 10 * rank + i), rank) for rank in (3, 4) for i in range(20)]
+    channels += _fit_corpus(3) + _fit_corpus(4)
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("numpy.linalg call")
+
+    for name in ("eigh", "eigvalsh", "qr", "svd", "det"):
+        monkeypatch.setattr(np.linalg, name, no_call)
+    for i, ch in enumerate(channels):
+        result = fit_plan(ch)
+        assert result.starts_used == 1 and result.plan.p == 0.5 and result.residual <= 1e-14, i
 
 
 def test_branch_from_entries_is_the_public_constructor_with_its_checks():

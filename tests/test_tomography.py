@@ -3,7 +3,7 @@ import pytest
 
 from conftest import haar_unitary, random_density, random_pure
 from qchansim.circuit import NoiseParams
-from qchansim.matops import ID2, bloch_vector, dagger, density_from_bloch
+from qchansim.matops import ID2, assert_density_matrix, bloch_vector, dagger, density_from_bloch
 from qchansim.tomography import (
     Basis,
     DarkBasisError,
@@ -256,3 +256,15 @@ def test_stacked_probabilities_name_the_first_dark_basis():
         _port_a_probabilities(TomographyRecord(hv=lit, da=dark, lr=dark))
     pa = _port_a_probabilities(TomographyRecord(hv=lit, da=lit, lr=lit))
     assert np.array_equal(pa[:, 1], [1.0, 0.5])  # DA is column 1 in Basis order
+
+
+def test_empty_stacks_are_rejected_with_one_line():
+    # A stack with no members has no state to check or measure: each entry point rejects it with its own one-line
+    # ValueError, not numpy's complaint about reducing a zero-size array.
+    empty = np.zeros((0, 2, 2))
+    one = np.array([random_density(np.random.default_rng(60))])
+    calls = [lambda: assert_density_matrix(empty), lambda: forward_intensities(empty), lambda: fidelity(empty, empty),
+             lambda: fidelity(one, empty), lambda: coherence(empty)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^expected at least one density matrix, got shape \(0, 2, 2\)$"):
+            call()

@@ -9,7 +9,8 @@ Each corpus prints one markdown table row: its size; misses (residual above
 ``FIT_TARGET_RESIDUAL``); unconverged channels (residual above ``CONVERGED_RESIDUAL``,
 on which ``qchansim decompose`` exits 3); the worst residual; the share of fits that reach
 stage two, the closed-form split (the stage marker ``FitResult.starts_used`` is 0 for a
-stage-one plan and 1 for a split); and the p50 / p90 wall time of one ``fit_plan`` call in ms.  A corpus with misses adds a line naming each missed channel's
+stage-one plan and 1 for a split); the number of fits that made any ``numpy.linalg`` call; and the p50 / p90 wall
+time of one ``fit_plan`` call in ms.  A corpus with misses adds a line naming each missed channel's
 index and residual, with a ``*`` on the unconverged ones.  The exit status is 1 when any channel is
 unconverged, when any corpus but ``rounded`` has a miss or a worst residual above
 ``FIT_ROUNDOFF_RESIDUAL`` (1e-11: those corpora fit to round-off, at most a few 1e-15, so
@@ -47,6 +48,7 @@ Residuals and stage markers are deterministic; the times spread with the host.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -142,15 +144,38 @@ CORPORA = {
 }
 
 
+@contextlib.contextmanager
+def _counted_linalg():
+    """Count the calls of every ``numpy.linalg`` function made in the block; yields a one-item list holding the count."""
+    count, saved = [0], {name: getattr(np.linalg, name) for name in np.linalg.__all__}
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name, function in saved.items():
+        if callable(function) and not isinstance(function, type):
+            setattr(np.linalg, name, counted(function))
+    try:
+        yield count
+    finally:
+        for name, function in saved.items():
+            setattr(np.linalg, name, function)
+
+
 def run(name):
     """Fit every channel of corpus ``name``; return its table row, note lines, miss and unconverged counts, the
     worst residual, and the number of plans that do not have their stage's shape."""
-    residuals, stage_two, misshapen, ms, floor_ratios = {}, [], 0, [], []
+    residuals, stage_two, misshapen, ms, floor_ratios, linalg_fits = {}, [], 0, [], [], 0
     for i, ops in CORPORA[name]().items():
         ch = KrausChannel(tuple(np.asarray(k, dtype=complex) for k in ops), f"{name} {i}")
-        t0 = time.perf_counter()
-        result = decompose.fit_plan(ch)
-        ms.append(1e3 * (time.perf_counter() - t0))
+        with _counted_linalg() as linalg_calls:
+            t0 = time.perf_counter()
+            result = decompose.fit_plan(ch)
+            ms.append(1e3 * (time.perf_counter() - t0))
+        linalg_fits += linalg_calls[0] > 0
         residuals[i] = result.residual
         plan = result.plan
         stage_two.append(result.starts_used == 1)
@@ -162,7 +187,7 @@ def run(name):
     unconverged = sum(residuals[i] > decompose.CONVERGED_RESIDUAL for i in misses)
     p50, p90 = np.percentile(ms, [50, 90])
     row = (f"| {name} | {len(residuals)} | {len(misses)} | {unconverged} | {max(residuals.values()):.1e} "
-           f"| {np.mean(stage_two):.2f} | {p50:.1f} / {p90:.1f} |")
+           f"| {np.mean(stage_two):.2f} | {linalg_fits} | {p50:.1f} / {p90:.1f} |")
     listed = ", ".join(f"{i} ({residuals[i]:.1e}{'*' if residuals[i] > decompose.CONVERGED_RESIDUAL else ''})"
                        for i in misses)
     notes = [f"{name} misses, * unconverged: {listed}"] if misses else []
@@ -180,8 +205,8 @@ def main(argv=None):
     unknown = [name for name in names if name not in CORPORA]
     if unknown:
         parser.error(f"unknown corpus: {', '.join(unknown)}")
-    print("| Corpus | n | Misses | Unconverged | Worst residual | Stage two, share | p50 / p90 ms |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
+    print("| Corpus | n | Misses | Unconverged | Worst residual | Stage two, share | numpy.linalg fits | p50 / p90 ms |")
+    print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     notes, failed = [], False
     for name in names:
         row, corpus_notes, misses, unconverged, worst, misshapen = run(name)
