@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -50,16 +50,24 @@ class ChannelKind(str, Enum):
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """An ordered set of 2x2 Kraus operators with a human-readable label."""
+    """An ordered set of 2x2 Kraus operators with a human-readable label.
+
+    The operators are kept as one read-only stacked copy, so a later write to the caller's arrays cannot change the
+    channel.  The Choi matrix J = sum_k vec K_k vec K_k^dag is formed once, here (:func:`to_choi` returns it, read-only,
+    and :func:`transfer` reshuffles it); it takes no part in ``repr`` or ``==``."""
 
     ops: tuple
     label: str = ""
+    _choi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        coerced = tuple(as_cmat(k, 2) for k in self.ops)
-        object.__setattr__(self, "ops", coerced)
+        stacked = np.array([as_cmat(k, 2) for k in self.ops])
+        choi = _gram(stacked.swapaxes(1, 2).reshape(-1, 4))  # column-major vecs, vec K[2 j + a] = K[a, j]
+        stacked.flags.writeable = choi.flags.writeable = False
+        object.__setattr__(self, "ops", tuple(stacked))
+        object.__setattr__(self, "_choi", choi)
 
 
 @dataclass(frozen=True)
@@ -114,10 +122,9 @@ def builtin_channel(kind: ChannelKind | str, lam: float) -> KrausChannel:
 
 
 def transfer(ch: KrausChannel) -> np.ndarray:
-    """Superoperator S = sum_i K_i (x) conj(K_i), so vec(E(rho)) = S vec(rho)
-    for row-major vec.  Every other form of the channel derives from S."""
-    ops = np.asarray(ch.ops)
-    return np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
+    """Superoperator S = sum_i K_i (x) conj(K_i), so vec(E(rho)) = S vec(rho) for row-major vec: the reshuffle
+    S[(a,b),(i,j)] = J[(i,a),(j,b)] of the channel's Choi matrix, formed when the channel was built."""
+    return ch._choi.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
 
 
 def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
@@ -127,39 +134,27 @@ def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
 
 
 def to_choi(ch: KrausChannel) -> np.ndarray:
-    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|); Tr J = 2 when E is TP."""
-    return choi_from_transfer(transfer(ch))
+    """Choi matrix J = sum_ij |i><j| (x) E(|i><j|), read-only; Tr J = 2 when E is TP."""
+    return ch._choi
 
 
-def choi_from_transfer(s) -> np.ndarray:
-    """The reshuffle J[(i,a),(j,b)] = S[(a,b),(i,j)] of a transfer matrix: its Choi matrix."""
-    return s.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1).reshape(4, 4)
-
-
-def validate_channel(ch: KrausChannel) -> CPTPReport:
-    """CPTP diagnostics from J (:func:`_gram_choi`); never raises.  J is positive semidefinite, so ``ok`` is
-    ``trace_residual <= TRACE_TOL``.  J = sum_k vec K_k vec K_k^dag has rank at most the number of operators, so below
-    four its least eigenvalue is exactly 0 and needs no LAPACK call; four or more take one ``eigvalsh``.  A J that is
-    not finite (Kraus entries past ~1e154) gets an infinite residual and a NaN eigenvalue with no LAPACK call: LAPACK
-    fails on it, and numpy warns on the way."""
-    j = _gram_choi(ch)
-    if not np.isfinite(j).all():
-        return CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
-    return cptp_report(j, (0.0,) if len(ch.ops) < 4 else np.linalg.eigvalsh(j))
-
-
-def _gram_choi(ch: KrausChannel) -> np.ndarray:
-    """J as one Gram product ``sum_k vec K_k vec K_k^dag`` of the stacked column-major vecs, vec K[2 j + a] = K[a, j]:
-    the products and sums of ``choi_from_transfer(transfer(ch))``, so the same bits, and exactly Hermitian."""
-    vecs = np.array(ch.ops).swapaxes(1, 2).reshape(-1, 4)
+def _gram(vecs) -> np.ndarray:
+    """The Gram product ``sum_k vec K_k vec K_k^dag`` of Kraus vecs stacked ``(n, 4)``: a Choi matrix, exactly
+    Hermitian."""
     return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
 
-def cptp_report(j, choi_eigenvalues) -> CPTPReport:
-    """:func:`validate_channel`'s report from J and its eigenvalues, ascending as ``eigvalsh`` returns them (only the
-    least is read); the trace residual is :func:`_tp_defect`'s."""
+def validate_channel(ch: KrausChannel) -> CPTPReport:
+    """CPTP diagnostics from the channel's Choi matrix J; never raises.  J is positive semidefinite, so ``ok`` is
+    ``trace_residual <= TRACE_TOL``, the Frobenius norm of Tr_out J - I (:func:`_tp_defect`).  J = sum_k vec K_k
+    vec K_k^dag has rank at most the number of operators, so below four its least eigenvalue is exactly 0 and needs no
+    LAPACK call; four or more take one ``eigvalsh``.  A J that is not finite (Kraus entries past ~1e154) gets an
+    infinite residual and a NaN eigenvalue with no LAPACK call: LAPACK fails on it, and numpy warns on the way."""
+    j = ch._choi
+    if not np.isfinite(j).all():
+        return CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
     trace_residual = _tp_defect(j.tolist())[1]
-    min_eig = float(choi_eigenvalues[0])
+    min_eig = 0.0 if len(ch.ops) < 4 else float(np.linalg.eigvalsh(j)[0])
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL
     return CPTPReport(trace_residual=trace_residual, min_choi_eig=min_eig, ok=ok)
 

@@ -35,7 +35,7 @@ from .matops import (
     assert_density_matrix,
     dagger,
 )
-from .optics import GateElement, _gate, _waveplate_angles, dove_pair_for_ry, ry_rotation
+from .optics import GateElement, _waveplate_angles, dove_pair_for_ry, ry_rotation
 
 BASIS_LABELS = ("Hh", "Hv", "Vh", "Vv")
 
@@ -245,8 +245,8 @@ def gates_for_branch(branch: QuasiExtremeBranch) -> list[GateElement]:
     dressing unitaries (skipped when they equal the identity up to phase);
     elements appear in beam order.
     """
-    gates = [_DP0, _gate("DP", dove_pair_for_ry(branch.gamma1)), *_waveplates(branch.Uprime), _CNOT_GATE,
-             _DP0, _gate("DP", dove_pair_for_ry(branch.gamma2)), _TBS_GATE]
+    gates = [_DP0, GateElement("DP", dove_pair_for_ry(branch.gamma1)), *_waveplates(branch.Uprime), _CNOT_GATE,
+             _DP0, GateElement("DP", dove_pair_for_ry(branch.gamma2)), _TBS_GATE]
     if branch.conditional_x:
         gates.append(_CONDX_GATE)
     return gates + _waveplates(branch.U)
@@ -261,4 +261,4 @@ def _waveplates(u) -> list[GateElement]:
     if angles is None:
         return []
     eta1, tau, eta2 = angles
-    return [_gate("QWP", eta2), _gate("HWP", tau), _gate("QWP", eta1)]
+    return [GateElement("QWP", eta2), GateElement("HWP", tau), GateElement("QWP", eta1)]

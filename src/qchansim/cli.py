@@ -36,8 +36,8 @@ from .channels import (
 )
 from .circuit import NoiseParams, gates_for_branch, prepare_initial, simulate_channel
 from .decompose import DecompositionPlan, closed_form_plan, fit_plan, plan_to_json
-from .matops import ID2, bloch_vector, complex_to_pairs, frob_dist
-from .optics import gate_list_to_json
+from .matops import bloch_vector, complex_to_pairs
+from .optics import _is_identity_up_to_phase, gate_list_to_json
 from .tomography import (
     DarkBasisError,
     coherence,
@@ -259,8 +259,8 @@ def _state_json(rho) -> str:
 
 
 def _echo_plan(plan: DecompositionPlan, residual) -> None:
-    def describe_unitary(u):
-        return "none" if frob_dist(u, ID2) <= 1e-12 else "waveplate triple"
+    def describe_unitary(u):  # the gate compiler's decision: no waveplates for the identity up to phase
+        return "none" if _is_identity_up_to_phase(*u.ravel().tolist()) else "waveplate triple"
 
     print("branch  weight  alpha     beta      gamma1    gamma2    U                 U'")
     rows = [("a", plan.p, plan.branch_a)]

@@ -33,14 +33,13 @@ from .channels import (
     KrausChannel,
     TRACE_TOL,
     ZERO_OP_TOL,
-    _gram_choi,
+    _gram,
     _tp_defect,
 )
 from .matops import (
     ID2,
     PAULIS,
     _unitarity_residual_2x2,
-    as_cmat,
     complex_to_pairs,
     frob_dist,
     pairs_to_complex,
@@ -92,11 +91,16 @@ class QuasiExtremeBranch:
     conditional_x: bool = True
 
     def __post_init__(self):
-        u, up = (as_cmat(np.array(m, dtype=complex), 2) for m in (self.U, self.Uprime))  # copies, read-only below
-        _check_dressings(u.ravel().tolist(), up.ravel().tolist())
-        u.flags.writeable = up.flags.writeable = False
-        object.__setattr__(self, "U", u)
-        object.__setattr__(self, "Uprime", up)
+        pair = np.array((self.U, self.Uprime), dtype=complex)  # one copy of both, read-only below
+        if pair.shape != (2, 2, 2):
+            raise ValueError(f"expected a 2x2 matrix, got shape {pair.shape[1:]}")
+        u, up = pair.reshape(2, 4).tolist()
+        # False also where an entry is not finite.
+        if not (_unitarity_residual_2x2(*u) <= ANGLE_TOL and _unitarity_residual_2x2(*up) <= ANGLE_TOL):
+            raise ValueError("branch unitaries must be unitary within 1e-10")
+        pair.flags.writeable = False
+        object.__setattr__(self, "U", pair[0])
+        object.__setattr__(self, "Uprime", pair[1])
 
     @property
     def gamma1(self) -> float:
@@ -117,25 +121,6 @@ class QuasiExtremeBranch:
         if not self.conditional_x:
             pair[1] = pair[1, ::-1]
         return pair
-
-
-def _check_dressings(u: list, uprime: list) -> None:
-    """:class:`QuasiExtremeBranch`'s check of its dressings, given as row-major Python complex entries."""
-    # False also where an entry is not finite.
-    if not (_unitarity_residual_2x2(*u) <= ANGLE_TOL and _unitarity_residual_2x2(*uprime) <= ANGLE_TOL):
-        raise ValueError("branch unitaries must be unitary within 1e-10")
-
-
-def _branch_from_entries(alpha: float, beta: float, u: list, uprime: list) -> QuasiExtremeBranch:
-    """``QuasiExtremeBranch.from_alpha_beta(alpha, beta, U, U')`` for dressings given as row-major Python complex
-    entries, checked on those scalars instead of on arrays."""
-    _check_dressings(u, uprime)
-    pair = np.array(u + uprime).reshape(2, 2, 2)
-    pair.flags.writeable = False
-    branch = object.__new__(QuasiExtremeBranch)  # the fields as __init__ would set them, without its checks on arrays
-    branch.__dict__.update(alpha=wrap_angle(alpha), beta=wrap_angle(beta), U=pair[0], Uprime=pair[1],
-                           conditional_x=True)
-    return branch
 
 
 @dataclass(frozen=True)
@@ -216,10 +201,9 @@ def _plan_vecs(plan: DecompositionPlan) -> list:
 
 
 def _plan_choi(plan: DecompositionPlan) -> np.ndarray:
-    """``to_choi(plan_to_channel(plan))`` as one Gram product J = V^T conj(V) of the stacked vecs V: einsum takes
-    to_choi's sums, so the two agree to the last bit."""
-    vecs = np.array(_plan_vecs(plan))
-    return np.einsum("ki,kj->ij", vecs, vecs.conj())
+    """``to_choi(plan_to_channel(plan))`` as the Gram product J = V^T conj(V) of the stacked vecs V: the channel's own
+    product of the same vecs, so the two agree to the last bit."""
+    return _gram(np.array(_plan_vecs(plan)))
 
 
 @dataclass(frozen=True)
@@ -245,9 +229,10 @@ def _offdiagonal_frame(a0, a1, a2, a3, b0, b1, b2, b3) -> tuple:
 
     With q the Pauli components of that part (up to a common factor), v^dag (q . sigma) v = q . n for a column v of
     Bloch vector n, so the first column's n (or -n; nz >= 0 is taken, so c >= 1/sqrt 2) is a unit normal to Re q and
-    Im q: n = e1 x e2, with e1 the unit vector of the longer of the two and e2 the unit remainder of the other after
-    its e1 part is taken out twice, so that n is normal to e1 to round-off however close to parallel the two are.
-    Where they are parallel, or q = 0, every normal serves: e1 x the axis e1 leans on least, or the z axis."""
+    Im q: n = e1 x e2, with e1 the unit vector of the longer of the two and e2 the unit remainder b of the other after
+    its e1 part is taken out.  e1 x b is normal to e1 whatever part of b still lies along it, so one pass serves; that
+    part shows only where b was round-off along e1.  There, where the two are parallel, or q = 0, every normal
+    serves: e1 x the axis e1 leans on least, or the z axis."""
     m00, m01, m10, m11 = b0 * a3 - b1 * a2, b1 * a0 - b0 * a1, b2 * a3 - b3 * a2, b3 * a0 - b2 * a1  # B adj(A)
     qx, qy, qz = m01 + m10, 1j * (m01 - m10), m00 - m11
     ax, ay, az, bx, by, bz = qx.real, qy.real, qz.real, qx.imag, qy.imag, qz.imag
@@ -258,9 +243,8 @@ def _offdiagonal_frame(a0, a1, a2, a3, b0, b1, b2, b3) -> tuple:
         return 1.0, 0j
     norm = math.sqrt(aa)
     ax, ay, az = ax / norm, ay / norm, az / norm
-    for _ in range(2):
-        d = bx * ax + by * ay + bz * az
-        bx, by, bz = bx - d * ax, by - d * ay, bz - d * az
+    d = bx * ax + by * ay + bz * az
+    bx, by, bz = bx - d * ax, by - d * ay, bz - d * az
     nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx  # e1 x (e2 |b|)
     nn = nx * nx + ny * ny + nz * nz
     if not nn >= 0.25 * (bx * bx + by * by + bz * bz) > 0.0:  # b was round-off along e1
@@ -275,7 +259,8 @@ def _offdiagonal_frame(a0, a1, a2, a3, b0, b1, b2, b3) -> tuple:
 
 def _pair_branch(pair) -> QuasiExtremeBranch:
     """The branch of a trace-preserving Kraus pair (L_0, L_1), given as the 8 row-major Python complex entries of L_0
-    then L_1, read off the pair in closed form.
+    then L_1, read off the pair in closed form and built by :meth:`QuasiExtremeBranch.from_alpha_beta`, whose
+    unitarity check the dressings pass.
 
     A branch's pair is L_k = sum_a V[k, a] U K_a U' for a Kraus mix V and K_0 = diag(cos beta, cos alpha),
     K_1 = [[0, sin alpha], [sin beta, 0]].  The traceless part of B adj(A) is antisymmetric and bilinear in (A, B), so
@@ -310,8 +295,9 @@ def _pair_branch(pair) -> QuasiExtremeBranch:
     d = cmath.exp(0.25j * (f00 - f01 + f10 - f11))  # U -> U diag(d, conj d)
     e = cmath.exp(0.25j * (f00 - f01 - f10 + f11))  # U' -> diag(e, conj e) U'
     dc, ec = d.conjugate(), e.conjugate()
-    return _branch_from_entries(math.atan2(abs(c10), abs(c01)), math.atan2(abs(c11), abs(c00)),
-                                [c * d, -wc * dc, w * d, c * dc], [p0 * e, p1 * e, -p1c * ec, p0c * ec])
+    return QuasiExtremeBranch.from_alpha_beta(
+        math.atan2(abs(c10), abs(c01)), math.atan2(abs(c11), abs(c00)),
+        ((c * d, -wc * dc), (w * d, c * dc)), ((p0 * e, p1 * e), (-p1c * ec, p0c * ec)))
 
 
 def _inv_sqrt_psd(a: float, b: complex, d: float) -> tuple:
@@ -450,9 +436,9 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     """Two-branch plan of an arbitrary CPTP channel.
 
     The CPTP verdict is :func:`qchansim.channels.validate_channel`'s, from the trace residual alone: the target's Choi
-    matrix J (one Gram product of the Kraus vecs) is positive semidefinite, so no eigenvalue call can change it.  J is
-    projected onto the trace-preserving subspace, J' = J - (Tr_out J - I) (x) I / 2, the nearest trace-preserving
-    matrix to a target that is slightly off (a Kraus file rounded by hand).
+    matrix J, formed when the channel was built, is a Gram product, positive semidefinite, so no eigenvalue call can
+    change it.  J is projected onto the trace-preserving subspace, J' = J - (Tr_out J - I) (x) I / 2, the nearest
+    trace-preserving matrix to a target that is slightly off (a Kraus file rounded by hand).
 
     Stage one recognizes rotated single-branch channels: a Kraus pair of the target (its own operators when it has at
     most two, else the top two eigenvectors of J' times the square roots of their eigenvalues, from one ``eigh``) is
@@ -473,7 +459,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     Non-convergence (residual above ``CONVERGED_RESIDUAL``) is reported in
     the result, not raised.
     """
-    target = _gram_choi(ch)
+    target = ch._choi
     rows = target.tolist()
     defect, trace_residual = _tp_defect(rows)
     if not trace_residual <= TRACE_TOL:  # False also where J is not finite

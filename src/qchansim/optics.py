@@ -171,14 +171,6 @@ class GateElement:
         return GATE_TARGETS[self.element]
 
 
-def _gate(element: str, angle: float | None) -> GateElement:
-    """``GateElement(element, angle)`` for an element known to be valid: the fields as ``__init__`` would set them,
-    without the frozen dataclass's per-field ``object.__setattr__`` and the check."""
-    gate = object.__new__(GateElement)
-    gate.__dict__.update(element=element, angle=angle)
-    return gate
-
-
 def gate_list_to_json(gates) -> str:
     rows = [
         {"element": g.element, "angle": None if g.angle is None else float(g.angle), "target": g.target}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,13 @@ from conftest import random_channel, random_density, random_kraus_pair_channel
 from qchansim.channels import (
     ChannelKind,
     KrausChannel,
+    CHOI_EIG_TOL,
     TRACE_TOL,
-    _gram_choi,
+    CPTPReport,
     apply_channel,
     builtin_channel,
     channel_from_json,
     channel_to_json,
-    choi_from_transfer,
-    cptp_report,
     to_affine,
     to_choi,
     transfer,
@@ -28,6 +29,14 @@ PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 
 def proj(psi):
     return np.outer(psi, psi.conj())
+
+
+def reference_report(ch, least) -> CPTPReport:
+    """validate_channel's report written out from to_choi and a least eigenvalue: the trace residual is the hypot of
+    the real and imaginary parts of Tr_out J - I, row-major."""
+    d = np.einsum("iaja->ij", to_choi(ch).reshape(2, 2, 2, 2)) - ID2
+    residual, least = math.hypot(*np.stack([d.real, d.imag], axis=-1).ravel().tolist()), float(least)
+    return CPTPReport(residual, least, residual <= TRACE_TOL and least >= -CHOI_EIG_TOL)
 
 
 def test_builtin_ad_quarter():
@@ -179,7 +188,7 @@ def test_validate_makes_no_linalg_call_below_four_operators(monkeypatch):
             ch = random_channel(rng, n)
             channels += [ch, KrausChannel(tuple(1.001 * k for k in ch.ops))]
     channels.append(KrausChannel((np.diag([1.0, 1.1]),), "stretch"))
-    expected = [cptp_report(to_choi(ch), np.linalg.eigvalsh(to_choi(ch))).ok for ch in channels]
+    expected = [reference_report(ch, np.linalg.eigvalsh(to_choi(ch))[0]).ok for ch in channels]
 
     def no_call(*args, **kwargs):
         raise AssertionError("numpy.linalg call")
@@ -200,11 +209,12 @@ def test_validate_reports_a_finite_transfer_matrix_near_overflow():
 
 
 def test_validate_and_fit_plan_give_the_forms_of_separate_calls_bit_for_bit():
-    # J as one Gram product of the Kraus vecs against the reshuffle of transfer, and the report against cptp_report of
-    # that J and eigvalsh of its Hermitian part J / 2 + (J / 2)^dag, or of the eigenvalue 0 below four operators;
-    # fit_plan's residual against the Choi distance of separate calls, so its own J has to_choi's bits too.  The fit benchmark's corpus, the 55 named channel / lambda
-    # pairs, seeded Kraus sets of Choi rank 1-4, a set of five operators and entries of 1.3e154, whose J is finite
-    # near the largest float.
+    # J against the Gram product sum_k vec K_k vec K_k^dag of the column-major vecs and S against
+    # sum_k K_k (x) conj(K_k), both written here; the report against one written from J and eigvalsh of its Hermitian
+    # part J / 2 + (J / 2)^dag, or the eigenvalue 0 below four operators; fit_plan's residual against the Choi distance
+    # of separate calls, so its own J has to_choi's bits too.  The fit benchmark's corpus, the 55 named channel /
+    # lambda pairs, seeded Kraus sets of Choi rank 1-4, a set of five operators and entries of 1.3e154, whose J is
+    # finite near the largest float.
     rng = np.random.default_rng(2008)
     channels = [random_channel(rng, rank) for rank, count in zip((1, 2, 3, 4), (8, 8, 6, 6)) for _ in range(count)]
     channels += [builtin_channel(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 11)]
@@ -216,17 +226,37 @@ def test_validate_and_fit_plan_give_the_forms_of_separate_calls_bit_for_bit():
                                1.3e154 * np.array([[0.0, 0.0], [0.8, 0.6]])))]
     fitted = 0
     for ch in channels:
-        j, j_ref = _gram_choi(ch), choi_from_transfer(transfer(ch))
-        half = j_ref / 2.0
+        ops = np.array(ch.ops)
+        vecs = ops.swapaxes(1, 2).reshape(-1, 4)
+        j_ref = np.einsum("ki,kj->ij", vecs, vecs.conj())
+        s_ref = np.einsum("kac,kbd->abcd", ops, ops.conj()).reshape(4, 4)
+        j, half = to_choi(ch), j_ref / 2.0
         assert j.tobytes() == j_ref.tobytes() and np.array_equal(j, j.conj().T), ch.label  # exactly Hermitian
+        assert transfer(ch).tobytes() == s_ref.tobytes(), ch.label
         report = validate_channel(ch)
-        least = np.linalg.eigvalsh(half + half.conj().T) if len(ch.ops) >= 4 else (0.0,)
-        assert report == cptp_report(j_ref, least), ch.label
+        least = np.linalg.eigvalsh(half + half.conj().T)[0] if len(ch.ops) >= 4 else 0.0
+        assert report == reference_report(ch, least), ch.label
         if report.ok:
             fit = fit_plan(ch)
             assert fit.residual == frob_dist(to_choi(plan_to_channel(fit.plan)), to_choi(ch)), ch.label
             fitted += 1
     assert fitted == len(channels) - 2
+
+
+def test_channel_keeps_its_own_read_only_operators_and_choi_matrix():
+    # A write to the caller's arrays after the channel is built changes none of its forms, its report or its fit; its
+    # operators and its Choi matrix are read-only, so a write to them raises.
+    ops = [np.diag([1.0, np.sqrt(0.5)]).astype(complex), np.array([[0.0, np.sqrt(0.5)], [0.0, 0.0]], dtype=complex)]
+    ch = KrausChannel(tuple(ops), "AD(lambda=0.5)")
+    before = (validate_channel(ch), to_choi(ch).tobytes(), transfer(ch).tobytes(), fit_plan(ch).residual)
+    ops[0][0, 0] = 5.0
+    ops[1][0, 1] = -2.0j
+    after = (validate_channel(ch), to_choi(ch).tobytes(), transfer(ch).tobytes(), fit_plan(ch).residual)
+    assert after == before and before[0].ok
+    for m in (*ch.ops, to_choi(ch)):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 5.0
+    assert "_choi" not in repr(ch)
 
 
 def test_apply_deterministic_flip():

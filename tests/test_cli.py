@@ -134,8 +134,10 @@ def test_measured_points_and_a_sweep_block_make_no_eigenvalue_call(monkeypatch):
 
 
 def test_cli_import_and_a_split_fit_load_no_numpy_random():
-    # The fit is deterministic linear algebra: importing the CLI and fitting a Choi-rank-4 channel, generalized
-    # amplitude damping at gamma = 0.3, N = 0.4, loads no numpy.random module that numpy itself did not.
+    # The fit is deterministic linear algebra: importing the CLI and fitting two channels loads no numpy.random module
+    # that numpy itself did not, and no scipy module.  Generalized amplitude damping at gamma = 0.3, N = 0.4 has Choi
+    # rank 4, so the split fits it; its first two operators made trace preserving (amplitude damping at gamma = 0.3)
+    # are read at stage one.
     code = """if True:
         import sys, numpy as np
         before = set(sys.modules)
@@ -146,13 +148,52 @@ def test_cli_import_and_a_split_fit_load_no_numpy_random():
                np.sqrt(1 - n) * np.array([[0, np.sqrt(g)], [0, 0]]),
                np.sqrt(n) * np.array([[np.sqrt(1 - g), 0], [0, 1]]),
                np.sqrt(n) * np.array([[0, 0], [np.sqrt(g), 0]])]
-        fit = fit_plan(KrausChannel(tuple(ops)))
+        for kraus in (ops, [k / np.sqrt(1 - n) for k in ops[:2]]):
+            fit = fit_plan(KrausChannel(tuple(kraus)))
+            print(fit.starts_used, fit.converged)
         loaded = sorted(m for m in set(sys.modules) - before if m.startswith('numpy.random'))
-        print(fit.starts_used, fit.converged, loaded)
+        print(loaded, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))
     """
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "1 True []"
+    assert done.stdout.split("\n")[:3] == ["1 True", "0 True", "[] []"]
+
+
+def _waveplate_sides(gates) -> tuple:
+    """Whether a branch's gate list holds waveplates for U, and for U': U' sits before the CNOT, U after the sorter."""
+    elements = [g["element"] for g in gates]
+    cnot = elements.index("CNOT")
+    return "QWP" in elements[cnot:], "QWP" in elements[:cnot]
+
+
+def test_decompose_echo_names_the_waveplates_the_gate_list_builds(tmp_path, capsys):
+    # The echo says "none" for a dressing exactly where its branch's gate list has no waveplates for it: the gate
+    # compiler skips a dressing that is the identity up to phase.  The named channels at several lambda, their Kraus
+    # sets times +-1 and +-i and in both orders, fitted from a Kraus file; AD with both operators negated gives
+    # U' = -I, which is not within 1e-12 of I.
+    checked, phase_only = 0, 0
+    for kind in ("AD", "PD", "BF", "PF", "BPF"):
+        for lam in (0.2, 0.5, 0.9, 1.0):
+            ops = builtin_channel(kind, lam).ops
+            for factor in (1, -1, 1j, -1j):
+                for order in (1, -1):
+                    src = tmp_path / "kraus.json"
+                    src.write_text(channel_to_json(KrausChannel(tuple(factor * k for k in ops[::order]))))
+                    assert run(["decompose", "--kraus-file", str(src), "--gates", "--outdir", str(tmp_path)]) == 0
+                    lines = capsys.readouterr().out.splitlines()
+                    plan = plan_from_json((tmp_path / "plan.json").read_text())
+                    for name, row, branch in zip("ab", lines[1:3], (plan.branch_a, plan.branch_b)):
+                        if branch is None:
+                            continue
+                        gates = json.loads((tmp_path / f"gates_{name}.json").read_text())
+                        tail = "waveplate triple" if row.endswith("waveplate triple") else "none"
+                        head = row[:-len(tail)].rstrip()
+                        echoed = (not head.endswith("none"), tail != "none")
+                        assert row.startswith(name) and echoed == _waveplate_sides(gates), (kind, lam, factor, order)
+                        checked += 1
+                        phase_only += sum(not side and frob_dist(u, np.eye(2)) > 1e-12
+                                          for side, u in zip(echoed, (branch.U, branch.Uprime)))
+    assert checked >= 160 and phase_only > 0
 
 
 def test_decompose_requires_channel_source():

@@ -7,7 +7,6 @@ from conftest import haar_unitary, random_channel, random_kraus_pair_channel
 from qchansim.channels import (
     ChannelKind,
     KrausChannel,
-    _gram_choi,
     _tp_defect,
     builtin_channel,
     to_affine,
@@ -24,10 +23,10 @@ from qchansim.decompose import (
     U_BPF,
     _DIRAC,
     _SIGMAS,
-    _branch_from_entries,
     _dirac_frame,
     _kraus_split,
     _null_vector,
+    _offdiagonal_frame,
     _pair_branch,
     _plan_choi,
     _project,
@@ -206,8 +205,13 @@ def test_identity_plan_gives_identity_channel():
 
 
 def test_branch_rejects_nonunitary_dressing():
-    with pytest.raises(ValueError):
-        QuasiExtremeBranch.from_alpha_beta(0.3, 0.1, U=1.5 * ID2)
+    # A stretched dressing, and one with a NaN or an infinite entry, fail the unitarity check on either side.
+    u = su2_from_euler(EulerAngles(0.1, 0.2, 0.3))
+    for bad in (1.5 * u, np.where(np.eye(2, dtype=bool), np.nan, u), np.where(np.eye(2, dtype=bool), np.inf, u),
+                np.where(np.eye(2, dtype=bool), -np.inf, u)):
+        for dressings in ({"U": bad}, {"Uprime": bad}, {"U": u, "Uprime": bad}):
+            with pytest.raises(ValueError, match="unitary within 1e-10"):
+                QuasiExtremeBranch.from_alpha_beta(0.3, 0.1, **dressings)
 
 
 def test_branch_rejects_inconsistent_gammas():
@@ -541,6 +545,32 @@ def _special_angles(rng):
     return angles
 
 
+def test_offdiagonal_frame_is_an_su2_frame_that_makes_q_sigma_offdiagonal():
+    # A = I and B = q . sigma, with Im q at 1e-16 to 1e-2 rad from Re q (either the longer, lengths 1e-3 to 1e3), and
+    # q exactly parallel to a real vector or 0.  (c, w) gives the SU(2) frame [[c, -conj w], [w, c]] with
+    # c >= 1/sqrt 2, in which q . sigma is off-diagonal within 1e-15 |q|.
+    rng = np.random.default_rng(1414)
+    qs = [np.zeros(3, dtype=complex)]
+    for theta in np.logspace(-16, -2, 29):
+        for _ in range(100):
+            e1, p = rng.normal(size=(2, 3))
+            e1 /= np.linalg.norm(e1)
+            p -= (p @ e1) * e1
+            p /= np.linalg.norm(p)
+            (r1, r2), swap = 10.0 ** rng.uniform(-3.0, 3.0, size=2), bool(rng.integers(2))
+            pair = (r1 * e1, r2 * (np.cos(theta) * e1 + np.sin(theta) * p))
+            qs.append(pair[swap] + 1j * pair[not swap])
+    for e1 in rng.normal(size=(100, 3)):
+        qs += [e1 * z for z in (1.0, 1j, 1.0 + 2.0j, -0.5 + 4.0j)]  # Re q and Im q exactly parallel
+    for q in qs:
+        b = np.einsum("k,kij->ij", q, np.array(PAULIS))
+        c, w = _offdiagonal_frame(1.0 + 0j, 0j, 0j, 1.0 + 0j, *b.ravel().tolist())
+        u = np.array([[c, -np.conj(w)], [w, c]])
+        d = np.diag(u.conj().T @ b @ u)
+        assert isinstance(c, float) and c >= np.sqrt(0.5) and abs(c * c + abs(w) ** 2 - 1.0) <= 1e-15, q
+        assert np.abs(d).max() <= 1e-15 * np.linalg.norm(q), q
+
+
 def test_pair_branch_reproduces_random_and_special_kraus_pairs():
     # Seeded property test of the closed form: 1,000 random trace-preserving pairs (an isometry cut in two), then
     # special angles under 20 random Kraus mixes and dressings each.  The dressings are unitary within 1e-12 and the
@@ -674,7 +704,7 @@ def test_rounded_two_kraus_splits_exceed_the_floor_by_what_the_projection_clips(
         if result.starts_used == 0:
             continue
         split += 1
-        rows = _gram_choi(rounded).tolist()
+        rows = to_choi(rounded).tolist()
         defect, trace_residual = _tp_defect(rows)
         eigenvalues = np.linalg.eigvalsh(np.array(_project(rows, defect)))
         floor, off = trace_residual / np.sqrt(2.0), frob_dist(_plan_choi(result.plan), np.array(rows))
@@ -771,7 +801,7 @@ def _near_the_skip_threshold(ops_a, ops_b, ratio):
     delta = 1e-9
     for _ in range(4):  # that root-sum-square grows about linearly in delta
         ch = KrausChannel(tuple(np.sqrt(1.0 - delta) * k for k in ops_a) + tuple(np.sqrt(delta) * k for k in ops_b))
-        rows = _gram_choi(ch).tolist()
+        rows = to_choi(ch).tolist()
         rows = _project(rows, _tp_defect(rows)[0])
         eigenvalues = np.linalg.eigvalsh(np.array(rows))
         delta *= ratio * FIT_TARGET_RESIDUAL / np.hypot(*sorted(np.abs(eigenvalues))[:2])
@@ -891,22 +921,6 @@ def test_fit_plan_of_a_trace_preserving_three_or_four_operator_set_makes_no_lina
     for i, ch in enumerate(channels):
         result = fit_plan(ch)
         assert result.starts_used == 1 and result.plan.p == 0.5 and result.residual <= 1e-14, i
-
-
-def test_branch_from_entries_is_the_public_constructor_with_its_checks():
-    u = su2_from_euler(EulerAngles(0.1, 0.2, 0.3))
-    up = su2_from_euler(EulerAngles(-0.4, 1.1, 2.0))
-    branch = _branch_from_entries(7.0, -0.2, u.ravel().tolist(), up.ravel().tolist())
-    reference = QuasiExtremeBranch.from_alpha_beta(7.0, -0.2, U=u, Uprime=up)
-    assert (branch.alpha, branch.beta, branch.conditional_x) == (reference.alpha, reference.beta, True)
-    assert np.array_equal(branch.U, u) and np.array_equal(branch.Uprime, up)
-    assert not branch.U.flags.writeable and not branch.Uprime.flags.writeable
-    assert (branch.gamma1, branch.gamma2) == (reference.gamma1, reference.gamma2)
-    for bad in (1.5 * u, np.where(np.eye(2, dtype=bool), np.nan, u), np.where(np.eye(2, dtype=bool), np.inf, u)):
-        with pytest.raises(ValueError):
-            QuasiExtremeBranch.from_alpha_beta(0.1, 0.2, U=u, Uprime=bad)
-        with pytest.raises(ValueError, match="unitary"):
-            _branch_from_entries(0.1, 0.2, u.ravel().tolist(), bad.ravel().tolist())
 
 
 def test_plan_choi_is_to_choi_of_plan_to_channel_bit_for_bit():
