@@ -37,8 +37,6 @@ from .matops import (
 )
 from .optics import GateElement, _waveplate_angles, dove_pair_for_ry, ry_rotation
 
-BASIS_LABELS = ("Hh", "Hv", "Vh", "Vv")
-
 _MODE_H = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 _MODE_DIAG_MASK = np.kron(np.ones((2, 2)), np.eye(2)).astype(bool)
 _POL_DIAG_MASK = np.kron(np.eye(2), np.ones((2, 2))).astype(bool)

@@ -54,18 +54,25 @@ EXIT_PARSE = 2
 EXIT_FIT = 3
 EXIT_MEASUREMENT = 4
 
-CONFIG_KEYS = (
-    "channel",
-    "lambda",
-    "lambda_grid",
-    "phi_deg",
-    "visibility",
-    "intensity_sigma",
-    "seed",
-    "outdir",
-    "formats",
-    "kraus_file",
-)
+_EVERY = ("decompose", "simulate", "sweep", "validate")
+_RUNS = ("simulate", "sweep")
+# Every option but decompose's --gates switch, in --help order: name -> (help, default, subcommands).  The name
+# gives the flag (--name, with - for _), the config key and the QCHANSIM_NAME environment variable; --config names
+# the file and is a flag only.
+OPTIONS = {
+    "config": ("key=value config file", None, _EVERY),
+    "channel": ("one of AD, PD, BF, PF, BPF", None, _EVERY),
+    "kraus_file": ("channel JSON {label, kraus}", None, _EVERY),
+    "outdir": ("output directory", None, ("decompose", "simulate", "sweep")),
+    "lambda": ("decoherence parameter in [0, 1]", None, _EVERY),
+    "lambda_grid": ("comma list or start:stop:count", "0:1:21", ("sweep",)),
+    "phi_deg": ("preparation waveplate angle in degrees", 22.5, _RUNS),
+    "visibility": ("interferometer visibility in [0, 1]", 1.0, _RUNS),
+    "intensity_sigma": ("relative intensity noise", 0.0, _RUNS),
+    "seed": ("noise RNG seed", 0, _RUNS),
+    "formats": ("comma list of csv, json", None, ("sweep",)),
+}
+CONFIG_KEYS = tuple(name for name in OPTIONS if name != "config")
 
 
 class CliError(Exception):
@@ -94,7 +101,7 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _resolve(args, key: str, config: dict, default=None):
+def _resolve(args, key: str, config: dict):
     cli_value = getattr(args, key, None)
     if cli_value is not None:
         return cli_value
@@ -103,7 +110,7 @@ def _resolve(args, key: str, config: dict, default=None):
         return env_value
     if key in config:
         return config[key]
-    return default
+    return OPTIONS[key][1]
 
 
 def _as_float(value, name: str) -> float:
@@ -163,9 +170,9 @@ def _fmt_angle(x: float) -> str:
 
 
 def _noise_from(args, config) -> NoiseParams | None:
-    visibility = _as_float(_resolve(args, "visibility", config, 1.0), "visibility")
-    sigma = _as_float(_resolve(args, "intensity_sigma", config, 0.0), "intensity_sigma")
-    seed = _as_int(_resolve(args, "seed", config, 0), "seed")
+    visibility = _as_float(_resolve(args, "visibility", config), "visibility")
+    sigma = _as_float(_resolve(args, "intensity_sigma", config), "intensity_sigma")
+    seed = _as_int(_resolve(args, "seed", config), "seed")
     try:
         noise = NoiseParams(visibility=visibility, intensity_sigma=sigma, rng_seed=seed)
     except ValueError as exc:
@@ -297,7 +304,7 @@ def cmd_decompose(args) -> int:
 
 def _prepared_state(args, config) -> np.ndarray:
     """cos(2 phi) |H> + sin(2 phi) |V> from the preparation half-wave plate at --phi-deg."""
-    return prepare_initial(np.deg2rad(_as_float(_resolve(args, "phi_deg", config, 22.5), "phi_deg")))
+    return prepare_initial(np.deg2rad(_as_float(_resolve(args, "phi_deg", config), "phi_deg")))
 
 
 def _measure(rho_in, plans, oracles, noise: NoiseParams | None) -> tuple:
@@ -369,7 +376,7 @@ def cmd_sweep(args) -> int:
     if _resolve(args, "lambda", config) is not None:
         raise CliError(EXIT_PARSE, "sweep takes --lambda-grid, not --lambda")
     kind = _channel_kind(args, config, "--channel is required for sweep")
-    grid_raw = _resolve(args, "lambda_grid", config, "0:1:21")
+    grid_raw = _resolve(args, "lambda_grid", config)
     grid = _parse_lambda_grid(grid_raw)
     rho_in = _prepared_state(args, config)
     noise = _noise_from(args, config)
@@ -409,14 +416,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_VALIDATION
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--channel", help="one of AD, PD, BF, PF, BPF")
-    parser.add_argument("--kraus-file", dest="kraus_file", help="channel JSON {label, kraus}")
-    parser.add_argument("--outdir", help="output directory")
-    parser.add_argument("--lambda", dest="lambda", help="decoherence parameter in [0, 1]")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qchansim",
@@ -424,34 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
         "compile and simulate the spin-orbit optical circuit, and verify by tomography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="emit the two-branch plan for a channel")
-    _add_common(p)
-    p.add_argument("--gates", action="store_true", help="also write per-branch optical gate lists")
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("simulate", help="run the circuit once and report fidelity")
-    _add_common(p)
-    p.add_argument("--phi-deg", dest="phi_deg", help="preparation waveplate angle in degrees")
-    p.add_argument("--visibility", help="interferometer visibility in [0, 1]")
-    p.add_argument("--intensity-sigma", dest="intensity_sigma", help="relative intensity noise")
-    p.add_argument("--seed", help="noise RNG seed")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="coherence and fidelity versus the decoherence parameter")
-    _add_common(p)
-    p.add_argument("--lambda-grid", dest="lambda_grid", help="comma list or start:stop:count")
-    p.add_argument("--phi-deg", dest="phi_deg", help="preparation waveplate angle in degrees")
-    p.add_argument("--visibility", help="interferometer visibility in [0, 1]")
-    p.add_argument("--intensity-sigma", dest="intensity_sigma", help="relative intensity noise")
-    p.add_argument("--seed", help="noise RNG seed")
-    p.add_argument("--formats", help="comma list of csv, json")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("validate", help="CPTP diagnostics for a channel")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
+    for command, command_help, func in (
+        ("decompose", "emit the two-branch plan for a channel", cmd_decompose),
+        ("simulate", "run the circuit once and report fidelity", cmd_simulate),
+        ("sweep", "coherence and fidelity versus the decoherence parameter", cmd_sweep),
+        ("validate", "CPTP diagnostics for a channel", cmd_validate),
+    ):
+        p = sub.add_parser(command, help=command_help)
+        for name, (option_help, _, commands) in OPTIONS.items():
+            if command in commands:
+                p.add_argument("--" + name.replace("_", "-"), help=option_help)
+        if command == "decompose":
+            p.add_argument("--gates", action="store_true", help="also write per-branch optical gate lists")
+        p.set_defaults(func=func)
     return parser
 
 

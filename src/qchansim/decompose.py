@@ -52,6 +52,10 @@ ANGLE_TOL = 1e-10
 FIT_TARGET_RESIDUAL = 1e-9
 FIT_ROUNDOFF_RESIDUAL = 1e-11  # what fit_plan reaches on an exactly trace-preserving target, with margin
 CONVERGED_RESIDUAL = 1e-4
+# Parts of q at most this times |A| |B| are round-off in _offdiagonal_frame: on the degenerate pairs of the
+# convergence probe's corpora the exact part of Im q normal to Re q reaches 5.7 eps |A| |B|, and genuine parts start
+# near 1e6 eps.  _pair_branch's coefficients, at most 1, take the same margin.
+_FRAME_TOL = 16.0 * np.finfo(float).eps
 
 
 def wrap_angle(a: float) -> float:
@@ -228,30 +232,37 @@ def _offdiagonal_frame(a0, a1, a2, a3, b0, b1, b2, b3) -> tuple:
     A = [[a0, a1], [a2, a3]] and B given as row-major Python complex entries.
 
     With q the Pauli components of that part (up to a common factor), v^dag (q . sigma) v = q . n for a column v of
-    Bloch vector n, so the first column's n (or -n; nz >= 0 is taken, so c >= 1/sqrt 2) is a unit normal to Re q and
-    Im q: n = e1 x e2, with e1 the unit vector of the longer of the two and e2 the unit remainder b of the other after
-    its e1 part is taken out.  e1 x b is normal to e1 whatever part of b still lies along it, so one pass serves; that
-    part shows only where b was round-off along e1.  There, where the two are parallel, or q = 0, every normal
-    serves: e1 x the axis e1 leans on least, or the z axis."""
+    Bloch vector n, so the first column's n (or -n; nz >= 0 is taken, so c >= 1/sqrt 2 up to round-off) is a unit
+    normal to Re q and Im q: n = e1 x e2, with e1 the unit vector of the longer of the two and e2 the unit remainder b
+    of the other after its e1 part is taken out.  e1 x b is normal to e1 whatever part of b still lies along it, so
+    one pass serves.  q, and then b, count as zero at or below _FRAME_TOL |A| |B|, the scale of B adj(A); there every
+    normal serves, so a degenerate pair (complete dephasing, a reset, a unitary pair) takes a fixed one, not the
+    round-off direction: the z axis for q = 0, else e1 x the first axis e1 leans on least.  Components of e1 or n
+    within their round-off of each other, or of zero, count as tied, so last-bit changes pick neither another axis
+    nor the other sign."""
     m00, m01, m10, m11 = b0 * a3 - b1 * a2, b1 * a0 - b0 * a1, b2 * a3 - b3 * a2, b3 * a0 - b2 * a1  # B adj(A)
     qx, qy, qz = m01 + m10, 1j * (m01 - m10), m00 - m11
     ax, ay, az, bx, by, bz = qx.real, qy.real, qz.real, qx.imag, qy.imag, qz.imag
     aa, bb = ax * ax + ay * ay + az * az, bx * bx + by * by + bz * bz
     if bb > aa:
         ax, ay, az, bx, by, bz, aa = bx, by, bz, ax, ay, az, bb
-    if not aa > 0.0:
+    tol = _FRAME_TOL * math.hypot(abs(a0), abs(a1), abs(a2), abs(a3)) * math.hypot(abs(b0), abs(b1), abs(b2), abs(b3))
+    tol2 = tol * tol
+    if not aa > tol2:
         return 1.0, 0j
     norm = math.sqrt(aa)
     ax, ay, az = ax / norm, ay / norm, az / norm
+    tie = tol / norm  # the round-off of e1's components
     d = bx * ax + by * ay + bz * az
     bx, by, bz = bx - d * ax, by - d * ay, bz - d * az
-    nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx  # e1 x (e2 |b|)
+    if bx * bx + by * by + bz * bz > tol2:
+        nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx  # e1 x (e2 |b|)
+    else:
+        low = min(abs(ax), abs(ay), abs(az)) + tie
+        nx, ny, nz = (0.0, az, -ay) if abs(ax) <= low else (-az, 0.0, ax) if abs(ay) <= low else (ay, -ax, 0.0)
     nn = nx * nx + ny * ny + nz * nz
-    if not nn >= 0.25 * (bx * bx + by * by + bz * bz) > 0.0:  # b was round-off along e1
-        k = min((abs(ax), 0), (abs(ay), 1), (abs(az), 2))[1]
-        nx, ny, nz = (0.0, az, -ay) if k == 0 else (-az, 0.0, ax) if k == 1 else (ay, -ax, 0.0)
-        nn = nx * nx + ny * ny + nz * nz
-    norm = math.copysign(math.sqrt(nn), nz)
+    least = tie * tie * nn  # a component of n whose square is at most this is round-off
+    norm = math.copysign(math.sqrt(nn), nz if nz * nz > least else ny if ny * ny > least else nx)
     nx, ny, nz = nx / norm, ny / norm, nz / norm
     c = math.sqrt((1.0 + nz) / 2.0)
     return c, complex(nx, ny) / (2.0 * c)
@@ -269,12 +280,12 @@ def _pair_branch(pair) -> QuasiExtremeBranch:
     V [[0, cos alpha cos beta], [sin alpha sin beta, 0]] V^dag up to a factor, off-diagonal in the Kraus frame V.  Both
     frames come from these two products (:func:`_offdiagonal_frame`), with no eigenvalue gap to lose digits on.  Then,
     with Lt = V^dag L, row a of U^dag Lt_k is c_ka times row a (k = 0) or row 1 - a (k = 1) of U'.  Row 0 of U' is
-    the longer of rows 0 of U^dag Lt_0 and 1 of U^dag Lt_1, made a unit row, and row 1 its SU(2) partner; the c_ka are
-    projections on them.  beta = atan2(|c_11|, |c_00|) and alpha = atan2(|c_10|, |c_01|), at full precision.  The
-    phases of the c_ka go into the dressings: the invariant arg c_00 + arg c_11 - arg c_01 - arg c_10 into the second
-    row of U', the rest into the columns of U, and both keep determinant 1.  This is exact also where a frame is
-    arbitrary: for a unitary pair (L_1 adj L_0 = 0), a reset (N_1 adj N_0 = 0) or complete dephasing (q real up to a
-    phase)."""
+    the longer of rows 0 of U^dag Lt_0 and 1 of U^dag Lt_1 (the first within _FRAME_TOL), made a unit row, and row 1
+    its SU(2) partner; the c_ka are projections on them.  beta = atan2(|c_11|, |c_00|) and
+    alpha = atan2(|c_10|, |c_01|), at full precision.  The phases of the c_ka go into the dressings: the invariant
+    arg c_00 + arg c_11 - arg c_01 - arg c_10 into the second row of U', the rest into the columns of U, and both
+    keep determinant 1.  This is exact also where a frame is arbitrary: for a unitary pair (L_1 adj L_0 = 0), a reset
+    (N_1 adj N_0 = 0) or complete dephasing (q real up to a phase)."""
     l0, l1, l2, l3, m0, m1, m2, m3 = pair
     c, w = _offdiagonal_frame(*pair)  # U = [[c, -conj w], [w, c]]
     cv, wv = _offdiagonal_frame(l0, l1, m0, m1, l2, l3, m2, m3)  # V, likewise
@@ -285,13 +296,16 @@ def _pair_branch(pair) -> QuasiExtremeBranch:
     s0, s1, s2, s3 = cv * m0 - wv * l0, cv * m1 - wv * l1, cv * m2 - wv * l2, cv * m3 - wv * l3
     r00, r01 = (c * t0 + wc * t2, c * t1 + wc * t3), (c * t2 - w * t0, c * t3 - w * t1)
     r10, r11 = (c * s0 + wc * s2, c * s1 + wc * s3), (c * s2 - w * s0, c * s3 - w * s1)
-    x0, x1 = r00 if abs(r00[0]) ** 2 + abs(r00[1]) ** 2 >= abs(r11[0]) ** 2 + abs(r11[1]) ** 2 else r11
+    x0, x1 = r00 if abs(r00[0]) ** 2 + abs(r00[1]) ** 2 + _FRAME_TOL >= abs(r11[0]) ** 2 + abs(r11[1]) ** 2 else r11
     norm = math.sqrt(abs(x0) ** 2 + abs(x1) ** 2)  # > 0 for a trace-preserving pair: cos^2 beta + sin^2 beta = 1
     p0, p1 = x0 / norm, x1 / norm  # row 0 of U'; row 1 is (-conj p1, conj p0)
     p0c, p1c = p0.conjugate(), p1.conjugate()
     c00, c11 = r00[0] * p0c + r00[1] * p1c, r11[0] * p0c + r11[1] * p1c
     c01, c10 = r01[1] * p0 - r01[0] * p1, r10[1] * p0 - r10[0] * p1
-    f00, f01, f10, f11 = cmath.phase(c00), cmath.phase(c01), cmath.phase(c10), cmath.phase(c11)
+    # A c_ka (|c_ka| <= 1) within _FRAME_TOL of 0 takes phase 0, and one within it of the negative real axis pi,
+    # whatever the round-off: a quarter of a phase that jumped by 2 pi would turn a dressing by a factor i.
+    f00, f01, f10, f11 = [0.0 if abs(x) <= _FRAME_TOL else math.pi if x.real < 0.0 and abs(x.imag) <= _FRAME_TOL
+                          else cmath.phase(x) for x in (c00, c01, c10, c11)]
     d = cmath.exp(0.25j * (f00 - f01 + f10 - f11))  # U -> U diag(d, conj d)
     e = cmath.exp(0.25j * (f00 - f01 - f10 + f11))  # U' -> diag(e, conj e) U'
     dc, ec = d.conjugate(), e.conjugate()

@@ -367,6 +367,53 @@ def test_noisy_circuit_stays_cptp():
             _assert_unit_trace_psd(choi / 2.0)
 
 
+# Columns: the row-major vecs of I, X, Y, Z.  Their inverse is the conjugate transpose over 2.
+_PAULI_VECS = np.array([ID2, *PAULIS]).reshape(4, 4).T
+# Row k of this times the Pauli-diagonal (1, l_x, l_y, l_z) is the weight of Pauli k: I, X, Y, Z.
+_PAULI_WEIGHTS = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]) / 4.0
+
+
+def _pauli_diagonal(visibility: float, conditional_x: bool) -> np.ndarray:
+    v = visibility
+    return np.array([1.0, v, v * v, v] if conditional_x else [1.0, v, v, 1.0])
+
+
+def _closed_form_noisy_transfer(plan, visibility: float) -> np.ndarray:
+    """sum_b w_b L(U_b) P D_b P^-1 S_K,b L(U'_b): L(U) = U (x) conj U, P = _PAULI_VECS, D_b the Pauli-diagonal
+    noise of the branch, and S_K,b = sum K (x) conj K over the branch's bare Kraus pair."""
+    s = np.zeros((4, 4), dtype=complex)
+    for branch, weight in ((plan.branch_a, plan.p), (plan.branch_b, 1.0 - plan.p)):
+        if branch is None or weight == 0.0:
+            continue
+        noise = _PAULI_VECS @ np.diag(_pauli_diagonal(visibility, branch.conditional_x)) @ dagger(_PAULI_VECS) / 2.0
+        bare = sum(np.kron(k, k.conj()) for k in branch.kraus_pair())
+        s += weight * np.kron(branch.U, branch.U.conj()) @ noise @ bare @ np.kron(branch.Uprime, branch.Uprime.conj())
+    return s
+
+
+def test_noisy_circuit_is_the_pauli_diagonal_closed_form():
+    # A noisy branch is U o D o K(alpha, beta) o U', with D = diag(1, v, v^2, v) in the Pauli basis with the
+    # feed-forward and diag(1, v, v, 1) without it.  Pinned on the named plans and on random dressed branches
+    # (alpha, beta uniform, Haar U and U', the feed-forward on and off) at five visibilities.
+    rng = np.random.default_rng(56)
+    plans = [closed_form_plan(kind, lam) for kind in ChannelKind for lam in np.linspace(0.0, 1.0, 6)]
+    plans += [_random_plan(rng) for _ in range(40)]
+    branches = [b for plan in plans for b in (plan.branch_a, plan.branch_b) if b is not None]
+    assert {b.conditional_x for b in branches} == {True, False}
+    for visibility in (0.0, 0.25, 0.5, 0.9, 1.0):
+        noise = NoiseParams(visibility=visibility)
+        for plan, s in zip(plans, compile_plan(plans, noise)):
+            assert np.abs(s - _closed_form_noisy_transfer(plan, visibility)).max() <= 1e-14, (plan, visibility)
+    # D's Pauli weights are nonnegative, so by the Fujiwara-Algoet conditions D is CP and the noisy circuit is CPTP
+    # at every visibility in [0, 1].
+    for v in np.linspace(0.0, 1.0, 101):
+        with_x = ((1 + v) ** 2 / 4, (1 - v * v) / 4, (1 - v) ** 2 / 4, (1 - v * v) / 4)
+        without_x = ((1 + v) / 2, 0.0, 0.0, (1 - v) / 2)
+        for conditional_x, weights in ((True, with_x), (False, without_x)):
+            assert min(weights) >= 0.0
+            assert np.abs(_PAULI_WEIGHTS @ _pauli_diagonal(v, conditional_x) - weights).max() <= 1e-15, v
+
+
 def test_circuit_choi_at_unit_visibility_matches_plan_channel():
     rng = np.random.default_rng(51)
     for _ in range(5):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -362,6 +363,39 @@ def test_validate_single_nontp_kraus(tmp_path, capsys):
     out = capsys.readouterr().out
     residual = float(out.splitlines()[0].split(":")[1])
     assert residual > 0.0
+
+
+def test_validate_takes_no_outdir(tmp_path, monkeypatch, capsys):
+    # validate writes nothing, so --outdir is a parse error, not a flag it drops.  An outdir from the environment or
+    # a config file is a setting shared with the other commands, and validate ignores it.
+    outdir = tmp_path / "out"
+    assert run(["validate", "--channel", "AD", "--lambda", "0.5", "--outdir", str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --outdir" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"outdir={outdir}\n")
+    assert run(["validate", "--channel", "AD", "--lambda", "0.5", "--config", str(cfg)]) == 0
+    monkeypatch.setenv("QCHANSIM_OUTDIR", str(outdir))
+    assert run(["validate", "--channel", "AD", "--lambda", "0.5"]) == 0
+    assert capsys.readouterr().out.count("ok: true") == 2
+    assert not outdir.exists()
+
+
+def test_each_command_takes_exactly_its_flags_and_config_keys(capsys):
+    common = ["--config", "--channel", "--kraus-file"]
+    noise = ["--phi-deg", "--visibility", "--intensity-sigma", "--seed"]
+    expected = {
+        "decompose": [*common, "--outdir", "--lambda", "--gates"],
+        "simulate": [*common, "--outdir", "--lambda", *noise],
+        "sweep": [*common, "--outdir", "--lambda", "--lambda-grid", *noise, "--formats"],
+        "validate": [*common, "--lambda"],
+    }
+    for command, flags in expected.items():
+        assert run([command, "--help"]) == 0
+        usage = capsys.readouterr().out.partition("\n\n")[0]
+        assert list(dict.fromkeys(re.findall(r"--[a-z-]+", usage))) == flags, command
+    assert set(cli.CONFIG_KEYS) == {f[2:].replace("-", "_") for flags in expected.values() for f in flags} - {
+        "config", "gates"}
 
 
 def test_validate_unparseable_file(tmp_path):

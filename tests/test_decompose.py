@@ -548,7 +548,9 @@ def _special_angles(rng):
 def test_offdiagonal_frame_is_an_su2_frame_that_makes_q_sigma_offdiagonal():
     # A = I and B = q . sigma, with Im q at 1e-16 to 1e-2 rad from Re q (either the longer, lengths 1e-3 to 1e3), and
     # q exactly parallel to a real vector or 0.  (c, w) gives the SU(2) frame [[c, -conj w], [w, c]] with
-    # c >= 1/sqrt 2, in which q . sigma is off-diagonal within 1e-15 |q|.
+    # c >= 1/sqrt 2, in which q . sigma is off-diagonal within 1e-15 |q|, plus the part of the shorter of Re q and
+    # Im q normal to the longer where that part is round-off (at most 16 eps |q| here), as the frame then takes a
+    # fixed normal.
     rng = np.random.default_rng(1414)
     qs = [np.zeros(3, dtype=complex)]
     for theta in np.logspace(-16, -2, 29):
@@ -568,7 +570,38 @@ def test_offdiagonal_frame_is_an_su2_frame_that_makes_q_sigma_offdiagonal():
         u = np.array([[c, -np.conj(w)], [w, c]])
         d = np.diag(u.conj().T @ b @ u)
         assert isinstance(c, float) and c >= np.sqrt(0.5) and abs(c * c + abs(w) ** 2 - 1.0) <= 1e-15, q
-        assert np.abs(d).max() <= 1e-15 * np.linalg.norm(q), q
+        longer = max(np.linalg.norm(q.real), np.linalg.norm(q.imag))
+        b_perp = np.linalg.norm(np.cross(q.real, q.imag)) / longer if longer else 0.0
+        fallback = b_perp if b_perp <= 32 * np.finfo(float).eps * np.linalg.norm(q) else 0.0
+        assert np.abs(d).max() <= 1e-15 * np.linalg.norm(q) + fallback, q
+
+
+def test_degenerate_frames_and_branches_hold_under_last_bit_changes():
+    # Pairs whose frames are arbitrary: complete dephasing and the unital line (Re q parallel to Im q), resets and
+    # T-rank-1 pairs (N_1 adj N_0 = 0), unitary pairs (q = 0), bare (where components of e1 or n tie) and under random
+    # Kraus mixes and dressings.  Moving each entry by up to 3 ulps moves neither frame of _offdiagonal_frame, nor
+    # any angle or dressing entry of _pair_branch, by more than 1e-12: the fixed normal and zero phase are taken,
+    # not the round-off's direction.
+    rng = np.random.default_rng(2828)
+    angles = [(PI / 4, PI / 4), (PI / 4, -PI / 4), (PI / 2, 0.0), (0.0, PI / 2), (0.0, 0.0), (PI / 2, PI / 2)]
+    angles += [(a, s * a) for a in rng.uniform(-PI, PI, 4) for s in (1.0, -1.0)]
+    angles += [(b + s * PI / 2, b) for b in rng.uniform(-PI, PI, 4) for s in (1.0, -1.0)]
+    pairs = [kraus_from_angles(a, b) for a, b in angles]
+    pairs += [np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), np.array([ID2, PAULI_Z]) / np.sqrt(2.0)]
+    pairs += [_mixed_and_dressed(pair, rng) for pair in pairs for _ in range(10)]
+
+    def frames_and_branch(pair):
+        l0, l1, l2, l3, m0, m1, m2, m3 = entries = pair.ravel().tolist()
+        branch = _pair_branch(entries)
+        return np.array([*_offdiagonal_frame(*entries), *_offdiagonal_frame(l0, l1, m0, m1, l2, l3, m2, m3),
+                         branch.alpha, branch.beta, *branch.U.ravel(), *branch.Uprime.ravel()])
+
+    for n, pair in enumerate(pairs):
+        reference = frames_and_branch(pair)
+        for _ in range(10):
+            ulps = rng.integers(-3, 4, size=(2, *pair.shape))
+            moved = pair + ulps[0] * np.spacing(pair.real) + 1j * ulps[1] * np.spacing(pair.imag)
+            assert np.abs(frames_and_branch(moved) - reference).max() <= 1e-12, n
 
 
 def test_pair_branch_reproduces_random_and_special_kraus_pairs():
