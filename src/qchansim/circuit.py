@@ -23,6 +23,8 @@ and returns the plan's 4x4 transfer matrix ``S`` (row-major vec, as in
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +67,15 @@ class NoiseParams:
     def __post_init__(self):
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
+        if not math.isfinite(self.intensity_sigma):
+            raise ValueError(f"intensity_sigma must be finite, got {self.intensity_sigma!r}")
         if self.intensity_sigma < 0.0:
             raise ValueError("intensity_sigma must be nonnegative")
-        if self.rng_seed < 0:
+        try:
+            seed = operator.index(self.rng_seed)  # numpy integers pass, floats do not
+        except TypeError:
+            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}") from None
+        if seed < 0:
             raise ValueError("rng_seed must be nonnegative")
 
 

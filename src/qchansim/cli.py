@@ -1,14 +1,16 @@
 """Command-line front end: decompose, simulate, sweep and validate.
 
 Angles cross this boundary in degrees; everything inside is radians.
-Options resolve as CLI flag > QCHANSIM_* environment variable > config
-file (plain key=value lines) > built-in default.  A channel comes either
-from --channel (with --lambda) or from --kraus-file; --kraus-file together
-with --channel or --lambda, from any of those sources, is a parse error, and
-so is a --lambda for sweep, which takes --lambda-grid.  Without --outdir,
-stdout carries the plan JSON or the sweep CSV, so --gates and --formats
-(which name files in the output directory) need --outdir, and --formats
-must name at least one format.
+Each command resolves its options in one pass: each as CLI flag > QCHANSIM_*
+environment variable > config file (plain key=value lines) > built-in
+default.  A channel comes either from --channel (with --lambda) or from
+--kraus-file, and sweep takes --channel and --lambda-grid only.  Without
+--outdir, stdout carries the plan JSON or the sweep CSV, so --gates and
+--formats (which name files in the output directory) need --outdir.  RULES
+lists these combinations.  A command with several faults reports the first
+of: the config file, the RULES in order, the values in OPTIONS order, the
+noise options' ranges, then the channel (its file, its lambda range, CPTP
+and the fit).
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 fit
 non-convergence, 4 measurement failed (intensity noise left a tomography
 basis dark).
@@ -54,26 +56,6 @@ EXIT_PARSE = 2
 EXIT_FIT = 3
 EXIT_MEASUREMENT = 4
 
-_EVERY = ("decompose", "simulate", "sweep", "validate")
-_RUNS = ("simulate", "sweep")
-# Every option but decompose's --gates switch, in --help order: name -> (help, default, subcommands).  The name
-# gives the flag (--name, with - for _), the config key and the QCHANSIM_NAME environment variable; --config names
-# the file and is a flag only.
-OPTIONS = {
-    "config": ("key=value config file", None, _EVERY),
-    "channel": ("one of AD, PD, BF, PF, BPF", None, _EVERY),
-    "kraus_file": ("channel JSON {label, kraus}", None, _EVERY),
-    "outdir": ("output directory", None, ("decompose", "simulate", "sweep")),
-    "lambda": ("decoherence parameter in [0, 1]", None, _EVERY),
-    "lambda_grid": ("comma list or start:stop:count", "0:1:21", ("sweep",)),
-    "phi_deg": ("preparation waveplate angle in degrees", 22.5, _RUNS),
-    "visibility": ("interferometer visibility in [0, 1]", 1.0, _RUNS),
-    "intensity_sigma": ("relative intensity noise", 0.0, _RUNS),
-    "seed": ("noise RNG seed", 0, _RUNS),
-    "formats": ("comma list of csv, json", None, ("sweep",)),
-}
-CONFIG_KEYS = tuple(name for name in OPTIONS if name != "config")
-
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -101,16 +83,9 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _resolve(args, key: str, config: dict):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    env_value = os.environ.get(ENV_PREFIX + key.upper())
-    if env_value is not None:
-        return env_value
-    if key in config:
-        return config[key]
-    return OPTIONS[key][1]
+_EVERY = ("decompose", "simulate", "sweep", "validate")
+_SINGLE = ("decompose", "simulate", "validate")  # the commands that take one channel: named at one lambda, or a file
+_RUNS = ("simulate", "sweep")
 
 
 def _as_float(value, name: str) -> float:
@@ -130,7 +105,14 @@ def _as_int(value, name: str) -> int:
         raise CliError(EXIT_PARSE, f"{name} must be an integer, got {value!r}") from exc
 
 
-def _parse_lambda_grid(text: str) -> list:
+def _as_kind(value: str, name: str) -> ChannelKind:
+    try:
+        return ChannelKind(value.upper())
+    except ValueError as exc:
+        raise CliError(EXIT_PARSE, f"unknown channel kind {value!r}") from exc
+
+
+def _parse_lambda_grid(text: str, _name: str) -> list:
     """Accept 'start:stop:count' or a comma-separated list of values."""
     if ":" in text:
         parts = text.split(":")
@@ -152,6 +134,69 @@ def _parse_lambda_grid(text: str) -> list:
     return values
 
 
+def _parse_formats(text: str, _name: str) -> list:
+    formats = [f.strip().lower() for f in text.split(",") if f.strip()]
+    if not formats:
+        raise CliError(EXIT_PARSE, "--formats names no output format")
+    for fmt in formats:
+        if fmt not in ("csv", "json"):
+            raise CliError(EXIT_PARSE, f"unknown output format {fmt!r}")
+    return formats
+
+
+# Every option but decompose's --gates switch, in --help order: name -> (help, default, subcommands, parser).  The
+# name gives the flag (--name, with - for _), the config key and the QCHANSIM_NAME environment variable; --config
+# names the file and is a flag only.  The parser turns a set value into what the commands read; None keeps the text.
+OPTIONS = {
+    "config": ("key=value config file", None, _EVERY, None),
+    "channel": ("one of AD, PD, BF, PF, BPF", None, _EVERY, _as_kind),
+    "kraus_file": ("channel JSON {label, kraus}", None, _EVERY, None),
+    "outdir": ("output directory", None, ("decompose", "simulate", "sweep"), None),
+    "lambda": ("decoherence parameter in [0, 1]", None, _EVERY, _as_float),
+    "lambda_grid": ("comma list or start:stop:count", "0:1:21", ("sweep",), _parse_lambda_grid),
+    "phi_deg": ("preparation waveplate angle in degrees", 22.5, _RUNS, _as_float),
+    "visibility": ("interferometer visibility in [0, 1]", 1.0, _RUNS, _as_float),
+    "intensity_sigma": ("relative intensity noise", 0.0, _RUNS, _as_float),
+    "seed": ("noise RNG seed", 0, _RUNS, _as_int),
+    "formats": ("comma list of csv, json", None, ("sweep",), _parse_formats),
+}
+CONFIG_KEYS = tuple(name for name in OPTIONS if name != "config")
+# The refused combinations and the requirements, checked in this order on the resolved text, before any parser runs:
+# (subcommands, options that are set, options that are not, message).
+RULES = (
+    (_EVERY, ("kraus_file", "channel"), (), "--kraus-file and --channel are mutually exclusive"),
+    (_EVERY, ("kraus_file", "lambda"), (), "--kraus-file and --lambda are mutually exclusive"),
+    (("sweep",), ("kraus_file",), (), "sweep takes --channel, not --kraus-file"),
+    (("sweep",), ("lambda",), (), "sweep takes --lambda-grid, not --lambda"),
+    (("decompose",), ("gates",), ("outdir",), "--gates needs --outdir; without it stdout carries the plan JSON"),
+    (("sweep",), ("formats",), ("outdir",), "--formats needs --outdir; without it stdout carries the sweep CSV"),
+    (("sweep",), (), ("channel",), "--channel is required for sweep"),
+    (_SINGLE, (), ("channel", "kraus_file"), "either --channel or --kraus-file is required"),
+    (_SINGLE, ("channel",), ("lambda",), "--lambda is required with --channel"),
+)
+
+
+def _settings(args) -> dict:
+    """Each option the command takes, resolved once as flag > QCHANSIM_* variable > config file > default, checked
+    against RULES, then parsed in OPTIONS order; unset options are None, and ``gates`` is True or None."""
+    config = _read_config(args.config) if args.config else {}
+    settings = {}
+    for name, (_, default, commands, _) in OPTIONS.items():
+        if args.command in commands and name != "config":
+            sources = (getattr(args, name), os.environ.get(ENV_PREFIX + name.upper()), config.get(name), default)
+            settings[name] = next((value for value in sources if value is not None), None)
+    settings["gates"] = getattr(args, "gates", False) or None
+    for commands, present, absent, message in RULES:
+        if (args.command in commands and all(settings[k] is not None for k in present)
+                and all(settings[k] is None for k in absent)):
+            raise CliError(EXIT_PARSE, message)
+    for name, value in settings.items():
+        parse = OPTIONS[name][3] if name in OPTIONS else None
+        if value is not None and parse is not None:
+            settings[name] = parse(value, name)
+    return settings
+
+
 def _fmt_angle(x: float) -> str:
     """Render simple rational multiples of pi, k pi / q with q <= 24, symbolically.
 
@@ -169,67 +214,32 @@ def _fmt_angle(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _noise_from(args, config) -> NoiseParams | None:
-    visibility = _as_float(_resolve(args, "visibility", config), "visibility")
-    sigma = _as_float(_resolve(args, "intensity_sigma", config), "intensity_sigma")
-    seed = _as_int(_resolve(args, "seed", config), "seed")
+def _noise_from(s) -> NoiseParams | None:
     try:
-        noise = NoiseParams(visibility=visibility, intensity_sigma=sigma, rng_seed=seed)
+        noise = NoiseParams(visibility=s["visibility"], intensity_sigma=s["intensity_sigma"], rng_seed=s["seed"])
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from exc
-    return None if visibility == 1.0 and sigma == 0.0 else noise
+    return None if noise.visibility == 1.0 and noise.intensity_sigma == 0.0 else noise
 
 
-def _kraus_file(args, config) -> str | None:
-    """The resolved --kraus-file path, or None; with --channel or --lambda it is a parse error."""
-    kraus_file = _resolve(args, "kraus_file", config)
-    if kraus_file is not None:
-        for key in ("channel", "lambda"):
-            if _resolve(args, key, config) is not None:
-                raise CliError(EXIT_PARSE, f"--kraus-file and --{key} are mutually exclusive")
-    return kraus_file
-
-
-def _load_kraus_file(args, config) -> KrausChannel | None:
-    """The channel in the resolved --kraus-file, or None when none is set."""
-    kraus_file = _kraus_file(args, config)
-    if kraus_file is None:
-        return None
+def _channel(s) -> KrausChannel:
+    """The channel in --kraus-file, or the named --channel at --lambda."""
+    if s["kraus_file"] is not None:
+        try:
+            return channel_from_json(Path(s["kraus_file"]).read_text())
+        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            raise CliError(EXIT_PARSE, f"cannot load Kraus file: {exc}") from exc
     try:
-        return channel_from_json(Path(kraus_file).read_text())
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CliError(EXIT_PARSE, f"cannot load Kraus file: {exc}") from exc
-
-
-def _channel_kind(args, config, missing: str) -> ChannelKind:
-    kind = _resolve(args, "channel", config)
-    if kind is None:
-        raise CliError(EXIT_PARSE, missing)
-    try:
-        return ChannelKind(kind.upper())
-    except ValueError as exc:
-        raise CliError(EXIT_PARSE, f"unknown channel kind {kind!r}") from exc
-
-
-def _named_channel(args, config) -> tuple:
-    """Resolve (channel, kind, lambda) from --channel and --lambda."""
-    kind = _channel_kind(args, config, "either --channel or --kraus-file is required")
-    lam = _resolve(args, "lambda", config)
-    if lam is None:
-        raise CliError(EXIT_PARSE, "--lambda is required with --channel")
-    lam = _as_float(lam, "lambda")
-    try:
-        return builtin_channel(kind, lam), kind, lam
+        return builtin_channel(s["channel"], s["lambda"])
     except ValueError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from exc
 
 
-def _channel_source(args, config) -> tuple:
-    """Resolve (channel, plan, fitted) from --channel/--lambda or --kraus-file."""
-    ch = _load_kraus_file(args, config)
-    if ch is None:
-        ch, kind, lam = _named_channel(args, config)
-        return ch, closed_form_plan(kind, lam), None
+def _channel_source(s) -> tuple:
+    """(channel, plan, fit residual): a named channel's closed-form plan, or a --kraus-file channel's fitted one."""
+    ch = _channel(s)
+    if s["kraus_file"] is None:
+        return ch, closed_form_plan(s["channel"], s["lambda"]), None
     report = validate_channel(ch)
     if not report.ok:
         raise CliError(
@@ -243,11 +253,10 @@ def _channel_source(args, config) -> tuple:
     return ch, result.plan, result.residual
 
 
-def _outdir(args, config) -> Path | None:
-    value = _resolve(args, "outdir", config)
-    if value is None:
+def _outdir(s) -> Path | None:
+    if s["outdir"] is None:
         return None
-    path = Path(value)
+    path = Path(s["outdir"])
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -283,16 +292,13 @@ def _echo_plan(plan: DecompositionPlan, residual) -> None:
         print(f"fit residual: {residual:.3g}")
 
 
-def cmd_decompose(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    if args.gates and _resolve(args, "outdir", config) is None:
-        raise CliError(EXIT_PARSE, "--gates needs --outdir; without it stdout carries the plan JSON")
-    ch, plan, residual = _channel_source(args, config)
+def cmd_decompose(s) -> int:
+    ch, plan, residual = _channel_source(s)
     _echo_plan(plan, residual)
-    outdir = _outdir(args, config)
+    outdir = _outdir(s)
     if outdir is not None:
         _write(outdir, "plan.json", plan_to_json(plan))
-        if args.gates:
+        if s["gates"]:
             _write(outdir, "gates_a.json", gate_list_to_json(gates_for_branch(plan.branch_a)))
             if plan.branch_b is not None:
                 _write(outdir, "gates_b.json", gate_list_to_json(gates_for_branch(plan.branch_b)))
@@ -300,11 +306,6 @@ def cmd_decompose(args) -> int:
     else:
         print(plan_to_json(plan))
     return EXIT_OK
-
-
-def _prepared_state(args, config) -> np.ndarray:
-    """cos(2 phi) |H> + sin(2 phi) |V> from the preparation half-wave plate at --phi-deg."""
-    return prepare_initial(np.deg2rad(_as_float(_resolve(args, "phi_deg", config), "phi_deg")))
 
 
 def _measure(rho_in, plans, oracles, noise: NoiseParams | None) -> tuple:
@@ -320,11 +321,10 @@ def _measure(rho_in, plans, oracles, noise: NoiseParams | None) -> tuple:
     return rho_sim, rho_oracle, recon, fidelity(recon.rho, rho_oracle)
 
 
-def cmd_simulate(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    rho_in = _prepared_state(args, config)
-    noise = _noise_from(args, config)
-    ch, plan, _ = _channel_source(args, config)
+def cmd_simulate(s) -> int:
+    rho_in = prepare_initial(np.deg2rad(s["phi_deg"]))
+    noise = _noise_from(s)
+    ch, plan, _ = _channel_source(s)
     rho_sim, _, recon, fid = _measure(rho_in, [plan], transfer(ch)[None], noise)
     rho_sim, recon, fid = rho_sim[0], recon[0], fid[0]
     coh = coherence(recon.rho)
@@ -332,7 +332,7 @@ def cmd_simulate(args) -> int:
     print(f"bloch (reconstructed): {(np.round(recon.bloch, 10) + 0.0).tolist()}")
     print(f"fidelity vs Kraus oracle: {fid:.10f}")
     print(f"coherence c_l1={coh.c_l1:.10f} c_max={coh.c_max:.10f} clamped={recon.clamped}")
-    outdir = _outdir(args, config)
+    outdir = _outdir(s)
     if outdir is not None:
         _write(outdir, "state.json", _state_json(rho_sim))
         _write(outdir, "reconstruction.json", reconstruction_to_json(recon))
@@ -369,28 +369,11 @@ def _write_sweep_csv(fh, rows) -> None:
     writer.writerows([repr(row[c]) for c in SWEEP_COLUMNS] for row in rows)
 
 
-def cmd_sweep(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    if _kraus_file(args, config) is not None:
-        raise CliError(EXIT_PARSE, "sweep takes --channel, not --kraus-file")
-    if _resolve(args, "lambda", config) is not None:
-        raise CliError(EXIT_PARSE, "sweep takes --lambda-grid, not --lambda")
-    kind = _channel_kind(args, config, "--channel is required for sweep")
-    grid_raw = _resolve(args, "lambda_grid", config)
-    grid = _parse_lambda_grid(grid_raw)
-    rho_in = _prepared_state(args, config)
-    noise = _noise_from(args, config)
-    formats_raw = _resolve(args, "formats", config)
-    if formats_raw is not None and _resolve(args, "outdir", config) is None:
-        raise CliError(EXIT_PARSE, "--formats needs --outdir; without it stdout carries the sweep CSV")
-    formats = [f.strip().lower() for f in ("csv" if formats_raw is None else formats_raw).split(",") if f.strip()]
-    if not formats:
-        raise CliError(EXIT_PARSE, "--formats names no output format")
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise CliError(EXIT_PARSE, f"unknown output format {fmt!r}")
-    rows = _sweep_rows(kind, grid, rho_in, noise)
-    outdir = _outdir(args, config)
+def cmd_sweep(s) -> int:
+    rho_in = prepare_initial(np.deg2rad(s["phi_deg"]))
+    rows = _sweep_rows(s["channel"], s["lambda_grid"], rho_in, _noise_from(s))
+    formats = s["formats"] or ["csv"]
+    outdir = _outdir(s)
     if outdir is None:
         _write_sweep_csv(sys.stdout, rows)
         return EXIT_OK
@@ -404,12 +387,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    config = _read_config(args.config) if args.config else {}
-    ch = _load_kraus_file(args, config)
-    if ch is None:
-        ch, _, _ = _named_channel(args, config)
-    report = validate_channel(ch)
+def cmd_validate(s) -> int:
+    report = validate_channel(_channel(s))
     print(f"trace_residual: {report.trace_residual:.6g}")
     print(f"min_choi_eig: {report.min_choi_eig:.6g}")
     print(f"ok: {str(report.ok).lower()}")
@@ -430,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", "CPTP diagnostics for a channel", cmd_validate),
     ):
         p = sub.add_parser(command, help=command_help)
-        for name, (option_help, _, commands) in OPTIONS.items():
+        for name, (option_help, _, commands, _) in OPTIONS.items():
             if command in commands:
                 p.add_argument("--" + name.replace("_", "-"), help=option_help)
         if command == "decompose":
@@ -446,7 +425,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
-        return args.func(args)
+        return args.func(_settings(args))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -95,6 +95,8 @@ class QuasiExtremeBranch:
     conditional_x: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError(f"branch angles must be finite, got alpha={self.alpha!r}, beta={self.beta!r}")
         pair = np.array((self.U, self.Uprime), dtype=complex)  # one copy of both, read-only below
         if pair.shape != (2, 2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {pair.shape[1:]}")
@@ -317,6 +319,7 @@ def _pair_branch(pair) -> QuasiExtremeBranch:
 def _inv_sqrt_psd(a: float, b: complex, d: float) -> tuple:
     """M^(-1/2) of the positive definite M = [[a, b], [conj b, d]], as its row-major entries: with s = sqrt(det M),
     sqrt(M) = (M + s I) / sqrt(Tr M + 2 s)."""
+    # A common scale of the result cannot move a plan: _pair_branch reads angles from ratios and normalises U'.
     s = math.sqrt(a * d - abs(b) ** 2)
     st = s * math.sqrt(a + d + 2.0 * s)
     return (d + s) / st, -b / st, -b.conjugate() / st, (a + s) / st
@@ -336,6 +339,7 @@ def _top_eigenvector(z: float, w: complex) -> tuple:
     two Python numbers: (r + z, w) for z >= 0, else (conj w, r - z), normalised, so no entry cancels and the squared
     norm is >= r^2.  (1, 0) where z = w = 0.  Its partner (-conj y, conj x) is the unit eigenvector for -r."""
     r = math.hypot(z, abs(w))
+    # z > 0.0 gives the same channels: at z = 0 both forms are unit eigenvectors for r, a phase conj(w) / |w| apart.
     x, y = (r + z, w) if z >= 0.0 else (w.conjugate(), r - z)
     norm = math.hypot(abs(x), abs(y))
     return (x / norm, y / norm) if norm > 0.0 else (1.0, 0.0)
@@ -542,20 +546,31 @@ def plan_to_json(plan: DecompositionPlan) -> str:
     return json.dumps({"p": plan.p, "branches": branches}, sort_keys=True)
 
 
+def _json_number(payload: dict, key: str):
+    """``payload[key]`` where it is a finite JSON number (an int or a float, not a bool); else ValueError."""
+    value = payload.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def plan_from_json(text: str) -> DecompositionPlan:
-    """Inverse of :func:`plan_to_json`; rejects gamma angles that do not follow from (alpha, beta)."""
+    """Inverse of :func:`plan_to_json`; raises ValueError on any other shape: an object with a finite number ``p`` and
+    one or two branch objects, each with finite angles, gammas that follow from (alpha, beta), and a bool
+    ``conditional_x``."""
     payload = json.loads(text)
+    rows = payload.get("branches") if isinstance(payload, dict) else None
+    if not (isinstance(rows, list) and 1 <= len(rows) <= 2 and all(isinstance(b, dict) for b in rows)):
+        raise ValueError('expected a JSON object {"p": ..., "branches": [one or two branch objects]}')
+    p = _json_number(payload, "p")
     branches = []
-    for b in payload["branches"]:
-        branch = QuasiExtremeBranch(
-            alpha=b["alpha"],
-            beta=b["beta"],
-            U=_unitary_from_json(b.get("U")),
-            Uprime=_unitary_from_json(b.get("Uprime")),
-            conditional_x=b.get("conditional_x", True),
-        )
-        if max(abs(wrap_angle(b[key] - getattr(branch, key))) for key in ("gamma1", "gamma2")) > ANGLE_TOL:
+    for b in rows:
+        alpha, beta, gamma1, gamma2 = (_json_number(b, key) for key in ("alpha", "beta", "gamma1", "gamma2"))
+        if not isinstance(b.get("conditional_x"), bool):
+            raise ValueError(f"conditional_x must be true or false, got {b.get('conditional_x')!r}")
+        branch = QuasiExtremeBranch(alpha=alpha, beta=beta, U=_unitary_from_json(b.get("U")),
+                                    Uprime=_unitary_from_json(b.get("Uprime")), conditional_x=b["conditional_x"])
+        if max(abs(wrap_angle(gamma1 - branch.gamma1)), abs(wrap_angle(gamma2 - branch.gamma2))) > ANGLE_TOL:
             raise ValueError("gamma angles inconsistent with (alpha, beta)")
         branches.append(branch)
-    branch_b = branches[1] if len(branches) > 1 else None
-    return DecompositionPlan(branch_a=branches[0], branch_b=branch_b, p=payload["p"])
+    return DecompositionPlan(branch_a=branches[0], branch_b=branches[1] if len(branches) > 1 else None, p=p)

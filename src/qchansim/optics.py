@@ -25,6 +25,8 @@ from .matops import H0, Q0, _unitarity_residual_2x2, as_cmat
 
 # The qubit each optical element acts on: polarization, transverse mode or both.
 GATE_TARGETS = {"QWP": "pol", "HWP": "pol", "DP": "mode", "TBS": "mode", "CNOT": "both", "CONDX": "both"}
+ANGLED_ELEMENTS = ("QWP", "HWP", "DP")  # the elements set by an angle; the others take none
+_REAL = (int, float, np.integer, np.floating)  # concrete types: an isinstance test on numbers.Real costs 4x as much
 
 
 def rot2(theta) -> np.ndarray:
@@ -157,14 +159,20 @@ def dove_pair_for_ry(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class GateElement:
-    """One physical element of a compiled gate list; its target follows from the element."""
+    """One physical element of a compiled gate list; its target follows from the element, and it has a finite angle
+    exactly when it is one of ``ANGLED_ELEMENTS``."""
 
     element: str
     angle: float | None
 
     def __post_init__(self):
-        if self.element not in GATE_TARGETS:
+        if not (isinstance(self.element, str) and self.element in GATE_TARGETS):
             raise ValueError(f"unknown element {self.element!r}")
+        if self.element not in ANGLED_ELEMENTS:
+            if self.angle is not None:
+                raise ValueError(f"{self.element} takes no angle, got {self.angle!r}")
+        elif isinstance(self.angle, bool) or not isinstance(self.angle, _REAL) or not math.isfinite(self.angle):
+            raise ValueError(f"{self.element} needs a finite angle, got {self.angle!r}")
 
     @property
     def target(self) -> str:
@@ -180,8 +188,12 @@ def gate_list_to_json(gates) -> str:
 
 
 def gate_list_from_json(text: str) -> list[GateElement]:
-    """Inverse of :func:`gate_list_to_json`; rejects a target that contradicts its element."""
+    """Inverse of :func:`gate_list_to_json`; raises ValueError on any other shape, on an angle its element does not
+    take, and on a target that contradicts its element."""
     rows = json.loads(text)
+    if not (isinstance(rows, list) and all(isinstance(r, dict) and {"element", "angle", "target"} <= r.keys()
+                                           for r in rows)):
+        raise ValueError('expected a JSON list of {"element": ..., "angle": ..., "target": ...} objects')
     gates = [GateElement(r["element"], r["angle"]) for r in rows]
     for gate, r in zip(gates, rows):
         if r["target"] != gate.target:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,22 @@ def test_noise_params_validation():
         NoiseParams(intensity_sigma=-0.1)
     with pytest.raises(ValueError, match="rng_seed"):
         NoiseParams(rng_seed=-3)
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"intensity_sigma": np.nan}, "intensity_sigma must be finite, got nan"),
+    ({"intensity_sigma": np.inf}, "intensity_sigma must be finite, got inf"),
+    ({"rng_seed": 1.5}, "rng_seed must be an integer, got 1.5"),
+    ({"rng_seed": 1.5, "intensity_sigma": 0.1}, "rng_seed must be an integer, got 1.5"),
+    ({"rng_seed": "3"}, "rng_seed must be an integer, got '3'"),
+    ({"rng_seed": np.float64(2.0)}, "rng_seed must be an integer, got "),
+])
+def test_noise_params_reject_a_non_finite_sigma_and_a_non_integer_seed(options, message):
+    # NaN used to switch the noise off, inf to leak numpy's divide warning from reconstruct, and a float seed to fail
+    # in numpy's RNG only where sigma > 0.
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        NoiseParams(**options)
+    assert NoiseParams(rng_seed=np.int64(3), intensity_sigma=0.1).rng_seed == 3
 
 
 def test_gates_for_identity_dressing():

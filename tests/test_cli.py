@@ -733,3 +733,33 @@ def test_output_options_are_never_dropped(args, message, tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1 and message in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["decompose", "--config", "BADCFG", "--channel", "XX", "--gates"], "unknown key 'wavelength'"),
+    (["decompose", "--kraus-file", "MISSING", "--channel", "AD", "--gates"],
+     "--kraus-file and --channel are mutually exclusive"),
+    (["sweep", "--kraus-file", "MISSING", "--lambda", "0.5"], "--kraus-file and --lambda are mutually exclusive"),
+    (["sweep", "--kraus-file", "MISSING", "--formats", "json"], "sweep takes --channel, not --kraus-file"),
+    (["sweep", "--formats", "json", "--lambda-grid", "0:1"], "--formats needs --outdir"),
+    (["simulate", "--channel", "XX", "--phi-deg", "x"], "--lambda is required with --channel"),
+    (["simulate", "--phi-deg", "x", "--visibility", "2"], "either --channel or --kraus-file is required"),
+    (["simulate", "--channel", "XX", "--lambda", "x", "--phi-deg", "inf"], "unknown channel kind 'XX'"),
+    (["simulate", "--channel", "AD", "--lambda", "x", "--phi-deg", "inf"], "lambda must be a number, got 'x'"),
+    (["sweep", "--channel", "AD", "--lambda-grid", "0:1", "--seed", "y"], "bad lambda grid '0:1'"),
+    (["sweep", "--channel", "AD", "--formats", "xml", "--visibility", "2", "--outdir", "OUT"],
+     "unknown output format 'xml'"),
+    (["simulate", "--kraus-file", "MISSING", "--visibility", "2"], "visibility must lie in [0, 1]"),
+    (["simulate", "--channel", "AD", "--lambda", "1.4", "--intensity-sigma", "-1"], "intensity_sigma must be"),
+    (["simulate", "--kraus-file", "MISSING"], "cannot load Kraus file"),
+])
+def test_a_command_with_several_faults_reports_the_first_in_the_documented_order(args, message, tmp_path, capsys):
+    # The order: the config file, then RULES in order on the resolved text, then each value's parser in OPTIONS order,
+    # then the noise options' ranges, then the channel (its file, its lambda range, CPTP and the fit).
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("wavelength=532\n")
+    paths = {"BADCFG": cfg, "MISSING": tmp_path / "missing.json", "OUT": tmp_path / "out"}
+    assert run([str(paths.get(a, a)) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "out").exists()

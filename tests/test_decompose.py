@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -225,6 +226,50 @@ def test_branch_rejects_inconsistent_gammas():
             plan_from_json(json.dumps(tampered))
     payload["branches"][0]["gamma1"] += 2.0 * PI
     assert plan_from_json(json.dumps(payload)).branch_a.gamma1 == pytest.approx(PI / 2.0 - 0.3)
+
+
+def _tampered_plan(change) -> str:
+    """The JSON of a two-branch BPF plan after ``change`` edits its payload in place."""
+    payload = json.loads(plan_to_json(closed_form_plan("BPF", 0.3)))
+    change(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_tampered_plan(lambda d: d.__setitem__("branches", d["branches"] * 3)), "one or two branch objects"),
+    (_tampered_plan(lambda d: d.__setitem__("branches", [])), "one or two branch objects"),
+    (_tampered_plan(lambda d: d["branches"].__setitem__(1, 5)), "one or two branch objects"),
+    ("[1, 2]", "one or two branch objects"),
+    (_tampered_plan(lambda d: d.pop("branches")), "one or two branch objects"),
+    (_tampered_plan(lambda d: d.pop("p")), "p must be a finite number, got None"),
+    (_tampered_plan(lambda d: d.__setitem__("p", "1")), "p must be a finite number, got '1'"),
+    (_tampered_plan(lambda d: d.__setitem__("p", True)), "p must be a finite number, got True"),
+    (_tampered_plan(lambda d: d.__setitem__("p", float("nan"))), "p must be a finite number, got nan"),
+    (_tampered_plan(lambda d: d["branches"][0].pop("alpha")), "alpha must be a finite number, got None"),
+    (_tampered_plan(lambda d: d["branches"][1].__setitem__("beta", "x")), "beta must be a finite number, got 'x'"),
+    (_tampered_plan(lambda d: d["branches"][0].__setitem__("alpha", float("inf"))),
+     "alpha must be a finite number, got inf"),
+    (_tampered_plan(lambda d: d["branches"][0].__setitem__("gamma1", float("nan"))),
+     "gamma1 must be a finite number, got nan"),
+    (_tampered_plan(lambda d: d["branches"][1].pop("gamma2")), "gamma2 must be a finite number, got None"),
+    (_tampered_plan(lambda d: d["branches"][0].__setitem__("conditional_x", "yes")),
+     "conditional_x must be true or false, got 'yes'"),
+    (_tampered_plan(lambda d: d["branches"][0].pop("conditional_x")), "conditional_x must be true or false, got None"),
+], ids=["six-branches", "no-branches", "branch-a-number", "a-list", "branches-missing", "p-missing", "p-a-string",
+        "p-a-bool", "p-nan", "alpha-missing", "beta-a-string", "alpha-inf", "gamma1-nan", "gamma2-missing",
+        "conditional-x-a-string", "conditional-x-missing"])
+def test_plan_from_json_rejects_a_malformed_plan_with_one_value_error(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        plan_from_json(text)
+
+
+@pytest.mark.parametrize("alpha, beta", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)])
+def test_branch_rejects_non_finite_angles(alpha, beta):
+    # wrap_angle keeps a NaN and turns an infinity into one; plan_to_json would then write the non-JSON token NaN.
+    with pytest.raises(ValueError, match="branch angles must be finite"):
+        QuasiExtremeBranch.from_alpha_beta(alpha, beta)
+    with pytest.raises(ValueError, match="branch angles must be finite"):
+        QuasiExtremeBranch(alpha, beta, ID2, ID2)
 
 
 def test_plan_requires_second_branch_below_unit_weight():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -182,11 +184,42 @@ def test_waveplates_square_to_identity_up_to_phase():
 def test_gate_element_validation():
     with pytest.raises(ValueError):
         GateElement("LENS", 0.0)
-    assert [GateElement(e, None).target for e in ("QWP", "HWP", "DP", "TBS", "CNOT", "CONDX")] == [
-        "pol", "pol", "mode", "mode", "both", "both"]
+    assert [GateElement(e, 0.0 if e in ("QWP", "HWP", "DP") else None).target
+            for e in ("QWP", "HWP", "DP", "TBS", "CNOT", "CONDX")] == ["pol", "pol", "mode", "mode", "both", "both"]
     for target in ("beam", "mode", "both"):
         with pytest.raises(ValueError, match="QWP acts on 'pol'"):
             gate_list_from_json(f'[{{"element": "QWP", "angle": 0.0, "target": "{target}"}}]')
+
+
+@pytest.mark.parametrize("element, angle, message", [
+    ("CNOT", 1.0, "CNOT takes no angle, got 1.0"),
+    ("TBS", 0.0, "TBS takes no angle, got 0.0"),
+    ("DP", None, "DP needs a finite angle, got None"),
+    ("QWP", "x", "QWP needs a finite angle, got 'x'"),
+    ("HWP", np.nan, "HWP needs a finite angle, got nan"),
+    ("DP", np.inf, "DP needs a finite angle, got inf"),
+    ("QWP", True, "QWP needs a finite angle, got True"),
+    (["DP"], 0.0, "unknown element ['DP']"),
+])
+def test_gate_element_takes_an_angle_exactly_when_its_element_does(element, angle, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GateElement(element, angle)
+    assert GateElement("DP", np.float32(0.5)).angle == 0.5 and GateElement("HWP", 1).angle == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"element": "DP", "angle": 0.0, "target": "mode"}', "expected a JSON list"),
+    ("[1]", "expected a JSON list"),
+    ('[{"element": "DP", "angle": 0.0}]', "expected a JSON list"),
+    ('[{"element": "DP", "angle": "x", "target": "mode"}]', "DP needs a finite angle, got 'x'"),
+    ('[{"element": "DP", "angle": NaN, "target": "mode"}]', "DP needs a finite angle, got nan"),
+    ('[{"element": "DP", "angle": null, "target": "mode"}]', "DP needs a finite angle, got None"),
+    ('[{"element": "CNOT", "angle": 1.0, "target": "both"}]', "CNOT takes no angle, got 1.0"),
+], ids=["an-object", "a-number-row", "target-missing", "angle-a-string", "angle-nan", "angle-missing-for-dp",
+        "angle-for-cnot"])
+def test_gate_list_from_json_rejects_a_malformed_list_with_one_value_error(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gate_list_from_json(text)
 
 
 def test_gate_list_json_round_trip():

@@ -16,7 +16,9 @@ unconverged, when any corpus but ``rounded`` has a miss or a worst residual abov
 ``FIT_ROUNDOFF_RESIDUAL`` (1e-11: those corpora fit to round-off, at most a few 1e-15, so
 a residual above it means a kernel lost digits, though the plan still passes), or when
 any plan does not have its stage's shape: one branch at p = 1 from stage one, two branches at
-p = 1/2 from the split.
+p = 1/2 from the split, or when any plan or branch gate list does not read back as itself from the JSON the
+library writes (``plan_to_json`` / ``plan_from_json``, ``gate_list_to_json`` / ``gate_list_from_json``, run
+outside the timed call): the readers must accept everything the writers produce.
 A ``rounded`` channel is off trace preservation, and
 no trace-preserving plan is nearer to it than the floor ``trace_residual / sqrt(2)`` of
 ``qchansim.validate_channel``; the worst ratio of residual to floor is printed for that corpus.
@@ -57,6 +59,8 @@ import numpy as np
 
 from perfbench.inputs import fit_corpus, random_kraus_ops
 from qchansim import KrausChannel, builtin_channel, decompose, validate_channel
+from qchansim.circuit import gates_for_branch
+from qchansim.optics import gate_list_from_json, gate_list_to_json
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
@@ -165,10 +169,26 @@ def _counted_linalg():
             setattr(np.linalg, name, function)
 
 
+def _round_trip_fault(plan):
+    """Why ``plan``, or one of its branches' gate lists, does not read back as itself from its JSON; None if both do."""
+    text = decompose.plan_to_json(plan)
+    try:
+        if decompose.plan_to_json(decompose.plan_from_json(text)) != text:
+            return "the plan reads back differently"
+        for branch in (plan.branch_a, plan.branch_b):
+            gates = [] if branch is None else gates_for_branch(branch)
+            if gate_list_from_json(gate_list_to_json(gates)) != gates:
+                return "a gate list reads back differently"
+    except ValueError as exc:
+        return f"rejected: {exc}"
+    return None
+
+
 def run(name):
     """Fit every channel of corpus ``name``; return its table row, note lines, miss and unconverged counts, the
-    worst residual, and the number of plans that do not have their stage's shape."""
-    residuals, stage_two, misshapen, ms, floor_ratios, linalg_fits = {}, [], 0, [], [], 0
+    worst residual, the number of plans that do not have their stage's shape, and the number that fail the JSON
+    round trip."""
+    residuals, stage_two, misshapen, ms, floor_ratios, linalg_fits, round_trip = {}, [], 0, [], [], 0, {}
     for i, ops in CORPORA[name]().items():
         ch = KrausChannel(tuple(np.asarray(k, dtype=complex) for k in ops), f"{name} {i}")
         with _counted_linalg() as linalg_calls:
@@ -181,6 +201,9 @@ def run(name):
         stage_two.append(result.starts_used == 1)
         misshapen += not ((result.starts_used == 0 and plan.branch_b is None and plan.p == 1.0)
                           or (result.starts_used == 1 and plan.branch_b is not None and plan.p == 0.5))
+        fault = _round_trip_fault(plan)
+        if fault is not None:
+            round_trip[i] = fault
         if name == "rounded":
             floor_ratios.append(result.residual / (validate_channel(ch).trace_residual / math.sqrt(2.0)))
     misses = [i for i, r in residuals.items() if r > decompose.FIT_TARGET_RESIDUAL]
@@ -195,7 +218,10 @@ def run(name):
         notes.append(f"{name} residual / floor: median {np.median(floor_ratios):.2f}, worst {max(floor_ratios):.2f}")
     if misshapen:
         notes.append(f"{name}: {misshapen} plans without their stage's shape")
-    return row, notes, len(misses), unconverged, max(residuals.values()), misshapen
+    if round_trip:
+        first = min(round_trip)
+        notes.append(f"{name}: {len(round_trip)} plans fail the JSON round trip, first {first}: {round_trip[first]}")
+    return row, notes, len(misses), unconverged, max(residuals.values()), misshapen, len(round_trip)
 
 
 def main(argv=None):
@@ -209,11 +235,11 @@ def main(argv=None):
     print("| --- | --- | --- | --- | --- | --- | --- | --- |")
     notes, failed = [], False
     for name in names:
-        row, corpus_notes, misses, unconverged, worst, misshapen = run(name)
+        row, corpus_notes, misses, unconverged, worst, misshapen, round_trip = run(name)
         print(row, flush=True)
         notes += corpus_notes
         lost_digits = name != "rounded" and (misses > 0 or worst > decompose.FIT_ROUNDOFF_RESIDUAL)
-        failed = failed or unconverged > 0 or lost_digits or misshapen > 0
+        failed = failed or unconverged > 0 or lost_digits or misshapen > 0 or round_trip > 0
     for note in notes:
         print(note)
     return 1 if failed else 0
