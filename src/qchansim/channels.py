@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -22,6 +21,7 @@ from .matops import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Record,
     as_cmat,
     assert_density_matrix,
     complex_to_pairs,
@@ -48,47 +48,45 @@ class ChannelKind(str, Enum):
     BPF = "BPF"
 
 
-@dataclass(frozen=True)
-class KrausChannel:
+class KrausChannel(Record):
     """An ordered set of 2x2 Kraus operators with a human-readable label.
 
     The operators are kept as one read-only stacked copy, so a later write to the caller's arrays cannot change the
     channel.  The Choi matrix J = sum_k vec K_k vec K_k^dag is formed once, here (:func:`to_choi` returns it, read-only,
     and :func:`transfer` reshuffles it); it takes no part in ``repr`` or ``==``."""
 
-    ops: tuple
-    label: str = ""
-    _choi: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("ops", "label", "_choi")
 
-    def __post_init__(self):
-        if len(self.ops) == 0:
+    def __init__(self, ops: tuple, label: str = ""):
+        if len(ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
-        stacked = np.array([as_cmat(k, 2) for k in self.ops])
+        stacked = np.array([as_cmat(k, 2) for k in ops])
         choi = _gram(stacked.swapaxes(1, 2).reshape(-1, 4))  # column-major vecs, vec K[2 j + a] = K[a, j]
         stacked.flags.writeable = choi.flags.writeable = False
         object.__setattr__(self, "ops", tuple(stacked))
+        object.__setattr__(self, "label", label)
         object.__setattr__(self, "_choi", choi)
 
 
-@dataclass(frozen=True)
-class CPTPReport:
+class CPTPReport(Record):
     """Diagnostics from :func:`validate_channel`."""
 
-    trace_residual: float
-    min_choi_eig: float
-    ok: bool
+    __slots__ = ("trace_residual", "min_choi_eig", "ok")
+
+    def __init__(self, trace_residual: float, min_choi_eig: float, ok: bool):
+        object.__setattr__(self, "trace_residual", trace_residual)
+        object.__setattr__(self, "min_choi_eig", min_choi_eig)
+        object.__setattr__(self, "ok", ok)
 
 
-@dataclass(frozen=True)
-class AffineRep:
+class AffineRep(Record):
     """Bloch-sphere representation r -> T r + t of a channel."""
 
-    T: np.ndarray
-    t: np.ndarray
+    __slots__ = ("T", "t")
 
-    def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        t = np.asarray(self.t, dtype=float)
+    def __init__(self, T: np.ndarray, t: np.ndarray):
+        T = np.asarray(T, dtype=float)
+        t = np.asarray(t, dtype=float)
         if T.shape != (3, 3) or t.shape != (3,):
             raise ValueError("AffineRep needs a 3x3 matrix and a 3-vector")
         object.__setattr__(self, "T", T)
@@ -191,5 +189,8 @@ def channel_from_json(text: str) -> KrausChannel:
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("kraus"), list):
         raise ValueError('expected a JSON object {"label": ..., "kraus": [...]}')
+    label = payload.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
     ops = tuple(pairs_to_complex(k) for k in payload["kraus"])
-    return KrausChannel(ops, payload.get("label", ""))
+    return KrausChannel(ops, label)

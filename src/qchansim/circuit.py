@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .matops import (
     H0,
     ID2,
     PAULI_X,
+    Record,
     assert_density_matrix,
     dagger,
 )
@@ -54,29 +54,29 @@ _TBS_REFLECTED = _MIRROR @ _MIRROR
 _BASIS_OPS = np.eye(4, dtype=complex).reshape(4, 2, 2)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(Record):
     """Imperfection model: interferometer visibility, relative Gaussian
     intensity noise at the detector, and the RNG seed that makes runs
     reproducible."""
 
-    visibility: float = 1.0
-    intensity_sigma: float = 0.0
-    rng_seed: int = 0
+    __slots__ = ("visibility", "intensity_sigma", "rng_seed")
 
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
+    def __init__(self, visibility: float = 1.0, intensity_sigma: float = 0.0, rng_seed: int = 0):
+        if not 0.0 <= visibility <= 1.0:
             raise ValueError("visibility must lie in [0, 1]")
-        if not math.isfinite(self.intensity_sigma):
-            raise ValueError(f"intensity_sigma must be finite, got {self.intensity_sigma!r}")
-        if self.intensity_sigma < 0.0:
+        if not math.isfinite(intensity_sigma):
+            raise ValueError(f"intensity_sigma must be finite, got {intensity_sigma!r}")
+        if intensity_sigma < 0.0:
             raise ValueError("intensity_sigma must be nonnegative")
         try:
-            seed = operator.index(self.rng_seed)  # numpy integers pass, floats do not
+            seed = operator.index(rng_seed)  # numpy integers pass, floats do not
         except TypeError:
-            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}") from None
+            raise ValueError(f"rng_seed must be an integer, got {rng_seed!r}") from None
         if seed < 0:
             raise ValueError("rng_seed must be nonnegative")
+        object.__setattr__(self, "visibility", visibility)
+        object.__setattr__(self, "intensity_sigma", intensity_sigma)
+        object.__setattr__(self, "rng_seed", rng_seed)
 
 
 def prepare_initial(phi: float) -> np.ndarray:

@@ -9,8 +9,8 @@ default.  A channel comes either from --channel (with --lambda) or from
 --formats (which name files in the output directory) need --outdir.  RULES
 lists these combinations.  A command with several faults reports the first
 of: the config file, the RULES in order, the values in OPTIONS order, the
-noise options' ranges, then the channel (its file, its lambda range, CPTP
-and the fit).
+noise options' ranges, the channel (its file, its lambda range, CPTP and
+the fit), then --outdir, which is made before any output or measurement.
 Exit codes: 0 ok, 1 validation failure, 2 parse error, 3 fit
 non-convergence, 4 measurement failed (intensity noise left a tomography
 basis dark).
@@ -23,7 +23,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +256,10 @@ def _outdir(s) -> Path | None:
     if s["outdir"] is None:
         return None
     path = Path(s["outdir"])
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(EXIT_PARSE, f"cannot make output directory: {exc}") from exc
     return path
 
 
@@ -294,8 +296,8 @@ def _echo_plan(plan: DecompositionPlan, residual) -> None:
 
 def cmd_decompose(s) -> int:
     ch, plan, residual = _channel_source(s)
-    _echo_plan(plan, residual)
     outdir = _outdir(s)
+    _echo_plan(plan, residual)
     if outdir is not None:
         _write(outdir, "plan.json", plan_to_json(plan))
         if s["gates"]:
@@ -325,6 +327,7 @@ def cmd_simulate(s) -> int:
     rho_in = prepare_initial(np.deg2rad(s["phi_deg"]))
     noise = _noise_from(s)
     ch, plan, _ = _channel_source(s)
+    outdir = _outdir(s)
     rho_sim, _, recon, fid = _measure(rho_in, [plan], transfer(ch)[None], noise)
     rho_sim, recon, fid = rho_sim[0], recon[0], fid[0]
     coh = coherence(recon.rho)
@@ -332,7 +335,6 @@ def cmd_simulate(s) -> int:
     print(f"bloch (reconstructed): {(np.round(recon.bloch, 10) + 0.0).tolist()}")
     print(f"fidelity vs Kraus oracle: {fid:.10f}")
     print(f"coherence c_l1={coh.c_l1:.10f} c_max={coh.c_max:.10f} clamped={recon.clamped}")
-    outdir = _outdir(s)
     if outdir is not None:
         _write(outdir, "state.json", _state_json(rho_sim))
         _write(outdir, "reconstruction.json", reconstruction_to_json(recon))
@@ -351,7 +353,8 @@ def _sweep_rows(kind: ChannelKind, grid, rho_in, noise: NoiseParams | None):
     rows = []
     for start in range(0, len(grid), SWEEP_BLOCK):
         block = grid[start : start + SWEEP_BLOCK]
-        block_noise = None if noise is None else replace(noise, rng_seed=noise.rng_seed + start)
+        block_noise = None if noise is None else NoiseParams(
+            noise.visibility, noise.intensity_sigma, noise.rng_seed + start)
         plans = [closed_form_plan(kind, lam) for lam in block]
         oracles = np.array([transfer(builtin_channel(kind, lam)) for lam in block])
         _, rho_oracle, recon, fid = _measure(rho_in, plans, oracles, block_noise)
@@ -371,9 +374,10 @@ def _write_sweep_csv(fh, rows) -> None:
 
 def cmd_sweep(s) -> int:
     rho_in = prepare_initial(np.deg2rad(s["phi_deg"]))
-    rows = _sweep_rows(s["channel"], s["lambda_grid"], rho_in, _noise_from(s))
-    formats = s["formats"] or ["csv"]
+    noise = _noise_from(s)
     outdir = _outdir(s)
+    rows = _sweep_rows(s["channel"], s["lambda_grid"], rho_in, noise)
+    formats = s["formats"] or ["csv"]
     if outdir is None:
         _write_sweep_csv(sys.stdout, rows)
         return EXIT_OK

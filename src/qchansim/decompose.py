@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .channels import (
 from .matops import (
     ID2,
     PAULIS,
+    Record,
     _unitarity_residual_2x2,
     complex_to_pairs,
     frob_dist,
@@ -78,8 +78,7 @@ def gammas_from_angles(alpha: float, beta: float) -> tuple[float, float]:
     return np.pi / 2.0 - alpha + beta, alpha + beta - np.pi / 2.0
 
 
-@dataclass(frozen=True)
-class QuasiExtremeBranch:
+class QuasiExtremeBranch(Record):
     """One quasiextreme branch: Kraus angles, ancilla angles and dressing unitaries.
 
     ``conditional_x`` records whether the feed-forward sigma_x acts on the
@@ -88,16 +87,12 @@ class QuasiExtremeBranch:
     ``gamma1`` and ``gamma2`` follow from (alpha, beta), wrapped into (-pi, pi].
     """
 
-    alpha: float
-    beta: float
-    U: np.ndarray
-    Uprime: np.ndarray
-    conditional_x: bool = True
+    __slots__ = ("alpha", "beta", "U", "Uprime", "conditional_x")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError(f"branch angles must be finite, got alpha={self.alpha!r}, beta={self.beta!r}")
-        pair = np.array((self.U, self.Uprime), dtype=complex)  # one copy of both, read-only below
+    def __init__(self, alpha: float, beta: float, U: np.ndarray, Uprime: np.ndarray, conditional_x: bool = True):
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ValueError(f"branch angles must be finite, got alpha={alpha!r}, beta={beta!r}")
+        pair = np.array((U, Uprime), dtype=complex)  # one copy of both, read-only below
         if pair.shape != (2, 2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {pair.shape[1:]}")
         u, up = pair.reshape(2, 4).tolist()
@@ -105,8 +100,11 @@ class QuasiExtremeBranch:
         if not (_unitarity_residual_2x2(*u) <= ANGLE_TOL and _unitarity_residual_2x2(*up) <= ANGLE_TOL):
             raise ValueError("branch unitaries must be unitary within 1e-10")
         pair.flags.writeable = False
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "U", pair[0])
         object.__setattr__(self, "Uprime", pair[1])
+        object.__setattr__(self, "conditional_x", conditional_x)
 
     @property
     def gamma1(self) -> float:
@@ -129,19 +127,19 @@ class QuasiExtremeBranch:
         return pair
 
 
-@dataclass(frozen=True)
-class DecompositionPlan:
+class DecompositionPlan(Record):
     """Convex mix p * branch_a + (1 - p) * branch_b; branch_b may be absent only at p = 1."""
 
-    branch_a: QuasiExtremeBranch
-    branch_b: QuasiExtremeBranch | None
-    p: float
+    __slots__ = ("branch_a", "branch_b", "p")
 
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"mixing weight must be in [0, 1], got {self.p}")
-        if self.branch_b is None and self.p < 1.0:
+    def __init__(self, branch_a: QuasiExtremeBranch, branch_b: QuasiExtremeBranch | None, p: float):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"mixing weight must be in [0, 1], got {p}")
+        if branch_b is None and p < 1.0:
             raise ValueError("branch_b is required whenever p < 1")
+        object.__setattr__(self, "branch_a", branch_a)
+        object.__setattr__(self, "branch_b", branch_b)
+        object.__setattr__(self, "p", p)
 
 
 # The lambda-independent branches of the PF and BPF plans, built once.
@@ -212,17 +210,19 @@ def _plan_choi(plan: DecompositionPlan) -> np.ndarray:
     return _gram(np.array(_plan_vecs(plan)))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Outcome of :func:`fit_plan`.
 
     ``starts_used`` marks the stage that made the plan: 0 for stage one, which reads
     a Kraus pair of the target, 1 for stage two, the split of its Kraus set.
     """
 
-    plan: DecompositionPlan
-    residual: float
-    starts_used: int
+    __slots__ = ("plan", "residual", "starts_used")
+
+    def __init__(self, plan: DecompositionPlan, residual: float, starts_used: int):
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "starts_used", starts_used)
 
     @property
     def converged(self) -> bool:

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for 2x2 / 4x4 operators and Bloch 3-vectors.
 
-Everything here is a pure function on plain numpy arrays.  Equality is
-always tolerance-based.
+Everything here is a pure function on plain numpy arrays, except
+:class:`Record`, the base of the package's immutable records.  Equality of
+matrices is always tolerance-based.
 """
 
 from __future__ import annotations
@@ -25,6 +26,45 @@ Q0 = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=complex)
 H0 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 for _constant in (ID2, *PAULIS, _PAULI_STACK, Q0, H0):  # shared by every caller, so a write raises
     _constant.flags.writeable = False
+
+
+class Record:
+    """Base of the package's immutable records, built without generating code at import.
+
+    A subclass lists its fields as ``__slots__`` in constructor order and sets them in its own ``__init__`` with
+    ``object.__setattr__``.  A field named with a leading underscore is derived from the others: it takes no part in
+    ``repr``, ``==``, ``hash`` or pickling.  Records compare equal only to records of their own class, field by field,
+    and pickle and copy by calling ``__init__`` again."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def as_cmat(m, dim: int | None = None, stack: bool = False) -> np.ndarray:

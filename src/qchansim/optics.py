@@ -17,11 +17,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .matops import H0, Q0, _unitarity_residual_2x2, as_cmat
+from .matops import H0, Q0, Record, _unitarity_residual_2x2, as_cmat
 
 # The qubit each optical element acts on: polarization, transverse mode or both.
 GATE_TARGETS = {"QWP": "pol", "HWP": "pol", "DP": "mode", "TBS": "mode", "CNOT": "both", "CONDX": "both"}
@@ -51,22 +50,26 @@ def dove(gamma: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class WaveplateTriple:
+class WaveplateTriple(Record):
     """Fast-axis angles of a QWP-HWP-QWP set; light traverses eta2 first."""
 
-    eta1: float
-    tau: float
-    eta2: float
+    __slots__ = ("eta1", "tau", "eta2")
+
+    def __init__(self, eta1: float, tau: float, eta2: float):
+        object.__setattr__(self, "eta1", eta1)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "eta2", eta2)
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(Record):
     """Angles (phi, xi, zeta) of the rotation sequence Ry(phi) Rz(-xi) Ry(zeta)."""
 
-    phi: float
-    xi: float
-    zeta: float
+    __slots__ = ("phi", "xi", "zeta")
+
+    def __init__(self, phi: float, xi: float, zeta: float):
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "zeta", zeta)
 
 
 def triple_to_unitary(w: WaveplateTriple) -> np.ndarray:
@@ -157,22 +160,22 @@ def dove_pair_for_ry(gamma: float) -> float:
     return gamma / 4.0
 
 
-@dataclass(frozen=True)
-class GateElement:
+class GateElement(Record):
     """One physical element of a compiled gate list; its target follows from the element, and it has a finite angle
     exactly when it is one of ``ANGLED_ELEMENTS``."""
 
-    element: str
-    angle: float | None
+    __slots__ = ("element", "angle")
 
-    def __post_init__(self):
-        if not (isinstance(self.element, str) and self.element in GATE_TARGETS):
-            raise ValueError(f"unknown element {self.element!r}")
-        if self.element not in ANGLED_ELEMENTS:
-            if self.angle is not None:
-                raise ValueError(f"{self.element} takes no angle, got {self.angle!r}")
-        elif isinstance(self.angle, bool) or not isinstance(self.angle, _REAL) or not math.isfinite(self.angle):
-            raise ValueError(f"{self.element} needs a finite angle, got {self.angle!r}")
+    def __init__(self, element: str, angle: float | None):
+        if not (isinstance(element, str) and element in GATE_TARGETS):
+            raise ValueError(f"unknown element {element!r}")
+        if element not in ANGLED_ELEMENTS:
+            if angle is not None:
+                raise ValueError(f"{element} takes no angle, got {angle!r}")
+        elif isinstance(angle, bool) or not isinstance(angle, _REAL) or not math.isfinite(angle):
+            raise ValueError(f"{element} needs a finite angle, got {angle!r}")
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "angle", angle)
 
     @property
     def target(self) -> str:

@@ -19,13 +19,12 @@ F = Tr(rho sigma) + 2 sqrt(det rho det sigma) (Hubner 1992; Jozsa 1994).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .circuit import NoiseParams
-from .matops import assert_density_matrix, bloch_vector, complex_to_pairs, density_from_bloch
+from .matops import Record, assert_density_matrix, bloch_vector, complex_to_pairs, density_from_bloch
 from .optics import hwp, qwp
 
 
@@ -35,12 +34,14 @@ class Basis(str, Enum):
     LR = "LR"
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
+class MeasurementSetting(Record):
     """Waveplate angles selecting one measurement basis."""
 
-    theta_q: float
-    theta_h: float
+    __slots__ = ("theta_q", "theta_h")
+
+    def __init__(self, theta_q: float, theta_h: float):
+        object.__setattr__(self, "theta_q", theta_q)
+        object.__setattr__(self, "theta_h", theta_h)
 
 
 SETTINGS = {
@@ -53,32 +54,38 @@ SETTINGS = {
 _PORT_A_ROWS = np.array([(hwp(s.theta_h) @ qwp(s.theta_q))[0] for s in SETTINGS.values()])
 
 
-@dataclass(frozen=True)
-class TomographyRecord:
+class TomographyRecord(Record):
     """Detected intensities (I_A, I_B) for each of the three bases; for a
     stack of n states each field is an ``(n, 2)`` array."""
 
-    hv: tuple
-    da: tuple
-    lr: tuple
+    __slots__ = ("hv", "da", "lr")
+
+    def __init__(self, hv: tuple, da: tuple, lr: tuple):
+        object.__setattr__(self, "hv", hv)
+        object.__setattr__(self, "da", da)
+        object.__setattr__(self, "lr", lr)
 
 
-@dataclass(frozen=True)
-class CoherencePair:
+class CoherencePair(Record):
     """l1-norm coherence and its unitary maximum (the Bloch length); arrays for a stack."""
 
-    c_l1: float
-    c_max: float
+    __slots__ = ("c_l1", "c_max")
+
+    def __init__(self, c_l1: float, c_max: float):
+        object.__setattr__(self, "c_l1", c_l1)
+        object.__setattr__(self, "c_max", c_max)
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(Record):
     """A reconstructed state; for a stack every field gains a leading axis of length n."""
 
-    rho: np.ndarray
-    bloch: np.ndarray
-    purity: float  # Tr rho^2 = (1 + |r|^2) / 2
-    clamped: bool
+    __slots__ = ("rho", "bloch", "purity", "clamped")
+
+    def __init__(self, rho: np.ndarray, bloch: np.ndarray, purity: float, clamped: bool):
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "bloch", bloch)
+        object.__setattr__(self, "purity", purity)  # Tr rho^2 = (1 + |r|^2) / 2
+        object.__setattr__(self, "clamped", clamped)
 
     def __getitem__(self, i) -> "Reconstruction":
         """Member ``i`` of a stacked reconstruction."""

@@ -4,7 +4,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,6 +78,17 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["qchansim", "qchansim.cli"])
+def test_import_loads_no_dataclasses(module):
+    # The records are plain slotted classes on matops.Record, so no layer generates and compiles their methods; numpy
+    # is imported first, so that only the package's own imports count.
+    code = f"import sys, numpy; before = set(sys.modules); import {module}; " \
+           "print('dataclasses' in set(sys.modules) - before)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def _fraction_fmt_angle(x):
@@ -426,8 +436,11 @@ def test_kraus_file_whose_transfer_matrix_overflows_is_not_cptp(command, tmp_pat
     {"kraus": [[[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]]]},
     {"kraus": [[[[1, 0, 5, 6], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]]},
     {"kraus": 5},
+    {"label": 5, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+    {"label": ["AD"], "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+    {"label": None, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]},
 ], ids=["op-not-a-grid", "not-an-object", "kraus-a-string", "three-number-entry", "four-number-entries",
-        "kraus-a-number"])
+        "kraus-a-number", "label-a-number", "label-a-list", "label-null"])
 def test_malformed_kraus_file_is_a_parse_error(command, payload, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(payload))
@@ -435,6 +448,26 @@ def test_malformed_kraus_file_is_a_parse_error(command, payload, tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: cannot load Kraus file:")
+
+
+@pytest.mark.parametrize("args", [
+    ["decompose", "--channel", "AD", "--lambda", "0.5"],
+    ["decompose", "--channel", "AD", "--lambda", "0.5", "--gates"],
+    ["simulate", "--channel", "AD", "--lambda", "0.5"],
+    ["sweep", "--channel", "AD", "--formats", "csv,json"],
+])
+def test_outdir_naming_a_file_fails_before_any_output_or_measurement(args, tmp_path, monkeypatch, capsys):
+    def no_measurement(*_):
+        raise AssertionError("measured before --outdir was made")
+
+    monkeypatch.setattr(cli, "_measure", no_measurement)
+    path = tmp_path / "afile"
+    path.write_text("kept\n")
+    assert run(args + ["--outdir", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot make output directory:")
+    assert path.read_text() == "kept\n"
 
 
 def _per_point_cells(kind, lam, rho_in, noise):
@@ -482,7 +515,8 @@ def test_stacked_sweep_rows_match_per_point_functions(kind, noisy):
     rows = cli._sweep_rows(kind, grid, rho_in, noise)
     assert len(rows) == count
     for index, (lam, row) in enumerate(zip(grid, rows)):
-        row_noise = None if noise is None else replace(noise, rng_seed=noise.rng_seed + index)
+        row_noise = None if noise is None else NoiseParams(
+            noise.visibility, noise.intensity_sigma, noise.rng_seed + index)
         expected = _per_point_cells(kind, lam, rho_in, row_noise)
         assert row["lambda"] == lam
         # Fidelity is not Lipschitz next to a pure oracle state (see tomography.fidelity).
@@ -752,10 +786,13 @@ def test_output_options_are_never_dropped(args, message, tmp_path, capsys):
     (["simulate", "--kraus-file", "MISSING", "--visibility", "2"], "visibility must lie in [0, 1]"),
     (["simulate", "--channel", "AD", "--lambda", "1.4", "--intensity-sigma", "-1"], "intensity_sigma must be"),
     (["simulate", "--kraus-file", "MISSING"], "cannot load Kraus file"),
+    (["decompose", "--channel", "AD", "--lambda", "1.4", "--outdir", "BADCFG"], "decoherence parameter must be in"),
+    (["simulate", "--kraus-file", "MISSING", "--outdir", "BADCFG"], "cannot load Kraus file"),
+    (["simulate", "--channel", "AD", "--lambda", "0.5", "--outdir", "BADCFG"], "cannot make output directory"),
 ])
 def test_a_command_with_several_faults_reports_the_first_in_the_documented_order(args, message, tmp_path, capsys):
     # The order: the config file, then RULES in order on the resolved text, then each value's parser in OPTIONS order,
-    # then the noise options' ranges, then the channel (its file, its lambda range, CPTP and the fit).
+    # then the noise options' ranges, the channel (its file, its lambda range, CPTP and the fit), then --outdir.
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wavelength=532\n")
     paths = {"BADCFG": cfg, "MISSING": tmp_path / "missing.json", "OUT": tmp_path / "out"}
