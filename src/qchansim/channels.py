@@ -58,6 +58,8 @@ class KrausChannel(Record):
     __slots__ = ("ops", "label", "_choi")
 
     def __init__(self, ops: tuple, label: str = ""):
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
         if len(ops) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         stacked = np.array([as_cmat(k, 2) for k in ops])
@@ -72,11 +74,6 @@ class CPTPReport(Record):
     """Diagnostics from :func:`validate_channel`."""
 
     __slots__ = ("trace_residual", "min_choi_eig", "ok")
-
-    def __init__(self, trace_residual: float, min_choi_eig: float, ok: bool):
-        object.__setattr__(self, "trace_residual", trace_residual)
-        object.__setattr__(self, "min_choi_eig", min_choi_eig)
-        object.__setattr__(self, "ok", ok)
 
 
 class AffineRep(Record):
@@ -150,11 +147,11 @@ def validate_channel(ch: KrausChannel) -> CPTPReport:
     infinite residual and a NaN eigenvalue with no LAPACK call: LAPACK fails on it, and numpy warns on the way."""
     j = ch._choi
     if not np.isfinite(j).all():
-        return CPTPReport(trace_residual=math.inf, min_choi_eig=math.nan, ok=False)
+        return CPTPReport(math.inf, math.nan, False)
     trace_residual = _tp_defect(j.tolist())[1]
     min_eig = 0.0 if len(ch.ops) < 4 else float(np.linalg.eigvalsh(j)[0])
     ok = trace_residual <= TRACE_TOL and min_eig >= -CHOI_EIG_TOL
-    return CPTPReport(trace_residual=trace_residual, min_choi_eig=min_eig, ok=ok)
+    return CPTPReport(trace_residual, min_eig, ok)
 
 
 def _tp_defect(rows) -> tuple:
@@ -189,8 +186,4 @@ def channel_from_json(text: str) -> KrausChannel:
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("kraus"), list):
         raise ValueError('expected a JSON object {"label": ..., "kraus": [...]}')
-    label = payload.get("label", "")
-    if not isinstance(label, str):
-        raise ValueError(f"label must be a string, got {label!r}")
-    ops = tuple(pairs_to_complex(k) for k in payload["kraus"])
-    return KrausChannel(ops, label)
+    return KrausChannel(tuple(pairs_to_complex(k) for k in payload["kraus"]), payload.get("label", ""))

@@ -68,6 +68,8 @@ class NoiseParams(Record):
             raise ValueError(f"intensity_sigma must be finite, got {intensity_sigma!r}")
         if intensity_sigma < 0.0:
             raise ValueError("intensity_sigma must be nonnegative")
+        if intensity_sigma > 1e300:  # so 1 + sigma z, and a basis's two intensities summed, stay finite for |z| <= 1e7
+            raise ValueError(f"intensity_sigma must be at most 1e300, got {intensity_sigma!r}")
         try:
             seed = operator.index(rng_seed)  # numpy integers pass, floats do not
         except TypeError:
@@ -223,6 +225,8 @@ def compile_plan(plan, noise: NoiseParams | None = None) -> np.ndarray:
         for branch, weight in ((member.branch_a, member.p), (member.branch_b, 1.0 - member.p))
         if branch is not None and weight != 0.0
     ]
+    if not runs:
+        raise ValueError("expected at least one plan")
     rows, weights, branches = zip(*runs)
     images = _readout(_BASIS_OPS, branches, noise).reshape(-1, 4, 4).swapaxes(-1, -2)
     s = np.zeros((len(plans), 4, 4), dtype=complex)

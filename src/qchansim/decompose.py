@@ -90,6 +90,8 @@ class QuasiExtremeBranch(Record):
     __slots__ = ("alpha", "beta", "U", "Uprime", "conditional_x")
 
     def __init__(self, alpha: float, beta: float, U: np.ndarray, Uprime: np.ndarray, conditional_x: bool = True):
+        if not isinstance(conditional_x, (bool, np.bool_)):
+            raise ValueError(f"conditional_x must be true or false, got {conditional_x!r}")
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise ValueError(f"branch angles must be finite, got alpha={alpha!r}, beta={beta!r}")
         pair = np.array((U, Uprime), dtype=complex)  # one copy of both, read-only below
@@ -104,7 +106,7 @@ class QuasiExtremeBranch(Record):
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "U", pair[0])
         object.__setattr__(self, "Uprime", pair[1])
-        object.__setattr__(self, "conditional_x", conditional_x)
+        object.__setattr__(self, "conditional_x", bool(conditional_x))
 
     @property
     def gamma1(self) -> float:
@@ -133,6 +135,9 @@ class DecompositionPlan(Record):
     __slots__ = ("branch_a", "branch_b", "p")
 
     def __init__(self, branch_a: QuasiExtremeBranch, branch_b: QuasiExtremeBranch | None, p: float):
+        if not isinstance(branch_a, QuasiExtremeBranch) or not isinstance(branch_b, (QuasiExtremeBranch, type(None))):
+            raise ValueError(f"expected a QuasiExtremeBranch and a QuasiExtremeBranch or None, got "
+                             f"{type(branch_a).__name__} and {type(branch_b).__name__}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"mixing weight must be in [0, 1], got {p}")
         if branch_b is None and p < 1.0:
@@ -218,11 +223,6 @@ class FitResult(Record):
     """
 
     __slots__ = ("plan", "residual", "starts_used")
-
-    def __init__(self, plan: DecompositionPlan, residual: float, starts_used: int):
-        object.__setattr__(self, "plan", plan)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "starts_used", starts_used)
 
     @property
     def converged(self) -> bool:
@@ -500,7 +500,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
         plan = DecompositionPlan(branch_a=_pair_branch(pair), branch_b=None, p=1.0)
         r = frob_dist(_plan_choi(plan), target)
         if r <= FIT_TARGET_RESIDUAL:
-            return FitResult(plan=plan, residual=r, starts_used=0)
+            return FitResult(plan, r, 0)
 
     # x[j, (a, i)] = K_i[a, j] for the set K_i to split.
     if own:
@@ -516,7 +516,7 @@ def fit_plan(ch: KrausChannel) -> FitResult:
     kraus = (np.array(((m00, m10), (m01, m11))) @ x).reshape(2, 2, 4).T
     halves = _kraus_split(kraus)[1]
     plan = DecompositionPlan(*(_pair_branch(half) for half in halves.reshape(2, 8).tolist()), p=0.5)
-    return FitResult(plan=plan, residual=frob_dist(_plan_choi(plan), target), starts_used=1)
+    return FitResult(plan, frob_dist(_plan_choi(plan), target), 1)
 
 
 def _unitary_to_json(u) -> list | None:
@@ -566,10 +566,8 @@ def plan_from_json(text: str) -> DecompositionPlan:
     branches = []
     for b in rows:
         alpha, beta, gamma1, gamma2 = (_json_number(b, key) for key in ("alpha", "beta", "gamma1", "gamma2"))
-        if not isinstance(b.get("conditional_x"), bool):
-            raise ValueError(f"conditional_x must be true or false, got {b.get('conditional_x')!r}")
         branch = QuasiExtremeBranch(alpha=alpha, beta=beta, U=_unitary_from_json(b.get("U")),
-                                    Uprime=_unitary_from_json(b.get("Uprime")), conditional_x=b["conditional_x"])
+                                    Uprime=_unitary_from_json(b.get("Uprime")), conditional_x=b.get("conditional_x"))
         if max(abs(wrap_angle(gamma1 - branch.gamma1)), abs(wrap_angle(gamma2 - branch.gamma2))) > ANGLE_TOL:
             raise ValueError("gamma angles inconsistent with (alpha, beta)")
         branches.append(branch)

@@ -2,7 +2,8 @@
 
 Everything here is a pure function on plain numpy arrays, except
 :class:`Record`, the base of the package's immutable records.  Equality of
-matrices is always tolerance-based.
+matrices is tolerance-based; two records are equal only when every entry of
+their fields is.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ for _constant in (ID2, *PAULIS, _PAULI_STACK, Q0, H0):  # shared by every caller
 class Record:
     """Base of the package's immutable records, built without generating code at import.
 
-    A subclass lists its fields as ``__slots__`` in constructor order and sets them in its own ``__init__`` with
-    ``object.__setattr__``.  A field named with a leading underscore is derived from the others: it takes no part in
-    ``repr``, ``==``, ``hash`` or pickling.  Records compare equal only to records of their own class, field by field,
-    and pickle and copy by calling ``__init__`` again."""
+    A subclass lists its fields as ``__slots__`` in constructor order.  The constructor here binds positional values,
+    then keyword values, to those fields; a subclass whose fields need checking or converting has its own ``__init__``
+    and sets them with ``object.__setattr__``.  A field named with a leading underscore is derived from the others: it
+    takes no part in construction, ``repr``, ``==``, ``hash`` or pickling.  Records compare equal only to records of
+    their own class, by value: tuples entry by entry, arrays by ``np.array_equal``, anything else by ``==``.  A record
+    that holds an array is unhashable.  Records pickle and copy by calling the constructor again."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -42,6 +45,16 @@ class Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:  # the fields after the positional values, in order; a keyword left over is repeated or unknown
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes each of its fields ({', '.join(fields)}) once, by "
+                            "position or by keyword")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,7 +68,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return _equal_values(self._values(), other._values())
 
     def __hash__(self):
         return hash(self._values())
@@ -65,6 +78,15 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def _equal_values(a, b) -> bool:
+    """Record field equality: arrays by ``np.array_equal``, tuples entry by entry, anything else by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool(np.array_equal(a, b))
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_equal_values, a, b))
+    return bool(a == b)
 
 
 def as_cmat(m, dim: int | None = None, stack: bool = False) -> np.ndarray:

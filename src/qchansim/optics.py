@@ -55,21 +55,11 @@ class WaveplateTriple(Record):
 
     __slots__ = ("eta1", "tau", "eta2")
 
-    def __init__(self, eta1: float, tau: float, eta2: float):
-        object.__setattr__(self, "eta1", eta1)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "eta2", eta2)
-
 
 class EulerAngles(Record):
     """Angles (phi, xi, zeta) of the rotation sequence Ry(phi) Rz(-xi) Ry(zeta)."""
 
     __slots__ = ("phi", "xi", "zeta")
-
-    def __init__(self, phi: float, xi: float, zeta: float):
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "zeta", zeta)
 
 
 def triple_to_unitary(w: WaveplateTriple) -> np.ndarray:

@@ -39,10 +39,6 @@ class MeasurementSetting(Record):
 
     __slots__ = ("theta_q", "theta_h")
 
-    def __init__(self, theta_q: float, theta_h: float):
-        object.__setattr__(self, "theta_q", theta_q)
-        object.__setattr__(self, "theta_h", theta_h)
-
 
 SETTINGS = {
     Basis.HV: MeasurementSetting(0.0, 0.0),
@@ -60,37 +56,22 @@ class TomographyRecord(Record):
 
     __slots__ = ("hv", "da", "lr")
 
-    def __init__(self, hv: tuple, da: tuple, lr: tuple):
-        object.__setattr__(self, "hv", hv)
-        object.__setattr__(self, "da", da)
-        object.__setattr__(self, "lr", lr)
-
 
 class CoherencePair(Record):
     """l1-norm coherence and its unitary maximum (the Bloch length); arrays for a stack."""
 
     __slots__ = ("c_l1", "c_max")
 
-    def __init__(self, c_l1: float, c_max: float):
-        object.__setattr__(self, "c_l1", c_l1)
-        object.__setattr__(self, "c_max", c_max)
-
 
 class Reconstruction(Record):
-    """A reconstructed state; for a stack every field gains a leading axis of length n."""
+    """A reconstructed state, its Bloch vector, its purity Tr rho^2 = (1 + |r|^2) / 2, and whether it was clamped;
+    for a stack every field gains a leading axis of length n."""
 
     __slots__ = ("rho", "bloch", "purity", "clamped")
 
-    def __init__(self, rho: np.ndarray, bloch: np.ndarray, purity: float, clamped: bool):
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "bloch", bloch)
-        object.__setattr__(self, "purity", purity)  # Tr rho^2 = (1 + |r|^2) / 2
-        object.__setattr__(self, "clamped", clamped)
-
     def __getitem__(self, i) -> "Reconstruction":
         """Member ``i`` of a stacked reconstruction."""
-        return Reconstruction(rho=self.rho[i], bloch=self.bloch[i], purity=float(self.purity[i]),
-                              clamped=bool(self.clamped[i]))
+        return Reconstruction(self.rho[i], self.bloch[i], float(self.purity[i]), bool(self.clamped[i]))
 
 
 def forward_intensities(rho, noise: NoiseParams | None = None) -> TomographyRecord:
@@ -113,7 +94,7 @@ def forward_intensities(rho, noise: NoiseParams | None = None) -> TomographyReco
         hv, da, lr = (tuple(row) for row in intensities[0].tolist())
     else:
         hv, da, lr = intensities.swapaxes(0, 1)
-    return TomographyRecord(hv=hv, da=da, lr=lr)
+    return TomographyRecord(hv, da, lr)
 
 
 class DarkBasisError(ValueError):
@@ -148,8 +129,7 @@ def reconstruct(rec: TomographyRecord) -> Reconstruction:
     norm = np.linalg.norm(stack, axis=-1)
     stack = stack / np.maximum(norm, 1.0)[:, None]
     r_squared = (stack[:, None, :] @ stack[:, :, None])[:, 0, 0]
-    out = Reconstruction(rho=density_from_bloch(stack), bloch=stack, purity=(1.0 + r_squared) / 2.0,
-                         clamped=norm > 1.0 + 1e-12)
+    out = Reconstruction(density_from_bloch(stack), stack, (1.0 + r_squared) / 2.0, norm > 1.0 + 1e-12)
     return out[0] if r.ndim == 1 else out
 
 
@@ -182,8 +162,8 @@ def coherence(rho) -> CoherencePair:
     c_l1 = 2.0 * np.abs(stack[:, 0, 1])
     c_max = np.linalg.norm(bloch_vector(stack), axis=-1)
     if rho.ndim == 2:
-        return CoherencePair(c_l1=float(c_l1[0]), c_max=float(c_max[0]))
-    return CoherencePair(c_l1=c_l1, c_max=c_max)
+        return CoherencePair(float(c_l1[0]), float(c_max[0]))
+    return CoherencePair(c_l1, c_max)
 
 
 def reconstruction_to_json(rec: Reconstruction) -> str:

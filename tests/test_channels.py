@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -399,6 +400,13 @@ def test_channel_json_round_trip():
     assert len(back.ops) == len(ch.ops)
     for a, b in zip(back.ops, ch.ops):
         assert np.allclose(a, b)
+
+
+@pytest.mark.parametrize("label", [5, None, b"AD", ["AD"]], ids=["int", "none", "bytes", "list"])
+def test_channel_takes_only_a_string_label(label):
+    # A non-string label used to be kept: channel_to_json then wrote a file that channel_from_json rejects.
+    with pytest.raises(ValueError, match=re.escape(f"label must be a string, got {label!r}")):
+        KrausChannel(builtin_channel("AD", 0.5).ops, label)
 
 
 # Kraus-sum definitions, kept here as the reference for the transfer-matrix forms.

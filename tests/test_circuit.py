@@ -232,10 +232,12 @@ def test_noise_params_validation():
     ({"rng_seed": 1.5, "intensity_sigma": 0.1}, "rng_seed must be an integer, got 1.5"),
     ({"rng_seed": "3"}, "rng_seed must be an integer, got '3'"),
     ({"rng_seed": np.float64(2.0)}, "rng_seed must be an integer, got "),
+    ({"intensity_sigma": 1e301}, "intensity_sigma must be at most 1e300, got 1e+301"),
+    ({"intensity_sigma": 1e308}, "intensity_sigma must be at most 1e300, got 1e+308"),
 ])
 def test_noise_params_reject_a_non_finite_sigma_and_a_non_integer_seed(options, message):
-    # NaN used to switch the noise off, inf to leak numpy's divide warning from reconstruct, and a float seed to fail
-    # in numpy's RNG only where sigma > 0.
+    # NaN used to switch the noise off, inf to leak numpy's divide warning from reconstruct, a sigma above 1e300 to leak
+    # its overflow warning from forward_intensities, and a float seed to fail in numpy's RNG only where sigma > 0.
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         NoiseParams(**options)
     assert NoiseParams(rng_seed=np.int64(3), intensity_sigma=0.1).rng_seed == 3
@@ -326,6 +328,14 @@ def test_spin_orbit_state_validation():
 def test_simulate_channel_rejects_a_non_qubit_or_stacked_state_in_one_line(rho, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         simulate_channel(rho, closed_form_plan("AD", 0.5))
+
+
+def test_an_empty_plan_sequence_fails_in_one_line():
+    # zip(*runs) used to raise "not enough values to unpack (expected 3, got 0)".
+    with pytest.raises(ValueError, match="^expected at least one plan$"):
+        compile_plan([])
+    with pytest.raises(ValueError, match="^expected at least one plan$"):
+        simulate_channel(PLUS, [], NoiseParams(visibility=0.9))
 
 
 def test_run_branch_rejects_a_non_qubit_state_in_one_line_and_runs_a_stack():

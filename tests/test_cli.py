@@ -82,13 +82,14 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
 
 @pytest.mark.parametrize("module", ["qchansim", "qchansim.cli"])
 def test_import_loads_no_dataclasses(module):
-    # The records are plain slotted classes on matops.Record, so no layer generates and compiles their methods; numpy
-    # is imported first, so that only the package's own imports count.
+    # The records are plain slotted classes on matops.Record, so no layer generates and compiles their methods, and
+    # they pickle and copy through __reduce__, so no layer needs copy; numpy is imported first, so that only the
+    # package's own imports count.
     code = f"import sys, numpy; before = set(sys.modules); import {module}; " \
-           "print('dataclasses' in set(sys.modules) - before)"
+           "print(sorted({'dataclasses', 'copy'} & (set(sys.modules) - before)))"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def _fraction_fmt_angle(x):
@@ -729,6 +730,9 @@ def test_simulate_pure_output_is_not_flagged_clamped(kind, lam, phi, capsys):
     ("simulate", "seed", "-3", ["--intensity-sigma", "0.1"], "rng_seed must be nonnegative"),
     ("simulate", "seed", "-3", ["--visibility", "0.9"], "rng_seed must be nonnegative"),
     ("simulate", "visibility", "1.5", ["--kraus-file", "RANK3"], "visibility must lie in [0, 1]"),
+    # Above 1e300, sigma z overflowed in forward_intensities: a numpy warning, then exit 4.
+    ("simulate", "intensity_sigma", "1e308", ["--seed", "3"], "intensity_sigma must be at most 1e300, got 1e+308"),
+    ("sweep", "intensity_sigma", "1e301", [], "intensity_sigma must be at most 1e300, got 1e+301"),
 ])
 def test_noise_options_are_validated_from_any_source(source, command, key, value, extra, message, tmp_path,
                                                      monkeypatch, capsys):

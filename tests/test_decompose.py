@@ -272,6 +272,32 @@ def test_branch_rejects_non_finite_angles(alpha, beta):
         QuasiExtremeBranch(alpha, beta, ID2, ID2)
 
 
+@pytest.mark.parametrize("flag", ["no", None, 1, 0.0, np.array(True)])
+def test_branch_takes_only_a_bool_conditional_x(flag):
+    # A string used to be kept: plan_to_json then wrote a file that plan_from_json rejects, and gates_for_branch
+    # emitted CONDX for "no".
+    with pytest.raises(ValueError, match=re.escape(f"conditional_x must be true or false, got {flag!r}")):
+        QuasiExtremeBranch.from_alpha_beta(0.3, 0.2, conditional_x=flag)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)])
+def test_branch_stores_a_numpy_bool_conditional_x_as_bool(flag):
+    branch = QuasiExtremeBranch(0.3, 0.2, ID2, ID2, flag)
+    assert type(branch.conditional_x) is bool and branch.conditional_x == flag
+    assert plan_from_json(plan_to_json(DecompositionPlan(branch, None, 1.0))).branch_a == branch
+
+
+_BRANCH = QuasiExtremeBranch.from_alpha_beta(0.3, 0.2)
+
+
+@pytest.mark.parametrize("branch_a, branch_b", [(None, None), ("AD", None), (ID2, None), (_BRANCH, ID2),
+                                                (_BRANCH, (_BRANCH,))],
+                         ids=["none", "a-string", "an-array", "b-an-array", "b-a-tuple"])
+def test_plan_takes_only_branches(branch_a, branch_b):
+    with pytest.raises(ValueError, match="^expected a QuasiExtremeBranch and a QuasiExtremeBranch or None, got "):
+        DecompositionPlan(branch_a, branch_b, 1.0)
+
+
 def test_plan_requires_second_branch_below_unit_weight():
     with pytest.raises(ValueError):
         DecompositionPlan(QuasiExtremeBranch.from_alpha_beta(0.0, 0.0), None, 0.5)

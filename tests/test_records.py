@@ -1,14 +1,18 @@
-"""The contract of the package's 14 immutable records: repr, equality and hash, immutability, pickle and copy."""
+"""The contract of the package's 14 immutable records: construction, repr, equality and hash, immutability, pickle
+and copy, and the JSON round trips of channels, plans and gate lists."""
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
 
 from conftest import random_channel
 from qchansim import (
+    U_BPF,
     AffineRep,
+    ChannelKind,
     CPTPReport,
     CoherencePair,
     DecompositionPlan,
@@ -22,14 +26,22 @@ from qchansim import (
     Reconstruction,
     TomographyRecord,
     WaveplateTriple,
+    builtin_channel,
+    channel_from_json,
+    channel_to_json,
     closed_form_plan,
     fit_plan,
     forward_intensities,
+    gates_for_branch,
+    plan_from_json,
+    plan_to_json,
     reconstruct,
     to_affine,
     to_choi,
     validate_channel,
 )
+from qchansim.matops import Record
+from qchansim.optics import gate_list_from_json, gate_list_to_json
 
 # Each record's fields, in constructor order.
 FIELDS = {
@@ -47,6 +59,29 @@ FIELDS = {
     TomographyRecord: ("hv", "da", "lr"),
     CoherencePair: ("c_l1", "c_max"),
     Reconstruction: ("rho", "bloch", "purity", "clamped"),
+}
+
+# The records that only hold values take Record's constructor; the others check or convert their fields.
+VALUE_RECORDS = (CPTPReport, FitResult, WaveplateTriple, EulerAngles, MeasurementSetting, TomographyRecord,
+                 CoherencePair, Reconstruction)
+
+
+def _branch(phase: float) -> QuasiExtremeBranch:
+    return QuasiExtremeBranch(0.3, -0.2, np.diag([1.0, np.exp(1j * phase)]), U_BPF)
+
+
+# The seven records that can hold arrays, each built from one number that sets one entry of one array: a call with the
+# same number builds an independent twin, and another number a record that differs in that entry alone.
+ARRAY_RECORDS = {
+    KrausChannel: lambda x: KrausChannel((np.diag([1.0, x]), np.array([[0.0, 0.6], [0.0, 0.0]])), "AD"),
+    AffineRep: lambda x: AffineRep(np.diag([x, 0.8, 0.64]), np.array([0.0, 0.0, 0.36])),
+    QuasiExtremeBranch: _branch,
+    DecompositionPlan: lambda x: DecompositionPlan(_branch(0.5), _branch(x), 0.25),
+    FitResult: lambda x: FitResult(DecompositionPlan(_branch(x), None, 1.0), 1e-15, 0),
+    TomographyRecord: lambda x: TomographyRecord(np.array([[0.5, 0.5], [x, 0.2]]), np.full((2, 2), 0.5),
+                                                 np.array([[1.0, 0.0], [0.5, 0.5]])),
+    Reconstruction: lambda x: Reconstruction(np.array([[[0.5, x], [x, 0.5]]]), np.array([[2.0 * x, 0.0, 0.0]]),
+                                             np.array([0.5 + 2.0 * x * x]), np.array([False])),
 }
 
 # The scalar records: one instance, its exact repr, and an instance that differs from it in the last field.
@@ -109,6 +144,90 @@ def test_scalar_records_compare_and_hash_by_their_fields(record, text, other):
     assert WaveplateTriple(0.1, -0.2, 0.3) != EulerAngles(0.1, -0.2, 0.3)
 
 
+def test_only_the_records_that_check_their_fields_have_their_own_constructor():
+    for cls in FIELDS:
+        assert ("__init__" in vars(cls)) is (cls not in VALUE_RECORDS), cls.__name__
+    assert all(cls.__init__ is Record.__init__ for cls in VALUE_RECORDS)
+
+
+@pytest.mark.parametrize("record", [r for r in _records() if isinstance(r, VALUE_RECORDS)],
+                         ids=lambda r: type(r).__name__)
+def test_value_records_bind_positional_then_keyword_values(record):
+    cls, fields = type(record), FIELDS[type(record)]
+    values = [getattr(record, name) for name in fields]
+    twins = [cls(*values[:split], **dict(zip(fields[split:], values[split:]))) for split in range(len(fields) + 1)]
+    twins.append(cls(**dict(reversed(list(zip(fields, values))))))  # keywords in any order
+    for twin in twins:
+        assert all(getattr(twin, name) is value for name, value in zip(fields, values))
+        assert twin == record
+
+
+@pytest.mark.parametrize("record", [r for r in _records() if isinstance(r, VALUE_RECORDS)],
+                         ids=lambda r: type(r).__name__)
+def test_value_records_refuse_a_missing_extra_repeated_or_unknown_value(record):
+    cls, fields = type(record), FIELDS[type(record)]
+    values = [getattr(record, name) for name in fields]
+    calls = [
+        lambda: cls(*values[:-1]),  # missing
+        lambda: cls(**dict(zip(fields[1:], values[1:]))),  # missing, by keyword
+        lambda: cls(*values, values[0]),  # extra
+        lambda: cls(*values[:-1], **{fields[0]: values[0]}),  # repeated
+        lambda: cls(*values[:-1], **{fields[-1] + "_": values[-1]}),  # unknown
+    ]
+    message = f"{cls.__name__} takes each of its fields ({', '.join(fields)}) once, by position or by keyword"
+    for call in calls:
+        with pytest.raises(TypeError, match="^" + re.escape(message) + "$"):
+            call()
+
+
+@pytest.mark.parametrize("cls", ARRAY_RECORDS, ids=lambda cls: cls.__name__)
+def test_array_records_compare_by_value_and_are_unhashable(cls):
+    # == used to raise "The truth value of an array ... is ambiguous" on two records with distinct arrays.
+    build = ARRAY_RECORDS[cls]
+    record, twin, other = build(0.25), build(0.25), build(0.25 + 1e-12)
+    assert twin is not record and twin == record and not twin != record
+    assert other != record and not other == record
+    assert record.__eq__(record._values()) is NotImplemented
+    for r in (record, twin, other):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(r)
+
+
+def test_the_package_builds_equal_records_from_equal_inputs():
+    stack = np.array([[[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], [[0.5, 0.5], [0.5, 0.5]]])
+    ch = random_channel(np.random.default_rng(3032), 3, "rank3")
+    builders = [lambda: closed_form_plan("AD", 0.5), lambda: builtin_channel("AD", 0.5), lambda: fit_plan(ch),
+                lambda: to_affine(ch), lambda: forward_intensities(stack),
+                lambda: reconstruct(forward_intensities(stack))]
+    for build in builders:
+        assert build() == build()
+    assert closed_form_plan("AD", 0.5) != closed_form_plan("AD", 0.4)
+    assert builtin_channel("AD", 0.5) != builtin_channel("PD", 0.5)
+
+
+def _assert_plan_round_trips(plan):
+    assert plan_from_json(plan_to_json(plan)) == plan
+    for branch in (plan.branch_a, plan.branch_b):
+        if branch is not None:
+            gates = gates_for_branch(branch)
+            assert gate_list_from_json(gate_list_to_json(gates)) == gates
+
+
+def test_channels_and_their_fitted_plans_survive_a_json_round_trip():
+    rng = np.random.default_rng(3033)
+    for rank in (1, 2, 3, 4):
+        for index in range(10):
+            ch = random_channel(rng, rank, f"rank{rank}-{index}")
+            assert channel_from_json(channel_to_json(ch)) == ch
+            _assert_plan_round_trips(fit_plan(ch).plan)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind), ids=lambda kind: kind.value)
+def test_named_plans_survive_a_json_round_trip(kind):
+    for lam in np.linspace(0.0, 1.0, 11):
+        _assert_plan_round_trips(closed_form_plan(kind, float(lam)))
+
+
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_records_refuse_assignment_and_deletion(record):
     for name in FIELDS[type(record)]:
@@ -133,11 +252,8 @@ def test_records_survive_pickle_and_copy(record):
 def test_the_choi_matrix_is_neither_shown_nor_compared():
     ch = random_channel(np.random.default_rng(3031), 2, "rank2")
     assert "_choi" not in repr(ch) and "choi" not in repr(ch)
-    # A twin sharing ch's operator arrays, so that == can compare them, but holding another Choi matrix.
+    # A twin holding another Choi matrix.
     twin = KrausChannel(ch.ops, ch.label)
-    object.__setattr__(twin, "ops", ch.ops)
     object.__setattr__(twin, "_choi", np.zeros((4, 4), dtype=complex))
     assert twin == ch and repr(twin) == repr(ch)
-    relabelled = KrausChannel(ch.ops, "other")
-    object.__setattr__(relabelled, "ops", ch.ops)
-    assert relabelled != ch
+    assert KrausChannel(ch.ops, "other") != ch

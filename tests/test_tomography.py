@@ -268,3 +268,19 @@ def test_empty_stacks_are_rejected_with_one_line():
     for call in calls:
         with pytest.raises(ValueError, match=r"^expected at least one density matrix, got shape \(0, 2, 2\)$"):
             call()
+
+
+def test_the_largest_intensity_sigma_runs_without_a_numpy_warning():
+    # 1e308 used to overflow sigma z in forward_intensities; warnings are errors here, so one would fail the test.
+    lit = 0
+    for seed in range(40):
+        record = forward_intensities(PLUS, NoiseParams(intensity_sigma=1e300, rng_seed=seed))
+        intensities = np.array([record.hv, record.da, record.lr])
+        assert np.isfinite(intensities).all() and np.isfinite(intensities.sum(axis=-1)).all()
+        try:
+            bloch = reconstruct(record).bloch
+        except DarkBasisError:
+            continue
+        assert np.isfinite(bloch).all()
+        lit += 1
+    assert lit > 0
